@@ -25,10 +25,13 @@ fuzz:
 vet:
 	$(GO) vet ./...
 
-# lint = go vet + the project analyzer suite (notime, norand, maporder,
-# units, ctxloop, hotalloc, errflow, wirecanon), plus
-# staticcheck/govulncheck when available.
+# lint = go vet + gofmt (any file `gofmt -l` lists fails) + the project
+# analyzer suite (notime, norand, maporder, units, ctxloop, hotalloc,
+# errflow, wirecanon), plus staticcheck/govulncheck when available.
 lint: vet
+	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
+		echo "gofmt -l reports unformatted files:"; echo "$$unformatted"; exit 1; \
+	fi
 	$(GO) run ./cmd/etrain-vet ./...
 	@if command -v staticcheck >/dev/null 2>&1; then \
 		staticcheck ./...; \

@@ -164,7 +164,7 @@ type state struct {
 	probeEvery int
 
 	// rng draws the deterministic jitter for both reconnect backoff and
-	// busy-wait sleeps.
+	// busy-wait sleeps; jitter seeds it on first use.
 	rng *randx.Source
 
 	// budget is the busy-retry token bucket: spent by noteBusy, refilled
@@ -229,7 +229,6 @@ func Run(cfg Config, sess server.Session) (*Outcome, error) {
 		budget:     cfg.RetryBudget,
 		budgetCap:  cfg.RetryBudget,
 	}
-	st.rng = randx.New(randx.Derive(cfg.Seed, sess.Hello.DeviceID, 0x6261636b6f6666)) // "backoff"
 
 	consecFail := 0
 	var conn net.Conn // a live connection handed over by a degraded probe
@@ -317,6 +316,16 @@ func (st *state) dial() (net.Conn, error) {
 	return conn, nil
 }
 
+// jitter returns the backoff-jitter source, seeding it on first use: a
+// session that never backs off never pays for the seeded table, and the
+// draws are the same whenever the seeding happens.
+func (st *state) jitter() *randx.Source {
+	if st.rng == nil {
+		st.rng = randx.New(randx.Derive(st.cfg.Seed, st.hello.DeviceID, 0x6261636b6f6666)) // "backoff"
+	}
+	return st.rng
+}
+
 // backoff sleeps the capped exponential delay for the given consecutive
 // failure count, with deterministic jitter in [d/2, d].
 func (st *state) backoff(consec int) {
@@ -328,7 +337,7 @@ func (st *state) backoff(consec int) {
 		d = st.cfg.MaxBackoff
 	}
 	half := int64(d / 2)
-	jittered := time.Duration(half + st.rng.Int63()%(half+1))
+	jittered := time.Duration(half + st.jitter().Int63()%(half+1))
 	if st.cfg.Sleep != nil {
 		st.cfg.Sleep(jittered)
 	}
@@ -344,7 +353,7 @@ func (st *state) noteBusy(b wire.Busy) {
 	st.busyResponses++
 	if b.RetryAfter > 0 {
 		half := int64(b.RetryAfter / 2)
-		jittered := time.Duration(half + st.rng.Int63()%(half+1))
+		jittered := time.Duration(half + st.jitter().Int63()%(half+1))
 		st.busyWait += jittered
 		if st.cfg.Sleep != nil {
 			st.cfg.Sleep(jittered)
@@ -393,11 +402,11 @@ func handshakeAnswer(r *wire.Reader) (wire.Message, error) {
 }
 
 // exchange runs one full attempt on conn: handshake (Resume when an
-// admitted session is presumed parked, Hello otherwise), stream the
-// unacknowledged journal tail, and collect server frames until the
-// final ack or a transport failure. It closes conn, reports whether the
-// attempt advanced the session, and returns an error only for
-// unrecoverable protocol violations.
+// admitted session is presumed parked, Hello otherwise), send the
+// unacknowledged journal tail in one batch, and collect server frames
+// until the final ack or a transport failure. It closes conn, reports
+// whether the attempt advanced the session, and returns an error only
+// for unrecoverable protocol violations.
 func (st *state) exchange(conn net.Conn) (progress bool, fatal error) {
 	defer conn.Close()
 	w := wire.NewWriter(conn)
@@ -506,11 +515,15 @@ func (st *state) exchange(conn net.Conn) (progress bool, fatal error) {
 			}
 		}
 	}()
+	// The whole unacknowledged tail goes out as one batch. Reads stay
+	// unbuffered: faultnet draws one fault per read call, so a read-ahead
+	// buffer would change the fault schedule a seed produces.
 	var writeErr error
-	for i := start; i < uint64(len(st.journal)); i++ {
-		if writeErr = w.Write(st.journal[i]); writeErr != nil {
-			break
-		}
+	for i := start; i < uint64(len(st.journal)) && writeErr == nil; i++ {
+		writeErr = w.Buffer(st.journal[i])
+	}
+	if err := w.Flush(); writeErr == nil {
+		writeErr = err
 	}
 	if writeErr != nil {
 		// The transport died mid-stream; close to unblock the reader.

@@ -10,6 +10,7 @@ import (
 
 	"etrain/internal/fleet"
 	"etrain/internal/server"
+	"etrain/internal/wire"
 	"etrain/internal/workload"
 )
 
@@ -101,19 +102,47 @@ func waitFor(t *testing.T, cond func() bool, msg func() string) {
 }
 
 // limitConn kills the connection (both directions, underlying close)
-// after a fixed number of writes, simulating a transport that dies
-// mid-stream.
+// once it has delivered the encoded bytes of a session's first N client
+// frames, simulating a transport that dies mid-stream. The cut is
+// counted in frames, not Write calls, so it lands on the same frame
+// boundary however the client batches its writes.
 type limitConn struct {
 	net.Conn
-	writes int32
+	left int // bytes still deliverable
+}
+
+// cutAfterFrames wraps c to deliver only the first n client frames of
+// sess: the Hello, then events, then the finish ack.
+func cutAfterFrames(t *testing.T, c net.Conn, sess server.Session, n int) *limitConn {
+	t.Helper()
+	frames := append([]wire.Message{sess.Hello}, sess.Events...)
+	frames = append(frames, wire.Ack{Seq: uint64(len(sess.Events)) + 1})
+	if n >= len(frames) {
+		t.Fatalf("cut after %d frames of a %d-frame session never fires", n, len(frames))
+	}
+	lc := &limitConn{Conn: c}
+	for _, m := range frames[:n] {
+		b, err := wire.Encode(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lc.left += len(b)
+	}
+	return lc
 }
 
 func (c *limitConn) Write(p []byte) (int, error) {
-	if atomic.AddInt32(&c.writes, -1) < 0 {
-		c.Conn.Close()
-		return 0, net.ErrClosed
+	if len(p) <= c.left {
+		c.left -= len(p)
+		return c.Conn.Write(p)
 	}
-	return c.Conn.Write(p)
+	n := 0
+	if c.left > 0 {
+		n, _ = c.Conn.Write(p[:c.left])
+		c.left = 0
+	}
+	c.Conn.Close()
+	return n, net.ErrClosed
 }
 
 // TestCleanRunMatchesDrive verifies the resilient client over a healthy
@@ -140,14 +169,15 @@ func TestCleanRunMatchesDrive(t *testing.T) {
 func TestCutSessionResumes(t *testing.T) {
 	sess := testSession(t, 0)
 	want := baseline(t, sess)
-	// The device-0 session takes 6 client writes (Hello + 4 events +
-	// finish ack); every budget below that cuts mid-stream.
-	for _, budget := range []int32{2, 3, 5} {
-		t.Run(fmt.Sprintf("writes_%d", budget), func(t *testing.T) {
+	// The device-0 session is 6 client frames (Hello + 4 events + finish
+	// ack); every cut below that lands mid-stream. A subtest's N counts
+	// the client frames written before the cut.
+	for _, frames := range []int{2, 3, 5} {
+		t.Run(fmt.Sprintf("writes_%d", frames), func(t *testing.T) {
 			srv := server.New(server.Config{})
 			dial := loopbackDialer(srv, func(attempt int, c net.Conn) net.Conn {
 				if attempt == 1 {
-					return &limitConn{Conn: c, writes: budget}
+					return cutAfterFrames(t, c, sess, frames)
 				}
 				return c
 			})
@@ -184,7 +214,7 @@ func TestResumeRefusedFallsBackToReplay(t *testing.T) {
 	srv := server.New(server.Config{ResumeGrace: -1})
 	dial := loopbackDialer(srv, func(attempt int, c net.Conn) net.Conn {
 		if attempt == 1 {
-			return &limitConn{Conn: c, writes: 6}
+			return cutAfterFrames(t, c, sess, 6)
 		}
 		return c
 	})
@@ -241,7 +271,7 @@ func TestDegradeThenReconcile(t *testing.T) {
 			// Admitted, then cut after the Hello and two events.
 			c, sconn := net.Pipe()
 			go srv.ServeConn(sconn)
-			return &limitConn{Conn: c, writes: 3}, nil
+			return cutAfterFrames(t, c, sess, 3), nil
 		case n == 2:
 			return nil, net.ErrClosed
 		default:

@@ -65,6 +65,23 @@ func startShardProcWith(t *testing.T, ctrlAddr string, id uint64, scfg server.Co
 // kill is the SIGKILL analog: the agent's control conn drops (so the
 // controller declares the shard dead) and every session conn plus the
 // listener dies abruptly, parked state discarded.
+// stallConn passes a client's first write (its Hello) and holds every
+// later write until release closes. Only the client's Run goroutine
+// writes, so writes needs no lock.
+type stallConn struct {
+	net.Conn
+	release <-chan struct{}
+	writes  int
+}
+
+func (c *stallConn) Write(p []byte) (int, error) {
+	c.writes++
+	if c.writes > 1 {
+		<-c.release
+	}
+	return c.Conn.Write(p)
+}
+
 func (sp *shardProc) kill() {
 	sp.cancel()
 	<-sp.agentDone
@@ -165,11 +182,14 @@ func TestClusterFailoverZeroDecisionLoss(t *testing.T) {
 
 	// The killer strikes as soon as the victim is actually serving: that
 	// strands live in-flight sessions, which must then heal on the
-	// surviving shards.
+	// surviving shards. A client's first connection to the victim holds
+	// its event stream back until the kill (stallConn), so the sessions
+	// the victim admits are still in flight when it dies, however fast
+	// a session runs.
 	killed := make(chan struct{})
 	go func() {
 		defer close(killed)
-		for shards[victim].srv.Stats().Active == 0 {
+		for shards[victim].srv.Stats().Accepted == 0 {
 			time.Sleep(50 * time.Microsecond)
 		}
 		shards[victim].kill()
@@ -181,8 +201,18 @@ func TestClusterFailoverZeroDecisionLoss(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
+			route := rt.Dialer(uint64(i))
+			owner, _ := ring.Owner(uint64(i))
+			stall := owner == victim
 			out, err := client.Run(client.Config{
-				Route: rt.Dialer(uint64(i)),
+				Route: func() (net.Conn, bool, error) {
+					conn, moved, err := route()
+					if err == nil && stall {
+						stall = false
+						conn = &stallConn{Conn: conn, release: killed}
+					}
+					return conn, moved, err
+				},
 				Seed:  1,
 				Sleep: func(time.Duration) { time.Sleep(time.Millisecond) },
 			}, sessions[i])

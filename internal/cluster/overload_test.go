@@ -156,7 +156,10 @@ func TestThunderingHerdShardKill(t *testing.T) {
 	killed := make(chan struct{})
 	go func() {
 		defer close(killed)
-		for shards[victim].srv.Stats().Active == 0 {
+		// Poll the monotonic Accepted count, not the Active gauge: a victim
+		// whose sessions all open and finish between two polls never shows
+		// Active > 0, and the killer would wait forever.
+		for shards[victim].srv.Stats().Accepted == 0 {
 			time.Sleep(50 * time.Microsecond)
 		}
 		shards[victim].kill()

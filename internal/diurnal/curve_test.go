@@ -86,6 +86,44 @@ func TestCurveIntegralMatchesRiemann(t *testing.T) {
 	}
 }
 
+// TestCurveCumPeriodBoundaries holds cum to an exact integer-remainder
+// reference within ±4 ns of period boundaries across the whole
+// time.Duration range, negative t included. There float64(t)/period can
+// round onto the wrong side of a boundary, which is what cum's float
+// guards correct; the sweep must reach them, and they must correct
+// exactly.
+func TestCurveCumPeriodBoundaries(t *testing.T) {
+	c := mustCurve(t, Day, []Knot{{Offset: 0, Level: 0.2}, {Offset: 6 * time.Hour, Level: 1.5}, {Offset: 18 * time.Hour, Level: 0.5}})
+	p := c.Period()
+	ref := func(at time.Duration) float64 {
+		n, rem := at/p, at%p
+		if rem < 0 {
+			n--
+			rem += p
+		}
+		i := c.segment(rem)
+		return float64(n)*c.total + (c.prefix[i] + c.knots[i].Level*(rem-c.knots[i].Offset).Seconds())
+	}
+	// maxK whole periods, plus 4 ns either side, stay inside int64.
+	maxK := int64(math.MaxInt64/p) - 1
+	guarded := 0
+	for k := -maxK; k <= maxK; k += 37 {
+		for d := time.Duration(-4); d <= 4; d++ {
+			at := time.Duration(k)*p + d
+			n := math.Floor(float64(at) / float64(p))
+			if rem := at - time.Duration(n*float64(p)); rem < 0 || rem >= p {
+				guarded++
+			}
+			if got, want := c.cum(at), ref(at); got != want {
+				t.Fatalf("cum(%d) = %v, exact reference %v", int64(at), got, want)
+			}
+		}
+	}
+	if guarded == 0 {
+		t.Fatal("sweep never reached cum's float guards")
+	}
+}
+
 // TestCurveInverseCum checks that inverseCum inverts cum across several
 // periods, including areas landing inside zero-level segments.
 func TestCurveInverseCum(t *testing.T) {

@@ -114,11 +114,11 @@ func buildReport(c *compiled, hash string, set *outcomeSet) *Report {
 	if c.loopback {
 		t := set.tally
 		r.Transport = &TransportSummary{
-			SessionsOK:   set.devices - t.failed,
-			Failed:       t.failed,
-			Degraded:     t.degraded,
-			Unreconciled: t.unreconciled,
-			DecisionLoss: t.decisionLoss,
+			SessionsOK:      set.devices - t.failed,
+			Failed:          t.failed,
+			Degraded:        t.degraded,
+			Unreconciled:    t.unreconciled,
+			DecisionLoss:    t.decisionLoss,
 			Reconnects:      t.reconnects,
 			Resumes:         t.resumes,
 			Replays:         t.replays,

@@ -103,8 +103,9 @@ type Config struct {
 //
 // A snapshot is internally consistent, not merely individually fresh:
 // every multi-counter state change — a session opening, an outcome
-// resolving, a frame going out with its Decision classification — is one
-// locked transition, and Stats copies the whole set under the same lock.
+// resolving, a batch of frames going out with its Decision and Busy
+// classification — is one locked transition, and Stats copies the whole
+// set under the same lock.
 // In particular Accepted == Active + Completed + Errored + Parked + Refused
 // and Decisions <= FramesOut hold in every snapshot, which is what lets a
 // cluster shard stream these counters as ShardStats frames without ever
@@ -165,15 +166,15 @@ func (s *Server) countFrameIn() {
 	s.cmu.Unlock()
 }
 
-// countFrameOut counts one written outbound frame and, in the same
-// transition, its Decision classification — so Decisions can never lead
-// FramesOut in a snapshot (hot path: no closure).
-func (s *Server) countFrameOut(decision bool) {
+// countBatch counts one flushed outbound batch — its frames and, in the
+// same transition, their Decision and Busy classification — so neither
+// Decisions nor BusySent can lead FramesOut in a snapshot (hot path: no
+// closure).
+func (s *Server) countBatch(b batch) {
 	s.cmu.Lock()
-	s.ctrs.FramesOut++
-	if decision {
-		s.ctrs.Decisions++
-	}
+	s.ctrs.FramesOut += b.frames
+	s.ctrs.Decisions += b.decisions
+	s.ctrs.BusySent += b.busy
 	s.cmu.Unlock()
 }
 

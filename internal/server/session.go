@@ -1,14 +1,62 @@
 package server
 
 import (
+	"bufio"
 	"errors"
 	"fmt"
 	"io"
 	"net"
 	"os"
+	"sync"
 
 	"etrain/internal/wire"
 )
+
+// Per-connection buffer sizes.
+const (
+	// readBufSize is the session reader's buffered-read size. A client
+	// that batches its frames is decoded from one read call per KiB —
+	// the whole event batch of a 2-minute device — and a connection that
+	// misses the pool costs little more than one that hits it.
+	readBufSize = 1 << 10
+	// flushAt is the pending outbound size that forces a flush before
+	// the event queue runs dry, bounding the batch a session holds back.
+	flushAt = 4 << 10
+)
+
+// connBufs is one connection's I/O state: the buffered reader the
+// session's reader goroutine decodes from and the frame writer its
+// processor batches into. It is pooled across connections, so a
+// session's steady state allocates neither.
+type connBufs struct {
+	br *bufio.Reader
+	fr *wire.Reader
+	w  *wire.Writer
+}
+
+var connBufPool = sync.Pool{New: func() any {
+	cb := &connBufs{br: bufio.NewReaderSize(nil, readBufSize), w: wire.NewWriter(nil)}
+	cb.fr = wire.NewReader(cb.br)
+	return cb
+}}
+
+// getConnBufs takes a pooled buffer set and points it at conn.
+func getConnBufs(conn net.Conn) *connBufs {
+	cb := connBufPool.Get().(*connBufs)
+	cb.br.Reset(conn)
+	cb.w.Reset(conn)
+	return cb
+}
+
+// putConnBufs drops cb's conn and any unread or unflushed bytes and
+// returns it to the pool. Only call it once nothing can touch cb again:
+// after the reader goroutine has joined and after the session has
+// dropped its writer.
+func putConnBufs(cb *connBufs) {
+	cb.br.Reset(nil)
+	cb.w.Reset(nil)
+	connBufPool.Put(cb)
+}
 
 // journaled is one emitted session frame retained for resume replay.
 type journaled struct {
@@ -23,9 +71,12 @@ type journaled struct {
 // detached registry and a later Resume handshake adopts it onto a fresh
 // connection (DESIGN.md §11).
 type session struct {
-	srv   *Server
+	srv *Server
+	// conn and w are the current connection and its pooled frame writer;
+	// both are nil while the session is parked.
 	conn  net.Conn
 	w     *wire.Writer
+	batch batch
 	rep   *Replayer
 	hello wire.Hello
 	token uint64
@@ -45,6 +96,12 @@ type session struct {
 	broken error
 }
 
+// batch counts the frames buffered on the session's writer since the
+// last flush, so a flushed batch is counted in one transition.
+type batch struct {
+	frames, decisions, busy uint64
+}
+
 // inbound is one decoded frame (or the reader's terminal error) queued
 // for the session's processor.
 type inbound struct {
@@ -59,18 +116,26 @@ type inbound struct {
 // backpressure: when the engine falls behind, the reader stops pulling
 // frames and the transport blocks the client.
 //
+// Outbound frames are batched on the connection's writer and flushed,
+// always on a frame boundary, at explicit points: after the handshake
+// answer, whenever the event queue is empty or flushAt bytes are
+// pending, on completion, and before any park or error return. A device
+// streaming in real time therefore gets each event's decisions as soon
+// as the engine produces them, while a client that sends its events in
+// one batch gets its decisions back in few writes.
+//
 // A transport failure mid-session does not discard the engine: the
 // session parks for ResumeGrace and runSession returns ErrSessionParked.
 func (s *Server) runSession(conn net.Conn) error {
+	cb := getConnBufs(conn)
 	events := make(chan inbound, s.cfg.QueueDepth)
 	stop := make(chan struct{})
 	readerDone := make(chan struct{})
 	go func() {
 		defer close(readerDone)
-		r := wire.NewReader(conn)
 		for {
 			s.readDeadline(conn)
-			m, err := r.Next()
+			m, err := cb.fr.Next()
 			if err != nil {
 				select {
 				case events <- inbound{err: err}:
@@ -88,11 +153,15 @@ func (s *Server) runSession(conn net.Conn) error {
 	}()
 	// Join the reader on every exit path: closing stop releases it from a
 	// send onto a full queue, closing conn releases it from a blocked
-	// Read, and readerDone confirms it is gone.
+	// Read, and readerDone confirms it is gone. Only then do the
+	// connection's buffers go back to the pool; a session that parked
+	// dropped its writer before parking (detach), so nothing still
+	// reachable holds them.
 	defer func() {
 		close(stop)
 		conn.Close()
 		<-readerDone
+		putConnBufs(cb)
 	}()
 
 	// Handshake: the first frame opens a fresh session (Hello) or adopts
@@ -110,7 +179,7 @@ func (s *Server) runSession(conn net.Conn) error {
 				return errHelloRefused
 			}
 		}
-		sess = &session{srv: s, conn: conn, w: wire.NewWriter(conn)}
+		sess = &session{srv: s, conn: conn, w: cb.w}
 		rep, err := NewReplayer(h, s.cfg.Power, sess.emit)
 		if err != nil {
 			return err
@@ -118,15 +187,18 @@ func (s *Server) runSession(conn net.Conn) error {
 		sess.rep = rep
 		sess.hello = h
 		sess.token = wire.SessionToken(h)
-		if err := sess.write(wire.Ack{Seq: 0}); err != nil {
-			return err
+		sess.send(wire.Ack{Seq: 0})
+		sess.flush()
+		if sess.broken != nil {
+			return fmt.Errorf("server: writing ack: %w", sess.broken)
 		}
 	case wire.Resume:
 		var err error
-		sess, err = s.adopt(conn, h)
+		sess, err = s.adopt(conn, cb.w, h)
 		if err != nil {
 			return err
 		}
+		sess.flush()
 		if sess.broken != nil {
 			// The new conn died during the resume replay; park again.
 			return s.reparkOr(sess, fmt.Errorf("server: resume replay: %w", sess.broken))
@@ -144,6 +216,7 @@ func (s *Server) runSession(conn net.Conn) error {
 			if transportErr(ev.err) {
 				return s.reparkOr(sess, readLossErr(ev.err))
 			}
+			sess.flush()
 			return fmt.Errorf("server: reading frame: %w", ev.err)
 		}
 		if a := s.cfg.Admission; a != nil {
@@ -153,17 +226,22 @@ func (s *Server) runSession(conn net.Conn) error {
 					// consumed (no inSeq advance, no Apply), so the
 					// resume handshake's ResumeOK.Got makes the client
 					// redeliver it. Busy goes out as a control frame —
-					// never numbered, never journaled — then the session
-					// parks awaiting that resume.
+					// never numbered, never journaled — in the batch
+					// flushed before the session parks awaiting that
+					// resume.
 					s.count(func(ct *Counters) { ct.Shed++ })
-					sess.busy(wire.Busy{RetryAfter: ra, Reason: wire.ReasonQueue})
+					sess.send(wire.Busy{RetryAfter: ra, Reason: wire.ReasonQueue})
 					return s.reparkOr(sess, fmt.Errorf("server: cargo %d shed under queue pressure", c.ID))
 				}
 			}
 		}
 		sess.inSeq++
 		if err := sess.rep.Apply(ev.msg); err != nil {
+			sess.flush()
 			return err
+		}
+		if sess.rep.Done() || len(events) == 0 {
+			sess.flush()
 		}
 		if sess.broken != nil {
 			return s.reparkOr(sess, fmt.Errorf("server: writing frame: %w", sess.broken))
@@ -175,11 +253,12 @@ func (s *Server) runSession(conn net.Conn) error {
 	return fmt.Errorf("server: event queue closed") // unreachable
 }
 
-// adopt moves a parked session onto conn: it validates the Resume
-// against the detached registry, prunes the journal to the client's
-// confirmed prefix, answers ResumeOK with the server's consumed-event
-// count, and replays the retained frames.
-func (s *Server) adopt(conn net.Conn, r wire.Resume) (*session, error) {
+// adopt moves a parked session onto conn and its writer w: it validates
+// the Resume against the detached registry, prunes the journal to the
+// client's confirmed prefix, and buffers the ResumeOK answer (with the
+// server's consumed-event count) and the retained frames for the
+// caller's handshake flush.
+func (s *Server) adopt(conn net.Conn, w *wire.Writer, r wire.Resume) (*session, error) {
 	sess := s.takeDetached(sessionKey{device: r.DeviceID, token: r.Token})
 	if sess == nil {
 		s.count(func(c *Counters) { c.ResumeMisses++ })
@@ -201,7 +280,7 @@ func (s *Server) adopt(conn net.Conn, r wire.Resume) (*session, error) {
 		c.Detached--
 	})
 	sess.conn = conn
-	sess.w = wire.NewWriter(conn)
+	sess.w = w
 	sess.broken = nil
 	// Drop the confirmed prefix; suppress regeneration of anything the
 	// client already holds (it may be ahead after degraded-mode work).
@@ -217,8 +296,13 @@ func (s *Server) adopt(conn net.Conn, r wire.Resume) (*session, error) {
 }
 
 // reparkOr parks sess after a transport failure, or returns fallback
-// when parking is disabled or refused.
+// when parking is disabled or refused. It flushes what the conn will
+// still take and detaches the session from it first: once parked, the
+// session may be adopted by a Resume on another conn while this one's
+// runSession unwinds and pools the writer.
 func (s *Server) reparkOr(sess *session, fallback error) error {
+	sess.flush()
+	sess.conn, sess.w = nil, nil
 	if s.park(sess) {
 		return ErrSessionParked
 	}
@@ -257,9 +341,9 @@ func (sess *session) complete() error {
 
 // emit is the Replayer's sink: it numbers the frame, suppresses what the
 // client already holds, journals the rest for resume, and best-effort
-// writes. It never fails — a write error latches sess.broken so the
-// engine finishes the event cleanly and the session parks afterwards
-// with every frame journaled.
+// buffers it for the next flush. It never fails — a write error latches
+// sess.broken so the engine finishes the event cleanly and the session
+// parks afterwards with every frame journaled.
 //
 //etrain:hotpath
 func (sess *session) emit(m wire.Message) error {
@@ -272,42 +356,46 @@ func (sess *session) emit(m wire.Message) error {
 	return nil
 }
 
-// send writes m on the current conn unless it is already broken,
-// latching the first error.
+// send buffers m on the current conn's batch unless the conn is already
+// broken, flushing once flushAt bytes are pending. An encoding failure
+// latches broken like a write failure.
 //
 //etrain:hotpath
 func (sess *session) send(m wire.Message) {
 	if sess.broken != nil {
 		return
 	}
-	if err := sess.write(m); err != nil {
-		sess.broken = err
-	}
-}
-
-// busy writes one Busy control frame on the session's conn — direct, not
-// through emit, so it is never sequence-numbered or journaled. A write
-// failure latches broken exactly like any session write.
-func (sess *session) busy(b wire.Busy) {
-	if sess.broken != nil {
-		return
-	}
-	if err := sess.write(b); err != nil {
+	if err := sess.w.Buffer(m); err != nil {
 		sess.broken = err
 		return
 	}
-	sess.srv.count(func(c *Counters) { c.BusySent++ })
+	sess.batch.frames++
+	switch m.(type) {
+	case wire.Decision:
+		sess.batch.decisions++
+	case wire.Busy:
+		sess.batch.busy++
+	}
+	if sess.w.Buffered() >= flushAt {
+		sess.flush()
+	}
 }
 
-// write sends one frame under the configured write deadline.
-func (sess *session) write(m wire.Message) error {
+// flush writes the pending batch under the configured write deadline
+// and counts it in one transition. A write failure latches broken and
+// counts nothing; the frames stay journaled for resume.
+func (sess *session) flush() {
+	b := sess.batch
+	sess.batch = batch{}
+	if sess.broken != nil || b.frames == 0 {
+		return
+	}
 	sess.srv.writeDeadline(sess.conn)
-	if err := sess.w.Write(m); err != nil {
-		return fmt.Errorf("server: writing %s: %w", m.MsgType(), err)
+	if err := sess.w.Flush(); err != nil {
+		sess.broken = err
+		return
 	}
-	_, decision := m.(wire.Decision)
-	sess.srv.countFrameOut(decision)
-	return nil
+	sess.srv.countBatch(b)
 }
 
 // readDeadline arms the idle timeout, when a clock is injected.

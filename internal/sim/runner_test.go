@@ -309,8 +309,8 @@ func (c *syntheticCurve) probed(pt EDPoint) bool {
 // evaluated.
 func TestCalibratePropertyMonotoneCurves(t *testing.T) {
 	prop := func(baseSec, slopeSec, frac uint8) bool {
-		base := time.Duration(baseSec) * time.Second                // [0, 255]s offset
-		slope := time.Duration(1+int(slopeSec)%100) * time.Second   // 1..100 s per control unit
+		base := time.Duration(baseSec) * time.Second              // [0, 255]s offset
+		slope := time.Duration(1+int(slopeSec)%100) * time.Second // 1..100 s per control unit
 		lo, hi := 0.0, 10.0
 		curve := &syntheticCurve{base: base, slope: slope}
 		// Target strictly inside the bracket's delay range.
@@ -439,4 +439,4 @@ func benchmarkSweep(b *testing.B, workers int) {
 }
 
 func BenchmarkSweepSequential(b *testing.B) { benchmarkSweep(b, 1) }
-func BenchmarkSweepParallel(b *testing.B)  { benchmarkSweep(b, 4) }
+func BenchmarkSweepParallel(b *testing.B)   { benchmarkSweep(b, 4) }

@@ -22,7 +22,7 @@ func FuzzParseTrace(f *testing.F) {
 	f.Add("1000\n2000\n3000\n")
 	f.Add("")
 	f.Add("\xff\xfe\x00")
-	f.Add("1e309\n")         // overflows float64
+	f.Add("1e309\n")          // overflows float64
 	f.Add("Inf\n-Inf\nNaN\n") // parse as floats, must be rejected as samples
 	f.Fuzz(func(t *testing.T, input string) {
 		if records, err := ReadUserTrace(strings.NewReader(input)); err == nil {

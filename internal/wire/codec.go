@@ -497,8 +497,11 @@ func (fr *Reader) Next() (Message, error) {
 	return decodeBody(Type(fr.header[5]), fr.body)
 }
 
-// Writer encodes frames onto an io.Writer, reusing one frame buffer, so a
-// frame normally costs one Write call and no steady-state allocation.
+// Writer encodes frames onto an io.Writer. Frames accumulate in one
+// reused buffer until Flush hands the whole batch to the underlying
+// writer in a single Write call, so a batch costs one syscall and no
+// steady-state allocation. A batch holds whole frames only: its bytes
+// are exactly those of the same frames written one by one.
 type Writer struct {
 	w   io.Writer
 	buf []byte
@@ -509,19 +512,34 @@ func NewWriter(w io.Writer) *Writer {
 	return &Writer{w: w}
 }
 
-// Write encodes m and writes the frame. Short writes without an error —
-// a conn that accepts one byte at a time, a transport that fragments —
-// are retried until the frame is fully delivered, so the byte stream
-// stays canonical regardless of how the underlying writer chunks; a short
-// write with no progress at all is reported as io.ErrShortWrite.
+// Buffer encodes m onto the pending batch without writing it. An
+// encoding error leaves the batch as it was.
 //
 //etrain:hotpath
-func (fw *Writer) Write(m Message) error {
-	b, err := Append(fw.buf[:0], m)
+func (fw *Writer) Buffer(m Message) error {
+	b, err := Append(fw.buf, m)
 	if err != nil {
 		return err
 	}
 	fw.buf = b
+	return nil
+}
+
+// Buffered returns the number of pending bytes.
+func (fw *Writer) Buffered() int { return len(fw.buf) }
+
+// Flush writes the pending batch with one Write call and empties it; an
+// empty batch makes no call. Short writes without an error — a conn that
+// accepts one byte at a time, a transport that fragments — are retried
+// until the batch is fully delivered, so the byte stream stays canonical
+// regardless of how the underlying writer chunks; a short write with no
+// progress at all is reported as io.ErrShortWrite. The batch is dropped
+// on error too: the transport is broken and the caller owns recovery.
+//
+//etrain:hotpath
+func (fw *Writer) Flush() error {
+	b := fw.buf
+	fw.buf = fw.buf[:0]
 	for len(b) > 0 {
 		n, err := fw.w.Write(b)
 		if err != nil {
@@ -533,4 +551,22 @@ func (fw *Writer) Write(m Message) error {
 		b = b[n:]
 	}
 	return nil
+}
+
+// Reset drops the pending batch and retargets the writer at w, keeping
+// the buffer's capacity for reuse.
+func (fw *Writer) Reset(w io.Writer) {
+	fw.w = w
+	fw.buf = fw.buf[:0]
+}
+
+// Write encodes m and writes it, together with any pending batch: Buffer
+// then Flush.
+//
+//etrain:hotpath
+func (fw *Writer) Write(m Message) error {
+	if err := fw.Buffer(m); err != nil {
+		return err
+	}
+	return fw.Flush()
 }

@@ -338,20 +338,103 @@ func (w *oneByteWriter) Write(p []byte) (int, error) {
 }
 
 // TestWriterShortWrites drives the frame writer over a conn that writes
-// one byte at a time: the emitted stream must still be the canonical
-// golden encoding of every frame, byte for byte.
+// one byte at a time, frame by frame and as one flushed batch: the
+// emitted stream must still be the canonical golden encoding of every
+// frame, byte for byte.
 func TestWriterShortWrites(t *testing.T) {
-	var sink oneByteWriter
-	w := NewWriter(&sink)
-	want := ""
-	for _, tc := range goldenFrames {
-		if err := w.Write(tc.msg); err != nil {
-			t.Fatalf("Write(%s) over 1-byte conn: %v", tc.name, err)
+	for _, batched := range []bool{false, true} {
+		var sink oneByteWriter
+		w := NewWriter(&sink)
+		want := ""
+		for _, tc := range goldenFrames {
+			write := w.Write
+			if batched {
+				write = w.Buffer
+			}
+			if err := write(tc.msg); err != nil {
+				t.Fatalf("batched=%v %s over 1-byte conn: %v", batched, tc.name, err)
+			}
+			want += tc.hex
 		}
-		want += tc.hex
+		if err := w.Flush(); err != nil {
+			t.Fatalf("batched=%v flush over 1-byte conn: %v", batched, err)
+		}
+		if got := hex.EncodeToString(sink.Bytes()); got != want {
+			t.Errorf("batched=%v short-write stream drifted from canonical frames:\n got %s\nwant %s", batched, got, want)
+		}
 	}
-	if got := hex.EncodeToString(sink.Bytes()); got != want {
-		t.Errorf("short-write stream drifted from canonical frames:\n got %s\nwant %s", got, want)
+}
+
+// callWriter records every Write call it receives.
+type callWriter struct {
+	calls [][]byte
+}
+
+func (w *callWriter) Write(p []byte) (int, error) {
+	w.calls = append(w.calls, append([]byte(nil), p...))
+	return len(p), nil
+}
+
+// TestWriterBatch holds batching to the unbatched byte stream: N Buffer
+// calls plus one Flush deliver exactly the bytes of N Writes, in one
+// underlying Write call, and an empty Flush makes no call at all.
+func TestWriterBatch(t *testing.T) {
+	var perFrame bytes.Buffer
+	pw := NewWriter(&perFrame)
+	var sink callWriter
+	bw := NewWriter(&sink)
+	if err := bw.Flush(); err != nil || len(sink.calls) != 0 {
+		t.Fatalf("empty flush: err %v, %d calls, want none", err, len(sink.calls))
+	}
+	for _, tc := range goldenFrames {
+		if err := pw.Write(tc.msg); err != nil {
+			t.Fatalf("Write(%s): %v", tc.name, err)
+		}
+		if err := bw.Buffer(tc.msg); err != nil {
+			t.Fatalf("Buffer(%s): %v", tc.name, err)
+		}
+	}
+	if bw.Buffered() != perFrame.Len() {
+		t.Errorf("buffered %d bytes, per-frame stream is %d", bw.Buffered(), perFrame.Len())
+	}
+	if len(sink.calls) != 0 {
+		t.Fatalf("Buffer wrote %d times before Flush", len(sink.calls))
+	}
+	if err := bw.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if len(sink.calls) != 1 {
+		t.Fatalf("flush made %d Write calls, want 1", len(sink.calls))
+	}
+	if !bytes.Equal(sink.calls[0], perFrame.Bytes()) {
+		t.Errorf("batched stream differs from per-frame writes:\n got %x\nwant %x", sink.calls[0], perFrame.Bytes())
+	}
+	if err := bw.Flush(); err != nil || len(sink.calls) != 1 || bw.Buffered() != 0 {
+		t.Errorf("second flush: err %v, %d calls, %d buffered; want no call", err, len(sink.calls), bw.Buffered())
+	}
+}
+
+// TestWriterReset verifies Reset drops the pending batch and retargets:
+// nothing buffered before it reaches either writer.
+func TestWriterReset(t *testing.T) {
+	var first, second bytes.Buffer
+	w := NewWriter(&first)
+	if err := w.Buffer(Ack{Seq: 1}); err != nil {
+		t.Fatal(err)
+	}
+	w.Reset(&second)
+	if w.Buffered() != 0 {
+		t.Fatalf("%d bytes still pending after Reset", w.Buffered())
+	}
+	if err := w.Write(Ack{Seq: 2}); err != nil {
+		t.Fatal(err)
+	}
+	want, err := Encode(Ack{Seq: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if first.Len() != 0 || !bytes.Equal(second.Bytes(), want) {
+		t.Errorf("after Reset: first got %x, second got %x; want nothing and %x", first.Bytes(), second.Bytes(), want)
 	}
 }
 

@@ -26,14 +26,22 @@ func goldenOptions() Options {
 	}
 }
 
-// TestGoldenTables locks the exact rendered text of three representative
-// tables: a measurement experiment (fig1a), a single-strategy sweep
-// (fig7a) and the comparative E-D panel (fig8a). Regenerate with
+// TestGoldenTables locks the exact rendered text of representative tables:
+// a measurement experiment (fig1a), a single-strategy sweep (fig7a), the
+// comparative E-D panel (fig8a), the two fleet-engine experiments
+// (fig11pop, fig-diurnal) and the ablations that exercise every selection
+// policy, the channel gate, the predictive monitor and the offline
+// optimum. The fleet tables pin fleet output across commits, which the
+// worker-count determinism suites cannot. Regenerate with
 //
 //	go test ./internal/experiments -run TestGoldenTables -update
 func TestGoldenTables(t *testing.T) {
 	opts := goldenOptions()
-	for _, id := range []string{"fig1a", "fig7a", "fig8a"} {
+	ids := []string{
+		"fig1a", "fig7a", "fig8a", "fig11pop", "fig-diurnal",
+		"abl-greedy-policy", "abl-channel-oracle", "abl-predictive-monitor", "abl-offline-gap",
+	}
+	for _, id := range ids {
 		t.Run(id, func(t *testing.T) {
 			entry, err := ByID(id)
 			if err != nil {

@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build test race fuzz lint vet determinism bench-json bench-server bench-cluster gate fleet-smoke serve load chaos scenario diurnal cluster overload clean
+.PHONY: all build test perfbench race fuzz lint vet determinism bench-json bench-server bench-cluster gate fleet-smoke serve load chaos scenario diurnal cluster overload clean
 
 all: build test lint
 
@@ -13,6 +13,13 @@ build:
 
 test:
 	$(GO) test ./...
+
+# Benchmark harness check, same as the CI test job's step: _perfbench is
+# its own module outside ./..., so build, vet and smoke-test it here (about
+# 2 s, writes no files).
+perfbench:
+	$(GO) -C _perfbench vet .
+	$(GO) -C _perfbench test .
 
 race:
 	$(GO) test -race ./...

@@ -29,21 +29,24 @@ type Trace struct {
 // copied. Non-positive samples are clamped to a small positive floor so that
 // transmission durations stay finite.
 func NewTrace(samples []float64) (*Trace, error) {
+	return ownTrace(append([]float64(nil), samples...))
+}
+
+// ownTrace builds a trace on samples itself, clamping them in place.
+func ownTrace(samples []float64) (*Trace, error) {
 	if len(samples) == 0 {
 		return nil, ErrEmptyTrace
 	}
 	const floor = 128 // bytes/s: a stalled but not dead link
-	out := make([]float64, len(samples))
 	for i, s := range samples {
 		if math.IsNaN(s) || s < floor {
-			s = floor
+			samples[i] = floor
 		}
 		if math.IsInf(s, 1) {
-			s = math.MaxFloat64
+			samples[i] = math.MaxFloat64
 		}
-		out[i] = s
 	}
-	return &Trace{samples: out}, nil
+	return &Trace{samples: samples}, nil
 }
 
 // Len returns the trace length in seconds.

@@ -73,7 +73,8 @@ func Synthesize(src *randx.Source, duration time.Duration, regimes []Regime) (*T
 		samples = append(samples, value)
 		dwellLeft--
 	}
-	return NewTrace(samples)
+	// The samples are this call's own, so the trace takes them uncopied.
+	return ownTrace(samples)
 }
 
 // FromSeed generates the trace Synthesize would produce from a fresh

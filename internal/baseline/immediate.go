@@ -21,7 +21,10 @@ import (
 // every packet is transmitted as soon as it arrives.
 type Immediate struct{}
 
-var _ sched.Strategy = (*Immediate)(nil)
+var (
+	_ sched.Strategy = (*Immediate)(nil)
+	_ sched.Waker    = (*Immediate)(nil)
+)
 
 // NewImmediate returns the baseline strategy.
 func NewImmediate() *Immediate { return &Immediate{} }
@@ -37,19 +40,34 @@ func (*Immediate) Schedule(ctx *sched.SlotContext) []workload.Packet {
 	return DrainAll(ctx.Queues)
 }
 
+// NextWake implements sched.Waker: Schedule selects whenever anything is
+// queued.
+//
+//etrain:hotpath
+func (*Immediate) NextWake(q *sched.Queues, now, stop, _ time.Duration) time.Duration {
+	if q.Len() > 0 {
+		return now
+	}
+	return stop
+}
+
 // DrainAll removes and returns every queued packet, ordered by arrival time
-// across apps.
+// across apps. It returns nil when nothing is queued.
 func DrainAll(q *sched.Queues) []workload.Packet {
-	var out []workload.Packet
-	for {
-		oldest, ok := q.Oldest()
-		if !ok {
-			return out
-		}
-		p, ok := q.PopByID(oldest.App, oldest.ID)
-		if !ok {
-			return out
+	// Check emptiness first: Len walks every app's queue, and an engine
+	// that steps every slot mostly finds nothing queued.
+	oldest, ok := q.Oldest()
+	if !ok {
+		return nil
+	}
+	out := make([]workload.Packet, 0, q.Len())
+	for ok {
+		p, popped := q.PopByID(oldest.App, oldest.ID)
+		if !popped {
+			break
 		}
 		out = append(out, p)
+		oldest, ok = q.Oldest()
 	}
+	return out
 }

@@ -153,6 +153,10 @@ func KindOf(p Profile) (Kind, bool) {
 // Custom returns a profile with an arbitrary cost function of normalized
 // delay x = d/deadline. The function must be non-negative and non-decreasing
 // for the scheduler's analysis to hold; this is the caller's responsibility.
+// The simulation engine relies on it too: it skips the slots before eTrain's
+// Θ gate opens by bisecting on P(t), so a cost that is not monotone, or
+// that returns NaN, also makes a skipping run differ from one that steps
+// every slot.
 func Custom(name string, deadline time.Duration, cost func(dNorm float64) float64) Profile {
 	return &funcProfile{name: name, deadline: deadline, cost: cost}
 }

@@ -13,14 +13,20 @@ import (
 )
 
 // Source is a deterministic random stream. It wraps math/rand with the
-// distributions the workload and bandwidth models need.
+// distributions the workload and bandwidth models need. Its generator is a
+// lazySource, which draws exactly the stream rand.NewSource(seed) would but
+// seeds in constant time.
 type Source struct {
 	rng *rand.Rand
+	src lazySource
 }
 
 // New returns a Source seeded with seed. Equal seeds yield equal streams.
 func New(seed int64) *Source {
-	return &Source{rng: rand.New(rand.NewSource(seed))}
+	s := &Source{}
+	s.src.Seed(seed)
+	s.rng = rand.New(&s.src)
+	return s
 }
 
 // Split derives an independent child stream from this source. The child is a
@@ -30,9 +36,9 @@ func (s *Source) Split() *Source {
 	return New(s.rng.Int63())
 }
 
-// sourcePool recycles Sources: math/rand's generator carries a ~5 KB state
-// table whose allocation dominates fleet-scale synthesis (every device draws
-// a handful of short-lived streams). Reseeding fully resets the generator,
+// sourcePool recycles Sources: the generator carries a ~5 KB register whose
+// allocation would dominate fleet-scale synthesis (every device draws a
+// handful of short-lived streams). Reseeding fully resets the generator,
 // so a pooled Source's stream is bit-identical to a freshly built one.
 var sourcePool = sync.Pool{New: func() any { return New(0) }}
 

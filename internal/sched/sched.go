@@ -195,6 +195,20 @@ type Strategy interface {
 	Schedule(ctx *SlotContext) []workload.Packet
 }
 
+// Waker is the optional interface of a strategy whose idle slots the
+// simulation engine may skip. A strategy implements it only when Schedule
+// is a pure function of the slot context that leaves the queues untouched
+// whenever it selects nothing; the engine then never calls Schedule at the
+// slots NextWake rules out.
+type Waker interface {
+	// NextWake returns the first slot start in [now, stop) — now,
+	// now+slot, now+2·slot, … — at which Schedule could select any
+	// packet, assuming q is unchanged and no heartbeat departs in
+	// between. It returns stop if there is no such slot. Returning an
+	// earlier slot than necessary is always safe; a later one is not.
+	NextWake(q *Queues, now, stop, slot time.Duration) time.Duration
+}
+
 // ValidateSelection verifies a strategy's bookkeeping in tests: every
 // returned packet must be distinct.
 func ValidateSelection(selected []workload.Packet) error {

@@ -1,0 +1,199 @@
+package sim_test
+
+import (
+	"cmp"
+	"fmt"
+	"reflect"
+	"slices"
+	"testing"
+	"time"
+
+	"etrain/internal/bandwidth"
+	"etrain/internal/baseline"
+	"etrain/internal/core"
+	"etrain/internal/fleet"
+	"etrain/internal/heartbeat"
+	"etrain/internal/randx"
+	"etrain/internal/sched"
+	"etrain/internal/sim"
+	"etrain/internal/workload"
+)
+
+// stepping hides a strategy's sched.Waker, so the engine executes every
+// slot: the reference the skipping engine must reproduce.
+type stepping struct{ sched.Strategy }
+
+// skipCase is one device's strategy setup in the differential test.
+type skipCase struct {
+	name     string
+	slot     time.Duration
+	strategy func() sched.Strategy
+	gated    bool
+}
+
+// skipCaseFor spreads the strategy space over the device index: four slot
+// lengths, Θ from 0 to 20, k ∈ {1, 3, 20, ∞}, all three selection
+// policies, the channel-gated variant and the transmit-on-arrival
+// baseline.
+func skipCaseFor(i int) skipCase {
+	if i%6 == 5 {
+		return skipCase{name: "immediate", slot: time.Second, strategy: func() sched.Strategy { return baseline.NewImmediate() }}
+	}
+	slots := []time.Duration{700 * time.Millisecond, time.Second, 1500 * time.Millisecond, 3 * time.Second}
+	thetas := []float64{0, 0.25, 1, 2, 3.5, 4, 7, 12, 20}
+	ks := []int{1, 3, 20, core.KInfinite}
+	policies := []core.SelectionPolicy{core.SelectEq9, core.SelectFIFO, core.SelectCheapest}
+	opts := core.Options{
+		Slot:         slots[i%len(slots)],
+		Theta:        thetas[i%len(thetas)],
+		K:            ks[(i/2)%len(ks)],
+		Selection:    policies[(i/3)%len(policies)],
+		ChannelGated: i%7 == 3,
+	}
+	return skipCase{
+		name:  fmt.Sprintf("%+v", opts),
+		slot:  opts.Slot,
+		gated: opts.ChannelGated,
+		strategy: func() sched.Strategy {
+			s, err := core.New(opts)
+			if err != nil {
+				panic(err)
+			}
+			return s
+		},
+	}
+}
+
+// snapToSlots moves every third event onto a slot boundary and every third
+// to 1 ns before one, then restores time order: the instants where an
+// off-by-one slot in a wake computation would show.
+func snapToSlots[T any](events []T, slot time.Duration, at func(*T) *time.Duration) {
+	for j := range events {
+		t := at(&events[j])
+		boundary := *t / slot * slot
+		switch j % 3 {
+		case 0:
+			*t = boundary
+		case 1:
+			if boundary > 0 {
+				*t = boundary - 1
+			}
+		}
+	}
+	slices.SortStableFunc(events, func(a, b T) int { return cmp.Compare(*at(&a), *at(&b)) })
+}
+
+// skipConfig synthesizes fleet device i with a horizon that is not a
+// multiple of any slot, snaps some of its beats and packets to slot
+// edges, and returns its config without a strategy.
+func skipConfig(t *testing.T, pop *workload.Population, i int, c skipCase) sim.Config {
+	t.Helper()
+	horizon := 3*time.Minute + time.Duration(i*7919)%(4*time.Minute) + 123457*time.Nanosecond
+	dev, err := fleet.SynthesizeDevice(20261017, pop, i, horizon)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg, err := dev.SimConfig()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Packets = slices.Clone(cfg.Packets)
+	snapToSlots(cfg.Packets, c.slot, func(p *workload.Packet) *time.Duration { return &p.ArrivedAt })
+	cfg.Beats = heartbeat.Merge(cfg.Trains, horizon)
+	snapToSlots(cfg.Beats, c.slot, func(b *heartbeat.Beat) *time.Duration { return &b.At })
+	return cfg
+}
+
+// withStrategy completes cfg with a fresh strategy and, for the gated
+// variant, a fresh estimator, so the two runs draw the same noise.
+func withStrategy(cfg sim.Config, c skipCase, step bool, seed int64) sim.Config {
+	cfg.Strategy = c.strategy()
+	if step {
+		cfg.Strategy = stepping{cfg.Strategy}
+	}
+	if c.gated {
+		cfg.Estimator = bandwidth.NewEstimator(cfg.Bandwidth, randx.New(seed), 2*time.Second, 0.3)
+	}
+	return cfg
+}
+
+// incremental drives cfg's events into an Engine one at a time, advancing
+// to each event's instant as a server session does, and returns the result
+// with the stream of slots that transmitted anything.
+func incremental(t *testing.T, cfg sim.Config) (*sim.Result, []sim.SlotResult) {
+	t.Helper()
+	beats, packets := cfg.Beats, cfg.Packets
+	cfg.Beats, cfg.Packets = []heartbeat.Beat{}, nil
+	e, err := sim.NewEngine(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var slots []sim.SlotResult
+	e.OnSlot = func(r sim.SlotResult) {
+		if len(r.Data) > 0 || r.Heartbeats > 0 {
+			r.Data = slices.Clone(r.Data)
+			slots = append(slots, r)
+		}
+	}
+	for len(beats) > 0 || len(packets) > 0 {
+		var at time.Duration
+		if len(beats) > 0 && (len(packets) == 0 || beats[0].At <= packets[0].ArrivedAt) {
+			at = beats[0].At
+			err = e.AddBeat(beats[0])
+			beats = beats[1:]
+		} else {
+			at = packets[0].ArrivedAt
+			err = e.AddPacket(packets[0])
+			packets = packets[1:]
+		}
+		if err == nil {
+			err = e.Advance(at)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	res, err := e.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res, slots
+}
+
+// TestSkippingMatchesStepping is the stepping ≡ skipping differential
+// test: over 420 synthesized fleet devices, an engine that jumps over idle
+// slots must produce exactly the result of one that executes every slot,
+// both in one Run and fed one event at a time, slot stream included.
+func TestSkippingMatchesStepping(t *testing.T) {
+	pop, err := workload.NewPopulation(workload.DefaultMix())
+	if err != nil {
+		t.Fatal(err)
+	}
+	const devices = 420
+	for i := 0; i < devices; i++ {
+		c := skipCaseFor(i)
+		cfg := skipConfig(t, pop, i, c)
+		seed := int64(i)
+
+		want, err := sim.Run(withStrategy(cfg, c, true, seed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := sim.Run(withStrategy(cfg, c, false, seed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("device %d (%s): skipping Run differs from stepping:\n got %+v\nwant %+v", i, c.name, got.Metrics(), want.Metrics())
+		}
+
+		wantInc, wantSlots := incremental(t, withStrategy(cfg, c, true, seed))
+		gotInc, gotSlots := incremental(t, withStrategy(cfg, c, false, seed))
+		if !reflect.DeepEqual(gotSlots, wantSlots) {
+			t.Fatalf("device %d (%s): skipping engine's slot stream differs from stepping (%d vs %d slots)", i, c.name, len(gotSlots), len(wantSlots))
+		}
+		if !reflect.DeepEqual(gotInc, wantInc) || !reflect.DeepEqual(gotInc, want) {
+			t.Fatalf("device %d (%s): incremental skipping result differs", i, c.name)
+		}
+	}
+}

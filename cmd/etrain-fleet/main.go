@@ -44,7 +44,7 @@ func main() {
 	theta := flag.Float64("theta", 4.0, "eTrain cost bound Θ")
 	k := flag.Int("k", fleet.DefaultK, "per-heartbeat batch bound k")
 	mixFlag := flag.String("mix", "", `activeness mix as "active=0.2,moderate=0.3,inactive=0.5" (empty: default mix)`)
-	alpha := flag.Float64("alpha", 0, "quantile-sketch relative accuracy (0: default 0.01)")
+	alpha := flag.Float64("alpha", 0, "quantile-sketch relative accuracy in [0.001, 1) (0: default 0.01)")
 	checkpoint := flag.String("checkpoint", "", "checkpoint file for shard-boundary snapshots")
 	every := flag.Int("checkpoint-every", 8, "snapshot after every n completed shards (with -checkpoint)")
 	resume := flag.Bool("resume", false, "resume from -checkpoint instead of starting fresh")

@@ -70,7 +70,7 @@ func main() {
 	theta := flag.Float64("theta", 4.0, "eTrain cost bound Θ")
 	k := flag.Int("k", fleet.DefaultK, "per-heartbeat batch bound k")
 	horizon := flag.Duration("horizon", 10*time.Minute, "per-device simulated span")
-	alpha := flag.Float64("alpha", 0.01, "latency-sketch relative accuracy")
+	alpha := flag.Float64("alpha", 0.01, "latency-sketch relative accuracy in [0.001, 1)")
 	faults := flag.Float64("faults", 0, "transport fault intensity in [0, 1): per-op drop f/2, reset f/4, truncate f/4, dial refusal f/4")
 	faultSeed := flag.Int64("fault-seed", 1, "seed rooting the deterministic fault schedule")
 	jsonPath := flag.String("json", "", "also write the report as JSON to this file")

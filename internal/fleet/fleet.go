@@ -77,7 +77,7 @@ type Config struct {
 	// workload.DefaultMix()).
 	Mix []workload.ClassShare
 	// SketchAlpha is the relative accuracy of the quantile sketches
-	// (default stats.DefaultSketchAlpha).
+	// (default stats.DefaultSketchAlpha), at least stats.MinSketchAlpha.
 	SketchAlpha float64
 	// Diurnal, when non-nil, shapes every device's cargo and heartbeat
 	// cadence by the profile's activity curves and scheduled events. It is
@@ -151,8 +151,8 @@ func (c Config) normalize() (Config, *workload.Population, error) {
 	if c.SketchAlpha == 0 {
 		c.SketchAlpha = stats.DefaultSketchAlpha
 	}
-	if !(c.SketchAlpha > 0 && c.SketchAlpha < 1) {
-		return c, nil, fmt.Errorf("fleet: sketch alpha %v outside (0, 1)", c.SketchAlpha)
+	if err := stats.CheckSketchAlpha(c.SketchAlpha); err != nil {
+		return c, nil, fmt.Errorf("fleet: %w", err)
 	}
 	if c.Mix == nil {
 		c.Mix = workload.DefaultMix()

@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -218,6 +219,63 @@ func TestResumeRejectsCorruptCheckpoint(t *testing.T) {
 	}
 }
 
+// TestResumeFromHandEditedSketches resumes from checkpoints whose sketch
+// JSON was edited by hand. In-grid zero-count buckets outside the occupied
+// span restore to the same report; an alpha below stats.MinSketchAlpha,
+// whose grid would let two bucket indices size a span beyond memory, is
+// refused with an error.
+func TestResumeFromHandEditedSketches(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "fleet.ckpt")
+	full := testConfig()
+	full.CheckpointPath = path
+	want := renderReport(t, mustRun(t, full))
+	orig, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resumeEdited := func(edit func(sketch map[string]any)) (*Report, error) {
+		t.Helper()
+		var ck map[string]any
+		dec := json.NewDecoder(bytes.NewReader(orig))
+		dec.UseNumber()
+		if err := dec.Decode(&ck); err != nil {
+			t.Fatal(err)
+		}
+		shard := ck["shards"].([]any)[0].(map[string]any)
+		edit(shard["classes"].([]any)[0].(map[string]any)["saved_sketch"].(map[string]any))
+		data, err := json.Marshal(ck)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		cfg := testConfig()
+		cfg.CheckpointPath = path
+		cfg.Resume = true
+		return Run(cfg)
+	}
+	rep, err := resumeEdited(func(sk map[string]any) {
+		pos := sk["pos"].([]any)
+		zero := func(i int) any { return map[string]any{"i": i, "c": 0} }
+		sk["pos"] = append(append([]any{zero(-1036)}, pos...), zero(35488))
+	})
+	if err != nil {
+		t.Fatalf("resume with zero-count buckets: %v", err)
+	}
+	if got := renderReport(t, rep); got != want {
+		t.Errorf("zero-count buckets changed the report:\n%s\nvs\n%s", got, want)
+	}
+	if _, err := resumeEdited(func(sk map[string]any) {
+		sk["alpha"] = 1e-12
+		sk["pos"] = []any{map[string]any{"i": -1, "c": 1}, map[string]any{"i": int64(3e14), "c": 1}}
+		sk["zero"], sk["count"] = 0, 2
+		delete(sk, "neg")
+	}); err == nil {
+		t.Error("checkpoint sketch with alpha 1e-12 accepted")
+	}
+}
+
 // TestConfigValidation exercises normalize's error paths.
 func TestConfigValidation(t *testing.T) {
 	cases := map[string]func(*Config){
@@ -227,6 +285,7 @@ func TestConfigValidation(t *testing.T) {
 		"neg_theta":      func(c *Config) { c.Theta = -1 },
 		"neg_k":          func(c *Config) { c.K = -2 },
 		"bad_alpha":      func(c *Config) { c.SketchAlpha = 1.5 },
+		"alpha_too_fine": func(c *Config) { c.SketchAlpha = stats.MinSketchAlpha / 2 },
 		"neg_ckpt_every": func(c *Config) { c.CheckpointEvery = -1 },
 		"resume_no_path": func(c *Config) { c.Resume = true },
 		"bad_mix_weight": func(c *Config) { c.Mix = []workload.ClassShare{{Class: workload.ClassActive, Weight: -1}} },

@@ -157,7 +157,7 @@ func runScenarioDevice(c *compiled, lb *rig, i int) (*deviceResult, error) {
 // post-timeline beats, cargo and channel — under the given strategy and
 // the scenario's radio generation.
 func runOne(c *compiled, pd *plannedDevice, strategy sched.Strategy) (sim.Metrics, error) {
-	res, err := sim.Run(sim.Config{
+	return sim.RunMetrics(sim.Config{
 		Horizon:   pd.dev.Horizon,
 		Beats:     pd.beats,
 		Packets:   pd.packets,
@@ -167,10 +167,6 @@ func runOne(c *compiled, pd *plannedDevice, strategy sched.Strategy) (sim.Metric
 		Strategy:  strategy,
 		Seed:      pd.dev.Seed,
 	})
-	if err != nil {
-		return sim.Metrics{}, err
-	}
-	return res.Metrics(), nil
 }
 
 // runDirectDevice measures the with-eTrain run in-process.

@@ -16,7 +16,8 @@
 //
 // Keys are emitted sorted, so the output is diff-stable across runs of the
 // same benchmark set. When a benchmark appears multiple times (e.g.
-// -count), the last measurement wins.
+// -count 5), each field is the median of its lines, so one run disturbed
+// by the host moves neither the snapshot nor the gate.
 //
 // With -load FILE the report from an etrain-load -json run is folded in,
 // and the output becomes a two-section object:
@@ -110,9 +111,9 @@ func main() {
 
 // parseBench scans go-test benchmark output: "pkg:" header lines set the
 // current package, "Benchmark..." lines carry (iterations, value unit)
-// measurement pairs.
+// measurement pairs. A benchmark's repeated lines fold into their median.
 func parseBench(r io.Reader) (map[string]benchResult, error) {
-	out := map[string]benchResult{}
+	runs := map[string][]benchResult{}
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	pkg := ""
@@ -155,9 +156,33 @@ func parseBench(r io.Reader) (map[string]benchResult, error) {
 		if !measured {
 			continue
 		}
-		out[benchKey(pkg, fields[0])] = res
+		key := benchKey(pkg, fields[0])
+		runs[key] = append(runs[key], res)
+	}
+	out := make(map[string]benchResult, len(runs))
+	for key, rs := range runs {
+		out[key] = benchResult{
+			NsPerOp:     medianOf(rs, func(r benchResult) float64 { return r.NsPerOp }),
+			BytesPerOp:  medianOf(rs, func(r benchResult) float64 { return r.BytesPerOp }),
+			AllocsPerOp: medianOf(rs, func(r benchResult) float64 { return r.AllocsPerOp }),
+		}
 	}
 	return out, sc.Err()
+}
+
+// medianOf returns the median of one field over a benchmark's runs: the
+// middle value, or the mean of the two middle values of an even count.
+func medianOf(rs []benchResult, field func(benchResult) float64) float64 {
+	xs := make([]float64, len(rs))
+	for i, r := range rs {
+		xs[i] = field(r)
+	}
+	sort.Float64s(xs)
+	mid := len(xs) / 2
+	if len(xs)%2 == 1 {
+		return xs[mid]
+	}
+	return (xs[mid-1] + xs[mid]) / 2
 }
 
 // readBaseline loads a checked-in benchmark snapshot: either the flat

@@ -152,3 +152,25 @@ func TestReadBaselineShapes(t *testing.T) {
 		}
 	}
 }
+
+func TestParseBenchFoldsRepeatsToMedian(t *testing.T) {
+	const counted = `pkg: p
+BenchmarkA-2 	 100	 300 ns/op	 60 B/op	 3 allocs/op
+BenchmarkA-2 	 100	 100 ns/op	 10 B/op	 1 allocs/op
+BenchmarkA-2 	 100	 900 ns/op	 20 B/op	 9 allocs/op
+BenchmarkA-2 	 100	 200 ns/op	 40 B/op	 2 allocs/op
+BenchmarkA-2 	 100	 500 ns/op	 30 B/op	 2 allocs/op
+BenchmarkB-2 	 100	 10 ns/op	 8 B/op	 1 allocs/op
+BenchmarkB-2 	 100	 20 ns/op	 16 B/op	 1 allocs/op
+`
+	got, err := parseBench(strings.NewReader(counted))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a := got["p.BenchmarkA"]; a != (benchResult{NsPerOp: 300, BytesPerOp: 30, AllocsPerOp: 2}) {
+		t.Errorf("BenchmarkA = %+v, want each field's median of five", a)
+	}
+	if b := got["p.BenchmarkB"]; b != (benchResult{NsPerOp: 15, BytesPerOp: 12, AllocsPerOp: 1}) {
+		t.Errorf("BenchmarkB = %+v, want each field's median of two", b)
+	}
+}

@@ -6,11 +6,13 @@
 //	go run ./cmd/etrain-fleet -devices 100000 -workers 8
 //	go run ./cmd/etrain-fleet -devices 100000 -checkpoint fleet.ckpt
 //	go run ./cmd/etrain-fleet -devices 100000 -checkpoint fleet.ckpt -resume
+//	go run ./cmd/etrain-fleet -devices 20000 -cpuprofile cpu.out -memprofile mem.out
 //
 // The report is byte-identical at every -workers setting, and an
 // interrupted run (Ctrl-C writes a shard-boundary checkpoint) resumed with
 // -resume reproduces the uninterrupted report exactly. Progress and ETA go
-// to stderr; the report goes to stdout.
+// to stderr; the report goes to stdout. -cpuprofile and -memprofile write
+// runtime/pprof profiles on every exit, an interrupted run's included.
 //
 // This command is the wall-clock boundary of the fleet subsystem: rate and
 // ETA for the operator are computed here, never inside internal/fleet,
@@ -31,6 +33,7 @@ import (
 
 	"etrain/internal/diurnal"
 	"etrain/internal/fleet"
+	"etrain/internal/profiling"
 	"etrain/internal/radio"
 	"etrain/internal/workload"
 )
@@ -54,6 +57,8 @@ func main() {
 	phaseJitter := flag.Duration("phase-jitter", -1, "per-device diurnal phase-offset span (negative: profile default)")
 	diurnalStart := flag.Duration("diurnal-start", -1, "where on the diurnal clock sim time zero lands (negative: profile default)")
 	radioFlag := flag.String("radio", "", "radio generation for energy accounting: "+strings.Join(radio.ModelNames(), ", ")+" (empty: 3G RRC)")
+	cpuProfile := flag.String("cpuprofile", "", "write a runtime/pprof CPU profile of the run to this file")
+	memProfile := flag.String("memprofile", "", "write a runtime/pprof allocation profile of the run to this file at exit")
 	flag.Parse()
 
 	mix, err := parseMix(*mixFlag)
@@ -82,7 +87,21 @@ func main() {
 		Diurnal:         prof,
 		Radio:           *radioFlag,
 	}
-	if err := run(cfg, *quiet); err != nil {
+	profiles, err := profiling.Start(*cpuProfile, *memProfile)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "etrain-fleet:", err)
+		os.Exit(2)
+	}
+	// Ctrl-C halts the run at a shard boundary and returns ErrHalted, so
+	// every exit path passes through here and the profiles are written.
+	err = run(cfg, *quiet)
+	if perr := profiles.Stop(); perr != nil {
+		fmt.Fprintln(os.Stderr, "etrain-fleet:", perr)
+		if err == nil {
+			os.Exit(1)
+		}
+	}
+	if err != nil {
 		if errors.Is(err, fleet.ErrHalted) {
 			if cfg.CheckpointPath != "" {
 				fmt.Fprintf(os.Stderr, "etrain-fleet: interrupted; checkpoint written to %s — rerun with -resume\n", cfg.CheckpointPath)

@@ -19,7 +19,8 @@
 // the summary then also reports how much healing — reconnects, resumes,
 // full replays, degraded local scheduling — the fleet needed. -json
 // writes the whole report to a file for etrain-benchjson -load to fold
-// into BENCH_server.json.
+// into BENCH_server.json. -cpuprofile and -memprofile write runtime/pprof
+// profiles on every exit, Ctrl-C included.
 //
 // With -cluster ADDR the generator runs against a sharded etraind
 // cluster instead of one server (DESIGN.md §13): it subscribes to the
@@ -46,7 +47,9 @@ import (
 	"fmt"
 	"net"
 	"os"
+	"os/signal"
 	"sync"
+	"syscall"
 	"time"
 
 	"etrain/internal/client"
@@ -55,6 +58,7 @@ import (
 	"etrain/internal/faultnet"
 	"etrain/internal/fleet"
 	"etrain/internal/parallel"
+	"etrain/internal/profiling"
 	"etrain/internal/server"
 	"etrain/internal/stats"
 	"etrain/internal/wire"
@@ -80,6 +84,8 @@ func main() {
 	admissionRate := flag.Float64("admission-rate", 0, "loopback server hello admission rate per second (0: admission off; loopback mode only)")
 	admissionBurst := flag.Float64("admission-burst", 0, "loopback server admission burst (with -admission-rate)")
 	retryBudget := flag.Int("retry-budget", 0, "per-session busy-retry budget (0: client default)")
+	cpuProfile := flag.String("cpuprofile", "", "write a runtime/pprof CPU profile of the run to this file")
+	memProfile := flag.String("memprofile", "", "write a runtime/pprof allocation profile of the run to this file at exit")
 	flag.Parse()
 
 	prof, err := parseDiurnal(*diurnalFlag, *timeScale)
@@ -87,7 +93,20 @@ func main() {
 		fmt.Fprintln(os.Stderr, "etrain-load:", err)
 		os.Exit(2)
 	}
-	if err := run(config{
+	profiles, err := profiling.Start(*cpuProfile, *memProfile)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "etrain-load:", err)
+		os.Exit(2)
+	}
+	// Ctrl-C and SIGTERM would end the process before the profiles are
+	// written: write them, then exit as an interrupted command does.
+	sigc := make(chan os.Signal, 1)
+	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
+	go func() {
+		<-sigc
+		exit(profiles, 130)
+	}()
+	err = run(config{
 		addr:      *addr,
 		cluster:   *clusterAddr,
 		devices:   *devices,
@@ -106,10 +125,24 @@ func main() {
 		admissionRate:  *admissionRate,
 		admissionBurst: *admissionBurst,
 		retryBudget:    *retryBudget,
-	}); err != nil {
+	})
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "etrain-load:", err)
-		os.Exit(1)
+		exit(profiles, 1)
 	}
+	exit(profiles, 0)
+}
+
+// exit writes the profiles and ends the process with code, or with 1 if a
+// profile could not be written.
+func exit(profiles *profiling.Session, code int) {
+	if err := profiles.Stop(); err != nil {
+		fmt.Fprintln(os.Stderr, "etrain-load:", err)
+		if code == 0 {
+			code = 1
+		}
+	}
+	os.Exit(code)
 }
 
 // config carries the parsed flags.

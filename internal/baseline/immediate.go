@@ -18,8 +18,11 @@ import (
 )
 
 // Immediate is the paper's default baseline: no scheduling intelligence,
-// every packet is transmitted as soon as it arrives.
-type Immediate struct{}
+// every packet is transmitted as soon as it arrives. It is not safe for
+// concurrent use: Schedule reuses its selection buffer.
+type Immediate struct {
+	sel []workload.Packet // the last selection, reused by the next Schedule
+}
 
 var (
 	_ sched.Strategy = (*Immediate)(nil)
@@ -36,8 +39,13 @@ func (*Immediate) Name() string { return "baseline" }
 func (*Immediate) SlotLength() time.Duration { return time.Second }
 
 // Schedule implements sched.Strategy: drain every queue in arrival order.
-func (*Immediate) Schedule(ctx *sched.SlotContext) []workload.Packet {
-	return DrainAll(ctx.Queues)
+// The result is valid until the next Schedule call.
+func (b *Immediate) Schedule(ctx *sched.SlotContext) []workload.Packet {
+	b.sel = drain(b.sel[:0], ctx.Queues)
+	if len(b.sel) == 0 {
+		return nil
+	}
+	return b.sel
 }
 
 // NextWake implements sched.Waker: Schedule selects whenever anything is
@@ -54,20 +62,26 @@ func (*Immediate) NextWake(q *sched.Queues, now, stop, _ time.Duration) time.Dur
 // DrainAll removes and returns every queued packet, ordered by arrival time
 // across apps. It returns nil when nothing is queued.
 func DrainAll(q *sched.Queues) []workload.Packet {
-	// Check emptiness first: Len walks every app's queue, and an engine
-	// that steps every slot mostly finds nothing queued.
-	oldest, ok := q.Oldest()
-	if !ok {
+	if q.Len() == 0 {
 		return nil
 	}
-	out := make([]workload.Packet, 0, q.Len())
-	for ok {
-		p, popped := q.PopByID(oldest.App, oldest.ID)
-		if !popped {
-			break
+	return drain(make([]workload.Packet, 0, q.Len()), q)
+}
+
+// drain appends every queued packet to out, removing it from q, ordered by
+// arrival time across apps (ties in the queues' iteration order).
+//
+//etrain:hotpath
+func drain(out []workload.Packet, q *sched.Queues) []workload.Packet {
+	for {
+		oldest, ok := q.Oldest()
+		if !ok {
+			return out
+		}
+		p, ok := q.PopByID(oldest.App, oldest.ID)
+		if !ok {
+			return out
 		}
 		out = append(out, p)
-		oldest, ok = q.Oldest()
 	}
-	return out
 }

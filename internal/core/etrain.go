@@ -89,9 +89,23 @@ func (o Options) Validate() error {
 	return nil
 }
 
-// ETrain is the online transmission strategy of the paper.
+// ETrain is the online transmission strategy of the paper. It is not safe
+// for concurrent use: Schedule reuses the scratch below.
 type ETrain struct {
 	opts Options
+
+	// Scratch reused by every Schedule call, so a slot allocates nothing
+	// once it has grown: sel is the returned selection (valid until the
+	// next call, the sched.Strategy contract). greedySelect keeps φ_u(t)
+	// and a taken flag per queued packet (apps in registration order,
+	// packets in arrival order) and, per app, P̄_i(t), the claimed cost
+	// Σ_{q∈Q*_i} φ_q(t) and the end of the app's packets in phi.
+	sel     []workload.Packet
+	phi     []float64
+	taken   []bool
+	pbar    []float64
+	claimed []float64
+	ends    []int
 }
 
 var (
@@ -157,12 +171,16 @@ func (e *ETrain) Schedule(ctx *sched.SlotContext) []workload.Packet {
 
 	switch e.opts.Selection {
 	case SelectFIFO:
-		return fifoSelect(q, limit)
+		e.sel = fifoSelect(e.sel[:0], q, limit)
 	case SelectCheapest:
-		return cheapestSelect(q, ctx.Now+ctx.SlotLength, limit)
+		e.sel = cheapestSelect(e.sel[:0], q, ctx.Now+ctx.SlotLength, limit)
 	default:
-		return greedySelect(q, ctx.Now+ctx.SlotLength, limit)
+		e.sel = e.greedySelect(q, ctx.Now+ctx.SlotLength, limit)
 	}
+	if len(e.sel) == 0 {
+		return nil
+	}
+	return e.sel
 }
 
 // gateOpen reports whether P(t) = cost opens the Θ gate away from
@@ -208,10 +226,9 @@ func (e *ETrain) NextWake(q *sched.Queues, now, stop, slot time.Duration) time.D
 	return now + lo*slot
 }
 
-// fifoSelect releases up to limit packets in global arrival order.
-func fifoSelect(q *sched.Queues, limit int) []workload.Packet {
-	var selected []workload.Packet
-	for len(selected) < limit {
+// fifoSelect appends to sel up to limit packets in global arrival order.
+func fifoSelect(sel []workload.Packet, q *sched.Queues, limit int) []workload.Packet {
+	for len(sel) < limit {
 		oldest, ok := q.Oldest()
 		if !ok {
 			break
@@ -220,84 +237,107 @@ func fifoSelect(q *sched.Queues, limit int) []workload.Packet {
 		if !ok {
 			break
 		}
-		selected = append(selected, p)
+		sel = append(sel, p)
 	}
-	return selected
+	return sel
 }
 
-// cheapestSelect releases up to limit packets, smallest speculative cost
-// first — the inverse of Eq. 9's preference.
-func cheapestSelect(q *sched.Queues, nextSlot time.Duration, limit int) []workload.Packet {
-	var selected []workload.Packet
-	for len(selected) < limit && q.Len() > 0 {
+// cheapestSelect appends to sel up to limit packets, smallest speculative
+// cost first — the inverse of Eq. 9's preference.
+func cheapestSelect(sel []workload.Packet, q *sched.Queues, nextSlot time.Duration, limit int) []workload.Packet {
+	for len(sel) < limit && q.Len() > 0 {
 		bestPhi := math.Inf(1)
-		bestApp := ""
-		bestID := 0
+		found := false
+		var best workload.Packet
 		for _, app := range q.AppsView() {
 			for _, p := range q.View(app) {
 				if phi := p.Cost(nextSlot); phi < bestPhi {
 					bestPhi = phi
-					bestApp = app
-					bestID = p.ID
+					best = p
+					found = true
 				}
 			}
 		}
-		if bestApp == "" {
+		if !found {
 			break
 		}
-		p, ok := q.PopByID(bestApp, bestID)
+		p, ok := q.PopByID(best.App, best.ID)
 		if !ok {
 			break
 		}
-		selected = append(selected, p)
+		sel = append(sel, p)
 	}
-	return selected
+	return sel
 }
 
 // greedySelect runs the subgradient heuristic of Eq. 9: up to limit
-// iterations, each removing from the queues the packet with the largest
-// marginal drift gain. nextSlot is t+1, the instant at which speculative
-// costs φ_u(t) are evaluated.
-func greedySelect(q *sched.Queues, nextSlot time.Duration, limit int) []workload.Packet {
+// iterations, each taking the packet with the largest marginal drift gain,
+// and returns the taken packets, removed from the queues, in e.sel.
+// nextSlot is t+1, the instant at which speculative costs φ_u(t) are
+// evaluated.
+//
+// φ_u(t) is fixed for the slot, so it is evaluated once per packet, and
+// P̄_i(t) is the in-order sum of the same values, bit-identical to
+// SpeculativeAppCostAt. A pick only marks its packet taken. The scan skips
+// taken packets but keeps the queues' order and the strict >, so every
+// pick and tie-break is the one a greedy that popped each pick at once
+// would make; the taken packets leave the queues after the last pick.
+//
+//etrain:hotpath
+func (e *ETrain) greedySelect(q *sched.Queues, nextSlot time.Duration, limit int) []workload.Packet {
 	apps := q.AppsView()
-
-	// P̄_i(t): speculative cost of the full queue, fixed for the slot.
-	pbar := make(map[string]float64, len(apps))
+	n := q.Len()
+	e.phi = e.phi[:0]
+	e.pbar = e.pbar[:0]
+	e.ends = e.ends[:0]
 	for _, app := range apps {
-		pbar[app] = q.SpeculativeAppCostAt(app, nextSlot)
+		total := 0.0
+		for _, p := range q.View(app) {
+			phi := p.Cost(nextSlot)
+			e.phi = append(e.phi, phi)
+			total += phi
+		}
+		e.pbar = append(e.pbar, total)
+		e.ends = append(e.ends, len(e.phi))
 	}
-	// Σ_{q ∈ Q*_i} φ_q(t): speculative cost already claimed per app.
-	claimed := make(map[string]float64, len(apps))
+	e.taken = append(e.taken[:0], make([]bool, n)...)
+	e.claimed = append(e.claimed[:0], make([]float64, len(apps))...)
 
-	var selected []workload.Packet
-	for len(selected) < limit && q.Len() > 0 {
+	sel := e.sel[:0]
+	for len(sel) < limit && len(sel) < n {
 		bestGain := math.Inf(-1)
-		bestApp := ""
-		bestID := 0
-		bestPhi := 0.0
-		for _, app := range apps {
-			// View is allocation-free; the queue is not mutated until the
-			// scan over every app completes below.
-			for _, p := range q.View(app) {
-				phi := p.Cost(nextSlot)
-				gain := (pbar[app]-claimed[app])*phi - phi*phi/2
-				if gain > bestGain {
+		best, bestApp := -1, 0
+		k := 0
+		for a, end := range e.ends {
+			room := e.pbar[a] - e.claimed[a]
+			for ; k < end; k++ {
+				if e.taken[k] {
+					continue
+				}
+				phi := e.phi[k]
+				if gain := room*phi - phi*phi/2; gain > bestGain {
 					bestGain = gain
-					bestApp = app
-					bestID = p.ID
-					bestPhi = phi
+					best, bestApp = k, a
 				}
 			}
 		}
-		if bestApp == "" {
+		if best < 0 {
 			break
 		}
-		p, ok := q.PopByID(bestApp, bestID)
-		if !ok {
-			break
+		e.taken[best] = true
+		e.claimed[bestApp] += e.phi[best]
+		start := 0
+		if bestApp > 0 {
+			start = e.ends[bestApp-1]
 		}
-		claimed[bestApp] += bestPhi
-		selected = append(selected, p)
+		sel = append(sel, q.View(apps[bestApp])[best-start])
 	}
-	return selected
+	if len(sel) > 0 {
+		start := 0
+		for a, end := range e.ends {
+			q.Remove(apps[a], e.taken[start:end])
+			start = end
+		}
+	}
+	return sel
 }

@@ -245,3 +245,23 @@ func TestMultiAppSelection(t *testing.T) {
 		t.Fatalf("heartbeat flush released %d of 3 apps' packets", len(got))
 	}
 }
+
+// TestEmptyAppNameSelected checks that a packet of an app named "" is
+// selected at a heartbeat slot by every selection policy: the name is
+// valid cargo (wire.CargoArrival accepts it), not a "nothing found" mark.
+func TestEmptyAppNameSelected(t *testing.T) {
+	for _, policy := range []SelectionPolicy{SelectEq9, SelectFIFO, SelectCheapest} {
+		e, err := New(Options{Theta: 1, K: KInfinite, Selection: policy})
+		if err != nil {
+			t.Fatal(err)
+		}
+		q := sched.NewQueues()
+		p := weiboPkt(7, 10*time.Second)
+		p.App = ""
+		q.Add(p)
+		got := e.Schedule(ctxAt(20*time.Second, true, q))
+		if len(got) != 1 || got[0] != p || q.Len() != 0 {
+			t.Errorf("policy %d: selected %v with %d left, want packet 7 alone", policy, ids(got), q.Len())
+		}
+	}
+}

@@ -68,6 +68,7 @@ func TestGreedyNearOptimalDrift(t *testing.T) {
 	now := 90 * time.Second
 	nextSlot := now + time.Second
 
+	var e ETrain
 	for trial := 0; trial < 50; trial++ {
 		q := sched.NewQueues()
 		qCopy := sched.NewQueues()
@@ -92,7 +93,7 @@ func TestGreedyNearOptimalDrift(t *testing.T) {
 		}
 		optimum := bruteForceBest(q, nextSlot, limit)
 
-		selected := greedySelect(qCopy, nextSlot, limit)
+		selected := e.greedySelect(qCopy, nextSlot, limit)
 		got := driftObjective(pbar, selected, nextSlot)
 
 		if optimum <= 1e-12 {
@@ -116,6 +117,7 @@ func TestGreedyMatchesBruteForceSingleSelection(t *testing.T) {
 	src := randx.New(101)
 	now := 45 * time.Second
 	nextSlot := now + time.Second
+	var e ETrain
 	for trial := 0; trial < 30; trial++ {
 		q := sched.NewQueues()
 		qCopy := sched.NewQueues()
@@ -133,7 +135,7 @@ func TestGreedyMatchesBruteForceSingleSelection(t *testing.T) {
 		}
 		pbar := map[string]float64{"weibo": q.SpeculativeAppCostAt("weibo", nextSlot)}
 		optimum := bruteForceBest(q, nextSlot, 1)
-		selected := greedySelect(qCopy, nextSlot, 1)
+		selected := e.greedySelect(qCopy, nextSlot, 1)
 		got := driftObjective(pbar, selected, nextSlot)
 		if math.Abs(got-optimum) > 1e-9 {
 			t.Fatalf("trial %d: K=1 greedy %.6f != optimum %.6f", trial, got, optimum)

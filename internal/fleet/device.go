@@ -157,6 +157,11 @@ func runDevice(cfg *Config, pop *workload.Population, i int) (deviceOutcome, err
 		return deviceOutcome{}, err
 	}
 	base.Radio = cfg.radioModel
+	if base.Beats == nil {
+		// Both runs would merge the same schedule; merge it once. RunMetrics
+		// never appends a beat, so the two engines can share the slice.
+		base.Beats = heartbeat.Merge(base.Trains, base.Horizon)
+	}
 	without := base
 	without.Strategy = baseline.NewImmediate()
 	mWithout, err := sim.RunMetrics(without)

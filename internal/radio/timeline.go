@@ -71,17 +71,24 @@ func (tl *Timeline) Reserve(n int) {
 //
 //etrain:hotpath
 func (tl *Timeline) Append(tx Transmission) error {
+	if err := checkNext(len(tl.txs) > 0, tl.BusyUntil(), tx); err != nil {
+		return err
+	}
+	tl.txs = append(tl.txs, tx)
+	return nil
+}
+
+// checkNext reports whether tx may be appended to a timeline whose last
+// transmission, if it has one (prev), ends at prevEnd: its transmission
+// time must not be negative, and it must not start before prevEnd.
+func checkNext(prev bool, prevEnd time.Duration, tx Transmission) error {
 	if tx.TxTime < 0 {
 		return fmt.Errorf("radio: negative transmission time %v", tx.TxTime)
 	}
-	if n := len(tl.txs); n > 0 {
-		prev := tl.txs[n-1]
-		if tx.Start < prev.End() {
-			return fmt.Errorf("radio: transmission at %v overlaps previous ending %v",
-				tx.Start, prev.End())
-		}
+	if prev && tx.Start < prevEnd {
+		return fmt.Errorf("radio: transmission at %v overlaps previous ending %v",
+			tx.Start, prevEnd)
 	}
-	tl.txs = append(tl.txs, tx)
 	return nil
 }
 
@@ -138,36 +145,95 @@ func (tl *Timeline) AccountEnergyModel(m Model, horizon time.Duration) Energy {
 	return accountEnergy(tl.txs, m, horizon)
 }
 
-// accountEnergy is the shared fold. The type parameter keeps the
-// PowerModel path stenciled to direct calls — BenchmarkAccountEnergy
-// must stay allocation-free — while the Model instantiation serves the
-// DRX models through the interface.
+// accountEnergy runs a recorded timeline through an EnergyFold. The type
+// parameter keeps the PowerModel path free of an interface conversion —
+// BenchmarkAccountEnergy must stay allocation-free — while the Model
+// instantiation serves the DRX models through the interface.
 func accountEnergy[M Model](txs []Transmission, m M, horizon time.Duration) Energy {
-	var e Energy
-	for i, tx := range txs {
-		txE := m.TransmitEnergy(tx.TxTime)
-
-		var gap time.Duration
-		if i+1 < len(txs) {
-			gap = txs[i+1].Start - tx.End()
-		} else {
-			gap = horizon - tx.End()
-			if gap > m.TailTime() {
-				gap = m.TailTime()
-			}
-		}
-		tailE := m.TailEnergy(gap)
-
-		e.Transmit += txE
-		e.Tail += tailE
-		switch tx.Kind {
-		case TxHeartbeat:
-			e.HeartbeatShare += txE + tailE
-		case TxData:
-			e.DataShare += txE + tailE
-		}
+	f := NewEnergyFold(m)
+	for i := range txs {
+		f.step(&txs[i])
 	}
-	return e
+	return f.Energy(horizon)
+}
+
+// EnergyFold is the energy accounting of a timeline, streamed: it settles
+// each transmission's transmit energy, and the tail energy of the gap the
+// next transmission's start fixes, as that next transmission arrives, and
+// Energy settles the last one with its tail cut at the horizon. It keeps
+// no transmission record, so a run that needs only its energy builds no
+// Timeline. Timeline.AccountEnergy and AccountEnergyModel run through it,
+// adding every term in the same order, so both accountings agree bit for
+// bit.
+type EnergyFold[M Model] struct {
+	m M
+	e Energy // settled transmissions
+	// The transmission still to settle, if pending: its end, transmit
+	// time and kind.
+	end, txTime time.Duration
+	kind        TxKind
+	pending     bool
+}
+
+// NewEnergyFold returns an empty fold over the radio model m.
+func NewEnergyFold[M Model](m M) EnergyFold[M] {
+	return EnergyFold[M]{m: m}
+}
+
+// Append adds the next transmission, with Timeline.Append's checks and
+// errors: transmissions arrive in start order and must not overlap.
+//
+//etrain:hotpath
+func (f *EnergyFold[M]) Append(tx Transmission) error {
+	if err := checkNext(f.pending, f.end, tx); err != nil {
+		return err
+	}
+	f.step(&tx)
+	return nil
+}
+
+// step settles the pending transmission against tx's start and leaves tx
+// pending.
+//
+//etrain:hotpath
+func (f *EnergyFold[M]) step(tx *Transmission) {
+	if f.pending {
+		f.settle(tx.Start - f.end)
+	}
+	f.end, f.txTime, f.kind, f.pending = tx.End(), tx.TxTime, tx.Kind, true
+}
+
+// settle pays the pending transmission's transmit energy and the tail
+// energy of the gap that follows it.
+//
+//etrain:hotpath
+func (f *EnergyFold[M]) settle(gap time.Duration) {
+	txE := f.m.TransmitEnergy(f.txTime)
+	tailE := f.m.TailEnergy(gap)
+	f.e.Transmit += txE
+	f.e.Tail += tailE
+	switch f.kind {
+	case TxHeartbeat:
+		f.e.HeartbeatShare += txE + tailE
+	case TxData:
+		f.e.DataShare += txE + tailE
+	}
+}
+
+// Energy returns the energy of every transmission appended so far, the
+// last one paying the tail up to horizon and at most a full tail. It does
+// not change the fold.
+func (f *EnergyFold[M]) Energy(horizon time.Duration) Energy {
+	if !f.pending {
+		return f.e
+	}
+	g := *f
+	gap := horizon - g.end
+	if gap > g.m.TailTime() {
+		gap = g.m.TailTime()
+	}
+	g.settle(gap)
+	return g.e
 }
 
 // AccountFastDormancy computes the energy of the same timeline under a

@@ -14,14 +14,31 @@ import (
 
 // Queues is the set of per-cargo-app waiting queues Q_i. Iteration order is
 // the registration order of apps, keeping every run deterministic.
+//
+// The queues are slices in registration order, found by a scan of the
+// app names: a device has a handful of cargo apps, and every scheduling
+// pass already walks all of them. A running total makes Len O(1).
 type Queues struct {
 	order []string
-	byApp map[string][]workload.Packet
+	q     [][]workload.Packet // q[i] is order[i]'s queue
+	n     int                 // total queued packets
 }
 
 // NewQueues returns an empty queue set.
 func NewQueues() *Queues {
-	return &Queues{byApp: make(map[string][]workload.Packet)}
+	return &Queues{}
+}
+
+// index returns app's registration index, or -1 if app never queued.
+//
+//etrain:hotpath
+func (q *Queues) index(app string) int {
+	for i, name := range q.order {
+		if name == app {
+			return i
+		}
+	}
+	return -1
 }
 
 // Add enqueues a packet into its app's queue, registering the app on first
@@ -29,10 +46,14 @@ func NewQueues() *Queues {
 //
 //etrain:hotpath
 func (q *Queues) Add(p workload.Packet) {
-	if _, ok := q.byApp[p.App]; !ok {
+	i := q.index(p.App)
+	if i < 0 {
+		i = len(q.order)
 		q.order = append(q.order, p.App)
+		q.q = append(q.q, nil)
 	}
-	q.byApp[p.App] = append(q.byApp[p.App], p)
+	q.q[i] = append(q.q[i], p)
+	q.n++
 }
 
 // Apps returns the registered app names in registration order.
@@ -48,20 +69,14 @@ func (q *Queues) Apps() []string {
 func (q *Queues) AppsView() []string { return q.order }
 
 // Len returns the total number of queued packets.
-func (q *Queues) Len() int {
-	n := 0
-	for _, pkts := range q.byApp {
-		n += len(pkts)
-	}
-	return n
-}
+func (q *Queues) Len() int { return q.n }
 
 // AppLen returns the number of packets queued for app.
-func (q *Queues) AppLen(app string) int { return len(q.byApp[app]) }
+func (q *Queues) AppLen(app string) int { return len(q.View(app)) }
 
 // Packets returns a copy of app's queue in arrival order.
 func (q *Queues) Packets(app string) []workload.Packet {
-	src := q.byApp[app]
+	src := q.View(app)
 	out := make([]workload.Packet, len(src))
 	copy(out, src)
 	return out
@@ -71,13 +86,18 @@ func (q *Queues) Packets(app string) []workload.Packet {
 // slice is read-only and valid only until the next mutation of the queue
 // set — it is the allocation-free variant of Packets for per-slot
 // scheduling loops.
-func (q *Queues) View(app string) []workload.Packet { return q.byApp[app] }
+func (q *Queues) View(app string) []workload.Packet {
+	if i := q.index(app); i >= 0 {
+		return q.q[i]
+	}
+	return nil
+}
 
 // Each calls fn for every queued packet in deterministic order (apps in
 // registration order, packets in arrival order).
 func (q *Queues) Each(fn func(p workload.Packet)) {
-	for _, app := range q.order {
-		for _, p := range q.byApp[app] {
+	for _, pkts := range q.q {
+		for _, p := range pkts {
 			fn(p)
 		}
 	}
@@ -90,13 +110,11 @@ func (q *Queues) Each(fn func(p workload.Packet)) {
 //
 //etrain:hotpath
 func (q *Queues) PopByID(app string, id int) (workload.Packet, bool) {
-	pkts := q.byApp[app]
-	for i, p := range pkts {
-		if p.ID == id {
-			copy(pkts[i:], pkts[i+1:])
-			pkts[len(pkts)-1] = workload.Packet{}
-			q.byApp[app] = pkts[:len(pkts)-1]
-			return p, true
+	if i := q.index(app); i >= 0 {
+		for j, p := range q.q[i] {
+			if p.ID == id {
+				return q.removeAt(i, j), true
+			}
 		}
 	}
 	return workload.Packet{}, false
@@ -107,29 +125,67 @@ func (q *Queues) PopByID(app string, id int) (workload.Packet, bool) {
 //
 //etrain:hotpath
 func (q *Queues) PopHead(app string) (workload.Packet, bool) {
-	pkts := q.byApp[app]
-	if len(pkts) == 0 {
+	i := q.index(app)
+	if i < 0 || len(q.q[i]) == 0 {
 		return workload.Packet{}, false
 	}
-	head := pkts[0]
-	copy(pkts, pkts[1:])
+	return q.removeAt(i, 0), true
+}
+
+// removeAt removes and returns packet j of the queue of the app at
+// registration index i, shifting the rest down in place.
+func (q *Queues) removeAt(i, j int) workload.Packet {
+	pkts := q.q[i]
+	p := pkts[j]
+	copy(pkts[j:], pkts[j+1:])
 	pkts[len(pkts)-1] = workload.Packet{}
-	q.byApp[app] = pkts[:len(pkts)-1]
-	return head, true
+	q.q[i] = pkts[:len(pkts)-1]
+	q.n--
+	return p
+}
+
+// Remove deletes from app's queue every packet whose flag in drop is set;
+// drop is indexed like View(app). The remaining packets keep their arrival
+// order, compacted in place in one pass, so removing a whole selection
+// costs what a single PopByID does.
+//
+//etrain:hotpath
+func (q *Queues) Remove(app string, drop []bool) {
+	i := q.index(app)
+	if i < 0 {
+		return
+	}
+	pkts := q.q[i]
+	kept := 0
+	for j, p := range pkts {
+		if !drop[j] {
+			pkts[kept] = p
+			kept++
+		}
+	}
+	clear(pkts[kept:])
+	q.q[i] = pkts[:kept]
+	q.n -= len(pkts) - kept
 }
 
 // CostAt returns P(t): the summed delay cost of every queued packet at
 // instant now (paper Eq. 6).
+//
+//etrain:hotpath
 func (q *Queues) CostAt(now time.Duration) float64 {
 	total := 0.0
-	q.Each(func(p workload.Packet) { total += p.Cost(now) })
+	for _, pkts := range q.q {
+		for _, p := range pkts {
+			total += p.Cost(now)
+		}
+	}
 	return total
 }
 
 // AppCostAt returns P_i(t) for one app.
 func (q *Queues) AppCostAt(app string, now time.Duration) float64 {
 	total := 0.0
-	for _, p := range q.byApp[app] {
+	for _, p := range q.View(app) {
 		total += p.Cost(now)
 	}
 	return total
@@ -139,23 +195,24 @@ func (q *Queues) AppCostAt(app string, now time.Duration) float64 {
 // the start of the next slot if nothing were transmitted — the speculative
 // cost Σ φ_u(t) of the paper's drift objective.
 func (q *Queues) SpeculativeAppCostAt(app string, nextSlot time.Duration) float64 {
-	total := 0.0
-	for _, p := range q.byApp[app] {
-		total += p.Cost(nextSlot)
-	}
-	return total
+	return q.AppCostAt(app, nextSlot)
 }
 
-// Oldest returns the earliest-arrived packet across all queues.
+// Oldest returns the earliest-arrived packet across all queues: the first
+// in iteration order among those that arrived earliest.
+//
+//etrain:hotpath
 func (q *Queues) Oldest() (workload.Packet, bool) {
 	var oldest workload.Packet
 	found := false
-	q.Each(func(p workload.Packet) {
-		if !found || p.ArrivedAt < oldest.ArrivedAt {
-			oldest = p
-			found = true
+	for _, pkts := range q.q {
+		for _, p := range pkts {
+			if !found || p.ArrivedAt < oldest.ArrivedAt {
+				oldest = p
+				found = true
+			}
 		}
-	})
+	}
 	return oldest, found
 }
 
@@ -184,6 +241,7 @@ type SlotContext struct {
 }
 
 // Strategy decides, slot by slot, which queued packets to hand to the radio.
+// A strategy keeps per-run state and is not safe for concurrent use.
 type Strategy interface {
 	// Name identifies the strategy in results and traces.
 	Name() string
@@ -192,6 +250,8 @@ type Strategy interface {
 	SlotLength() time.Duration
 	// Schedule removes from ctx.Queues the packets to transmit this slot
 	// and returns them in transmission order (the Q*(t) of the paper).
+	// The result is valid until the strategy's next Schedule call, which
+	// may reuse its backing array; a caller that keeps it copies it.
 	Schedule(ctx *SlotContext) []workload.Packet
 }
 

@@ -72,6 +72,15 @@ type Config struct {
 	CacheKey string
 }
 
+// model returns the radio model the run's energy is accounted under:
+// Radio, or Power while Radio is nil.
+func (c *Config) model() radio.Model {
+	if c.Radio != nil {
+		return c.Radio
+	}
+	return &c.Power
+}
+
 // Validate reports configuration errors.
 func (c Config) Validate() error {
 	if c.Horizon <= 0 {
@@ -131,7 +140,8 @@ type Result struct {
 	Strategy string
 	// Energy is the radio energy breakdown.
 	Energy radio.Energy
-	// Timeline is the full transmission record.
+	// Timeline is the full transmission record. Energy does not read it:
+	// the engine accounts each transmission as it goes.
 	Timeline *radio.Timeline
 	// Packets holds one entry per data packet, in transmission order.
 	Packets []PacketStat
@@ -270,7 +280,7 @@ type Engine struct {
 	slot       time.Duration
 	queues     *sched.Queues
 	waker      sched.Waker // cfg.Strategy as a Waker; nil steps every slot
-	timeline   *radio.Timeline
+	energy     radio.EnergyFold[radio.Model]
 	res        *Result
 	beats      []heartbeat.Beat
 	packets    []workload.Packet
@@ -281,7 +291,8 @@ type Engine struct {
 	finished   bool
 
 	// summaryOnly makes recordData fold each data packet into summary
-	// instead of appending it to Result.Packets (RunMetrics).
+	// instead of appending it to Result.Packets, and leaves the result
+	// without a Timeline (RunMetrics).
 	summaryOnly bool
 	summary     packetSummary
 
@@ -309,7 +320,8 @@ func NewEngine(cfg Config) (*Engine, error) {
 }
 
 // newEngine is NewEngine; with summaryOnly the engine keeps no per-packet
-// record, only the packetSummary RunMetrics reads.
+// record and no timeline, only the packetSummary and energy RunMetrics
+// reads.
 func newEngine(cfg Config, summaryOnly bool) (*Engine, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -322,26 +334,26 @@ func newEngine(cfg Config, summaryOnly bool) (*Engine, error) {
 	if slot <= 0 {
 		slot = time.Second
 	}
-	timeline := &radio.Timeline{}
-	// Preallocate the engine's steady state from the config: every beat and
-	// packet becomes at most one transmission, so sizing the timeline and
-	// the result's packet record up front keeps the slot loop free of
-	// growth reallocations.
-	timeline.Reserve(len(beats) + len(cfg.Packets))
-	res := &Result{Strategy: cfg.Strategy.Name(), Timeline: timeline}
+	res := &Result{Strategy: cfg.Strategy.Name()}
 	if !summaryOnly {
+		// Preallocate the engine's steady state from the config: every
+		// beat and packet becomes at most one transmission, so sizing the
+		// timeline and the result's packet record up front keeps the slot
+		// loop free of growth reallocations.
+		res.Timeline = &radio.Timeline{}
+		res.Timeline.Reserve(len(beats) + len(cfg.Packets))
 		res.Packets = make([]PacketStat, 0, len(cfg.Packets))
 	}
 	e := &Engine{
 		cfg:         cfg,
 		slot:        slot,
 		queues:      sched.NewQueues(),
-		timeline:    timeline,
 		res:         res,
 		beats:       beats,
 		packets:     cfg.Packets,
 		summaryOnly: summaryOnly,
 	}
+	e.energy = radio.NewEnergyFold(e.cfg.model())
 	e.waker, _ = cfg.Strategy.(sched.Waker)
 	e.ctx = sched.SlotContext{
 		SlotLength:    slot,
@@ -452,11 +464,7 @@ func (e *Engine) Finish() (*Result, error) {
 		e.OnSlot(SlotResult{Slot: e.cfg.Horizon, Flush: true, Data: e.res.Packets[flushFrom:]})
 	}
 
-	if e.cfg.Radio != nil {
-		e.res.Energy = e.timeline.AccountEnergyModel(e.cfg.Radio, e.cfg.Horizon+e.cfg.Radio.TailTime())
-	} else {
-		e.res.Energy = e.timeline.AccountEnergy(e.cfg.Power, e.cfg.Horizon+e.cfg.Power.TailTime())
-	}
+	e.res.Energy = e.energy.Energy(e.cfg.Horizon + e.cfg.model().TailTime())
 	e.finished = true
 	return e.res, nil
 }
@@ -471,11 +479,14 @@ func (e *Engine) transmit(at time.Duration, size int64, kind radio.TxKind, app s
 		start = e.busyUntil
 	}
 	txTime := e.cfg.Bandwidth.TransmitTime(start, size)
-	err := e.timeline.Append(radio.Transmission{
-		Start: start, TxTime: txTime, Size: size, Kind: kind, App: app,
-	})
-	if err != nil {
+	tx := radio.Transmission{Start: start, TxTime: txTime, Size: size, Kind: kind, App: app}
+	if err := e.energy.Append(tx); err != nil {
 		return 0, err
+	}
+	if e.res.Timeline != nil {
+		if err := e.res.Timeline.Append(tx); err != nil {
+			return 0, err
+		}
 	}
 	e.busyUntil = start + txTime
 	return start, nil

@@ -53,14 +53,13 @@ lint: vet
 
 # Machine-readable benchmark snapshot: every benchmark (including
 # BenchmarkFleet10k) through cmd/etrain-benchjson into BENCH_fleet.json
-# (name -> ns/op, B/op, allocs/op). Each benchmark runs BENCHCOUNT times
-# for BENCHTIME and benchjson keeps each field's median, so the snapshot
-# and the gate record steady state, not first use; an op longer than
+# (name -> ns/op, B/op, allocs/op). Each benchmark runs 5 times for
+# BENCHTIME and benchjson keeps each field's median, so the snapshot and
+# the gate record steady state, not first use; an op longer than
 # BENCHTIME runs once per count.
 BENCHTIME ?= 100ms
-BENCHCOUNT ?= 5
 bench-json:
-	$(GO) test -run '^$$' -bench . -benchmem -benchtime $(BENCHTIME) -count $(BENCHCOUNT) ./... \
+	$(GO) test -run '^$$' -bench . -benchmem -benchtime $(BENCHTIME) -count 5 ./... \
 		| $(GO) run ./cmd/etrain-benchjson > BENCH_fleet.json
 	@echo "wrote BENCH_fleet.json"
 
@@ -163,7 +162,7 @@ overload:
 bench-cluster:
 	CLUSTER_JSON=/tmp/etrain-cluster-report.json bash scripts/cluster-smoke.sh >/dev/null
 	$(GO) test -run '^$$' -bench 'BenchmarkRingOwner|BenchmarkBuildRing|BenchmarkFleetStatsAdd' -benchmem \
-		-benchtime $(BENCHTIME) -count $(BENCHCOUNT) ./internal/cluster \
+		-benchtime $(BENCHTIME) -count 5 ./internal/cluster \
 		| $(GO) run ./cmd/etrain-benchjson -load /tmp/etrain-cluster-report.json > BENCH_cluster.json
 	@echo "wrote BENCH_cluster.json"
 
@@ -175,7 +174,7 @@ bench-server:
 	$(GO) run ./cmd/etrain-load -devices 300 -conns 16 -horizon 2m \
 		-faults 0.1 -quiet -json /tmp/etrain-load-report.json >/dev/null
 	$(GO) test -run '^$$' -bench 'BenchmarkServerThroughput|BenchmarkWireCodec' -benchmem \
-		-benchtime $(BENCHTIME) -count $(BENCHCOUNT) ./internal/server ./internal/wire \
+		-benchtime $(BENCHTIME) -count 5 ./internal/server ./internal/wire \
 		| $(GO) run ./cmd/etrain-benchjson -load /tmp/etrain-load-report.json > BENCH_server.json
 	@echo "wrote BENCH_server.json"
 
@@ -187,13 +186,13 @@ bench-server:
 # bench-server` after an intentional allocation change.
 GATETOL ?= 0.10
 gate:
-	$(GO) test -run '^$$' -bench . -benchmem -benchtime $(BENCHTIME) -count $(BENCHCOUNT) ./... \
+	$(GO) test -run '^$$' -bench . -benchmem -benchtime $(BENCHTIME) -count 5 ./... \
 		| $(GO) run ./cmd/etrain-benchjson -gate BENCH_fleet.json -tolerance $(GATETOL)
 	$(GO) test -run '^$$' -bench 'BenchmarkServerThroughput|BenchmarkWireCodec' -benchmem \
-		-benchtime $(BENCHTIME) -count $(BENCHCOUNT) ./internal/server ./internal/wire \
+		-benchtime $(BENCHTIME) -count 5 ./internal/server ./internal/wire \
 		| $(GO) run ./cmd/etrain-benchjson -gate BENCH_server.json -tolerance $(GATETOL)
 	$(GO) test -run '^$$' -bench 'BenchmarkRingOwner|BenchmarkBuildRing|BenchmarkFleetStatsAdd' -benchmem \
-		-benchtime $(BENCHTIME) -count $(BENCHCOUNT) ./internal/cluster \
+		-benchtime $(BENCHTIME) -count 5 ./internal/cluster \
 		| $(GO) run ./cmd/etrain-benchjson -gate BENCH_cluster.json -tolerance $(GATETOL)
 
 # End-to-end determinism check: full registry, sequential vs 8 workers,

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -80,5 +81,53 @@ func BenchmarkGreedySelectDrip(b *testing.B) {
 			q.Add(p) // restore for the next iteration
 		}
 		b.StartTimer()
+	}
+}
+
+// BenchmarkScheduleManyApps measures one Eq. 9 heartbeat flush of 30
+// packets over three apps, in a queue set that has registered many more
+// apps whose queues have since emptied: a session whose client named many
+// apps. A slot walks the apps by index, so its cost grows linearly with
+// the number registered.
+func BenchmarkScheduleManyApps(b *testing.B) {
+	prof := profile.Weibo(90 * time.Second)
+	for _, apps := range []int{16, 256, 4096} {
+		b.Run(fmt.Sprintf("apps=%d", apps), func(b *testing.B) {
+			e, err := New(Options{Theta: 0, K: KInfinite})
+			if err != nil {
+				b.Fatal(err)
+			}
+			q := sched.NewQueues()
+			for a := 0; a < apps; a++ {
+				name := fmt.Sprintf("app%05d", a)
+				q.Add(workload.Packet{ID: -1 - a, App: name, Profile: prof})
+				q.PopHead(name)
+			}
+			busy := q.Apps()[apps-3:]
+			ctx := &sched.SlotContext{
+				Now: 200 * time.Second, SlotLength: time.Second,
+				HeartbeatNow: true, Queues: q,
+			}
+			fill := func() {
+				for j := 0; j < 30; j++ {
+					q.Add(workload.Packet{
+						ID: j, App: busy[j%len(busy)], ArrivedAt: time.Duration(j) * time.Second,
+						Size: 2048, Profile: prof,
+					})
+				}
+			}
+			// The first flush grows the strategy's scratch: untimed.
+			fill()
+			e.Schedule(ctx)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				fill()
+				b.StartTimer()
+				if got := e.Schedule(ctx); len(got) != 30 {
+					b.Fatalf("flushed %d", len(got))
+				}
+			}
+		})
 	}
 }

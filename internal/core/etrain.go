@@ -249,8 +249,8 @@ func cheapestSelect(sel []workload.Packet, q *sched.Queues, nextSlot time.Durati
 		bestPhi := math.Inf(1)
 		found := false
 		var best workload.Packet
-		for _, app := range q.AppsView() {
-			for _, p := range q.View(app) {
+		for a := range q.AppsView() {
+			for _, p := range q.ViewAt(a) {
 				if phi := p.Cost(nextSlot); phi < bestPhi {
 					bestPhi = phi
 					best = p
@@ -290,9 +290,9 @@ func (e *ETrain) greedySelect(q *sched.Queues, nextSlot time.Duration, limit int
 	e.phi = e.phi[:0]
 	e.pbar = e.pbar[:0]
 	e.ends = e.ends[:0]
-	for _, app := range apps {
+	for a := range apps {
 		total := 0.0
-		for _, p := range q.View(app) {
+		for _, p := range q.ViewAt(a) {
 			phi := p.Cost(nextSlot)
 			e.phi = append(e.phi, phi)
 			total += phi
@@ -330,12 +330,12 @@ func (e *ETrain) greedySelect(q *sched.Queues, nextSlot time.Duration, limit int
 		if bestApp > 0 {
 			start = e.ends[bestApp-1]
 		}
-		sel = append(sel, q.View(apps[bestApp])[best-start])
+		sel = append(sel, q.ViewAt(bestApp)[best-start])
 	}
 	if len(sel) > 0 {
 		start := 0
 		for a, end := range e.ends {
-			q.Remove(apps[a], e.taken[start:end])
+			q.RemoveAt(a, e.taken[start:end])
 			start = end
 		}
 	}

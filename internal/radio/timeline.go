@@ -145,16 +145,48 @@ func (tl *Timeline) AccountEnergyModel(m Model, horizon time.Duration) Energy {
 	return accountEnergy(tl.txs, m, horizon)
 }
 
-// accountEnergy runs a recorded timeline through an EnergyFold. The type
-// parameter keeps the PowerModel path free of an interface conversion —
-// BenchmarkAccountEnergy must stay allocation-free — while the Model
-// instantiation serves the DRX models through the interface.
+// accountEnergy is the fold over a recorded timeline: every gap is in the
+// slice, so it settles each transmission against the next one's start
+// directly, with no pending state, and the last with lastGap — the terms
+// EnergyFold adds, in the same order. The type parameter keeps the
+// PowerModel path free of an interface conversion — BenchmarkAccountEnergy
+// must stay allocation-free — while the Model instantiation serves the DRX
+// models through the interface.
 func accountEnergy[M Model](txs []Transmission, m M, horizon time.Duration) Energy {
-	f := NewEnergyFold(m)
+	var e Energy
 	for i := range txs {
-		f.step(&txs[i])
+		tx := &txs[i]
+		var gap time.Duration
+		if i+1 < len(txs) {
+			gap = txs[i+1].Start - tx.End()
+		} else {
+			gap = lastGap(m, tx.End(), horizon)
+		}
+		e.add(tx.Kind, m.TransmitEnergy(tx.TxTime), m.TailEnergy(gap))
 	}
-	return f.Energy(horizon)
+	return e
+}
+
+// add books one transmission's transmit energy txE and the tail energy
+// tailE of the gap that follows it: the accounting step both folds share,
+// so they add every term in the same order.
+//
+//etrain:hotpath
+func (e *Energy) add(kind TxKind, txE, tailE float64) {
+	e.Transmit += txE
+	e.Tail += tailE
+	switch kind {
+	case TxHeartbeat:
+		e.HeartbeatShare += txE + tailE
+	case TxData:
+		e.DataShare += txE + tailE
+	}
+}
+
+// lastGap is the tail a timeline's last transmission, ending at end, pays:
+// up to horizon, and at most a full tail.
+func lastGap[M Model](m M, end, horizon time.Duration) time.Duration {
+	return min(horizon-end, m.TailTime())
 }
 
 // EnergyFold is the energy accounting of a timeline, streamed: it settles
@@ -162,9 +194,9 @@ func accountEnergy[M Model](txs []Transmission, m M, horizon time.Duration) Ener
 // next transmission's start fixes, as that next transmission arrives, and
 // Energy settles the last one with its tail cut at the horizon. It keeps
 // no transmission record, so a run that needs only its energy builds no
-// Timeline. Timeline.AccountEnergy and AccountEnergyModel run through it,
-// adding every term in the same order, so both accountings agree bit for
-// bit.
+// Timeline. It shares Energy.add and lastGap with Timeline.AccountEnergy and
+// AccountEnergyModel and adds every term in the same order, so the two
+// accountings agree bit for bit.
 type EnergyFold[M Model] struct {
 	m M
 	e Energy // settled transmissions
@@ -181,59 +213,32 @@ func NewEnergyFold[M Model](m M) EnergyFold[M] {
 }
 
 // Append adds the next transmission, with Timeline.Append's checks and
-// errors: transmissions arrive in start order and must not overlap.
+// errors: transmissions arrive in start order and must not overlap. It
+// settles the pending transmission against tx's start and leaves tx
+// pending.
 //
 //etrain:hotpath
 func (f *EnergyFold[M]) Append(tx Transmission) error {
 	if err := checkNext(f.pending, f.end, tx); err != nil {
 		return err
 	}
-	f.step(&tx)
-	return nil
-}
-
-// step settles the pending transmission against tx's start and leaves tx
-// pending.
-//
-//etrain:hotpath
-func (f *EnergyFold[M]) step(tx *Transmission) {
 	if f.pending {
-		f.settle(tx.Start - f.end)
+		f.e.add(f.kind, f.m.TransmitEnergy(f.txTime), f.m.TailEnergy(tx.Start-f.end))
 	}
 	f.end, f.txTime, f.kind, f.pending = tx.End(), tx.TxTime, tx.Kind, true
-}
-
-// settle pays the pending transmission's transmit energy and the tail
-// energy of the gap that follows it.
-//
-//etrain:hotpath
-func (f *EnergyFold[M]) settle(gap time.Duration) {
-	txE := f.m.TransmitEnergy(f.txTime)
-	tailE := f.m.TailEnergy(gap)
-	f.e.Transmit += txE
-	f.e.Tail += tailE
-	switch f.kind {
-	case TxHeartbeat:
-		f.e.HeartbeatShare += txE + tailE
-	case TxData:
-		f.e.DataShare += txE + tailE
-	}
+	return nil
 }
 
 // Energy returns the energy of every transmission appended so far, the
 // last one paying the tail up to horizon and at most a full tail. It does
 // not change the fold.
 func (f *EnergyFold[M]) Energy(horizon time.Duration) Energy {
-	if !f.pending {
-		return f.e
+	e := f.e
+	if f.pending {
+		gap := lastGap(f.m, f.end, horizon)
+		e.add(f.kind, f.m.TransmitEnergy(f.txTime), f.m.TailEnergy(gap))
 	}
-	g := *f
-	gap := horizon - g.end
-	if gap > g.m.TailTime() {
-		gap = g.m.TailTime()
-	}
-	g.settle(gap)
-	return g.e
+	return e
 }
 
 // AccountFastDormancy computes the energy of the same timeline under a

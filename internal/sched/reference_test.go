@@ -1,9 +1,11 @@
 package sched
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -124,21 +126,25 @@ func sameFloat(a, b float64) bool { return math.Float64bits(a) == math.Float64bi
 
 // TestQueuesMatchMapReference drives the slice-backed Queues and the
 // map-backed reference with the same random operations — adds over one to
-// six apps (an empty name among them), pops by ID that hit and miss, head
-// pops, bulk removals and every query — and requires equal answers, with
-// every cost sum bit-identical.
+// six apps (an empty name among them), and over 9 and 40 apps so the name
+// lookup switches from a scan to its map, pops by ID that hit and miss,
+// head pops, bulk removals and every query — and requires equal answers,
+// with every cost sum bit-identical.
 func TestQueuesMatchMapReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(18))
 	names := []string{"weibo", "", "mail", "cloud", "x", "weibo2"}
+	for len(names) < 40 {
+		names = append(names, fmt.Sprintf("app%02d", len(names)))
+	}
 	profiles := []profile.Profile{
 		profile.Mail(40 * time.Second),
 		profile.Weibo(30 * time.Second),
 		profile.Cloud(60 * time.Second),
 	}
 	// One round per app count, 2000 operations each.
-	for round := 0; round < len(names); round++ {
+	for round, count := range []int{1, 2, 3, 4, 5, 6, scanApps + 1, 40} {
 		q, ref := NewQueues(), newRefQueues()
-		apps := names[:1+round]
+		apps := names[:count]
 		nextID := 0
 		var now time.Duration
 		for op := 0; op < 2000; op++ {
@@ -169,8 +175,12 @@ func TestQueuesMatchMapReference(t *testing.T) {
 					t.Fatalf("round %d op %d: PopHead(%q) = %v %v, want %v %v", round, op, app, got, gotOK, want, wantOK)
 				}
 			case k < 8:
-				// Remove ≡ popping the flagged packets one by one.
-				view := q.View(app)
+				// RemoveAt ≡ popping the flagged packets one by one.
+				a := slices.Index(q.AppsView(), app)
+				if a < 0 {
+					break
+				}
+				view := q.ViewAt(a)
 				drop := make([]bool, len(view))
 				for j := range drop {
 					drop[j] = rng.Intn(3) == 0
@@ -180,7 +190,7 @@ func TestQueuesMatchMapReference(t *testing.T) {
 						ref.PopByID(app, p.ID)
 					}
 				}
-				q.Remove(app, drop)
+				q.RemoveAt(a, drop)
 			case k < 9:
 				got, gotOK := q.Oldest()
 				want, wantOK := ref.Oldest()
@@ -210,6 +220,9 @@ func TestQueuesMatchMapReference(t *testing.T) {
 			}
 			if !reflect.DeepEqual(q.Packets(app), ref.Packets(app)) {
 				t.Fatalf("round %d op %d: Packets(%q) differ", round, op, app)
+			}
+			if a := slices.Index(q.AppsView(), app); a >= 0 && !slices.Equal(q.ViewAt(a), ref.byApp[app]) {
+				t.Fatalf("round %d op %d: ViewAt(%d) differs from %q's queue", round, op, a, app)
 			}
 		}
 		var got, want []workload.Packet

@@ -15,14 +15,21 @@ import (
 // Queues is the set of per-cargo-app waiting queues Q_i. Iteration order is
 // the registration order of apps, keeping every run deterministic.
 //
-// The queues are slices in registration order, found by a scan of the
-// app names: a device has a handful of cargo apps, and every scheduling
-// pass already walks all of them. A running total makes Len O(1).
+// The queues are slices in registration order, and a running total makes
+// Len O(1). A device has a handful of cargo apps, found by a scan of their
+// names; past scanApps names a map takes over the lookup, so a session
+// with many apps pays O(1) per name, not one scan each. Scheduling loops
+// walk the apps by registration index (ViewAt, RemoveAt) and look up no
+// name at all.
 type Queues struct {
-	order []string
-	q     [][]workload.Packet // q[i] is order[i]'s queue
-	n     int                 // total queued packets
+	order  []string
+	q      [][]workload.Packet // q[i] is order[i]'s queue
+	n      int                 // total queued packets
+	byName map[string]int      // order's indices, once it outgrows scanApps
 }
+
+// scanApps is the most apps whose names Queues scans instead of hashing.
+const scanApps = 8
 
 // NewQueues returns an empty queue set.
 func NewQueues() *Queues {
@@ -33,12 +40,35 @@ func NewQueues() *Queues {
 //
 //etrain:hotpath
 func (q *Queues) index(app string) int {
+	if q.byName != nil {
+		if i, ok := q.byName[app]; ok {
+			return i
+		}
+		return -1
+	}
 	for i, name := range q.order {
 		if name == app {
 			return i
 		}
 	}
 	return -1
+}
+
+// register appends app to the registration order and returns its index.
+func (q *Queues) register(app string) int {
+	i := len(q.order)
+	q.order = append(q.order, app)
+	q.q = append(q.q, nil)
+	switch {
+	case q.byName != nil:
+		q.byName[app] = i
+	case len(q.order) > scanApps:
+		q.byName = make(map[string]int, 2*len(q.order))
+		for j, name := range q.order {
+			q.byName[name] = j
+		}
+	}
+	return i
 }
 
 // Add enqueues a packet into its app's queue, registering the app on first
@@ -48,9 +78,7 @@ func (q *Queues) index(app string) int {
 func (q *Queues) Add(p workload.Packet) {
 	i := q.index(p.App)
 	if i < 0 {
-		i = len(q.order)
-		q.order = append(q.order, p.App)
-		q.q = append(q.q, nil)
+		i = q.register(p.App)
 	}
 	q.q[i] = append(q.q[i], p)
 	q.n++
@@ -93,6 +121,11 @@ func (q *Queues) View(app string) []workload.Packet {
 	return nil
 }
 
+// ViewAt is View for the app at registration index i, an index into
+// AppsView: a scheduling loop that walks the apps in order reads each
+// queue without looking its name up.
+func (q *Queues) ViewAt(i int) []workload.Packet { return q.q[i] }
+
 // Each calls fn for every queued packet in deterministic order (apps in
 // registration order, packets in arrival order).
 func (q *Queues) Each(fn func(p workload.Packet)) {
@@ -113,7 +146,7 @@ func (q *Queues) PopByID(app string, id int) (workload.Packet, bool) {
 	if i := q.index(app); i >= 0 {
 		for j, p := range q.q[i] {
 			if p.ID == id {
-				return q.removeAt(i, j), true
+				return q.pop(i, j), true
 			}
 		}
 	}
@@ -129,12 +162,12 @@ func (q *Queues) PopHead(app string) (workload.Packet, bool) {
 	if i < 0 || len(q.q[i]) == 0 {
 		return workload.Packet{}, false
 	}
-	return q.removeAt(i, 0), true
+	return q.pop(i, 0), true
 }
 
-// removeAt removes and returns packet j of the queue of the app at
+// pop removes and returns packet j of the queue of the app at
 // registration index i, shifting the rest down in place.
-func (q *Queues) removeAt(i, j int) workload.Packet {
+func (q *Queues) pop(i, j int) workload.Packet {
 	pkts := q.q[i]
 	p := pkts[j]
 	copy(pkts[j:], pkts[j+1:])
@@ -144,17 +177,14 @@ func (q *Queues) removeAt(i, j int) workload.Packet {
 	return p
 }
 
-// Remove deletes from app's queue every packet whose flag in drop is set;
-// drop is indexed like View(app). The remaining packets keep their arrival
-// order, compacted in place in one pass, so removing a whole selection
-// costs what a single PopByID does.
+// RemoveAt deletes from the queue of the app at registration index i
+// every packet whose flag in drop is set; drop is indexed like ViewAt(i).
+// The remaining packets keep their arrival order, compacted in place in
+// one pass, so removing a whole selection costs what a single PopByID
+// does.
 //
 //etrain:hotpath
-func (q *Queues) Remove(app string, drop []bool) {
-	i := q.index(app)
-	if i < 0 {
-		return
-	}
+func (q *Queues) RemoveAt(i int, drop []bool) {
 	pkts := q.q[i]
 	kept := 0
 	for j, p := range pkts {

@@ -1,6 +1,12 @@
-# Local targets mirror .github/workflows/ci.yml one to one, so what passes
-# here passes there. staticcheck/govulncheck are optional locally (skipped
-# with a notice when not installed); CI always runs them.
+# Local targets. `test`, `race`, `perfbench`, `lint`, `gate` and
+# `determinism` run the commands of CI's test, lint, bench-gate and
+# determinism jobs (.github/workflows/ci.yml); CI's race run adds
+# -count=1, and staticcheck/govulncheck are optional locally (skipped with
+# a notice when not installed) where CI always runs them. The per-feature
+# targets (fleet-smoke, serve, chaos, scenario, diurnal, cluster, overload)
+# re-run their packages' tests under the race detector, which CI does only
+# once, in the test job's race step; their CLI checks are what CI's job of
+# the same name runs (for serve, the `load` target's command).
 
 GO ?= go
 
@@ -14,7 +20,7 @@ build:
 test:
 	$(GO) test ./...
 
-# Benchmark harness check, same as the CI test job's step: _perfbench is
+# Benchmark harness check, also a step of CI's test job: _perfbench is
 # its own module outside ./..., so build, vet and smoke-test it here (about
 # 2 s, writes no files).
 perfbench:
@@ -63,9 +69,9 @@ bench-json:
 		| $(GO) run ./cmd/etrain-benchjson > BENCH_fleet.json
 	@echo "wrote BENCH_fleet.json"
 
-# Fleet engine end-to-end check, same as the CI fleet job: a 2k-device
-# population at 1 and 8 workers must render byte-identical reports, and
-# the checkpoint/resume tests must hold under the race detector.
+# Fleet engine end-to-end check: a 2k-device population at 1 and 8
+# workers must render byte-identical reports (CI's fleet job), and the
+# checkpoint/resume tests must hold under the race detector.
 fleet-smoke:
 	$(GO) build -o /tmp/etrain-fleet ./cmd/etrain-fleet
 	/tmp/etrain-fleet -devices 2000 -workers 1 -quiet > /tmp/etrain-fleet-w1.txt
@@ -73,9 +79,9 @@ fleet-smoke:
 	diff -u /tmp/etrain-fleet-w1.txt /tmp/etrain-fleet-w8.txt
 	$(GO) test -race ./internal/fleet -run 'Halt|Resume|Checkpoint' -count=1
 
-# Service-layer checks, same as the CI serve job: the wire/in-process
-# equivalence suite, the 1k-device loopback soak and the graceful-drain
-# tests under the race detector.
+# Service-layer checks: the wire/in-process equivalence suite, the
+# 1k-device loopback soak and the graceful-drain tests under the race
+# detector. CI's serve job runs the `load` target's command.
 serve:
 	$(GO) test -race ./internal/wire -count=1
 	$(GO) test -race ./internal/server -run 'Equivalence|Soak|Drain|Shutdown' -count=1
@@ -86,21 +92,21 @@ serve:
 load:
 	$(GO) run ./cmd/etrain-load -devices 1000 -conns 16 -horizon 2m
 
-# Resilience suite, same as the CI chaos job: the fault injector and the
-# self-healing client under the race detector (including the chaos soak —
-# fault-injected fleets must produce decision streams identical to clean
-# loopback), the server's resume/park/drain tests, and a fault-injected
-# load-generation run that must complete every session.
+# Resilience suite: the fault injector and the self-healing client under
+# the race detector (including the chaos soak — fault-injected fleets must
+# produce decision streams identical to clean loopback), the server's
+# resume/park/drain tests, and a fault-injected load-generation run that
+# must complete every session (CI's chaos job).
 chaos:
 	$(GO) test -race ./internal/faultnet ./internal/client -count=1
 	$(GO) test -race ./internal/server -run 'Resume|Retain|Shutdown|Drain|Protocol' -count=1
 	$(GO) run ./cmd/etrain-load -devices 200 -conns 16 -horizon 2m -faults 0.1
 
-# Scenario engine checks, same as the CI scenario job: the declarative
-# scenario suite under the race detector (the golden corpus is pinned
-# byte-for-byte at two worker counts), the corpus validated through the
-# CLI, the chaos-soak scenario byte-compared across worker counts, and
-# the broken-Θ negative — overriding Θ to 0 must trip the saving-floor
+# Scenario engine checks: the declarative scenario suite under the race
+# detector (the golden corpus is pinned byte-for-byte at two worker
+# counts), then CI's scenario job — the corpus validated through the CLI,
+# the fault-burst scenario byte-compared across worker counts, and the
+# broken-Θ negative: overriding Θ to 0 must trip the saving-floor
 # assertion and flip the exit code.
 scenario:
 	$(GO) test -race ./internal/scenario -count=1
@@ -111,11 +117,11 @@ scenario:
 	diff -u /tmp/etrain-scenario-w1.txt /tmp/etrain-scenario-w8.txt
 	! /tmp/etrain-sim run -theta 0 scenarios/clean-baseline.yaml >/dev/null
 
-# Diurnal + radio suite, same as the CI diurnal job: the workload-curve
-# and DRX packages under the race detector plus the fleet/scenario
-# diurnal determinism tests, then the byte-compare smokes — a
-# week-compressed 2k-device diurnal fleet under LTE DRX and the
-# diurnal-week scenario must render identically at 1 and 8 workers.
+# Diurnal + radio suite: the workload-curve and radio packages under the
+# race detector plus the fleet/scenario diurnal determinism tests, then
+# CI's diurnal job — the byte-compare smokes: a week-compressed
+# 2k-device diurnal fleet under LTE DRX and the diurnal-week scenario
+# must render identically at 1 and 8 workers.
 diurnal:
 	$(GO) test -race ./internal/diurnal ./internal/radio -count=1
 	$(GO) test -race ./internal/fleet ./internal/scenario -run Diurnal -count=1
@@ -128,25 +134,26 @@ diurnal:
 	/tmp/etrain-sim run -workers 8 scenarios/diurnal-week.yaml > /tmp/etrain-diurnal-scen-w8.txt
 	diff -u /tmp/etrain-diurnal-scen-w1.txt /tmp/etrain-diurnal-scen-w8.txt
 
-# Cluster suite, same as the CI cluster job: the control-plane package
-# under the race detector — ring determinism and ~1/N movement,
-# controller membership/drain/sweep, the in-process failover
-# zero-decision-loss test — then the 3-process smoke: a real controller
-# and three race-instrumented etraind shards serve an etrain-load
-# -cluster fleet while one shard is SIGKILLed mid-run; every session
-# must still complete and the fleet-wide merged stats block must be
-# byte-identical to a single-process run of the same fleet.
+# Cluster suite: the control-plane package under the race detector —
+# ring determinism and ~1/N movement, controller membership/drain/sweep,
+# the in-process failover zero-decision-loss test — then CI's cluster
+# job, the 3-process smoke: a real controller and three race-instrumented
+# etraind shards serve an etrain-load -cluster fleet while one shard is
+# SIGKILLed mid-run; every session must still complete and the
+# fleet-wide merged stats block must be byte-identical to a
+# single-process run of the same fleet.
 cluster:
 	$(GO) test -race ./internal/cluster -count=1
 	bash scripts/cluster-smoke.sh
 
-# Overload-survivability suite, same as the CI overload job: admission
-# control and deadline-aware shedding in the server, the client's retry
-# budget and Busy handling, controller snapshot/restore (including the
-# crash-restart recovery test and the thundering-herd shard-kill chaos
-# test), all under the race detector — then an overload soak: a fleet at
-# ~2x the loopback server's admission capacity must complete every
-# session, with refusals, sheds and budget exhaustions in the ledger.
+# Overload-survivability suite: admission control and deadline-aware
+# shedding in the server, the client's retry budget and Busy handling,
+# controller snapshot/restore (including the crash-restart recovery test
+# and the thundering-herd shard-kill chaos test), all under the race
+# detector, and the overload-burst golden — then CI's overload job, an
+# overload soak: a fleet at ~2x the loopback server's admission capacity
+# must complete every session, with refusals, sheds and budget
+# exhaustions in the ledger.
 overload:
 	$(GO) test -race ./internal/server -run 'Admission|TokenBucket|Busy|Shed' -count=1
 	$(GO) test -race ./internal/client -run 'Busy|Budget|PermanentRefusal' -count=1
@@ -196,7 +203,7 @@ gate:
 		| $(GO) run ./cmd/etrain-benchjson -gate BENCH_cluster.json -tolerance $(GATETOL)
 
 # End-to-end determinism check: full registry, sequential vs 8 workers,
-# byte-compared — same as the CI determinism job.
+# byte-compared (CI's determinism job).
 determinism:
 	$(GO) build -o /tmp/etrain-experiments ./cmd/etrain-experiments
 	/tmp/etrain-experiments -parallel 1 -ablations > /tmp/etrain-seq.txt

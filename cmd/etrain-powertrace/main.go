@@ -100,7 +100,7 @@ func run() error {
 		if err != nil {
 			return err
 		}
-		packets, err := workload.Generate(src.Split(), workload.DefaultSpecs(), *horizon)
+		packets, err := workload.Generate(src.Split(), workload.DefaultSpecs(), *horizon, nil)
 		if err != nil {
 			return err
 		}

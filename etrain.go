@@ -306,7 +306,7 @@ func buildSimInputs(cfg SimConfig) (sim.Config, error) {
 			return sim.Config{}, err
 		}
 	}
-	packets, err := workload.Generate(src.Split(), cargo, horizon)
+	packets, err := workload.Generate(src.Split(), cargo, horizon, nil)
 	if err != nil {
 		return sim.Config{}, err
 	}

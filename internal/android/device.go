@@ -20,7 +20,7 @@ type Device struct {
 	power     radio.PowerModel
 	bw        *bandwidth.Trace
 	timeline  *radio.Timeline
-	machine   *radio.Machine
+	machine   radio.Machine[radio.PowerModel]
 	busyUntil time.Duration
 }
 

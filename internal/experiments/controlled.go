@@ -119,7 +119,7 @@ func runControlled(spec controlledSpec) (*controlledRun, error) {
 // controlledPackets builds the controlled experiments' cargo workload: the
 // paper's three cargo apps at λ = 0.08 with the simulation deadlines.
 func controlledPackets(seed int64, horizon time.Duration) ([]workload.Packet, error) {
-	return workload.Generate(randx.New(seed), workload.DefaultSpecs(), horizon)
+	return workload.Generate(randx.New(seed), workload.DefaultSpecs(), horizon, nil)
 }
 
 // Fig10a reproduces the impact of the number of train apps: total energy,
@@ -249,7 +249,7 @@ func Fig10c(opts Options) (*Table, error) {
 		for i := range specs {
 			specs[i] = specs[i].WithDeadline(deadline)
 		}
-		packets, err := workload.Generate(randx.New(opts.Seed+2), specs, cfg.Horizon)
+		packets, err := workload.Generate(randx.New(opts.Seed+2), specs, cfg.Horizon, nil)
 		if err != nil {
 			return nil, err
 		}

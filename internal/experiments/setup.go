@@ -113,7 +113,7 @@ func buildSimConfig(opts Options, lambda float64) (sim.Config, error) {
 	if err != nil {
 		return sim.Config{}, err
 	}
-	packets, err := workload.Generate(src.Split(), specs, horizon)
+	packets, err := workload.Generate(src.Split(), specs, horizon, nil)
 	if err != nil {
 		return sim.Config{}, err
 	}

@@ -97,11 +97,11 @@ func SynthesizeDeviceOpts(fleetSeed int64, pop *workload.Population, index int, 
 	}
 	trains := deviceTrains(src)
 	sessSrc := src.SplitPooled()
-	trace := workload.SynthesizeSessionDiurnal(sessSrc, fmt.Sprintf("device-%d", index), class, horizon, sampler)
+	trace := workload.SynthesizeSession(sessSrc, fmt.Sprintf("device-%d", index), class, horizon, sampler)
 	sessSrc.Release()
 	session := workload.PacketsFromTrace(trace, profile.Weibo(sessionDeadline))
 	genSrc := src.SplitPooled()
-	background, err := workload.GenerateDiurnal(genSrc, backgroundSpecs(class), horizon, sampler)
+	background, err := workload.Generate(genSrc, backgroundSpecs(class), horizon, sampler)
 	genSrc.Release()
 	if err != nil {
 		return Device{}, err

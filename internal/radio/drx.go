@@ -29,6 +29,10 @@ type Model interface {
 	TailStateAt(sinceTxEnd time.Duration) State
 	// Power is the extra power drawn in the given state.
 	Power(s State) float64
+	// nextTailBoundary is the first offset after off, both offsets from
+	// a transmission's end, at which TailStateAt can change, or -1 once
+	// the tail is exhausted. Machine walks the tail through it.
+	nextTailBoundary(off time.Duration) time.Duration
 }
 
 var (
@@ -207,6 +211,33 @@ func (m DRXModel) TailStateAt(sinceTxEnd time.Duration) State {
 		return StateDRXOn
 	}
 	return StateDRXSleep
+}
+
+// nextTailBoundary returns the next offset after off at which the tail
+// state can change — the inactivity timer's expiry, then each cycle's
+// on-duration edge and cycle end, capped at RRC release — or -1 once
+// the tail is exhausted.
+func (m DRXModel) nextTailBoundary(off time.Duration) time.Duration {
+	if off >= m.ReleaseAfter {
+		return -1
+	}
+	if off < m.InactivityTimer {
+		return min(m.InactivityTimer, m.ReleaseAfter)
+	}
+	shortEnd := m.InactivityTimer + m.shortSpan()
+	var cycleStart, cycle time.Duration
+	if off < shortEnd {
+		cycle = m.ShortCycle
+		cycleStart = m.InactivityTimer + (off-m.InactivityTimer)/cycle*cycle
+	} else {
+		cycle = m.LongCycle
+		cycleStart = shortEnd + (off-shortEnd)/cycle*cycle
+	}
+	next := cycleStart + cycle
+	if edge := cycleStart + m.OnDuration; off < edge {
+		next = edge
+	}
+	return min(next, m.ReleaseAfter)
 }
 
 // Power returns the extra power drawn in the given state.

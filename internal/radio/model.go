@@ -1,8 +1,11 @@
-// Package radio models the 3G cellular radio of the paper's test devices:
-// the RRC state machine (IDLE / FACH / DCH), the high-power tail that
-// follows every transmission, and the resulting energy accounting.
+// Package radio models a device's radio: its states, the high-power tail
+// that follows every transmission, and the resulting energy accounting.
+// Two generations implement Model: PowerModel, the paper's 3G RRC machine
+// (IDLE / FACH / DCH) with LTE and WiFi parameter sets, and DRXModel, the
+// LTE/5G connected-mode DRX machine. One live Machine and one EnergyFold
+// serve every Model.
 //
-// The model is exactly the paper's (§II-C, §III-A): after a transmission the
+// PowerModel is exactly the paper's (§II-C, §III-A): after a transmission the
 // radio lingers in DCH for δ_D, demotes to FACH for δ_F, then returns to
 // IDLE. Using the IDLE power p_I as the zero baseline, the extra tail energy
 // wasted in a gap Δ between consecutive transmissions is
@@ -184,6 +187,20 @@ func (m PowerModel) TailStateAt(sinceTxEnd time.Duration) State {
 	}
 }
 
+// nextTailBoundary returns the next offset after off at which the tail
+// state can change — δ_D, then δ_D+δ_F — or -1 once the tail is
+// exhausted.
+func (m PowerModel) nextTailBoundary(off time.Duration) time.Duration {
+	switch {
+	case off < m.DeltaD:
+		return m.DeltaD
+	case off < m.DeltaD+m.DeltaF:
+		return m.DeltaD + m.DeltaF
+	default:
+		return -1
+	}
+}
+
 // Power returns the extra power (above IDLE) drawn in the given state.
 func (m PowerModel) Power(s State) float64 {
 	switch s {
@@ -206,6 +223,9 @@ func (m PowerModel) Validate() error {
 	}
 	if m.DeltaD < 0 || m.DeltaF < 0 {
 		return fmt.Errorf("radio: negative tail durations δD=%v δF=%v", m.DeltaD, m.DeltaF)
+	}
+	if m.PromotionDelay < 0 {
+		return fmt.Errorf("radio: negative promotion delay %v", m.PromotionDelay)
 	}
 	return nil
 }

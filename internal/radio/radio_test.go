@@ -144,6 +144,11 @@ func TestValidate(t *testing.T) {
 	if err := neg.Validate(); err == nil {
 		t.Fatal("negative deltaD accepted")
 	}
+	promo := GalaxyS43G()
+	promo.PromotionDelay = -2 * time.Second
+	if err := promo.Validate(); err == nil {
+		t.Fatal("negative promotion delay accepted")
+	}
 }
 
 func TestStateStrings(t *testing.T) {

@@ -30,7 +30,7 @@ func runnerConfig(t testing.TB, seed int64, horizon time.Duration) Config {
 	if err != nil {
 		t.Fatal(err)
 	}
-	packets, err := workload.Generate(src.Split(), workload.DefaultSpecs(), horizon)
+	packets, err := workload.Generate(src.Split(), workload.DefaultSpecs(), horizon, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -26,7 +26,7 @@ func paperConfig(t *testing.T, seed int64) Config {
 	if err != nil {
 		t.Fatal(err)
 	}
-	packets, err := workload.Generate(src.Split(), workload.DefaultSpecs(), testHorizon)
+	packets, err := workload.Generate(src.Split(), workload.DefaultSpecs(), testHorizon, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,7 +258,7 @@ func TestEngineInvariantsProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		packets, err := workload.Generate(src.Split(), workload.DefaultSpecs(), horizon)
+		packets, err := workload.Generate(src.Split(), workload.DefaultSpecs(), horizon, nil)
 		if err != nil {
 			return false
 		}

@@ -2,43 +2,12 @@ package workload
 
 import (
 	"math"
-	"reflect"
 	"testing"
 	"time"
 
 	"etrain/internal/diurnal"
 	"etrain/internal/randx"
 )
-
-func TestSynthesizeSessionDiurnalNilSamplerIsLegacy(t *testing.T) {
-	for _, class := range []ActivenessClass{ClassActive, ClassModerate, ClassInactive} {
-		a := SynthesizeSession(randx.New(31), "u", class, time.Hour)
-		b := SynthesizeSessionDiurnal(randx.New(31), "u", class, time.Hour, nil)
-		if !reflect.DeepEqual(a, b) {
-			t.Fatalf("%v: nil-sampler diurnal session diverged from legacy", class)
-		}
-	}
-}
-
-func TestGenerateDiurnalNilSamplerIsLegacy(t *testing.T) {
-	a, err := Generate(randx.New(13), DefaultSpecs(), time.Hour)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := GenerateDiurnal(randx.New(13), DefaultSpecs(), time.Hour, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(a) != len(b) {
-		t.Fatalf("nil-sampler diurnal cargo diverged: %d vs %d packets", len(a), len(b))
-	}
-	for i := range a {
-		// Profile holds function values, so compare the value fields.
-		if a[i].ID != b[i].ID || a[i].App != b[i].App || a[i].ArrivedAt != b[i].ArrivedAt || a[i].Size != b[i].Size {
-			t.Fatalf("packet %d diverged: %+v vs %+v", i, a[i], b[i])
-		}
-	}
-}
 
 func TestSynthesizeSessionDiurnalFollowsCurve(t *testing.T) {
 	// Under the week profile at scale 1, a session window over the deep
@@ -53,7 +22,7 @@ func TestSynthesizeSessionDiurnalFollowsCurve(t *testing.T) {
 		prof := *p
 		prof.Start = start
 		sam := prof.ForDevice("moderate", 1)
-		recs := SynthesizeSessionDiurnal(randx.New(seed), "u", ClassActive, window, sam)
+		recs := SynthesizeSession(randx.New(seed), "u", ClassActive, window, sam)
 		for _, r := range recs {
 			if r.At < 0 || r.At >= window {
 				t.Fatalf("record at %v outside [0, %v)", r.At, window)
@@ -82,7 +51,7 @@ func TestGenerateDiurnalRateTracksCurveArea(t *testing.T) {
 	total := 0
 	const trials = 40
 	for seed := int64(0); seed < trials; seed++ {
-		pkts, err := GenerateDiurnal(randx.New(100+seed), specs, horizon, sam)
+		pkts, err := Generate(randx.New(100+seed), specs, horizon, sam)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -109,7 +78,7 @@ func TestGenerateDiurnalValidatesSpecs(t *testing.T) {
 	sam := p.ForDevice("moderate", 1)
 	bad := MailSpec()
 	bad.MeanInterArrival = 0
-	if _, err := GenerateDiurnal(randx.New(1), []CargoSpec{bad}, time.Hour, sam); err == nil {
+	if _, err := Generate(randx.New(1), []CargoSpec{bad}, time.Hour, sam); err == nil {
 		t.Fatal("invalid spec accepted")
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"sort"
 	"time"
 
+	"etrain/internal/diurnal"
 	"etrain/internal/randx"
 )
 
@@ -106,22 +107,26 @@ func (p *Population) Pick(u float64) (int, ActivenessClass) {
 }
 
 // SynthesizeSession generates a user trace of the requested activeness
-// class over a session of the given length: upload events uniformly
-// spread through the session with weibo-like sizes, interleaved with
-// browse-triggered downloads. Event counts scale linearly with the
-// session length relative to the paper's 10-minute app-use window, so a
-// class keeps its per-window upload density at any horizon.
-// SynthesizeSession(src, id, class, SessionLength) consumes exactly the
-// same draws as SynthesizeUser and returns the same trace.
-func SynthesizeSession(src *randx.Source, userID string, class ActivenessClass, length time.Duration) []BehaviorRecord {
-	uploads := scaleSessionCount(uploadsFor(src, class), length)
+// class over a session of the given length: upload events spread through
+// the session with weibo-like sizes, interleaved with browse-triggered
+// downloads. Event counts scale linearly with the session length relative
+// to the paper's 10-minute app-use window, so a class keeps its
+// per-window upload density at any horizon, and instants are uniform.
+// A diurnal sampler instead scales counts with the activity curve's area
+// over the session window and places instants by inverse-CDF over the
+// device's phased curve, so a night-window session is sparse and an
+// evening-peak session dense; it reinterprets the same draws in the same
+// order. SynthesizeSession(src, id, class, SessionLength, nil) consumes
+// exactly the same draws as SynthesizeUser and returns the same trace.
+func SynthesizeSession(src *randx.Source, userID string, class ActivenessClass, length time.Duration, sam *diurnal.Sampler) []BehaviorRecord {
+	uploads := scaleSessionCount(uploadsFor(src, class), length, sam)
 	downloads := uploads/2 + src.Intn(uploads+1)
 	var records []BehaviorRecord
 	for i := 0; i < uploads; i++ {
 		records = append(records, BehaviorRecord{
 			UserID:   userID,
 			Behavior: BehaviorUpload,
-			At:       time.Duration(src.Float64() * float64(length)),
+			At:       placeInSession(src.Float64(), length, sam),
 			Size:     int64(src.TruncatedNormal(2*1024, 1024, 100)),
 		})
 	}
@@ -129,7 +134,7 @@ func SynthesizeSession(src *randx.Source, userID string, class ActivenessClass, 
 		records = append(records, BehaviorRecord{
 			UserID:   userID,
 			Behavior: BehaviorDownload,
-			At:       time.Duration(src.Float64() * float64(length)),
+			At:       placeInSession(src.Float64(), length, sam),
 			Size:     int64(src.TruncatedNormal(8*1024, 4*1024, 500)),
 		})
 	}
@@ -138,12 +143,27 @@ func SynthesizeSession(src *randx.Source, userID string, class ActivenessClass, 
 }
 
 // scaleSessionCount scales a per-10-minute-window event count to the
-// session length, keeping at least one event. Scaling by exactly 1.0 is
-// the identity, which keeps SynthesizeUser bit-compatible.
-func scaleSessionCount(base int, length time.Duration) int {
-	scaled := int(math.Round(float64(base) * float64(length) / float64(SessionLength)))
+// session length, or under a sampler to the activity curve's area over the
+// session window, keeping at least one event. Scaling by exactly 1.0 is
+// the identity, which keeps SynthesizeUser bit-compatible, and under a
+// flat level-1 curve the two scalings agree for any length.
+func scaleSessionCount(base int, length time.Duration, sam *diurnal.Sampler) int {
+	span, window := float64(length), float64(SessionLength)
+	if sam != nil {
+		span, window = sam.WindowWeight(length), SessionLength.Seconds()
+	}
+	scaled := int(math.Round(float64(base) * span / window))
 	if scaled < 1 {
 		return 1
 	}
 	return scaled
+}
+
+// placeInSession maps a uniform draw u ∈ [0, 1) onto an instant in
+// [0, length): uniformly, or under a sampler by its activity curve.
+func placeInSession(u float64, length time.Duration, sam *diurnal.Sampler) time.Duration {
+	if sam == nil {
+		return time.Duration(u * float64(length))
+	}
+	return sam.PlaceInWindow(u, length)
 }

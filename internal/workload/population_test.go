@@ -94,7 +94,7 @@ func TestPopulationPickBoundaries(t *testing.T) {
 func TestSynthesizeSessionMatchesSynthesizeUser(t *testing.T) {
 	for _, class := range []ActivenessClass{ClassActive, ClassModerate, ClassInactive} {
 		a := SynthesizeUser(randx.New(7), "u", class)
-		b := SynthesizeSession(randx.New(7), "u", class, SessionLength)
+		b := SynthesizeSession(randx.New(7), "u", class, SessionLength, nil)
 		if len(a) != len(b) {
 			t.Fatalf("%s: %d vs %d records", class, len(a), len(b))
 		}
@@ -118,14 +118,14 @@ func TestSynthesizeSessionScalesWithLength(t *testing.T) {
 		}
 		return n
 	}
-	short := SynthesizeSession(randx.New(3), "u", ClassActive, SessionLength)
-	long := SynthesizeSession(randx.New(3), "u", ClassActive, 4*SessionLength)
+	short := SynthesizeSession(randx.New(3), "u", ClassActive, SessionLength, nil)
+	long := SynthesizeSession(randx.New(3), "u", ClassActive, 4*SessionLength, nil)
 	su, lu := countUploads(short), countUploads(long)
 	if lu < 3*su {
 		t.Errorf("4x session uploads %d vs 1x %d: not scaling", lu, su)
 	}
 	length := 90 * time.Second
-	for _, r := range SynthesizeSession(randx.New(3), "u", ClassInactive, length) {
+	for _, r := range SynthesizeSession(randx.New(3), "u", ClassInactive, length, nil) {
 		if r.At < 0 || r.At >= length {
 			t.Fatalf("record at %v outside [0, %v)", r.At, length)
 		}

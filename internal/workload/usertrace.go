@@ -124,7 +124,7 @@ func uploadsFor(src *randx.Source, class ActivenessClass) int {
 // weibo-like sizes, interleaved with browse-triggered downloads. It is the
 // paper's fixed app-use window; SynthesizeSession generalizes the length.
 func SynthesizeUser(src *randx.Source, userID string, class ActivenessClass) []BehaviorRecord {
-	return SynthesizeSession(src, userID, class, SessionLength)
+	return SynthesizeSession(src, userID, class, SessionLength, nil)
 }
 
 // PacketsFromTrace converts a user trace into schedulable packets. Browse

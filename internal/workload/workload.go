@@ -14,6 +14,7 @@ import (
 	"sort"
 	"time"
 
+	"etrain/internal/diurnal"
 	"etrain/internal/profile"
 	"etrain/internal/randx"
 )
@@ -176,7 +177,12 @@ func (s CargoSpec) WithDeadline(deadline time.Duration) CargoSpec {
 
 // Generate draws every packet of the given cargo apps over [0, horizon),
 // merged and sorted by arrival time, with IDs assigned in arrival order.
-func Generate(src *randx.Source, specs []CargoSpec, horizon time.Duration) ([]Packet, error) {
+// Each app's arrivals are a homogeneous Poisson process; a diurnal sampler
+// replaces it with a thinned non-homogeneous one whose rate follows the
+// sampler's cargo factor (activity curve × scheduled events). Either way
+// each app draws from its own pooled child stream, all arrivals before
+// all sizes.
+func Generate(src *randx.Source, specs []CargoSpec, horizon time.Duration, sam *diurnal.Sampler) ([]Packet, error) {
 	var all []Packet
 	for _, spec := range specs {
 		if err := spec.Validate(); err != nil {
@@ -185,8 +191,13 @@ func Generate(src *randx.Source, specs []CargoSpec, horizon time.Duration) ([]Pa
 		// appSrc (and the process retaining it) is fully drained within
 		// this iteration, so it comes from the source pool.
 		appSrc := src.SplitPooled()
-		proc := randx.NewPoissonProcess(appSrc, spec.MeanInterArrival)
-		for _, at := range proc.ArrivalsUntil(horizon) {
+		var arrivals []time.Duration
+		if sam == nil {
+			arrivals = randx.NewPoissonProcess(appSrc, spec.MeanInterArrival).ArrivalsUntil(horizon)
+		} else {
+			arrivals = sam.Arrivals(appSrc, spec.MeanInterArrival, horizon)
+		}
+		for _, at := range arrivals {
 			size := int64(appSrc.TruncatedNormal(spec.SizeMean, spec.SizeStdDev, spec.SizeMin))
 			all = append(all, Packet{
 				App:       spec.Name,

@@ -61,7 +61,7 @@ func TestSpecsForLambdaRejectsNonPositive(t *testing.T) {
 }
 
 func TestGenerateSortedWithIDs(t *testing.T) {
-	packets, err := Generate(randx.New(1), DefaultSpecs(), 2*time.Hour)
+	packets, err := Generate(randx.New(1), DefaultSpecs(), 2*time.Hour, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +86,7 @@ func TestGenerateSortedWithIDs(t *testing.T) {
 
 func TestGenerateRateMatchesLambda(t *testing.T) {
 	horizon := 20 * time.Hour
-	packets, err := Generate(randx.New(2), DefaultSpecs(), horizon)
+	packets, err := Generate(randx.New(2), DefaultSpecs(), horizon, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +98,7 @@ func TestGenerateRateMatchesLambda(t *testing.T) {
 }
 
 func TestGenerateSizesRespectMinimum(t *testing.T) {
-	packets, err := Generate(randx.New(3), DefaultSpecs(), 5*time.Hour)
+	packets, err := Generate(randx.New(3), DefaultSpecs(), 5*time.Hour, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +111,7 @@ func TestGenerateSizesRespectMinimum(t *testing.T) {
 }
 
 func TestGenerateMeanSizes(t *testing.T) {
-	packets, err := Generate(randx.New(4), []CargoSpec{MailSpec()}, 100*time.Hour)
+	packets, err := Generate(randx.New(4), []CargoSpec{MailSpec()}, 100*time.Hour, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,11 +128,11 @@ func TestGenerateMeanSizes(t *testing.T) {
 }
 
 func TestGenerateDeterministic(t *testing.T) {
-	a, err := Generate(randx.New(7), DefaultSpecs(), time.Hour)
+	a, err := Generate(randx.New(7), DefaultSpecs(), time.Hour, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Generate(randx.New(7), DefaultSpecs(), time.Hour)
+	b, err := Generate(randx.New(7), DefaultSpecs(), time.Hour, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +148,7 @@ func TestGenerateDeterministic(t *testing.T) {
 
 func TestGenerateRejectsInvalidSpec(t *testing.T) {
 	bad := CargoSpec{Name: "bad"}
-	if _, err := Generate(randx.New(1), []CargoSpec{bad}, time.Hour); err == nil {
+	if _, err := Generate(randx.New(1), []CargoSpec{bad}, time.Hour, nil); err == nil {
 		t.Fatal("invalid spec accepted")
 	}
 }
@@ -202,7 +202,7 @@ func TestRateZeroForNoInterArrival(t *testing.T) {
 // sizes at least the minimum, across seeds.
 func TestGenerateProperty(t *testing.T) {
 	prop := func(seed int64) bool {
-		packets, err := Generate(randx.New(seed), []CargoSpec{WeiboSpec()}, 30*time.Minute)
+		packets, err := Generate(randx.New(seed), []CargoSpec{WeiboSpec()}, 30*time.Minute, nil)
 		if err != nil {
 			return false
 		}

@@ -151,6 +151,83 @@ func TestDRXTailStateAtBoundaries(t *testing.T) {
 	}
 }
 
+// TestDRXMachineAgreesWithModel drives the live machine over the LTE DRX
+// model through a transmission schedule and checks its state at a dense
+// sweep of instants against TailStateAt relative to the last
+// transmission end.
+func TestDRXMachineAgreesWithModel(t *testing.T) {
+	model := LTEDRX()
+	dm := NewMachine(model)
+	var last Transition
+	dm.Subscribe(func(tr Transition) {
+		if tr.At < last.At {
+			t.Fatalf("transition at %v after one at %v", tr.At, last.At)
+		}
+		if tr.From == tr.To {
+			t.Fatalf("self transition %v at %v", tr.To, tr.At)
+		}
+		last = tr
+	})
+
+	if got := dm.State(0); got != StatePSM {
+		t.Fatalf("initial state %v, want PSM", got)
+	}
+	txs := []struct{ start, txTime time.Duration }{
+		{1 * time.Second, 150 * time.Millisecond},
+		{2 * time.Second, 80 * time.Millisecond},   // lands inside previous tail
+		{20 * time.Second, 120 * time.Millisecond}, // after full release
+	}
+	txEnd := time.Duration(-1)
+	step := 13 * time.Millisecond
+	now := time.Duration(0)
+	for _, tx := range txs {
+		for ; now < tx.start; now += step {
+			got := dm.State(now)
+			var want State
+			if txEnd < 0 {
+				want = StatePSM
+			} else {
+				want = model.TailStateAt(now - txEnd)
+			}
+			if got != want {
+				t.Fatalf("state at %v = %v, want %v (txEnd %v)", now, got, want, txEnd)
+			}
+			if p, w := dm.Power(now), model.Power(want); p != w {
+				t.Fatalf("power at %v = %v, want %v", now, p, w)
+			}
+		}
+		dm.BeginTransmission(tx.start)
+		if got := dm.State(tx.start); got != StateTransmitting {
+			t.Fatalf("not transmitting at %v: %v", tx.start, got)
+		}
+		txEnd = tx.start + tx.txTime
+		dm.EndTransmission(txEnd)
+		now = txEnd
+	}
+	for ; now < 40*time.Second; now += step {
+		if got, want := dm.State(now), model.TailStateAt(now-txEnd); got != want {
+			t.Fatalf("state at %v = %v, want %v", now, got, want)
+		}
+	}
+	if dm.Transitions() == 0 {
+		t.Fatal("no transitions recorded")
+	}
+}
+
+func TestDRXMachineNestedTransmissions(t *testing.T) {
+	dm := NewMachine(LTEDRX())
+	dm.BeginTransmission(time.Second)
+	dm.BeginTransmission(2 * time.Second)
+	dm.EndTransmission(3 * time.Second)
+	if got := dm.State(3 * time.Second); got != StateTransmitting {
+		t.Fatalf("left transmitting with one nested begin open: %v", got)
+	}
+	dm.EndTransmission(4 * time.Second)
+	if got := dm.State(4 * time.Second); got != StateDRXActive {
+		t.Fatalf("after final end: %v, want ACTIVE", got)
+	}
+}
+
 func TestModelByName(t *testing.T) {
 	for _, name := range append(ModelNames(), "3g-rrc", "5g-drx") {
 		m, err := ModelByName(name)

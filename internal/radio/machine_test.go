@@ -79,6 +79,50 @@ func TestMachineListenersSeeTransitionsAtTrueInstants(t *testing.T) {
 	}
 }
 
+func TestMachineMatchesTimelineDerivation(t *testing.T) {
+	// The live machine and the post-hoc timeline derivation must agree on
+	// every sampled instant.
+	model := GalaxyS43G()
+	var tl Timeline
+	txs := []Transmission{
+		{Start: 3 * time.Second, TxTime: time.Second, Kind: TxHeartbeat},
+		{Start: 9 * time.Second, TxTime: 2 * time.Second, Kind: TxData},
+		{Start: 45 * time.Second, TxTime: 500 * time.Millisecond, Kind: TxData},
+	}
+	for _, tx := range txs {
+		if err := tl.Append(tx); err != nil {
+			t.Fatal(err)
+		}
+	}
+	m := NewMachine(model)
+	txIdx := 0
+	var pendingEnd time.Duration
+	inTx := false
+	for at := time.Duration(0); at < 90*time.Second; at += 250 * time.Millisecond {
+		// Feed machine events that occur before this sample.
+		for {
+			if inTx && pendingEnd <= at {
+				m.EndTransmission(pendingEnd)
+				inTx = false
+				continue
+			}
+			if !inTx && txIdx < len(txs) && txs[txIdx].Start <= at {
+				m.BeginTransmission(txs[txIdx].Start)
+				pendingEnd = txs[txIdx].End()
+				inTx = true
+				txIdx++
+				continue
+			}
+			break
+		}
+		live := m.State(at)
+		derived := tl.StateAt(model, at)
+		if live != derived {
+			t.Fatalf("at %v: machine %v != timeline %v", at, live, derived)
+		}
+	}
+}
+
 func TestMachinePower(t *testing.T) {
 	m := NewMachine(GalaxyS43G())
 	m.BeginTransmission(0)
@@ -88,6 +132,25 @@ func TestMachinePower(t *testing.T) {
 	m.EndTransmission(time.Second)
 	if got := m.Power(30 * time.Second); got != 0 {
 		t.Fatalf("idle power = %v", got)
+	}
+}
+
+func TestMachineDefensiveNesting(t *testing.T) {
+	m := NewMachine(GalaxyS43G())
+	m.BeginTransmission(0)
+	m.BeginTransmission(time.Second) // overlapping (defensive)
+	m.EndTransmission(2 * time.Second)
+	if got := m.State(2 * time.Second); got != StateTransmitting {
+		t.Fatalf("state with one open tx = %v", got)
+	}
+	m.EndTransmission(3 * time.Second)
+	if got := m.State(3 * time.Second); got != StateDCH {
+		t.Fatalf("state after all tx end = %v", got)
+	}
+	// A stray extra EndTransmission must not underflow.
+	m.EndTransmission(4 * time.Second)
+	if got := m.State(5 * time.Second); got != StateDCH {
+		t.Fatalf("state after stray end = %v", got)
 	}
 }
 

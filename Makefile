@@ -6,7 +6,8 @@
 # targets (fleet-smoke, serve, chaos, scenario, diurnal, cluster, overload)
 # re-run their packages' tests under the race detector, which CI does only
 # once, in the test job's race step; their CLI checks are what CI's job of
-# the same name runs (for serve, the `load` target's command).
+# the same name runs (for serve, the `load` target's command). Every
+# workers-1-vs-8 byte-compare is a row of `make determinism`.
 
 GO ?= go
 
@@ -69,14 +70,10 @@ bench-json:
 		| $(GO) run ./cmd/etrain-benchjson > BENCH_fleet.json
 	@echo "wrote BENCH_fleet.json"
 
-# Fleet engine end-to-end check: a 2k-device population at 1 and 8
-# workers must render byte-identical reports (CI's fleet job), and the
-# checkpoint/resume tests must hold under the race detector.
+# Fleet engine checks: the checkpoint/resume tests under the race
+# detector. The 2k-device workers-1-vs-8 byte-compare is a row of
+# `make determinism`.
 fleet-smoke:
-	$(GO) build -o /tmp/etrain-fleet ./cmd/etrain-fleet
-	/tmp/etrain-fleet -devices 2000 -workers 1 -quiet > /tmp/etrain-fleet-w1.txt
-	/tmp/etrain-fleet -devices 2000 -workers 8 -quiet > /tmp/etrain-fleet-w8.txt
-	diff -u /tmp/etrain-fleet-w1.txt /tmp/etrain-fleet-w8.txt
 	$(GO) test -race ./internal/fleet -run 'Halt|Resume|Checkpoint' -count=1
 
 # Service-layer checks: the wire/in-process equivalence suite, the
@@ -104,35 +101,24 @@ chaos:
 
 # Scenario engine checks: the declarative scenario suite under the race
 # detector (the golden corpus is pinned byte-for-byte at two worker
-# counts), then CI's scenario job — the corpus validated through the CLI,
-# the fault-burst scenario byte-compared across worker counts, and the
-# broken-Θ negative: overriding Θ to 0 must trip the saving-floor
-# assertion and flip the exit code.
+# counts), then CI's scenario job — the corpus validated through the CLI
+# and the broken-Θ negative: overriding Θ to 0 must trip the saving-floor
+# assertion and flip the exit code. The fault-burst workers-1-vs-8
+# byte-compare is a row of `make determinism`.
 scenario:
 	$(GO) test -race ./internal/scenario -count=1
 	$(GO) build -o /tmp/etrain-sim ./cmd/etrain-sim
 	/tmp/etrain-sim validate scenarios/*.yaml
-	/tmp/etrain-sim run -workers 1 scenarios/fault-burst.yaml > /tmp/etrain-scenario-w1.txt
-	/tmp/etrain-sim run -workers 8 scenarios/fault-burst.yaml > /tmp/etrain-scenario-w8.txt
-	diff -u /tmp/etrain-scenario-w1.txt /tmp/etrain-scenario-w8.txt
 	! /tmp/etrain-sim run -theta 0 scenarios/clean-baseline.yaml >/dev/null
 
 # Diurnal + radio suite: the workload-curve and radio packages under the
-# race detector plus the fleet/scenario diurnal determinism tests, then
-# CI's diurnal job — the byte-compare smokes: a week-compressed
-# 2k-device diurnal fleet under LTE DRX and the diurnal-week scenario
-# must render identically at 1 and 8 workers.
+# race detector plus the fleet/scenario diurnal determinism tests. The
+# byte-compare smokes — a week-compressed 2k-device diurnal fleet under
+# LTE DRX and the diurnal-week scenario at 1 and 8 workers — are rows of
+# `make determinism`.
 diurnal:
 	$(GO) test -race ./internal/diurnal ./internal/radio -count=1
 	$(GO) test -race ./internal/fleet ./internal/scenario -run Diurnal -count=1
-	$(GO) build -o /tmp/etrain-fleet ./cmd/etrain-fleet
-	/tmp/etrain-fleet -devices 2000 -workers 1 -quiet -diurnal week -time-scale 1008 -radio lte-drx > /tmp/etrain-diurnal-w1.txt
-	/tmp/etrain-fleet -devices 2000 -workers 8 -quiet -diurnal week -time-scale 1008 -radio lte-drx > /tmp/etrain-diurnal-w8.txt
-	diff -u /tmp/etrain-diurnal-w1.txt /tmp/etrain-diurnal-w8.txt
-	$(GO) build -o /tmp/etrain-sim ./cmd/etrain-sim
-	/tmp/etrain-sim run -workers 1 scenarios/diurnal-week.yaml > /tmp/etrain-diurnal-scen-w1.txt
-	/tmp/etrain-sim run -workers 8 scenarios/diurnal-week.yaml > /tmp/etrain-diurnal-scen-w8.txt
-	diff -u /tmp/etrain-diurnal-scen-w1.txt /tmp/etrain-diurnal-scen-w8.txt
 
 # Cluster suite: the control-plane package under the race detector —
 # ring determinism and ~1/N movement, controller membership/drain/sweep,
@@ -202,19 +188,14 @@ gate:
 		-benchtime $(BENCHTIME) -count 5 ./internal/cluster \
 		| $(GO) run ./cmd/etrain-benchjson -gate BENCH_cluster.json -tolerance $(GATETOL)
 
-# End-to-end determinism check: full registry, sequential vs 8 workers,
-# byte-compared (CI's determinism job).
+# End-to-end determinism check (CI's determinism job): every row of
+# scripts/determinism.sh — the registry with ablations, the 2k-device
+# fleet, the diurnal LTE-DRX fleet and the diurnal-week and fault-burst
+# scenarios — rendered at 1 and 8 workers and byte-compared.
 determinism:
-	$(GO) build -o /tmp/etrain-experiments ./cmd/etrain-experiments
-	/tmp/etrain-experiments -parallel 1 -ablations > /tmp/etrain-seq.txt
-	/tmp/etrain-experiments -parallel 8 -ablations > /tmp/etrain-par.txt
-	diff -u /tmp/etrain-seq.txt /tmp/etrain-par.txt
+	bash scripts/determinism.sh
 
 clean:
 	$(GO) clean ./...
-	rm -f /tmp/etrain-experiments /tmp/etrain-seq.txt /tmp/etrain-par.txt
-	rm -f /tmp/etrain-fleet /tmp/etrain-fleet-w1.txt /tmp/etrain-fleet-w8.txt
 	rm -f /tmp/etrain-load-report.json /tmp/etrain-cluster-report.json
-	rm -f /tmp/etrain-sim /tmp/etrain-scenario-w1.txt /tmp/etrain-scenario-w8.txt
-	rm -f /tmp/etrain-diurnal-w1.txt /tmp/etrain-diurnal-w8.txt
-	rm -f /tmp/etrain-diurnal-scen-w1.txt /tmp/etrain-diurnal-scen-w8.txt
+	rm -f /tmp/etrain-sim

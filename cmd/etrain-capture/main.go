@@ -81,7 +81,7 @@ func demoCapture() []capture.Packet {
 	apps := append(heartbeat.DefaultTrio(), heartbeat.RenRen(), heartbeat.NetEase())
 	horizon := 4 * time.Hour
 	var packets []capture.Packet
-	for _, b := range heartbeat.Merge(apps, horizon) {
+	for _, b := range heartbeat.Merge(apps, horizon, nil) {
 		packets = append(packets, capture.Packet{At: b.At, Size: b.Size})
 	}
 	src := randx.New(1)

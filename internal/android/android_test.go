@@ -95,7 +95,7 @@ func TestTrainServiceAdaptiveCycle(t *testing.T) {
 	if err := d.Run(2 * time.Hour); err != nil {
 		t.Fatal(err)
 	}
-	want := len(heartbeat.NetEase().Schedule(2 * time.Hour))
+	want := len(heartbeat.NetEase().Schedule(2*time.Hour, nil))
 	if ts.Sent() != want {
 		t.Fatalf("NetEase sent %d beats, schedule says %d", ts.Sent(), want)
 	}

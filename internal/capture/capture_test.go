@@ -19,7 +19,7 @@ func mixedCapture(t *testing.T, horizon time.Duration, withNetEase bool) []Packe
 		apps = append(apps, heartbeat.NetEase())
 	}
 	var packets []Packet
-	for _, b := range heartbeat.Merge(apps, horizon) {
+	for _, b := range heartbeat.Merge(apps, horizon, nil) {
 		packets = append(packets, Packet{At: b.At, Size: b.Size})
 	}
 	src := randx.New(9)

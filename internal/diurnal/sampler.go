@@ -1,10 +1,8 @@
 package diurnal
 
 import (
-	"sort"
 	"time"
 
-	"etrain/internal/heartbeat"
 	"etrain/internal/randx"
 )
 
@@ -193,35 +191,4 @@ func (s *Sampler) ScaleBeat(at, step time.Duration) time.Duration {
 		scaled = time.Millisecond
 	}
 	return scaled
-}
-
-// Schedule returns one app's heartbeat instants strictly before horizon,
-// mirroring heartbeat.TrainApp.Schedule with ScaleBeat applied to every
-// interval. Under a profile with no beat-modulating events it returns
-// exactly the unmodulated schedule.
-func (s *Sampler) Schedule(a heartbeat.TrainApp, horizon time.Duration) []heartbeat.Beat {
-	var beats []heartbeat.Beat
-	at := a.FirstAt
-	for i := 0; at < horizon; i++ {
-		beats = append(beats, heartbeat.Beat{At: at, App: a.Name, Size: a.PacketSize})
-		step := a.Policy.IntervalAfter(i)
-		if step <= 0 {
-			break // a broken policy must not loop forever
-		}
-		at += s.ScaleBeat(at, step)
-	}
-	return beats
-}
-
-// Merge combines the modulated schedules of several train apps into one
-// chronologically sorted departure table, the diurnal counterpart of
-// heartbeat.Merge.
-func (s *Sampler) Merge(apps []heartbeat.TrainApp, horizon time.Duration) []heartbeat.Beat {
-	var all []heartbeat.Beat
-	for _, a := range apps {
-		all = append(all, s.Schedule(a, horizon)...)
-	}
-	// Mirror heartbeat.Merge's stable sort so equal instants keep app order.
-	sort.SliceStable(all, func(i, j int) bool { return all[i].At < all[j].At })
-	return all
 }

@@ -155,11 +155,11 @@ func TestPlaceInWindowMonotoneAndProportional(t *testing.T) {
 }
 
 func TestScaleBeatAndSchedule(t *testing.T) {
-	// Without beat events Schedule equals heartbeat's own walk exactly.
+	// Without beat events ScaleBeat leaves heartbeat's own walk exactly.
 	s := Week().ForDevice("moderate", 3)
 	apps := heartbeat.DefaultTrio()
 	horizon := 2 * time.Hour
-	if got, want := s.Merge(apps, horizon), heartbeat.Merge(apps, horizon); !reflect.DeepEqual(got, want) {
+	if got, want := heartbeat.Merge(apps, horizon, s.ScaleBeat), heartbeat.Merge(apps, horizon, nil); !reflect.DeepEqual(got, want) {
 		t.Fatalf("no-event Merge diverged: %d vs %d beats", len(got), len(want))
 	}
 
@@ -173,8 +173,8 @@ func TestScaleBeatAndSchedule(t *testing.T) {
 	if got := ss.ScaleBeat(10*time.Minute, 300*time.Second); got != 300*time.Second {
 		t.Errorf("ScaleBeat outside storm = %v, want 300s", got)
 	}
-	stormy := ss.Merge(apps, horizon)
-	calm := heartbeat.Merge(apps, horizon)
+	stormy := heartbeat.Merge(apps, horizon, ss.ScaleBeat)
+	calm := heartbeat.Merge(apps, horizon, nil)
 	if len(stormy) <= len(calm) {
 		t.Errorf("storm did not densify beats: %d vs %d", len(stormy), len(calm))
 	}

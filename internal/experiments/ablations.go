@@ -102,7 +102,7 @@ func AblOfflineGap(opts Options) (*Table, error) {
 	// the budget genuinely binds.
 	qq := heartbeat.QQ()
 	qq.FirstAt = 33 * time.Second
-	beats := qq.Schedule(instHorizn)
+	beats := qq.Schedule(instHorizn, nil)
 
 	totalGap := 0.0
 	counted := 0

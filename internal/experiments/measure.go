@@ -35,7 +35,7 @@ func Fig1a(opts Options) (*Table, error) {
 	for n := 0; n <= len(trio); n++ {
 		apps := trio[:n]
 		var tl radio.Timeline
-		for _, b := range heartbeat.Merge(apps, horizon) {
+		for _, b := range heartbeat.Merge(apps, horizon, nil) {
 			// Heartbeats are tiny; their serialization never overlaps at
 			// these cycles, so a nominal 100 ms transmission is used.
 			if err := tl.Append(radio.Transmission{
@@ -69,7 +69,7 @@ func Fig1a(opts Options) (*Table, error) {
 // minute.
 func Fig1b(opts Options) (*Table, error) {
 	horizon := opts.horizonOr(time.Hour)
-	beats := heartbeat.Merge(heartbeat.DefaultTrio(), horizon)
+	beats := heartbeat.Merge(heartbeat.DefaultTrio(), horizon, nil)
 	tbl := &Table{
 		ID:      "fig1b",
 		Title:   "Heartbeat timing and size of 3 IM apps running simultaneously",
@@ -100,7 +100,7 @@ func Table1(opts Options) (*Table, error) {
 	}
 	for _, app := range androidApps {
 		det := heartbeat.NewDetector(2 * time.Second)
-		for _, b := range app.Schedule(horizon) {
+		for _, b := range app.Schedule(horizon, nil) {
 			det.Observe(b.App, b.At)
 		}
 		if det.Stable(app.Name) {
@@ -118,7 +118,7 @@ func Table1(opts Options) (*Table, error) {
 	// iOS: every app funnels through APNS with one shared 1800 s cycle.
 	apns := heartbeat.APNS()
 	det := heartbeat.NewDetector(2 * time.Second)
-	for _, b := range apns.Schedule(horizon) {
+	for _, b := range apns.Schedule(horizon, nil) {
 		det.Observe("all apps (APNS)", b.At)
 	}
 	cycle, ok := det.Cycle("all apps (APNS)")
@@ -151,7 +151,7 @@ func Table1(opts Options) (*Table, error) {
 // and strips the labels.
 func blindCapture(seed int64, apps []heartbeat.TrainApp, horizon time.Duration) []capture.Packet {
 	var packets []capture.Packet
-	for _, b := range heartbeat.Merge(apps, horizon) {
+	for _, b := range heartbeat.Merge(apps, horizon, nil) {
 		packets = append(packets, capture.Packet{At: b.At, Size: b.Size})
 	}
 	src := randx.New(seed + 41)
@@ -174,7 +174,7 @@ func Fig3(opts Options) (*Table, error) {
 		Columns: []string{"app", "beat", "time_s", "gap_s"},
 	}
 	for _, app := range []heartbeat.TrainApp{heartbeat.NetEase(), heartbeat.RenRen()} {
-		beats := app.Schedule(horizon)
+		beats := app.Schedule(horizon, nil)
 		for i, b := range beats {
 			gap := "-"
 			if i > 0 {

@@ -33,9 +33,9 @@ type ClassAggregate struct {
 	DelaySketch  *stats.Sketch `json:"delay_sketch"`
 }
 
-// newClassAggregate returns an empty aggregate with sketches at the given
+// NewClassAggregate returns an empty aggregate with sketches at the given
 // relative accuracy.
-func newClassAggregate(alpha float64) (ClassAggregate, error) {
+func NewClassAggregate(alpha float64) (ClassAggregate, error) {
 	var a ClassAggregate
 	var err error
 	if a.SavedSketch, err = stats.NewSketch(alpha); err != nil {
@@ -50,23 +50,23 @@ func newClassAggregate(alpha float64) (ClassAggregate, error) {
 	return a, nil
 }
 
-// add folds one device outcome in.
-func (a *ClassAggregate) add(o deviceOutcome) {
-	saved := o.withoutJ - o.withJ
+// Add folds one device outcome in; its ClassIndex is not read.
+func (a *ClassAggregate) Add(o DeviceOutcome) {
+	saved := o.WithoutJ - o.WithJ
 	saving := 0.0
-	if o.withoutJ > 0 {
-		saving = saved / o.withoutJ
+	if o.WithoutJ > 0 {
+		saving = saved / o.WithoutJ
 	}
 	a.Devices++
-	a.WithoutJ.Add(o.withoutJ)
-	a.WithJ.Add(o.withJ)
+	a.WithoutJ.Add(o.WithoutJ)
+	a.WithJ.Add(o.WithJ)
 	a.SavedJ.Add(saved)
 	a.Saving.Add(saving)
-	a.DelayS.Add(o.delayS)
-	a.Violation.Add(o.violation)
+	a.DelayS.Add(o.DelayS)
+	a.Violation.Add(o.Violation)
 	a.SavedSketch.Add(saved)
 	a.SavingSketch.Add(saving)
-	a.DelaySketch.Add(o.delayS)
+	a.DelaySketch.Add(o.DelayS)
 }
 
 // merge folds another aggregate of the same class in.
@@ -105,7 +105,7 @@ func newShardAggregate(s, classes int, alpha float64) (*ShardAggregate, error) {
 	agg := &ShardAggregate{Shard: s, Classes: make([]ClassAggregate, classes)}
 	for c := range agg.Classes {
 		var err error
-		if agg.Classes[c], err = newClassAggregate(alpha); err != nil {
+		if agg.Classes[c], err = NewClassAggregate(alpha); err != nil {
 			return nil, err
 		}
 	}
@@ -113,9 +113,9 @@ func newShardAggregate(s, classes int, alpha float64) (*ShardAggregate, error) {
 }
 
 // add folds one device outcome into its class.
-func (s *ShardAggregate) add(o deviceOutcome) {
+func (s *ShardAggregate) add(o DeviceOutcome) {
 	s.Devices++
-	s.Classes[o.classIndex].add(o)
+	s.Classes[o.ClassIndex].Add(o)
 }
 
 // validateShape checks a deserialized aggregate against the run's layout.

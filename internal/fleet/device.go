@@ -26,13 +26,18 @@ const sessionDeadline = 30 * time.Second
 // shares a stream with any other consumer of the same base seed.
 var deviceNamespace = randx.DeriveString("etrain/fleet/device")
 
-// deviceOutcome is one device's measured with/without-eTrain run pair.
-type deviceOutcome struct {
-	classIndex int
-	withoutJ   float64 // total energy without eTrain (transmit on arrival)
-	withJ      float64 // total energy with eTrain
-	delayS     float64 // with-eTrain mean packet delay
-	violation  float64 // with-eTrain deadline-violation ratio
+// DeviceOutcome is one device's measured with/without-eTrain run pair.
+type DeviceOutcome struct {
+	// ClassIndex is the device's position in the activeness mix.
+	ClassIndex int
+	// WithoutJ and WithJ are the total energy in joules without eTrain
+	// (transmit on arrival) and with it.
+	WithoutJ float64
+	WithJ    float64
+	// DelayS and Violation are the with-eTrain mean packet delay in
+	// seconds and deadline-violation ratio.
+	DelayS    float64
+	Violation float64
 }
 
 // Device is one synthesized fleet member: everything needed to run (or
@@ -57,8 +62,9 @@ type Device struct {
 	BandwidthSeed int64
 	// Horizon is the device's simulated span.
 	Horizon time.Duration
-	// Beats, when non-nil, overrides the trains' generated schedule (set
-	// when a diurnal profile's scheduled events modulate the cadence).
+	// Beats, when non-nil, overrides the trains' generated schedule. Under
+	// a diurnal profile synthesis sets it to the trains' schedule with the
+	// profile's beat factors applied.
 	Beats []heartbeat.Beat
 }
 
@@ -108,7 +114,7 @@ func SynthesizeDeviceOpts(fleetSeed int64, pop *workload.Population, index int, 
 	}
 	var beats []heartbeat.Beat
 	if sampler != nil {
-		beats = sampler.Merge(trains, horizon)
+		beats = heartbeat.Merge(trains, horizon, sampler.ScaleBeat)
 	}
 	return Device{
 		Index:         index,
@@ -141,50 +147,62 @@ func (d Device) SimConfig() (sim.Config, error) {
 	}, nil
 }
 
-// runDevice simulates device i twice — transmit-on-arrival versus eTrain —
-// over identical heartbeat trains, cargo and bandwidth. Everything is
+// runDevice synthesizes device i and measures its run pair. Everything is
 // derived from (cfg.Seed, i) in a fixed draw order, so the outcome is a
 // pure function of the device's identity.
 //
 //etrain:hotpath
-func runDevice(cfg *Config, pop *workload.Population, i int) (deviceOutcome, error) {
+func runDevice(cfg *Config, pop *workload.Population, i int) (DeviceOutcome, error) {
 	dev, err := SynthesizeDeviceOpts(cfg.Seed, pop, i, cfg.Horizon, DeviceOptions{Diurnal: cfg.Diurnal})
 	if err != nil {
-		return deviceOutcome{}, err
+		return DeviceOutcome{}, err
 	}
 	base, err := dev.SimConfig()
 	if err != nil {
-		return deviceOutcome{}, err
+		return DeviceOutcome{}, err
 	}
 	base.Radio = cfg.radioModel
+	out, err := RunPair(base, cfg.Theta, cfg.K)
+	if err != nil {
+		return DeviceOutcome{}, err
+	}
+	out.ClassIndex = dev.ClassIndex
+	return out, nil
+}
+
+// RunPair simulates base twice — transmit-on-arrival versus eTrain under
+// Θ theta and batch bound k — over identical heartbeat trains, cargo and
+// bandwidth; base's Strategy is ignored. It leaves ClassIndex zero: the
+// class is the caller's to know.
+//
+//etrain:hotpath
+func RunPair(base sim.Config, theta float64, k int) (DeviceOutcome, error) {
 	if base.Beats == nil {
 		// Both runs would merge the same schedule; merge it once. RunMetrics
 		// never appends a beat, so the two engines can share the slice.
-		base.Beats = heartbeat.Merge(base.Trains, base.Horizon)
+		base.Beats = heartbeat.Merge(base.Trains, base.Horizon, nil)
 	}
 	without := base
 	without.Strategy = baseline.NewImmediate()
 	mWithout, err := sim.RunMetrics(without)
 	if err != nil {
-		return deviceOutcome{}, fmt.Errorf("without eTrain: %w", err)
+		return DeviceOutcome{}, fmt.Errorf("without eTrain: %w", err)
 	}
-	strategy, err := core.New(core.Options{Theta: cfg.Theta, K: cfg.K})
+	strategy, err := core.New(core.Options{Theta: theta, K: k})
 	if err != nil {
-		return deviceOutcome{}, err
+		return DeviceOutcome{}, err
 	}
 	with := base
 	with.Strategy = strategy
 	mWith, err := sim.RunMetrics(with)
 	if err != nil {
-		return deviceOutcome{}, fmt.Errorf("with eTrain: %w", err)
+		return DeviceOutcome{}, fmt.Errorf("with eTrain: %w", err)
 	}
-
-	return deviceOutcome{
-		classIndex: dev.ClassIndex,
-		withoutJ:   mWithout.EnergyJ,
-		withJ:      mWith.EnergyJ,
-		delayS:     mWith.AvgDelayS,
-		violation:  mWith.ViolationRatio,
+	return DeviceOutcome{
+		WithoutJ:  mWithout.EnergyJ,
+		WithJ:     mWith.EnergyJ,
+		DelayS:    mWith.AvgDelayS,
+		Violation: mWith.ViolationRatio,
 	}, nil
 }
 

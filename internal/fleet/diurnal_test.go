@@ -186,9 +186,34 @@ func TestSynthesizeDeviceOptsLegacyEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := heartbeat.Merge(dev.Trains, dev.Horizon)
+		want := heartbeat.Merge(dev.Trains, dev.Horizon, nil)
 		if !reflect.DeepEqual(dev.Beats, want) {
 			t.Fatalf("device %d: flat profile perturbed the beat schedule", i)
+		}
+	}
+}
+
+// TestSynthesizeDeviceOptsBeatStorm: a profile's beat factor reaches the
+// device's schedule. A factor-2 storm over the whole run gives exactly
+// the beats of the same trains at half their cycles.
+func TestSynthesizeDeviceOptsBeatStorm(t *testing.T) {
+	pop := mustPopulation(t)
+	flat, err := diurnal.ByName("flat")
+	if err != nil {
+		t.Fatal(err)
+	}
+	storm := flat.WithEvents(diurnal.Event{Name: "storm", Duration: time.Hour, BeatFactor: 2})
+	for i := 0; i < 5; i++ {
+		dev, err := SynthesizeDeviceOpts(7, pop, i, 20*time.Minute, DeviceOptions{Diurnal: storm})
+		if err != nil {
+			t.Fatal(err)
+		}
+		halved := append([]heartbeat.TrainApp(nil), dev.Trains...)
+		for j := range halved {
+			halved[j].Policy = heartbeat.FixedCycle(halved[j].Policy.IntervalAfter(0) / 2)
+		}
+		if want := heartbeat.Merge(halved, dev.Horizon, nil); !reflect.DeepEqual(dev.Beats, want) {
+			t.Fatalf("device %d: storm gave %d beats, want %d at halved cycles", i, len(dev.Beats), len(want))
 		}
 	}
 }

@@ -63,13 +63,13 @@ func buildReport(cfg *Config, hash string, aggs []*ShardAggregate) (*Report, err
 		r.Diurnal = cfg.Diurnal.Name
 	}
 	var err error
-	if r.Total, err = newClassAggregate(cfg.SketchAlpha); err != nil {
+	if r.Total, err = NewClassAggregate(cfg.SketchAlpha); err != nil {
 		return nil, err
 	}
 	r.Classes = make([]ClassRow, len(cfg.Mix))
 	for c, share := range cfg.Mix {
 		r.Classes[c].Label = share.Class.String()
-		if r.Classes[c].Agg, err = newClassAggregate(cfg.SketchAlpha); err != nil {
+		if r.Classes[c].Agg, err = NewClassAggregate(cfg.SketchAlpha); err != nil {
 			return nil, err
 		}
 	}

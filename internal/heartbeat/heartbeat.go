@@ -86,15 +86,24 @@ type Beat struct {
 }
 
 // Schedule returns every heartbeat instant of the app strictly before
-// horizon.
-func (a TrainApp) Schedule(horizon time.Duration) []Beat {
+// horizon. When scale is non-nil, each interval the policy yields is
+// replaced by scale(at, interval), where at is the beat the interval
+// starts from; nil keeps the policy's own cadence. The walk ends at the
+// first interval, policy-given or scaled, that is not positive, so a
+// broken policy or factor cannot loop forever.
+func (a TrainApp) Schedule(horizon time.Duration, scale func(at, step time.Duration) time.Duration) []Beat {
 	var beats []Beat
 	at := a.FirstAt
 	for i := 0; at < horizon; i++ {
 		beats = append(beats, Beat{At: at, App: a.Name, Size: a.PacketSize})
 		step := a.Policy.IntervalAfter(i)
 		if step <= 0 {
-			break // a broken policy must not loop forever
+			break
+		}
+		if scale != nil {
+			if step = scale(at, step); step <= 0 {
+				break
+			}
 		}
 		at += step
 	}
@@ -102,11 +111,12 @@ func (a TrainApp) Schedule(horizon time.Duration) []Beat {
 }
 
 // Merge combines the schedules of several train apps into one chronologically
-// sorted train departure table (the set H of the paper).
-func Merge(apps []TrainApp, horizon time.Duration) []Beat {
+// sorted train departure table (the set H of the paper). scale modulates
+// every app's cadence as in TrainApp.Schedule; nil keeps each app's own.
+func Merge(apps []TrainApp, horizon time.Duration, scale func(at, step time.Duration) time.Duration) []Beat {
 	var all []Beat
 	for _, a := range apps {
-		all = append(all, a.Schedule(horizon)...)
+		all = append(all, a.Schedule(horizon, scale)...)
 	}
 	sort.SliceStable(all, func(i, j int) bool { return all[i].At < all[j].At })
 	return all

@@ -8,7 +8,7 @@ import (
 
 func TestFixedCycleSchedule(t *testing.T) {
 	app := TrainApp{Name: "x", PacketSize: 100, Policy: FixedCycle(300 * time.Second)}
-	beats := app.Schedule(20 * time.Minute)
+	beats := app.Schedule(20*time.Minute, nil)
 	if len(beats) != 4 {
 		t.Fatalf("got %d beats in 20min at 300s cycle, want 4", len(beats))
 	}
@@ -25,7 +25,7 @@ func TestFixedCycleSchedule(t *testing.T) {
 
 func TestSchedulePhase(t *testing.T) {
 	app := TrainApp{Name: "x", PacketSize: 1, Policy: FixedCycle(time.Minute), FirstAt: 10 * time.Second}
-	beats := app.Schedule(2 * time.Minute)
+	beats := app.Schedule(2*time.Minute, nil)
 	if len(beats) != 2 {
 		t.Fatalf("got %d beats, want 2", len(beats))
 	}
@@ -65,7 +65,7 @@ func TestAdaptiveCycleNegativeIndex(t *testing.T) {
 }
 
 func TestAdaptiveScheduleMonotone(t *testing.T) {
-	beats := NetEase().Schedule(2 * time.Hour)
+	beats := NetEase().Schedule(2*time.Hour, nil)
 	if len(beats) < 10 {
 		t.Fatalf("only %d NetEase beats in 2h", len(beats))
 	}
@@ -86,7 +86,7 @@ func TestAdaptiveScheduleMonotone(t *testing.T) {
 
 func TestBrokenPolicyDoesNotLoopForever(t *testing.T) {
 	app := TrainApp{Name: "broken", PacketSize: 1, Policy: FixedCycle(0)}
-	beats := app.Schedule(time.Hour)
+	beats := app.Schedule(time.Hour, nil)
 	if len(beats) != 1 {
 		t.Fatalf("broken policy yielded %d beats, want 1", len(beats))
 	}
@@ -120,10 +120,10 @@ func TestPaperCycles(t *testing.T) {
 func TestMergeSortedAndComplete(t *testing.T) {
 	apps := DefaultTrio()
 	horizon := time.Hour
-	merged := Merge(apps, horizon)
+	merged := Merge(apps, horizon, nil)
 	wantLen := 0
 	for _, a := range apps {
-		wantLen += len(a.Schedule(horizon))
+		wantLen += len(a.Schedule(horizon, nil))
 	}
 	if len(merged) != wantLen {
 		t.Fatalf("merged %d beats, want %d", len(merged), wantLen)
@@ -136,7 +136,7 @@ func TestMergeSortedAndComplete(t *testing.T) {
 }
 
 func TestMergeEmpty(t *testing.T) {
-	if got := Merge(nil, time.Hour); got != nil {
+	if got := Merge(nil, time.Hour, nil); got != nil {
 		t.Fatalf("Merge(nil) = %v, want nil", got)
 	}
 }
@@ -158,7 +158,7 @@ func TestValidateRejectsBadApps(t *testing.T) {
 func TestDetectorRecoverFixedCycles(t *testing.T) {
 	d := NewDetector(2 * time.Second)
 	for _, app := range DefaultTrio() {
-		for _, b := range app.Schedule(time.Hour) {
+		for _, b := range app.Schedule(time.Hour, nil) {
 			d.Observe(b.App, b.At)
 		}
 	}
@@ -186,7 +186,7 @@ func TestDetectorRecoverFixedCycles(t *testing.T) {
 
 func TestDetectorNetEaseUnstableRange(t *testing.T) {
 	d := NewDetector(2 * time.Second)
-	for _, b := range NetEase().Schedule(2 * time.Hour) {
+	for _, b := range NetEase().Schedule(2*time.Hour, nil) {
 		d.Observe(b.App, b.At)
 	}
 	if d.Stable("netease") {
@@ -287,7 +287,7 @@ func TestScheduleProperty(t *testing.T) {
 		cycle := time.Duration(cycleSecs%1000+1) * time.Second
 		horizon := time.Duration(horizonMins%120+1) * time.Minute
 		app := TrainApp{Name: "p", PacketSize: 1, Policy: FixedCycle(cycle)}
-		beats := app.Schedule(horizon)
+		beats := app.Schedule(horizon, nil)
 		for i, b := range beats {
 			if b.At >= horizon {
 				return false

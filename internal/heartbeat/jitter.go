@@ -12,7 +12,7 @@ import (
 // network queueing ahead of the alarm-driven send. The perturbed schedule
 // stays monotone. Deterministic per source.
 func (a TrainApp) ScheduleJittered(src *randx.Source, horizon, jitter time.Duration) []Beat {
-	beats := a.Schedule(horizon)
+	beats := a.Schedule(horizon, nil)
 	if jitter <= 0 {
 		return beats
 	}

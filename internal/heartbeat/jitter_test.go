@@ -9,7 +9,7 @@ import (
 
 func TestScheduleJitteredZeroJitterIdentity(t *testing.T) {
 	app := WeChat()
-	plain := app.Schedule(time.Hour)
+	plain := app.Schedule(time.Hour, nil)
 	jittered := app.ScheduleJittered(randx.New(1), time.Hour, 0)
 	if len(plain) != len(jittered) {
 		t.Fatalf("lengths differ: %d vs %d", len(plain), len(jittered))
@@ -24,7 +24,7 @@ func TestScheduleJitteredZeroJitterIdentity(t *testing.T) {
 func TestScheduleJitteredBounded(t *testing.T) {
 	app := QQ()
 	jitter := 5 * time.Second
-	plain := app.Schedule(2 * time.Hour)
+	plain := app.Schedule(2*time.Hour, nil)
 	jittered := app.ScheduleJittered(randx.New(2), 2*time.Hour, jitter)
 	if len(plain) != len(jittered) {
 		t.Fatalf("jitter changed beat count: %d vs %d", len(plain), len(jittered))
@@ -60,7 +60,7 @@ func TestScheduleJitteredDeterministic(t *testing.T) {
 
 func TestMergeJitteredSorted(t *testing.T) {
 	merged := MergeJittered(randx.New(5), DefaultTrio(), time.Hour, 10*time.Second)
-	want := len(Merge(DefaultTrio(), time.Hour))
+	want := len(Merge(DefaultTrio(), time.Hour, nil))
 	if len(merged) != want {
 		t.Fatalf("merged %d beats, want %d", len(merged), want)
 	}

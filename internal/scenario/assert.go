@@ -3,6 +3,7 @@ package scenario
 import (
 	"fmt"
 
+	"etrain/internal/fleet"
 	"etrain/internal/stats"
 	"etrain/internal/workload"
 )
@@ -82,56 +83,6 @@ func bad(v *float64) bool {
 	return *v != *v || *v > 1e308 || *v < -1e308
 }
 
-// classAgg folds per-device outcomes of one class (or the whole fleet)
-// into mergeable moments and quantile sketches.
-type classAgg struct {
-	devices  int
-	withoutJ stats.Moments
-	withJ    stats.Moments
-	savedJ   stats.Moments
-	saving   stats.Moments
-	delay    stats.Moments
-	violate  stats.Moments
-
-	savingSketch *stats.Sketch
-	savedSketch  *stats.Sketch
-	delaySketch  *stats.Sketch
-}
-
-func newClassAgg() (*classAgg, error) {
-	a := &classAgg{}
-	var err error
-	if a.savingSketch, err = stats.NewSketch(stats.DefaultSketchAlpha); err != nil {
-		return nil, err
-	}
-	if a.savedSketch, err = stats.NewSketch(stats.DefaultSketchAlpha); err != nil {
-		return nil, err
-	}
-	if a.delaySketch, err = stats.NewSketch(stats.DefaultSketchAlpha); err != nil {
-		return nil, err
-	}
-	return a, nil
-}
-
-// add folds one device outcome.
-func (a *classAgg) add(o *deviceResult) {
-	a.devices++
-	a.withoutJ.Add(o.withoutJ)
-	a.withJ.Add(o.withJ)
-	saved := o.withoutJ - o.withJ
-	a.savedJ.Add(saved)
-	saving := 0.0
-	if o.withoutJ > 0 {
-		saving = saved / o.withoutJ
-	}
-	a.saving.Add(saving)
-	a.delay.Add(o.delayS)
-	a.violate.Add(o.violation)
-	a.savingSketch.Add(saving)
-	a.savedSketch.Add(saved)
-	a.delaySketch.Add(o.delayS)
-}
-
 // transportTally counts the loopback engine's healing outcomes. Under
 // the direct engine it stays zero.
 type transportTally struct {
@@ -151,25 +102,23 @@ type transportTally struct {
 // per-class and fleet-wide aggregates plus the transport tally.
 type outcomeSet struct {
 	labels  []string // mix-order class labels
-	byClass []*classAgg
-	total   *classAgg
+	byClass []fleet.ClassAggregate
+	total   fleet.ClassAggregate
 	tally   transportTally
 	devices int
 }
 
 func newOutcomeSet(mix []workload.ClassShare) (*outcomeSet, error) {
-	set := &outcomeSet{}
+	set := &outcomeSet{byClass: make([]fleet.ClassAggregate, len(mix))}
 	var err error
-	if set.total, err = newClassAgg(); err != nil {
+	if set.total, err = fleet.NewClassAggregate(stats.DefaultSketchAlpha); err != nil {
 		return nil, err
 	}
-	for _, s := range mix {
+	for i, s := range mix {
 		set.labels = append(set.labels, s.Class.String())
-		agg, err := newClassAgg()
-		if err != nil {
+		if set.byClass[i], err = fleet.NewClassAggregate(stats.DefaultSketchAlpha); err != nil {
 			return nil, err
 		}
-		set.byClass = append(set.byClass, agg)
 	}
 	return set, nil
 }
@@ -181,11 +130,11 @@ func (set *outcomeSet) add(o *deviceResult) error {
 		set.tally.failed++
 		return nil
 	}
-	if o.classIndex < 0 || o.classIndex >= len(set.byClass) {
-		return fmt.Errorf("scenario: device class index %d outside mix", o.classIndex)
+	if o.ClassIndex < 0 || o.ClassIndex >= len(set.byClass) {
+		return fmt.Errorf("scenario: device class index %d outside mix", o.ClassIndex)
 	}
-	set.byClass[o.classIndex].add(o)
-	set.total.add(o)
+	set.byClass[o.ClassIndex].Add(o.DeviceOutcome)
+	set.total.Add(o.DeviceOutcome)
 	if o.degraded {
 		set.tally.degraded++
 	}
@@ -207,13 +156,13 @@ func (set *outcomeSet) add(o *deviceResult) error {
 }
 
 // agg resolves an assertion's class scope.
-func (set *outcomeSet) agg(class string) (*classAgg, error) {
+func (set *outcomeSet) agg(class string) (*fleet.ClassAggregate, error) {
 	if class == "" || class == "all" {
-		return set.total, nil
+		return &set.total, nil
 	}
 	for i, label := range set.labels {
 		if label == class {
-			return set.byClass[i], nil
+			return &set.byClass[i], nil
 		}
 	}
 	return nil, fmt.Errorf("class %q is not in the fleet mix", class)
@@ -256,33 +205,33 @@ func (set *outcomeSet) metric(name, class string) (float64, error) {
 	}
 	switch name {
 	case "devices":
-		return float64(a.devices), nil
+		return float64(a.Devices), nil
 	case "saving_mean":
-		return mean(a.saving)
+		return mean(a.Saving)
 	case "saving_p10":
-		return a.savingSketch.Quantile(10)
+		return a.SavingSketch.Quantile(10)
 	case "saving_p50":
-		return a.savingSketch.Quantile(50)
+		return a.SavingSketch.Quantile(50)
 	case "saving_p90":
-		return a.savingSketch.Quantile(90)
+		return a.SavingSketch.Quantile(90)
 	case "saved_j_mean":
-		return mean(a.savedJ)
+		return mean(a.SavedJ)
 	case "saved_j_p50":
-		return a.savedSketch.Quantile(50)
+		return a.SavedSketch.Quantile(50)
 	case "energy_with_mean":
-		return mean(a.withJ)
+		return mean(a.WithJ)
 	case "energy_without_mean":
-		return mean(a.withoutJ)
+		return mean(a.WithoutJ)
 	case "delay_mean":
-		return mean(a.delay)
+		return mean(a.DelayS)
 	case "delay_p50":
-		return a.delaySketch.Quantile(50)
+		return a.DelaySketch.Quantile(50)
 	case "delay_p90":
-		return a.delaySketch.Quantile(90)
+		return a.DelaySketch.Quantile(90)
 	case "delay_p99":
-		return a.delaySketch.Quantile(99)
+		return a.DelaySketch.Quantile(99)
 	case "violation_mean":
-		return mean(a.violate)
+		return mean(a.Violation)
 	default:
 		return 0, fmt.Errorf("unknown metric %q", name)
 	}

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"etrain/internal/fleet"
 	"etrain/internal/workload"
 )
 
@@ -32,9 +33,9 @@ func fill(t *testing.T, results []*deviceResult) *outcomeSet {
 func sampleSet(t *testing.T) *outcomeSet {
 	t.Helper()
 	return fill(t, []*deviceResult{
-		{classIndex: 0, withoutJ: 10, withJ: 6, delayS: 2, violation: 0.5,
+		{DeviceOutcome: fleet.DeviceOutcome{ClassIndex: 0, WithoutJ: 10, WithJ: 6, DelayS: 2, Violation: 0.5},
 			degraded: true, restarted: true, reconnects: 3, resumes: 2, replays: 1},
-		{classIndex: 1, withoutJ: 20, withJ: 15, delayS: 4, violation: 0.25,
+		{DeviceOutcome: fleet.DeviceOutcome{ClassIndex: 1, WithoutJ: 20, WithJ: 15, DelayS: 4, Violation: 0.25},
 			degraded: true, unreconciled: true, decisionLoss: true},
 		{failed: true},
 	})

@@ -6,6 +6,7 @@ import (
 	"io"
 	"text/tabwriter"
 
+	"etrain/internal/fleet"
 	"etrain/internal/stats"
 )
 
@@ -106,10 +107,10 @@ func buildReport(c *compiled, hash string, set *outcomeSet) *Report {
 		K:          c.k,
 		Events:     len(c.sc.Timeline),
 		ConfigHash: hash,
-		Total:      summarize("all", set.total),
+		Total:      summarize("all", &set.total),
 	}
 	for i, label := range set.labels {
-		r.Classes = append(r.Classes, summarize(label, set.byClass[i]))
+		r.Classes = append(r.Classes, summarize(label, &set.byClass[i]))
 	}
 	if c.loopback {
 		t := set.tally
@@ -136,21 +137,21 @@ func buildReport(c *compiled, hash string, set *outcomeSet) *Report {
 }
 
 // summarize renders one aggregate as a summary row.
-func summarize(label string, a *classAgg) ClassSummary {
+func summarize(label string, a *fleet.ClassAggregate) ClassSummary {
 	return ClassSummary{
 		Label:        label,
-		Devices:      a.devices,
-		WithoutJMean: round6(meanOr0(a.withoutJ)),
-		WithJMean:    round6(meanOr0(a.withJ)),
-		SavedJMean:   round6(meanOr0(a.savedJ)),
-		SavingMean:   round6(meanOr0(a.saving)),
-		SavingP10:    round6(quantileOr0(a.savingSketch, 10)),
-		SavingP50:    round6(quantileOr0(a.savingSketch, 50)),
-		SavingP90:    round6(quantileOr0(a.savingSketch, 90)),
-		DelayMeanS:   round6(meanOr0(a.delay)),
-		DelayP50S:    round6(quantileOr0(a.delaySketch, 50)),
-		DelayP99S:    round6(quantileOr0(a.delaySketch, 99)),
-		Violation:    round6(meanOr0(a.violate)),
+		Devices:      a.Devices,
+		WithoutJMean: round6(meanOr0(a.WithoutJ)),
+		WithJMean:    round6(meanOr0(a.WithJ)),
+		SavedJMean:   round6(meanOr0(a.SavedJ)),
+		SavingMean:   round6(meanOr0(a.Saving)),
+		SavingP10:    round6(quantileOr0(a.SavingSketch, 10)),
+		SavingP50:    round6(quantileOr0(a.SavingSketch, 50)),
+		SavingP90:    round6(quantileOr0(a.SavingSketch, 90)),
+		DelayMeanS:   round6(meanOr0(a.DelayS)),
+		DelayP50S:    round6(quantileOr0(a.DelaySketch, 50)),
+		DelayP99S:    round6(quantileOr0(a.DelaySketch, 99)),
+		Violation:    round6(meanOr0(a.Violation)),
 	}
 }
 

@@ -4,15 +4,12 @@ import (
 	"bytes"
 	"fmt"
 	"reflect"
-	"sort"
 
 	"etrain/internal/baseline"
 	"etrain/internal/client"
-	"etrain/internal/core"
+	"etrain/internal/fleet"
 	"etrain/internal/parallel"
-	"etrain/internal/profile"
 	"etrain/internal/radio"
-	"etrain/internal/sched"
 	"etrain/internal/server"
 	"etrain/internal/sim"
 	"etrain/internal/wire"
@@ -39,11 +36,7 @@ type Options struct {
 
 // deviceResult is one device's measured outcome.
 type deviceResult struct {
-	classIndex int
-	withoutJ   float64 // energy without eTrain (transmit on arrival)
-	withJ      float64 // energy with eTrain
-	delayS     float64 // with-eTrain mean packet delay
-	violation  float64 // with-eTrain deadline-violation ratio
+	fleet.DeviceOutcome
 
 	// Loopback transport outcomes; all zero under the direct engine.
 	failed       bool
@@ -70,6 +63,15 @@ func Run(s *Scenario, opts Options) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
+	set, err := c.run(opts)
+	if err != nil {
+		return nil, err
+	}
+	return buildReport(c, hash, set), nil
+}
+
+// run measures every device and folds the outcomes into one set.
+func (c *compiled) run(opts Options) (*outcomeSet, error) {
 	workers := opts.Workers
 	switch {
 	case workers == 0:
@@ -80,13 +82,14 @@ func Run(s *Scenario, opts Options) (*Report, error) {
 
 	var lb *rig
 	if c.loopback {
+		var err error
 		if lb, err = newRig(c); err != nil {
 			return nil, err
 		}
 		defer lb.close()
 	}
 
-	devices := s.Fleet.Devices
+	devices := c.sc.Fleet.Devices
 	results := make([]*deviceResult, devices)
 	done := 0
 	runErr := parallel.ForEachStatus(parallel.NewLimit(workers), devices, func(i int) error {
@@ -123,10 +126,12 @@ func Run(s *Scenario, opts Options) (*Report, error) {
 			return nil, err
 		}
 	}
-	return buildReport(c, hash, set), nil
+	return set, nil
 }
 
-// runScenarioDevice plans, builds and measures one device.
+// runScenarioDevice plans, builds and measures one device: in-process
+// through fleet's run pair under the direct engine, over the wire under
+// loopback.
 func runScenarioDevice(c *compiled, lb *rig, i int) (*deviceResult, error) {
 	plan, err := planDevice(c, i)
 	if err != nil {
@@ -136,97 +141,26 @@ func runScenarioDevice(c *compiled, lb *rig, i int) (*deviceResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := &deviceResult{classIndex: pd.dev.ClassIndex}
-	without, err := runOne(c, pd, baseline.NewImmediate())
-	if err != nil {
-		return nil, fmt.Errorf("without eTrain: %w", err)
+	base := sim.Config{
+		Horizon:   pd.dev.Horizon,
+		Beats:     pd.dev.Beats,
+		Packets:   pd.dev.Packets,
+		Bandwidth: pd.trace,
+		Power:     radio.GalaxyS43G(),
+		Radio:     c.radio,
+		Seed:      pd.dev.Seed,
 	}
-	out.withoutJ = without.EnergyJ
+	out := &deviceResult{}
 	if c.loopback {
-		err = runLoopbackDevice(c, lb, pd, out)
+		err = runLoopbackDevice(c, lb, pd, base, out)
 	} else {
-		err = runDirectDevice(c, pd, out)
+		out.DeviceOutcome, err = fleet.RunPair(base, c.theta, c.k)
 	}
 	if err != nil {
 		return nil, err
 	}
+	out.ClassIndex = pd.dev.ClassIndex
 	return out, nil
-}
-
-// runOne executes one in-process run of the planned device — its
-// post-timeline beats, cargo and channel — under the given strategy and
-// the scenario's radio generation.
-func runOne(c *compiled, pd *plannedDevice, strategy sched.Strategy) (sim.Metrics, error) {
-	return sim.RunMetrics(sim.Config{
-		Horizon:   pd.dev.Horizon,
-		Beats:     pd.beats,
-		Packets:   pd.packets,
-		Bandwidth: pd.trace,
-		Power:     radio.GalaxyS43G(),
-		Radio:     c.radio,
-		Strategy:  strategy,
-		Seed:      pd.dev.Seed,
-	})
-}
-
-// runDirectDevice measures the with-eTrain run in-process.
-func runDirectDevice(c *compiled, pd *plannedDevice, out *deviceResult) error {
-	strategy, err := core.New(core.Options{Theta: c.theta, K: c.k})
-	if err != nil {
-		return err
-	}
-	m, err := runOne(c, pd, strategy)
-	if err != nil {
-		return fmt.Errorf("with eTrain: %w", err)
-	}
-	out.withJ = m.EnergyJ
-	out.delayS = m.AvgDelayS
-	out.violation = m.ViolationRatio
-	return nil
-}
-
-// sessionFor converts the planned device into its wire replay.
-func sessionFor(c *compiled, pd *plannedDevice) (server.Session, error) {
-	events := make([]wire.Message, 0, len(pd.beats)+len(pd.packets))
-	for _, b := range pd.beats {
-		events = append(events, wire.HeartbeatObserved{At: b.At, App: b.App, Size: b.Size})
-	}
-	for _, p := range pd.packets {
-		kind, ok := profile.KindOf(p.Profile)
-		if !ok {
-			return server.Session{}, fmt.Errorf("device %d packet %d: profile %q has no wire kind", pd.dev.Index, p.ID, p.Profile.Name())
-		}
-		events = append(events, wire.CargoArrival{
-			ID:       uint64(p.ID),
-			At:       p.ArrivedAt,
-			App:      p.App,
-			Size:     p.Size,
-			Profile:  kind,
-			Deadline: p.Profile.Deadline(),
-		})
-	}
-	sort.SliceStable(events, func(i, j int) bool { return eventInstant(events[i]) < eventInstant(events[j]) })
-	return server.Session{
-		Hello: wire.Hello{
-			DeviceID: uint64(pd.dev.Index),
-			Seed:     pd.dev.BandwidthSeed,
-			Theta:    c.theta,
-			K:        uint32(c.k),
-			Horizon:  pd.dev.Horizon,
-		},
-		Events: events,
-	}, nil
-}
-
-func eventInstant(m wire.Message) int64 {
-	switch v := m.(type) {
-	case wire.HeartbeatObserved:
-		return int64(v.At)
-	case wire.CargoArrival:
-		return int64(v.At)
-	default:
-		return 0
-	}
 }
 
 // expectedOutcome replays the session locally through the same
@@ -265,13 +199,20 @@ func expectedOutcome(sess server.Session) (*server.DeviceOutcome, int, error) {
 	return out, buf.Len(), nil
 }
 
-// runLoopbackDevice replays the device over an etraind session through
-// the self-healing client, under the rig's faults, and compares the
-// outcome against the fault-free local replay. A client error is not
-// fatal to the run: it marks the session failed, which the
-// sessions_failed metric (and the default report) surfaces.
-func runLoopbackDevice(c *compiled, lb *rig, pd *plannedDevice, out *deviceResult) error {
-	sess, err := sessionFor(c, pd)
+// runLoopbackDevice measures the device's baseline run in-process, then
+// replays the device over an etraind session through the self-healing
+// client, under the rig's faults, and compares the outcome against the
+// fault-free local replay. A client error is not fatal to the run: it
+// marks the session failed, which the sessions_failed metric (and the
+// default report) surfaces.
+func runLoopbackDevice(c *compiled, lb *rig, pd *plannedDevice, base sim.Config, out *deviceResult) error {
+	base.Strategy = baseline.NewImmediate()
+	without, err := sim.RunMetrics(base)
+	if err != nil {
+		return fmt.Errorf("without eTrain: %w", err)
+	}
+	out.WithoutJ = without.EnergyJ
+	sess, err := server.SessionFromDevice(pd.dev, c.theta, c.k)
 	if err != nil {
 		return err
 	}
@@ -291,9 +232,9 @@ func runLoopbackDevice(c *compiled, lb *rig, pd *plannedDevice, out *deviceResul
 		out.failed = true
 		return nil
 	}
-	out.withJ = got.Stats.EnergyJ
-	out.delayS = got.Stats.AvgDelayS
-	out.violation = got.Stats.ViolationRatio
+	out.WithJ = got.Stats.EnergyJ
+	out.DelayS = got.Stats.AvgDelayS
+	out.Violation = got.Stats.ViolationRatio
 	out.degraded = got.Degraded
 	out.unreconciled = got.CompletedLocally
 	out.reconnects = got.Reconnects

@@ -1,9 +1,13 @@
 package scenario
 
 import (
+	"bytes"
+	"encoding/json"
 	"strings"
 	"testing"
 	"time"
+
+	"etrain/internal/fleet"
 )
 
 // smallDirect is a fast direct-engine scenario used by the run tests.
@@ -155,5 +159,59 @@ func TestFaultFreeLoopbackIsClean(t *testing.T) {
 	}
 	if !rep.Pass {
 		t.Errorf("report with no assertions should pass")
+	}
+}
+
+// TestDirectScenarioMatchesFleet ties the two engines that decide for a
+// synthesized device: a direct scenario with no timeline and fleet.Run
+// with one shard, over the same seed, mix, horizon, Θ and k, must fold
+// every class into the same aggregate, bit for bit.
+func TestDirectScenarioMatchesFleet(t *testing.T) {
+	s := &Scenario{
+		Name:    "cross-path",
+		Seed:    33,
+		Horizon: Duration(20 * time.Minute),
+		Theta:   f64(3),
+		K:       12,
+		Fleet:   Fleet{Devices: 40},
+	}
+	c, err := s.compile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	set, err := c.run(Options{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := fleet.Run(fleet.Config{
+		Devices:   s.Fleet.Devices,
+		ShardSize: s.Fleet.Devices,
+		Seed:      s.Seed,
+		Horizon:   s.Horizon.D(),
+		Theta:     c.theta,
+		K:         c.k,
+		Mix:       c.mix,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Classes) != len(set.byClass) {
+		t.Fatalf("fleet has %d classes, scenario %d", len(rep.Classes), len(set.byClass))
+	}
+	for i, row := range rep.Classes {
+		want, err := json.Marshal(row.Agg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := json.Marshal(set.byClass[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if row.Agg.Devices == 0 {
+			t.Errorf("class %s drew no devices", row.Label)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("class %s: scenario aggregate differs from fleet's\nscenario %s\nfleet    %s", row.Label, got, want)
+		}
 	}
 }

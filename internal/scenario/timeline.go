@@ -169,42 +169,39 @@ func (p *devicePlan) apply(ev compiledEvent) {
 // plannedDevice is the concrete, post-timeline device: what the
 // baseline and eTrain runs both consume.
 type plannedDevice struct {
-	dev     fleet.Device
-	beats   []heartbeat.Beat
-	packets []workload.Packet
-	trace   *bandwidth.Trace
+	// dev carries the post-timeline beats and cargo and no trains, so a
+	// device whose timeline silenced every beat replays none on the wire
+	// instead of falling back to its trains' schedule.
+	dev   fleet.Device
+	trace *bandwidth.Trace
 }
 
 // build materializes the plan.
 func (p *devicePlan) build() (*plannedDevice, error) {
 	out := &plannedDevice{dev: p.dev}
-	for _, spec := range p.trains {
-		out.beats = append(out.beats, p.schedule(spec)...)
-	}
-	if len(p.reboots) > 0 {
-		out.beats = dropInWindows(out.beats, p.reboots)
-	}
-	sort.SliceStable(out.beats, func(i, j int) bool { return out.beats[i].At < out.beats[j].At })
+	out.dev.Trains = nil
+	out.dev.Beats = p.beats()
 
-	out.packets = append([]workload.Packet(nil), p.dev.Packets...)
+	packets := append([]workload.Packet(nil), p.dev.Packets...)
 	for _, w := range p.reboots {
-		for i := range out.packets {
-			if out.packets[i].ArrivedAt >= w.from && out.packets[i].ArrivedAt < w.to {
-				out.packets[i].ArrivedAt = w.to
+		for i := range packets {
+			if packets[i].ArrivedAt >= w.from && packets[i].ArrivedAt < w.to {
+				packets[i].ArrivedAt = w.to
 			}
 		}
 	}
 	if len(p.reboots) > 0 {
-		sort.SliceStable(out.packets, func(i, j int) bool { return out.packets[i].ArrivedAt < out.packets[j].ArrivedAt })
-		for i := range out.packets {
-			out.packets[i].ID = i
+		sort.SliceStable(packets, func(i, j int) bool { return packets[i].ArrivedAt < packets[j].ArrivedAt })
+		for i := range packets {
+			packets[i].ID = i
 		}
 		// A reboot at the horizon's edge can push arrivals past it; the
 		// engine would reject them, so they are lost with the outage.
-		for len(out.packets) > 0 && out.packets[len(out.packets)-1].ArrivedAt >= p.horizon {
-			out.packets = out.packets[:len(out.packets)-1]
+		for len(packets) > 0 && packets[len(packets)-1].ArrivedAt >= p.horizon {
+			packets = packets[:len(packets)-1]
 		}
 	}
+	out.dev.Packets = packets
 
 	trace, err := bandwidth.FromSeed(p.dev.BandwidthSeed, p.horizon, nil)
 	if err != nil {
@@ -219,35 +216,37 @@ func (p *devicePlan) build() (*plannedDevice, error) {
 	return out, nil
 }
 
-// schedule walks one train's policy, applying the diurnal beat factor
-// and then the composed cycle factors to every interval that starts at
-// or after each change, and honoring the app's uninstall instant.
-func (p *devicePlan) schedule(spec trainSpec) []heartbeat.Beat {
+// beats walks every train through heartbeat's schedule walk, each up to
+// its own uninstall instant, with scale applied to every interval; then
+// it drops the beats lost to reboots and sorts the rest.
+func (p *devicePlan) beats() []heartbeat.Beat {
 	var beats []heartbeat.Beat
-	at := spec.app.FirstAt
-	for i := 0; at < p.horizon; i++ {
-		if spec.uninstalledAt >= 0 && at >= spec.uninstalledAt {
-			break
+	for _, spec := range p.trains {
+		until := p.horizon
+		if spec.uninstalledAt >= 0 && spec.uninstalledAt < until {
+			until = spec.uninstalledAt
 		}
-		beats = append(beats, heartbeat.Beat{At: at, App: spec.app.Name, Size: spec.app.PacketSize})
-		step := spec.app.Policy.IntervalAfter(i)
-		if step <= 0 {
-			break
-		}
-		if p.sampler != nil {
-			step = p.sampler.ScaleBeat(at, step)
-		}
-		for _, ch := range p.cycles {
-			if at >= ch.at {
-				step = time.Duration(float64(step) * ch.factor)
-			}
-		}
-		if step <= 0 {
-			break
-		}
-		at += step
+		beats = append(beats, spec.app.Schedule(until, p.scale)...)
 	}
+	if len(p.reboots) > 0 {
+		beats = dropInWindows(beats, p.reboots)
+	}
+	sort.SliceStable(beats, func(i, j int) bool { return beats[i].At < beats[j].At })
 	return beats
+}
+
+// scale modulates a heartbeat interval starting at at: the diurnal beat
+// factor first, then every cycle change whose instant is at or before at.
+func (p *devicePlan) scale(at, step time.Duration) time.Duration {
+	if p.sampler != nil {
+		step = p.sampler.ScaleBeat(at, step)
+	}
+	for _, ch := range p.cycles {
+		if at >= ch.at {
+			step = time.Duration(float64(step) * ch.factor)
+		}
+	}
+	return step
 }
 
 // dropInWindows removes beats inside any outage window.

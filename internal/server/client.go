@@ -28,7 +28,7 @@ type Session struct {
 func SessionFromDevice(dev fleet.Device, theta float64, k int) (Session, error) {
 	beats := dev.Beats
 	if beats == nil {
-		beats = heartbeat.Merge(dev.Trains, dev.Horizon)
+		beats = heartbeat.Merge(dev.Trains, dev.Horizon, nil)
 	}
 	events := make([]wire.Message, 0, len(beats)+len(dev.Packets))
 	for _, b := range beats {
@@ -81,10 +81,11 @@ type DeviceOutcome struct {
 }
 
 // Drive replays one session over conn and collects the server's output.
-// It is the protocol's reference client, shared by the equivalence tests
-// and cmd/etrain-load. Drive writes from the calling goroutine while a
-// spawned goroutine consumes server frames, so it works over synchronous
-// transports like net.Pipe; it closes conn before returning.
+// It is the protocol's reference client, used only by tests (equivalence,
+// soak and cluster); cmd/etrain-load runs client.Run instead. Drive
+// writes from the calling goroutine while a spawned goroutine consumes
+// server frames, so it works over synchronous transports like net.Pipe;
+// it closes conn before returning.
 func Drive(conn net.Conn, s Session) (*DeviceOutcome, error) {
 	defer conn.Close()
 

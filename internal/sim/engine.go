@@ -328,7 +328,7 @@ func newEngine(cfg Config, summaryOnly bool) (*Engine, error) {
 	}
 	beats := cfg.Beats
 	if beats == nil {
-		beats = heartbeat.Merge(cfg.Trains, cfg.Horizon)
+		beats = heartbeat.Merge(cfg.Trains, cfg.Horizon, nil)
 	}
 	slot := cfg.Strategy.SlotLength()
 	if slot <= 0 {

@@ -252,22 +252,6 @@ func TestSweepPartialFailure(t *testing.T) {
 	}
 }
 
-func TestFreeSweepAbortsOnFirstFailure(t *testing.T) {
-	cfg := runnerConfig(t, 21, 15*time.Minute)
-	points, err := Sweep(cfg, func(theta float64) (sched.Strategy, error) {
-		if theta > 0.5 {
-			return nil, errors.New("injected")
-		}
-		return core.New(core.Options{Theta: theta, K: 20})
-	}, []float64{0, 1, 2})
-	if err == nil {
-		t.Fatal("free Sweep must fail when a point fails")
-	}
-	if points != nil {
-		t.Fatalf("free Sweep returned partial points %v with an error", points)
-	}
-}
-
 // syntheticCurve is a deterministic evaluate function for calibrate: delay
 // rises linearly with the control, energy falls. It records every control
 // it was asked about.

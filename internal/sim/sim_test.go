@@ -125,7 +125,7 @@ func TestAllPacketsAccountedFor(t *testing.T) {
 func TestHeartbeatCountMatchesSchedule(t *testing.T) {
 	cfg := paperConfig(t, 3)
 	res := runWith(t, cfg, baseline.NewImmediate())
-	want := len(heartbeat.Merge(cfg.Trains, cfg.Horizon))
+	want := len(heartbeat.Merge(cfg.Trains, cfg.Horizon, nil))
 	if res.HeartbeatCount != want {
 		t.Fatalf("heartbeats = %d, want %d", res.HeartbeatCount, want)
 	}
@@ -385,7 +385,7 @@ func TestSweepProducesOnePointPerControl(t *testing.T) {
 	factory := func(theta float64) (sched.Strategy, error) {
 		return core.New(core.Options{Theta: theta, K: 20})
 	}
-	points, err := Sweep(cfg, factory, []float64{0, 0.5, 1.0})
+	points, err := NewRunner(1).Sweep(cfg, Keyed("", factory), []float64{0, 0.5, 1.0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -403,7 +403,7 @@ func TestCalibrateDelayHitsTarget(t *testing.T) {
 		return core.New(core.Options{Theta: theta, K: 20})
 	}
 	target := 40 * time.Second
-	pt, err := CalibrateDelay(cfg, factory, target, 0, 4.0, 8)
+	pt, err := NewRunner(1).CalibrateDelay(cfg, Keyed("", factory), target, 0, 4.0, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -453,21 +453,22 @@ func TestComparativeOrderingMatchesPaper(t *testing.T) {
 	// calibrated much below that.
 	target := 68 * time.Second
 
-	etrainPt, err := CalibrateDelay(cfg, func(theta float64) (sched.Strategy, error) {
+	runner := NewRunner(1)
+	etrainPt, err := runner.CalibrateDelay(cfg, Keyed("", func(theta float64) (sched.Strategy, error) {
 		return core.New(core.Options{Theta: theta, K: core.KInfinite})
-	}, target, 0, 20, 8)
+	}), target, 0, 20, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	etimePt, err := CalibrateDelay(cfg, func(v float64) (sched.Strategy, error) {
+	etimePt, err := runner.CalibrateDelay(cfg, Keyed("", func(v float64) (sched.Strategy, error) {
 		return baseline.NewETime(baseline.ETimeOptions{V: v})
-	}, target, 1, 40, 8)
+	}), target, 1, 40, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	peresPt, err := CalibrateDelay(cfg, func(omega float64) (sched.Strategy, error) {
+	peresPt, err := runner.CalibrateDelay(cfg, Keyed("", func(omega float64) (sched.Strategy, error) {
 		return baseline.NewPerES(baseline.DefaultPerESOptions(omega))
-	}, target, 0, 3, 8)
+	}), target, 0, 3, 8)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -99,7 +99,7 @@ func skipConfig(t *testing.T, pop *workload.Population, i int, c skipCase) sim.C
 	}
 	cfg.Packets = slices.Clone(cfg.Packets)
 	snapToSlots(cfg.Packets, c.slot, func(p *workload.Packet) *time.Duration { return &p.ArrivedAt })
-	cfg.Beats = heartbeat.Merge(cfg.Trains, horizon)
+	cfg.Beats = heartbeat.Merge(cfg.Trains, horizon, nil)
 	snapToSlots(cfg.Beats, c.slot, func(b *heartbeat.Beat) *time.Duration { return &b.At })
 	return cfg
 }

@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"errors"
 	"fmt"
 	"strings"
 	"time"
@@ -120,23 +119,6 @@ func (r *Runner) Sweep(cfg Config, factory KeyedFactory, controls []float64) ([]
 	return points, nil
 }
 
-// Sweep runs the configuration once per control value sequentially and
-// returns the E–D points in input order. It is the zero-setup entry
-// point; use a Runner for parallelism, caching and partial-failure
-// tolerance. The first failed point aborts the sweep, matching the
-// historical contract.
-func Sweep(cfg Config, factory StrategyFactory, controls []float64) ([]EDPoint, error) {
-	points, err := NewRunner(1).Sweep(cfg, Keyed("", factory), controls)
-	if err != nil {
-		var se *SweepError
-		if errors.As(err, &se) && len(se.Failures) > 0 {
-			return nil, fmt.Errorf("sweep %w", se.Failures[0])
-		}
-		return nil, err
-	}
-	return points, nil
-}
-
 // calibrationTolerance is the delay slack within which calibration picks
 // the cheapest point rather than the closest-delay one. Strategies whose
 // delay curve flattens near the target (eTrain past its train-gap floor)
@@ -231,12 +213,6 @@ func (r *Runner) CalibrateDelay(cfg Config, factory KeyedFactory, target time.Du
 	return calibrate(func(ctrl float64) (EDPoint, error) {
 		return r.Point(cfg, factory, ctrl)
 	}, target, lo, hi, iterations)
-}
-
-// CalibrateDelay is the zero-setup sequential form of
-// Runner.CalibrateDelay.
-func CalibrateDelay(cfg Config, factory StrategyFactory, target time.Duration, lo, hi float64, iterations int) (EDPoint, error) {
-	return NewRunner(1).CalibrateDelay(cfg, Keyed("", factory), target, lo, hi, iterations)
 }
 
 func absDuration(d time.Duration) time.Duration {

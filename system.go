@@ -154,5 +154,5 @@ func (s *System) Delivered() []DeliveredPacket {
 // MergedSchedule returns the train departure table for the given apps and
 // horizon (the set H of the paper's formulation).
 func MergedSchedule(apps []TrainApp, horizon time.Duration) []Beat {
-	return heartbeat.Merge(apps, horizon)
+	return heartbeat.Merge(apps, horizon, nil)
 }

@@ -29,13 +29,17 @@ type Trace struct {
 // copied. Non-positive samples are clamped to a small positive floor so that
 // transmission durations stay finite.
 func NewTrace(samples []float64) (*Trace, error) {
-	return ownTrace(append([]float64(nil), samples...))
+	t := &Trace{}
+	if err := t.own(append([]float64(nil), samples...)); err != nil {
+		return nil, err
+	}
+	return t, nil
 }
 
-// ownTrace builds a trace on samples itself, clamping them in place.
-func ownTrace(samples []float64) (*Trace, error) {
+// own makes samples t's own, clamping them in place.
+func (t *Trace) own(samples []float64) error {
 	if len(samples) == 0 {
-		return nil, ErrEmptyTrace
+		return ErrEmptyTrace
 	}
 	const floor = 128 // bytes/s: a stalled but not dead link
 	for i, s := range samples {
@@ -46,7 +50,8 @@ func ownTrace(samples []float64) (*Trace, error) {
 			samples[i] = math.MaxFloat64
 		}
 	}
-	return &Trace{samples: samples}, nil
+	t.samples = samples
+	return nil
 }
 
 // Len returns the trace length in seconds.

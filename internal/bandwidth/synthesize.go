@@ -2,6 +2,7 @@ package bandwidth
 
 import (
 	"math"
+	"slices"
 	"time"
 
 	"etrain/internal/randx"
@@ -36,6 +37,19 @@ func DefaultRegimes() []Regime {
 // Synthesize generates a trace of the given duration from a regime-switching
 // Gauss–Markov process. The same seed always yields the same trace.
 func Synthesize(src *randx.Source, duration time.Duration, regimes []Regime) (*Trace, error) {
+	t := &Trace{}
+	if err := SynthesizeInto(t, src, duration, regimes); err != nil {
+		return nil, err
+	}
+	return t, nil
+}
+
+// SynthesizeInto is Synthesize writing into t: it replaces t's samples,
+// reusing their buffer, so a caller that builds many traces in turn, such
+// as a fleet shard, allocates nothing once the buffer has grown.
+//
+//etrain:hotpath
+func SynthesizeInto(t *Trace, src *randx.Source, duration time.Duration, regimes []Regime) error {
 	if len(regimes) == 0 {
 		regimes = DefaultRegimes()
 	}
@@ -43,12 +57,15 @@ func Synthesize(src *randx.Source, duration time.Duration, regimes []Regime) (*T
 	if n <= 0 {
 		n = 1
 	}
-	samples := make([]float64, 0, n)
+	samples := slices.Grow(t.samples[:0], n)
 
 	regimeIdx := src.Intn(len(regimes))
 	reg := regimes[regimeIdx]
 	dwellLeft := int(src.Exp(reg.MeanDwell.Seconds()))
 	value := reg.Mean
+	// scale turns a standard normal draw into the regime's AR(1)
+	// innovation; it changes only with the regime.
+	scale := reg.StdDev * sqrt1m(reg.Corr)
 
 	for len(samples) < n {
 		if dwellLeft <= 0 {
@@ -59,13 +76,14 @@ func Synthesize(src *randx.Source, duration time.Duration, regimes []Regime) (*T
 			}
 			regimeIdx = next
 			reg = regimes[regimeIdx]
+			scale = reg.StdDev * sqrt1m(reg.Corr)
 			dwellLeft = int(src.Exp(reg.MeanDwell.Seconds()))
 			if dwellLeft < 1 {
 				dwellLeft = 1
 			}
 		}
 		// AR(1) step towards the regime mean.
-		innovation := reg.StdDev * sqrt1m(reg.Corr) * src.NormFloat64()
+		innovation := scale * src.NormFloat64()
 		value = reg.Mean + reg.Corr*(value-reg.Mean) + innovation
 		if value < 1e3 {
 			value = 1e3 // deep fade floor: 1 KB/s
@@ -73,8 +91,7 @@ func Synthesize(src *randx.Source, duration time.Duration, regimes []Regime) (*T
 		samples = append(samples, value)
 		dwellLeft--
 	}
-	// The samples are this call's own, so the trace takes them uncopied.
-	return ownTrace(samples)
+	return t.own(samples)
 }
 
 // FromSeed generates the trace Synthesize would produce from a fresh
@@ -82,10 +99,20 @@ func Synthesize(src *randx.Source, duration time.Duration, regimes []Regime) (*T
 // server rebuilds the exact channel the client's synthesizer drew, so the
 // trace itself never crosses the wire.
 func FromSeed(seed int64, duration time.Duration, regimes []Regime) (*Trace, error) {
-	// Synthesize consumes the source fully, so it can come from the pool.
+	t := &Trace{}
+	if err := FromSeedInto(t, seed, duration, regimes); err != nil {
+		return nil, err
+	}
+	return t, nil
+}
+
+// FromSeedInto is FromSeed writing into t, as SynthesizeInto does.
+func FromSeedInto(t *Trace, seed int64, duration time.Duration, regimes []Regime) error {
+	// SynthesizeInto consumes the source fully, so it can come from the
+	// pool.
 	src := randx.Acquire(seed)
 	defer src.Release()
-	return Synthesize(src, duration, regimes)
+	return SynthesizeInto(t, src, duration, regimes)
 }
 
 // sqrt1m returns sqrt(1 - c²), the innovation scale that gives an AR(1)

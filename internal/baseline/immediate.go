@@ -19,7 +19,9 @@ import (
 
 // Immediate is the paper's default baseline: no scheduling intelligence,
 // every packet is transmitted as soon as it arrives. It is not safe for
-// concurrent use: Schedule reuses its selection buffer.
+// concurrent use: Schedule reuses its selection buffer, its only state, so
+// one Immediate serves any number of runs in turn. The zero value is
+// ready.
 type Immediate struct {
 	sel []workload.Packet // the last selection, reused by the next Schedule
 }

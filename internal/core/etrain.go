@@ -90,7 +90,9 @@ func (o Options) Validate() error {
 }
 
 // ETrain is the online transmission strategy of the paper. It is not safe
-// for concurrent use: Schedule reuses the scratch below.
+// for concurrent use: Schedule reuses the scratch below. Besides its
+// options the scratch is its only state, so one ETrain serves any number
+// of runs in turn.
 type ETrain struct {
 	opts Options
 
@@ -146,11 +148,9 @@ func (e *ETrain) Schedule(ctx *sched.SlotContext) []workload.Packet {
 		return nil
 	}
 
-	// Line 1: P(t) from Eq. 6.
-	cost := q.CostAt(ctx.Now)
-
-	// Line 3: transmit only past the cost bound or on a train departure.
-	if !ctx.HeartbeatNow && !e.gateOpen(cost) {
+	// Lines 1 and 3: transmit only on a train departure or once P(t)
+	// (Eq. 6) passes the cost bound. A departure needs no P(t).
+	if !ctx.HeartbeatNow && !e.gateOpen(q.CostAt(ctx.Now)) {
 		return nil
 	}
 
@@ -196,7 +196,9 @@ func (e *ETrain) gateOpen(cost float64) bool {
 // the deadline, the profile's affine pieces, a sum in fixed order — is
 // monotone in IEEE arithmetic, so once the gate opens it stays open. A
 // bisection over q.CostAt therefore lands on the very slot stepping would
-// reach, not an approximation of it. The channel-gated variant also
+// reach, not an approximation of it. Most wakes find the gate still shut
+// at the last candidate slot, which by the same argument settles them
+// with one probe; the rest bisect below it. The channel-gated variant also
 // consults the noisy estimate, which is not monotone, so it wakes every
 // slot.
 //
@@ -208,10 +210,13 @@ func (e *ETrain) NextWake(q *sched.Queues, now, stop, slot time.Duration) time.D
 	case q.Len() == 0:
 		return stop
 	}
-	// The candidates are the slots now+i·slot, i in [0, n). The gate is
-	// closed at every slot below lo and open at hi, n standing in for stop.
+	// The candidates are the slots now+i·slot, i in [0, n).
 	n := (stop - now + slot - 1) / slot
-	lo, hi := time.Duration(0), n
+	if n <= 0 || !e.gateOpen(q.CostAt(now+(n-1)*slot)) {
+		return stop
+	}
+	// The gate is closed at every slot below lo and open at hi.
+	lo, hi := time.Duration(0), n-1
 	for lo < hi {
 		mid := lo + (hi-lo)/2
 		if e.gateOpen(q.CostAt(now + mid*slot)) {
@@ -219,9 +224,6 @@ func (e *ETrain) NextWake(q *sched.Queues, now, stop, slot time.Duration) time.D
 		} else {
 			lo = mid + 1
 		}
-	}
-	if lo >= n {
-		return stop
 	}
 	return now + lo*slot
 }

@@ -127,3 +127,94 @@ func TestGreedyMatchesReference(t *testing.T) {
 		}
 	}
 }
+
+// refNextWake is NextWake as it was before it probed the last candidate
+// slot first, bisecting over every candidate; kept verbatim as the
+// reference.
+func refNextWake(e *ETrain, q *sched.Queues, now, stop, slot time.Duration) time.Duration {
+	switch {
+	case e.opts.ChannelGated:
+		return now
+	case q.Len() == 0:
+		return stop
+	}
+	n := (stop - now + slot - 1) / slot
+	lo, hi := time.Duration(0), n
+	for lo < hi {
+		mid := lo + (hi-lo)/2
+		if e.gateOpen(q.CostAt(now + mid*slot)) {
+			hi = mid
+		} else {
+			lo = mid + 1
+		}
+	}
+	if lo >= n {
+		return stop
+	}
+	return now + lo*slot
+}
+
+// TestNextWakeMatchesBisectionReference compares NextWake with the
+// bisection-only reference over 20k random queues: up to 12 packets over
+// one to three apps, all three profiles and a custom monotone one, Θ from
+// 0 to 7 and three slot lengths. Each queue is asked with stop at zero,
+// one and two candidate slots (one of them off the slot grid), on the
+// slot where the gate opens and one slot past it, and far out.
+func TestNextWakeMatchesBisectionReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	names := []string{"weibo", "mail", "cloud"}
+	mk := []func(time.Duration) profile.Profile{
+		profile.Mail, profile.Weibo, profile.Cloud,
+		func(d time.Duration) profile.Profile {
+			return profile.Custom("steps", d, func(x float64) float64 { return math.Floor(4*x) / 4 })
+		},
+	}
+	thetas := []float64{0, 0.25, 1, 2, 4, 7}
+	strategies := make([]*ETrain, len(thetas))
+	for i, theta := range thetas {
+		e, err := New(Options{Theta: theta, K: 20})
+		if err != nil {
+			t.Fatal(err)
+		}
+		strategies[i] = e
+	}
+	slots := []time.Duration{time.Second, 1500 * time.Millisecond, time.Minute}
+	crossings := 0
+	for trial := 0; trial < 20000; trial++ {
+		apps := names[:1+rng.Intn(len(names))]
+		var pkts []workload.Packet
+		for id := rng.Intn(13); id > 0; id-- {
+			pkts = append(pkts, workload.Packet{
+				ID:        id,
+				App:       apps[rng.Intn(len(apps))],
+				ArrivedAt: time.Duration(rng.Intn(200)) * time.Second,
+				Size:      1000,
+				Profile:   mk[rng.Intn(len(mk))](time.Duration(10+rng.Intn(120)) * time.Second),
+			})
+		}
+		slices.SortStableFunc(pkts, func(a, b workload.Packet) int { return cmp.Compare(a.ArrivedAt, b.ArrivedAt) })
+		q := sched.NewQueues()
+		for _, p := range pkts {
+			q.Add(p)
+		}
+		e := strategies[rng.Intn(len(strategies))]
+		slot := slots[rng.Intn(len(slots))]
+		now := time.Duration(rng.Intn(300)) * time.Second
+		stops := []time.Duration{now, now + slot, now + 2*slot, now + slot + 1, now + time.Duration(rng.Intn(3000))*slot}
+		for i := time.Duration(0); i < 3000; i++ {
+			if e.gateOpen(q.CostAt(now + i*slot)) {
+				stops = append(stops, now+i*slot, now+(i+1)*slot)
+				crossings++
+				break
+			}
+		}
+		for _, stop := range stops {
+			if got, want := e.NextWake(q, now, stop, slot), refNextWake(e, q, now, stop, slot); got != want {
+				t.Fatalf("trial %d (Θ %v, slot %v, now %v, stop %v): NextWake = %v, want %v", trial, e.Theta(), slot, now, stop, got, want)
+			}
+		}
+	}
+	if crossings == 0 {
+		t.Fatal("no queue's gate opened")
+	}
+}

@@ -28,12 +28,20 @@ type Sampler struct {
 // consumes no stream state, so attaching a profile never shifts the
 // device's other draws.
 func (p *Profile) ForDevice(class string, deviceSeed int64) *Sampler {
+	s := &Sampler{}
+	p.ForDeviceInto(s, class, deviceSeed)
+	return s
+}
+
+// ForDeviceInto is ForDevice binding s in place, so a caller that binds
+// many devices in turn, such as a fleet shard, allocates no sampler.
+func (p *Profile) ForDeviceInto(s *Sampler, class string, deviceSeed int64) {
 	var phase time.Duration
 	if p.PhaseJitter > 0 {
 		u := float64(randx.Derive(deviceSeed, phaseNamespace)) / float64(1<<63)
 		phase = time.Duration(u * float64(p.PhaseJitter))
 	}
-	return &Sampler{
+	*s = Sampler{
 		prof:  p,
 		curve: p.CurveFor(class),
 		phase: phase,
@@ -113,24 +121,30 @@ func (s *Sampler) MaxCargoFactor() float64 {
 // law; expected count over any window integrates the activity curve
 // (property-tested).
 func (s *Sampler) Arrivals(src *randx.Source, meanGap, horizon time.Duration) []time.Duration {
+	return s.AppendArrivals(nil, src, meanGap, horizon)
+}
+
+// AppendArrivals appends to dst the instants Arrivals returns.
+//
+//etrain:hotpath
+func (s *Sampler) AppendArrivals(dst []time.Duration, src *randx.Source, meanGap, horizon time.Duration) []time.Duration {
 	if meanGap <= 0 || horizon <= 0 {
-		return nil
+		return dst
 	}
 	bound := s.MaxCargoFactor()
 	if bound <= 0 {
-		return nil
+		return dst
 	}
 	envelopeGap := meanGap.Seconds() / bound
-	var out []time.Duration
 	at := time.Duration(0)
 	for {
 		gap := src.Exp(envelopeGap)
 		at += time.Duration(gap * float64(time.Second))
 		if at >= horizon {
-			return out
+			return dst
 		}
 		if src.Float64()*bound <= s.CargoFactor(at) {
-			out = append(out, at)
+			dst = append(dst, at)
 		}
 	}
 }

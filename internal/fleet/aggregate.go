@@ -8,10 +8,12 @@ import (
 
 // ClassAggregate is the streaming summary of every simulated device of one
 // activeness class: constant-size mergeable moments plus quantile sketches,
-// never the per-device samples. Two aggregates built from the same device
-// multiset are bit-identical regardless of how the devices were grouped,
-// which is what lets shard aggregates merge into a worker-count-independent
-// report.
+// never the per-device samples. The sketches' bits depend only on the
+// device multiset, but the moments' do not: the same devices folded or
+// merged in another grouping can differ in the last bits. Reports are
+// worker-count-independent because the shard layout and the merge order
+// are fixed (devices in index order, shards in shard order), not because
+// grouping is invisible.
 type ClassAggregate struct {
 	// Devices counts the devices folded in.
 	Devices int `json:"devices"`

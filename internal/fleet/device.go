@@ -1,7 +1,6 @@
 package fleet
 
 import (
-	"cmp"
 	"fmt"
 	"slices"
 	"time"
@@ -15,6 +14,7 @@ import (
 	"etrain/internal/radio"
 	"etrain/internal/randx"
 	"etrain/internal/sim"
+	"etrain/internal/simtime"
 	"etrain/internal/workload"
 )
 
@@ -88,45 +88,10 @@ func SynthesizeDevice(fleetSeed int64, pop *workload.Population, index int, hori
 // diurnal profile it is draw-for-draw identical to the legacy path; with
 // one, the same streams feed the diurnal samplers (the per-device phase
 // comes from randx.Derive and consumes no stream state), so attaching a
-// profile never perturbs any other device.
+// profile never perturbs any other device. The device's slices are the
+// caller's own.
 func SynthesizeDeviceOpts(fleetSeed int64, pop *workload.Population, index int, horizon time.Duration, opts DeviceOptions) (Device, error) {
-	seed := randx.Derive(fleetSeed, deviceNamespace, uint64(index))
-	// Synthesis streams are short-lived and fully consumed here, so they
-	// come from the source pool: same bits as New/Split, no per-device
-	// generator-table allocations in the shard loop.
-	src := randx.Acquire(seed)
-	defer src.Release()
-	classIndex, class := pop.Pick(src.Float64())
-	var sampler *diurnal.Sampler
-	if opts.Diurnal != nil {
-		sampler = opts.Diurnal.ForDevice(class.String(), seed)
-	}
-	trains := deviceTrains(src)
-	sessSrc := src.SplitPooled()
-	trace := workload.SynthesizeSession(sessSrc, fmt.Sprintf("device-%d", index), class, horizon, sampler)
-	sessSrc.Release()
-	session := workload.PacketsFromTrace(trace, profile.Weibo(sessionDeadline))
-	genSrc := src.SplitPooled()
-	background, err := workload.Generate(genSrc, backgroundSpecs(class), horizon, sampler)
-	genSrc.Release()
-	if err != nil {
-		return Device{}, err
-	}
-	var beats []heartbeat.Beat
-	if sampler != nil {
-		beats = heartbeat.Merge(trains, horizon, sampler.ScaleBeat)
-	}
-	return Device{
-		Index:         index,
-		Seed:          seed,
-		ClassIndex:    classIndex,
-		Class:         class,
-		Trains:        trains,
-		Packets:       mergePackets(session, background),
-		BandwidthSeed: src.Int63(), // what Split would seed the bandwidth stream with
-		Horizon:       horizon,
-		Beats:         beats,
-	}, nil
+	return new(scratch).synthesize(fleetSeed, pop, index, horizon, opts)
 }
 
 // SimConfig returns the device's base simulation config (no strategy set),
@@ -136,6 +101,11 @@ func (d Device) SimConfig() (sim.Config, error) {
 	if err != nil {
 		return sim.Config{}, err
 	}
+	return d.simConfig(bw), nil
+}
+
+// simConfig is SimConfig over the device's channel trace bw.
+func (d Device) simConfig(bw *bandwidth.Trace) sim.Config {
 	return sim.Config{
 		Horizon:   d.Horizon,
 		Trains:    d.Trains,
@@ -144,25 +114,121 @@ func (d Device) SimConfig() (sim.Config, error) {
 		Bandwidth: bw,
 		Power:     radio.GalaxyS43G(),
 		Seed:      d.Seed,
+	}
+}
+
+// RunPair simulates base twice — transmit-on-arrival versus eTrain under
+// Θ theta and batch bound k — over identical heartbeat trains, cargo and
+// bandwidth; base's Strategy is ignored. It leaves ClassIndex zero: the
+// class is the caller's to know.
+func RunPair(base sim.Config, theta float64, k int) (DeviceOutcome, error) {
+	strategy, err := core.New(core.Options{Theta: theta, K: k})
+	if err != nil {
+		return DeviceOutcome{}, err
+	}
+	return new(scratch).runPair(base, strategy)
+}
+
+// scratch is everything one device's synthesis and run pair fill, kept
+// for the next device: a shard's devices share one, so the device loop
+// allocates nothing once its buffers have grown. A device synthesized into
+// a scratch is valid until the scratch synthesizes the next one. The zero
+// value can synthesize and run a pair; runDevice also needs the eTrain
+// strategy newScratch sets. A scratch is not safe for concurrent use.
+type scratch struct {
+	trains  []heartbeat.TrainApp
+	records []workload.BehaviorRecord
+	// cargo holds the session packets, then the background packets, each
+	// in arrival order; packets is the two merged.
+	cargo   []workload.Packet
+	packets []workload.Packet
+	gen     workload.Generator
+	merger  heartbeat.Merger
+	beats   []heartbeat.Beat
+	sampler diurnal.Sampler
+	trace   bandwidth.Trace
+	// engine runs both halves of every pair. The strategies keep nothing
+	// between runs but their scratch, so they serve every device as they
+	// are.
+	engine    sim.Engine
+	immediate baseline.Immediate
+	etrain    *core.ETrain
+}
+
+// newScratch returns a scratch whose eTrain strategy runs under cfg's Θ
+// and k.
+func newScratch(cfg *Config) (*scratch, error) {
+	strategy, err := core.New(core.Options{Theta: cfg.Theta, K: cfg.K})
+	if err != nil {
+		return nil, err
+	}
+	return &scratch{etrain: strategy}, nil
+}
+
+// synthesize is SynthesizeDeviceOpts into s's buffers.
+//
+//etrain:hotpath
+func (s *scratch) synthesize(fleetSeed int64, pop *workload.Population, index int, horizon time.Duration, opts DeviceOptions) (Device, error) {
+	seed := randx.Derive(fleetSeed, deviceNamespace, uint64(index))
+	// Synthesis streams are short-lived and fully consumed here, so they
+	// come from the source pool: same bits as New/Split, no per-device
+	// generator-table allocations in the shard loop.
+	src := randx.Acquire(seed)
+	defer src.Release()
+	classIndex, class := pop.Pick(src.Float64())
+	var sampler *diurnal.Sampler
+	if opts.Diurnal != nil {
+		sampler = &s.sampler
+		opts.Diurnal.ForDeviceInto(sampler, class.String(), seed)
+	}
+	s.trains = appendTrains(s.trains[:0], src)
+	sessSrc := src.SplitPooled()
+	// No consumer reads a session record's user ID, so it stays empty.
+	s.records = workload.AppendSession(s.records[:0], sessSrc, "", class, horizon, sampler)
+	sessSrc.Release()
+	s.cargo = workload.AppendPacketsFromTrace(s.cargo[:0], s.records, sessionProfile)
+	genSrc := src.SplitPooled()
+	var err error
+	s.cargo, err = s.gen.Append(s.cargo, genSrc, backgroundByClass[class], horizon, sampler)
+	genSrc.Release()
+	if err != nil {
+		return Device{}, err
+	}
+	var beats []heartbeat.Beat
+	if sampler != nil {
+		s.beats = s.merger.Append(s.beats[:0], s.trains, horizon, sampler.ScaleBeat)
+		beats = s.beats
+	}
+	s.packets = mergePackets(s.packets[:0], s.cargo)
+	return Device{
+		Index:         index,
+		Seed:          seed,
+		ClassIndex:    classIndex,
+		Class:         class,
+		Trains:        s.trains,
+		Packets:       s.packets,
+		BandwidthSeed: src.Int63(), // what Split would seed the bandwidth stream with
+		Horizon:       horizon,
+		Beats:         beats,
 	}, nil
 }
 
-// runDevice synthesizes device i and measures its run pair. Everything is
-// derived from (cfg.Seed, i) in a fixed draw order, so the outcome is a
-// pure function of the device's identity.
+// runDevice synthesizes device i into s and measures its run pair.
+// Everything is derived from (cfg.Seed, i) in a fixed draw order, so the
+// outcome is a pure function of the device's identity.
 //
 //etrain:hotpath
-func runDevice(cfg *Config, pop *workload.Population, i int) (DeviceOutcome, error) {
-	dev, err := SynthesizeDeviceOpts(cfg.Seed, pop, i, cfg.Horizon, DeviceOptions{Diurnal: cfg.Diurnal})
+func (s *scratch) runDevice(cfg *Config, pop *workload.Population, i int) (DeviceOutcome, error) {
+	dev, err := s.synthesize(cfg.Seed, pop, i, cfg.Horizon, DeviceOptions{Diurnal: cfg.Diurnal})
 	if err != nil {
 		return DeviceOutcome{}, err
 	}
-	base, err := dev.SimConfig()
-	if err != nil {
+	if err := bandwidth.FromSeedInto(&s.trace, dev.BandwidthSeed, dev.Horizon, nil); err != nil {
 		return DeviceOutcome{}, err
 	}
+	base := dev.simConfig(&s.trace)
 	base.Radio = cfg.radioModel
-	out, err := RunPair(base, cfg.Theta, cfg.K)
+	out, err := s.runPair(base, s.etrain)
 	if err != nil {
 		return DeviceOutcome{}, err
 	}
@@ -170,31 +236,26 @@ func runDevice(cfg *Config, pop *workload.Population, i int) (DeviceOutcome, err
 	return out, nil
 }
 
-// RunPair simulates base twice — transmit-on-arrival versus eTrain under
-// Θ theta and batch bound k — over identical heartbeat trains, cargo and
-// bandwidth; base's Strategy is ignored. It leaves ClassIndex zero: the
-// class is the caller's to know.
+// runPair is RunPair on s's engine and beat buffer, with etrain as the
+// eTrain strategy.
 //
 //etrain:hotpath
-func RunPair(base sim.Config, theta float64, k int) (DeviceOutcome, error) {
+func (s *scratch) runPair(base sim.Config, etrain *core.ETrain) (DeviceOutcome, error) {
 	if base.Beats == nil {
 		// Both runs would merge the same schedule; merge it once. RunMetrics
-		// never appends a beat, so the two engines can share the slice.
-		base.Beats = heartbeat.Merge(base.Trains, base.Horizon, nil)
+		// never appends a beat, so the two runs can share the slice.
+		s.beats = s.merger.Append(s.beats[:0], base.Trains, base.Horizon, nil)
+		base.Beats = s.beats
 	}
 	without := base
-	without.Strategy = baseline.NewImmediate()
-	mWithout, err := sim.RunMetrics(without)
+	without.Strategy = &s.immediate
+	mWithout, err := s.engine.RunMetrics(without)
 	if err != nil {
 		return DeviceOutcome{}, fmt.Errorf("without eTrain: %w", err)
 	}
-	strategy, err := core.New(core.Options{Theta: theta, K: k})
-	if err != nil {
-		return DeviceOutcome{}, err
-	}
 	with := base
-	with.Strategy = strategy
-	mWith, err := sim.RunMetrics(with)
+	with.Strategy = etrain
+	mWith, err := s.engine.RunMetrics(with)
 	if err != nil {
 		return DeviceOutcome{}, fmt.Errorf("with eTrain: %w", err)
 	}
@@ -206,19 +267,34 @@ func RunPair(base sim.Config, theta float64, k int) (DeviceOutcome, error) {
 	}, nil
 }
 
-// deviceTrains draws the device's heartbeat apps: a contiguous cyclic
-// subset of the paper's trio, 1–3 apps, so fleets exercise every train
-// count of Fig. 10a.
-func deviceTrains(src *randx.Source) []heartbeat.TrainApp {
-	trio := heartbeat.DefaultTrio()
+// trio is the paper's train trio every device draws its trains from.
+var trio = heartbeat.DefaultTrio()
+
+// appendTrains appends the device's heartbeat apps to dst: a contiguous
+// cyclic subset of the paper's trio, 1–3 apps, so fleets exercise every
+// train count of Fig. 10a.
+func appendTrains(dst []heartbeat.TrainApp, src *randx.Source) []heartbeat.TrainApp {
 	n := 1 + src.Intn(len(trio))
 	start := src.Intn(len(trio))
-	trains := make([]heartbeat.TrainApp, 0, n)
 	for i := 0; i < n; i++ {
-		trains = append(trains, trio[(start+i)%len(trio)])
+		dst = append(dst, trio[(start+i)%len(trio)])
 	}
-	return trains
+	return dst
 }
+
+// sessionProfile is the delay-cost profile of every session packet.
+// Profiles are read-only, so all devices share one.
+var sessionProfile = profile.Weibo(sessionDeadline)
+
+// backgroundByClass holds each activeness class's backgroundSpecs, built
+// once: specs and their profiles are read-only, so a class's devices share
+// them.
+var backgroundByClass = func() (m [workload.ClassActive + 1][]workload.CargoSpec) {
+	for _, c := range []workload.ActivenessClass{workload.ClassInactive, workload.ClassModerate, workload.ClassActive} {
+		m[c] = backgroundSpecs(c)
+	}
+	return m
+}()
 
 // backgroundSpecs returns the device's delay-tolerant background cargo
 // (mail + cloud sync), with arrival rates scaled by the activeness class:
@@ -244,16 +320,21 @@ func activityFactor(class workload.ActivenessClass) float64 {
 	}
 }
 
-// mergePackets interleaves the session replay with the background cargo by
-// arrival time and reassigns globally unique IDs in arrival order, as the
-// sim queues require.
-func mergePackets(session, background []workload.Packet) []workload.Packet {
-	all := make([]workload.Packet, 0, len(session)+len(background))
-	all = append(all, session...)
-	all = append(all, background...)
-	slices.SortStableFunc(all, func(a, b workload.Packet) int { return cmp.Compare(a.ArrivedAt, b.ArrivedAt) })
-	for i := range all {
-		all[i].ID = i
-	}
-	return all
+// mergePackets appends to dst the session replay and the background cargo,
+// laid end to end in cargo, interleaved by arrival time (the session's
+// first at one instant), and numbers them in that order from 0, as the sim
+// queues require.
+//
+//etrain:hotpath
+func mergePackets(dst, cargo []workload.Packet) []workload.Packet {
+	dst = slices.Grow(dst, len(cargo))
+	first := len(dst)
+	simtime.MergeRuns(cargo, packetAt, func(p *workload.Packet) {
+		q := *p
+		q.ID = len(dst) - first
+		dst = append(dst, q)
+	})
+	return dst
 }
+
+func packetAt(p *workload.Packet) time.Duration { return p.ArrivedAt }

@@ -314,7 +314,7 @@ func haltOnly(err error) bool {
 }
 
 // runShard simulates the devices of shard s and folds their outcomes, in
-// device-index order, into one aggregate.
+// device-index order, into one aggregate. The devices share one scratch.
 //
 //etrain:hotpath
 func runShard(cfg *Config, pop *workload.Population, s int) (*ShardAggregate, error) {
@@ -322,9 +322,13 @@ func runShard(cfg *Config, pop *workload.Population, s int) (*ShardAggregate, er
 	if err != nil {
 		return nil, err
 	}
+	sc, err := newScratch(cfg)
+	if err != nil {
+		return nil, err
+	}
 	lo, hi := cfg.shardRange(s)
 	for i := lo; i < hi; i++ {
-		out, err := runDevice(cfg, pop, i)
+		out, err := sc.runDevice(cfg, pop, i)
 		if err != nil {
 			return nil, fmt.Errorf("device %d: %w", i, err)
 		}

@@ -13,8 +13,10 @@ package heartbeat
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"time"
+
+	"etrain/internal/simtime"
 )
 
 // CyclePolicy yields the interval that follows each heartbeat.
@@ -92,10 +94,16 @@ type Beat struct {
 // first interval, policy-given or scaled, that is not positive, so a
 // broken policy or factor cannot loop forever.
 func (a TrainApp) Schedule(horizon time.Duration, scale func(at, step time.Duration) time.Duration) []Beat {
-	var beats []Beat
+	return a.AppendSchedule(nil, horizon, scale)
+}
+
+// AppendSchedule appends to dst the beats Schedule returns.
+//
+//etrain:hotpath
+func (a TrainApp) AppendSchedule(dst []Beat, horizon time.Duration, scale func(at, step time.Duration) time.Duration) []Beat {
 	at := a.FirstAt
 	for i := 0; at < horizon; i++ {
-		beats = append(beats, Beat{At: at, App: a.Name, Size: a.PacketSize})
+		dst = append(dst, Beat{At: at, App: a.Name, Size: a.PacketSize})
 		step := a.Policy.IntervalAfter(i)
 		if step <= 0 {
 			break
@@ -107,20 +115,41 @@ func (a TrainApp) Schedule(horizon time.Duration, scale func(at, step time.Durat
 		}
 		at += step
 	}
-	return beats
+	return dst
 }
 
 // Merge combines the schedules of several train apps into one chronologically
-// sorted train departure table (the set H of the paper). scale modulates
-// every app's cadence as in TrainApp.Schedule; nil keeps each app's own.
+// sorted train departure table (the set H of the paper): beats in time
+// order, beats at one instant in app order. scale modulates every app's
+// cadence as in TrainApp.Schedule; nil keeps each app's own.
 func Merge(apps []TrainApp, horizon time.Duration, scale func(at, step time.Duration) time.Duration) []Beat {
-	var all []Beat
-	for _, a := range apps {
-		all = append(all, a.Schedule(horizon, scale)...)
-	}
-	sort.SliceStable(all, func(i, j int) bool { return all[i].At < all[j].At })
-	return all
+	return new(Merger).Append(nil, apps, horizon, scale)
 }
+
+// Merger holds Merge's scratch, the apps' schedules walked end to end, so
+// a caller that merges many train sets in turn, such as a fleet shard,
+// allocates nothing once it has grown. The zero value is ready; a Merger
+// is not safe for concurrent use.
+type Merger struct {
+	runs []Beat
+}
+
+// Append appends to dst the departure table Merge returns. Each app's
+// schedule is already in time order, so one stable merge of the schedules
+// orders the table.
+//
+//etrain:hotpath
+func (m *Merger) Append(dst []Beat, apps []TrainApp, horizon time.Duration, scale func(at, step time.Duration) time.Duration) []Beat {
+	m.runs = m.runs[:0]
+	for _, a := range apps {
+		m.runs = a.AppendSchedule(m.runs, horizon, scale)
+	}
+	dst = slices.Grow(dst, len(m.runs))
+	simtime.MergeRuns(m.runs, beatAt, func(b *Beat) { dst = append(dst, *b) })
+	return dst
+}
+
+func beatAt(b *Beat) time.Duration { return b.At }
 
 // Paper §VI-A synthesizes heartbeats for QQ, WeChat and WhatsApp with cycles
 // 300/270/240 s and sizes 378/74/66 B. RenRen and NetEase sizes are not

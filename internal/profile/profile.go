@@ -54,68 +54,71 @@ type Profile interface {
 	Name() string
 }
 
-// funcProfile implements Profile with an explicit cost function.
+// funcProfile implements Profile with an explicit cost function. It holds
+// its name by pointer, which keeps it at 32 bytes with deadlineS cached:
+// a server session builds one per cargo arrival.
 type funcProfile struct {
-	name     string
+	name     *string
 	deadline time.Duration
-	cost     func(dNorm float64) float64
+	// deadlineS is deadline.Seconds(), which every Cost divides by.
+	deadlineS float64
+	cost      func(dNorm float64) float64
 }
 
 var _ Profile = (*funcProfile)(nil)
 
-func (p *funcProfile) Name() string            { return p.name }
+// The built-in families' names, shared by every profile of the family.
+var (
+	mailName  = "mail/f1"
+	weiboName = "weibo/f2"
+	cloudName = "cloud/f3"
+)
+
+func newFuncProfile(name *string, deadline time.Duration, cost func(dNorm float64) float64) *funcProfile {
+	return &funcProfile{name: name, deadline: deadline, deadlineS: deadline.Seconds(), cost: cost}
+}
+
+func (p *funcProfile) Name() string            { return *p.name }
 func (p *funcProfile) Deadline() time.Duration { return p.deadline }
 
 func (p *funcProfile) Cost(d time.Duration) float64 {
 	if d <= 0 || p.deadline <= 0 {
 		return 0
 	}
-	return p.cost(d.Seconds() / p.deadline.Seconds())
+	return p.cost(d.Seconds() / p.deadlineS)
 }
 
 // Mail returns the f1 profile: zero cost before the deadline, then
 // d/deadline − 1.
 func Mail(deadline time.Duration) Profile {
-	return &funcProfile{
-		name:     "mail/f1",
-		deadline: deadline,
-		cost: func(x float64) float64 {
-			if x <= 1 {
-				return 0
-			}
-			return x - 1
-		},
-	}
+	return newFuncProfile(&mailName, deadline, func(x float64) float64 {
+		if x <= 1 {
+			return 0
+		}
+		return x - 1
+	})
 }
 
 // Weibo returns the f2 profile: d/deadline before the deadline, then the
 // constant 2.
 func Weibo(deadline time.Duration) Profile {
-	return &funcProfile{
-		name:     "weibo/f2",
-		deadline: deadline,
-		cost: func(x float64) float64 {
-			if x <= 1 {
-				return x
-			}
-			return 2
-		},
-	}
+	return newFuncProfile(&weiboName, deadline, func(x float64) float64 {
+		if x <= 1 {
+			return x
+		}
+		return 2
+	})
 }
 
 // Cloud returns the f3 profile: d/deadline before the deadline, then
 // 3·d/deadline − 2.
 func Cloud(deadline time.Duration) Profile {
-	return &funcProfile{
-		name:     "cloud/f3",
-		deadline: deadline,
-		cost: func(x float64) float64 {
-			if x <= 1 {
-				return x
-			}
-			return 3*x - 2
-		},
-	}
+	return newFuncProfile(&cloudName, deadline, func(x float64) float64 {
+		if x <= 1 {
+			return x
+		}
+		return 3*x - 2
+	})
 }
 
 // New returns the profile of the given family with the given deadline.
@@ -158,5 +161,5 @@ func KindOf(p Profile) (Kind, bool) {
 // that returns NaN, also makes a skipping run differ from one that steps
 // every slot.
 func Custom(name string, deadline time.Duration, cost func(dNorm float64) float64) Profile {
-	return &funcProfile{name: name, deadline: deadline, cost: cost}
+	return newFuncProfile(&name, deadline, cost)
 }

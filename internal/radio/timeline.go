@@ -280,8 +280,3 @@ func (tl *Timeline) StateAt(m PowerModel, at time.Duration) State {
 	}
 	return m.TailStateAt(at - prev.End())
 }
-
-// PowerAt returns the instantaneous extra power at virtual time at.
-func (tl *Timeline) PowerAt(m PowerModel, at time.Duration) float64 {
-	return m.Power(tl.StateAt(m, at))
-}

@@ -36,9 +36,15 @@ func (p *PoissonProcess) Next() time.Duration {
 // ArrivalsUntil returns every remaining arrival instant strictly before
 // horizon, consuming them from the process.
 func (p *PoissonProcess) ArrivalsUntil(horizon time.Duration) []time.Duration {
-	var out []time.Duration
+	return p.AppendArrivalsUntil(nil, horizon)
+}
+
+// AppendArrivalsUntil appends to dst the instants ArrivalsUntil returns.
+//
+//etrain:hotpath
+func (p *PoissonProcess) AppendArrivalsUntil(dst []time.Duration, horizon time.Duration) []time.Duration {
 	for p.next < horizon {
-		out = append(out, p.Next())
+		dst = append(dst, p.Next())
 	}
-	return out
+	return dst
 }

@@ -129,7 +129,9 @@ func sameFloat(a, b float64) bool { return math.Float64bits(a) == math.Float64bi
 // six apps (an empty name among them), and over 9 and 40 apps so the name
 // lookup switches from a scan to its map, pops by ID that hit and miss,
 // head pops, bulk removals and every query — and requires equal answers,
-// with every cost sum bit-identical.
+// with every cost sum bit-identical. One Queues serves every round, Reset
+// between rounds against a fresh reference, the last round returning from
+// 40 apps to 3.
 func TestQueuesMatchMapReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(18))
 	names := []string{"weibo", "", "mail", "cloud", "x", "weibo2"}
@@ -142,8 +144,10 @@ func TestQueuesMatchMapReference(t *testing.T) {
 		profile.Cloud(60 * time.Second),
 	}
 	// One round per app count, 2000 operations each.
-	for round, count := range []int{1, 2, 3, 4, 5, 6, scanApps + 1, 40} {
-		q, ref := NewQueues(), newRefQueues()
+	q := NewQueues()
+	for round, count := range []int{1, 2, 3, 4, 5, 6, scanApps + 1, 40, 3} {
+		q.Reset()
+		ref := newRefQueues()
 		apps := names[:count]
 		nextID := 0
 		var now time.Duration

@@ -54,11 +54,30 @@ func (q *Queues) index(app string) int {
 	return -1
 }
 
-// register appends app to the registration order and returns its index.
+// Reset empties the queue set and forgets its apps, keeping the buffers
+// for the next run: the queues then behave exactly as NewQueues' do.
+func (q *Queues) Reset() {
+	for i := range q.q {
+		clear(q.q[i])
+		q.q[i] = q.q[i][:0]
+	}
+	clear(q.order)
+	q.order = q.order[:0]
+	q.q = q.q[:0]
+	q.n = 0
+	q.byName = nil
+}
+
+// register appends app to the registration order and returns its index,
+// reusing the queue buffer a Reset left at that index.
 func (q *Queues) register(app string) int {
 	i := len(q.order)
 	q.order = append(q.order, app)
-	q.q = append(q.q, nil)
+	if i < cap(q.q) {
+		q.q = q.q[:i+1]
+	} else {
+		q.q = append(q.q, nil)
+	}
 	switch {
 	case q.byName != nil:
 		q.byName[app] = i
@@ -98,9 +117,6 @@ func (q *Queues) AppsView() []string { return q.order }
 
 // Len returns the total number of queued packets.
 func (q *Queues) Len() int { return q.n }
-
-// AppLen returns the number of packets queued for app.
-func (q *Queues) AppLen(app string) int { return len(q.View(app)) }
 
 // Packets returns a copy of app's queue in arrival order.
 func (q *Queues) Packets(app string) []workload.Packet {

@@ -10,6 +10,9 @@ import (
 	"etrain/internal/workload"
 )
 
+// AppLen returns the number of packets queued for app.
+func (q *Queues) AppLen(app string) int { return len(q.View(app)) }
+
 func pkt(id int, app string, arrived time.Duration) workload.Packet {
 	return workload.Packet{
 		ID:        id,

@@ -316,15 +316,22 @@ type Engine struct {
 // preload the event buffers; more events may be appended with AddPacket
 // and AddBeat as long as time order is preserved.
 func NewEngine(cfg Config) (*Engine, error) {
-	return newEngine(cfg, false)
+	e := &Engine{}
+	if err := e.init(cfg, false); err != nil {
+		return nil, err
+	}
+	return e, nil
 }
 
-// newEngine is NewEngine; with summaryOnly the engine keeps no per-packet
-// record and no timeline, only the packetSummary and energy RunMetrics
-// reads.
-func newEngine(cfg Config, summaryOnly bool) (*Engine, error) {
+// init validates cfg and positions e at its slot zero, as NewEngine does;
+// with summaryOnly the engine keeps no per-packet record and no timeline,
+// only the packetSummary and energy RunMetrics reads. init keeps the
+// queues of an earlier run, reset, and the Result of an earlier
+// summary-only run, which never leaves the engine; everything else starts
+// afresh.
+func (e *Engine) init(cfg Config, summaryOnly bool) error {
 	if err := cfg.Validate(); err != nil {
-		return nil, err
+		return err
 	}
 	beats := cfg.Beats
 	if beats == nil {
@@ -334,7 +341,13 @@ func newEngine(cfg Config, summaryOnly bool) (*Engine, error) {
 	if slot <= 0 {
 		slot = time.Second
 	}
-	res := &Result{Strategy: cfg.Strategy.Name()}
+	var res *Result
+	if summaryOnly && e.summaryOnly {
+		res = e.res
+		*res = Result{Strategy: cfg.Strategy.Name()}
+	} else {
+		res = &Result{Strategy: cfg.Strategy.Name()}
+	}
 	if !summaryOnly {
 		// Preallocate the engine's steady state from the config: every
 		// beat and packet becomes at most one transmission, so sizing the
@@ -344,10 +357,16 @@ func newEngine(cfg Config, summaryOnly bool) (*Engine, error) {
 		res.Timeline.Reserve(len(beats) + len(cfg.Packets))
 		res.Packets = make([]PacketStat, 0, len(cfg.Packets))
 	}
-	e := &Engine{
+	queues := e.queues
+	if queues == nil {
+		queues = sched.NewQueues()
+	} else {
+		queues.Reset()
+	}
+	*e = Engine{
 		cfg:         cfg,
 		slot:        slot,
-		queues:      sched.NewQueues(),
+		queues:      queues,
 		res:         res,
 		beats:       beats,
 		packets:     cfg.Packets,
@@ -361,10 +380,10 @@ func newEngine(cfg Config, summaryOnly bool) (*Engine, error) {
 		MeanBandwidth: cfg.Bandwidth.Mean(),
 	}
 	if cfg.Estimator != nil {
-		// One closure for the engine's lifetime; step repoints estimateAt.
+		// One closure for the run; step repoints estimateAt.
 		e.ctx.EstimateBandwidth = func() float64 { return e.cfg.Estimator.Estimate(e.estimateAt) }
 	}
-	return e, nil
+	return nil
 }
 
 // Now returns the start instant of the next unexecuted slot.
@@ -372,9 +391,6 @@ func (e *Engine) Now() time.Duration { return e.slotStart }
 
 // SlotLength returns the engine's decision period.
 func (e *Engine) SlotLength() time.Duration { return e.slot }
-
-// Finished reports whether Finish has run.
-func (e *Engine) Finished() bool { return e.finished }
 
 // AddBeat appends one heartbeat departure. Beats must arrive in
 // non-decreasing time order and must not predate the next unexecuted slot

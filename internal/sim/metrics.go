@@ -53,8 +53,16 @@ func (s *packetSummary) add(p PacketStat) {
 // reads nothing else, such as a fleet device or a scenario's direct run,
 // allocates less.
 func RunMetrics(cfg Config) (Metrics, error) {
-	e, err := newEngine(cfg, true)
-	if err != nil {
+	return new(Engine).RunMetrics(cfg)
+}
+
+// RunMetrics is the package's RunMetrics on e: it re-initialises e for cfg
+// in place, reusing its queues and result, so a caller that runs many
+// configs in turn, such as a fleet shard, allocates nothing per run once
+// the buffers have grown. Any earlier run of e, incremental or not, is
+// abandoned; a Result that e's Finish returned before stays valid.
+func (e *Engine) RunMetrics(cfg Config) (Metrics, error) {
+	if err := e.init(cfg, true); err != nil {
 		return Metrics{}, err
 	}
 	res, err := e.Finish()

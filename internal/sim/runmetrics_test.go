@@ -31,13 +31,15 @@ func radioColumn(t *testing.T) []radio.Model {
 // TestRunMetricsMatchesRun checks that the summary-only run the fleet uses
 // reports exactly Run's Metrics, over the differential test's strategy
 // space and devices, every tenth with no cargo at all, and every radio
-// model.
+// model: fresh, and on one engine that every device re-initialises, as a
+// fleet shard's does.
 func TestRunMetricsMatchesRun(t *testing.T) {
 	pop, err := workload.NewPopulation(workload.DefaultMix())
 	if err != nil {
 		t.Fatal(err)
 	}
 	models := radioColumn(t)
+	var reused sim.Engine
 	const devices = 420
 	for i := 0; i < devices; i++ {
 		c := skipCaseFor(i)
@@ -57,6 +59,13 @@ func TestRunMetricsMatchesRun(t *testing.T) {
 		}
 		if want := res.Metrics(); got != want {
 			t.Fatalf("device %d (%s, radio %v): RunMetrics differs from Run:\n got %+v\nwant %+v", i, c.name, cfg.Radio, got, want)
+		}
+		again, err := reused.RunMetrics(withStrategy(cfg, c, false, seed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if again != got {
+			t.Fatalf("device %d (%s, radio %v): a reused engine's RunMetrics differs:\n got %+v\nwant %+v", i, c.name, cfg.Radio, again, got)
 		}
 	}
 }

@@ -68,13 +68,6 @@ func NewRunner(workers int) *Runner {
 // Workers returns the runner's worker budget.
 func (r *Runner) Workers() int { return r.limit.Cap() }
 
-// CacheSize returns how many evaluated points the runner currently holds.
-func (r *Runner) CacheSize() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return len(r.cache)
-}
-
 // cacheable reports whether a point's identity is fully named.
 func cacheable(cfg Config, factory KeyedFactory) bool {
 	return cfg.CacheKey != "" && factory.Key != ""

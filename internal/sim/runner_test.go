@@ -19,6 +19,13 @@ import (
 	"etrain/internal/workload"
 )
 
+// CacheSize returns how many evaluated points the runner currently holds.
+func (r *Runner) CacheSize() int {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return len(r.cache)
+}
+
 // runnerConfig builds a shortened paper setup with a noisy channel
 // estimator, so sweeps exercise the per-run reseeding path. The horizon is
 // cut to keep the determinism grid fast; CacheKey names everything the

@@ -1,8 +1,10 @@
 package workload
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"time"
 
@@ -119,11 +121,22 @@ func (p *Population) Pick(u float64) (int, ActivenessClass) {
 // order. SynthesizeSession(src, id, class, SessionLength, nil) consumes
 // exactly the same draws as SynthesizeUser and returns the same trace.
 func SynthesizeSession(src *randx.Source, userID string, class ActivenessClass, length time.Duration, sam *diurnal.Sampler) []BehaviorRecord {
+	return AppendSession(nil, src, userID, class, length, sam)
+}
+
+// AppendSession appends to dst the records SynthesizeSession returns.
+// Their instants are drawn uniformly (or by the curve), not in order, so
+// the appended records are sorted; a stable sort keeps each instant's
+// records in draw order.
+//
+//etrain:hotpath
+func AppendSession(dst []BehaviorRecord, src *randx.Source, userID string, class ActivenessClass, length time.Duration, sam *diurnal.Sampler) []BehaviorRecord {
 	uploads := scaleSessionCount(uploadsFor(src, class), length, sam)
 	downloads := uploads/2 + src.Intn(uploads+1)
-	var records []BehaviorRecord
+	dst = slices.Grow(dst, uploads+downloads)
+	first := len(dst)
 	for i := 0; i < uploads; i++ {
-		records = append(records, BehaviorRecord{
+		dst = append(dst, BehaviorRecord{
 			UserID:   userID,
 			Behavior: BehaviorUpload,
 			At:       placeInSession(src.Float64(), length, sam),
@@ -131,15 +144,15 @@ func SynthesizeSession(src *randx.Source, userID string, class ActivenessClass, 
 		})
 	}
 	for i := 0; i < downloads; i++ {
-		records = append(records, BehaviorRecord{
+		dst = append(dst, BehaviorRecord{
 			UserID:   userID,
 			Behavior: BehaviorDownload,
 			At:       placeInSession(src.Float64(), length, sam),
 			Size:     int64(src.TruncatedNormal(8*1024, 4*1024, 500)),
 		})
 	}
-	sort.SliceStable(records, func(i, j int) bool { return records[i].At < records[j].At })
-	return records
+	slices.SortStableFunc(dst[first:], func(a, b BehaviorRecord) int { return cmp.Compare(a.At, b.At) })
+	return dst
 }
 
 // scaleSessionCount scales a per-10-minute-window event count to the

@@ -2,6 +2,7 @@ package workload
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"etrain/internal/profile"
@@ -132,20 +133,35 @@ func SynthesizeUser(src *randx.Source, userID string, class ActivenessClass) []B
 // profile (the paper replays Weibo traces with the f2 profile and a 30 s
 // deadline).
 func PacketsFromTrace(records []BehaviorRecord, prof profile.Profile) []Packet {
-	var packets []Packet
+	return AppendPacketsFromTrace(nil, records, prof)
+}
+
+// AppendPacketsFromTrace appends to dst the packets PacketsFromTrace
+// returns, their IDs counted from 0 at the first appended packet.
+//
+//etrain:hotpath
+func AppendPacketsFromTrace(dst []Packet, records []BehaviorRecord, prof profile.Profile) []Packet {
+	n := 0
+	for _, r := range records {
+		if r.Size > 0 {
+			n++
+		}
+	}
+	dst = slices.Grow(dst, n)
+	first := len(dst)
 	for _, r := range records {
 		if r.Size <= 0 {
 			continue
 		}
-		packets = append(packets, Packet{
-			ID:        len(packets),
+		dst = append(dst, Packet{
+			ID:        len(dst) - first,
 			App:       "weibo",
 			ArrivedAt: r.At,
 			Size:      r.Size,
 			Profile:   prof,
 		})
 	}
-	return packets
+	return dst
 }
 
 // TruncateToSession clips a trace to the paper's 10-minute app-use window.

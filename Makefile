@@ -2,16 +2,15 @@
 # `determinism` run the commands of CI's test, lint, bench-gate and
 # determinism jobs (.github/workflows/ci.yml); CI's race run adds
 # -count=1, and staticcheck/govulncheck are optional locally (skipped with
-# a notice when not installed) where CI always runs them. The per-feature
-# targets (fleet-smoke, serve, chaos, scenario, diurnal, cluster, overload)
-# re-run their packages' tests under the race detector, which CI does only
-# once, in the test job's race step; their CLI checks are what CI's job of
-# the same name runs (for serve, the `load` target's command). Every
+# a notice when not installed) where CI always runs them. Every package's
+# race-detector run is `make race`, once; the per-feature targets (load,
+# chaos, scenario, cluster, overload) hold only the CLI checks that CI's
+# job of the same name runs (CI's serve job runs `load`). Every
 # workers-1-vs-8 byte-compare is a row of `make determinism`.
 
 GO ?= go
 
-.PHONY: all build test perfbench race fuzz lint vet determinism bench-json bench-server bench-cluster gate fleet-smoke serve load chaos scenario diurnal cluster overload clean
+.PHONY: all build test perfbench race fuzz lint vet determinism bench-json bench-server bench-cluster gate load chaos scenario cluster overload clean
 
 all: build test lint
 
@@ -70,81 +69,38 @@ bench-json:
 		| $(GO) run ./cmd/etrain-benchjson > BENCH_fleet.json
 	@echo "wrote BENCH_fleet.json"
 
-# Fleet engine checks: the checkpoint/resume tests under the race
-# detector. The 2k-device workers-1-vs-8 byte-compare is a row of
-# `make determinism`.
-fleet-smoke:
-	$(GO) test -race ./internal/fleet -run 'Halt|Resume|Checkpoint' -count=1
-
-# Service-layer checks: the wire/in-process equivalence suite, the
-# 1k-device loopback soak and the graceful-drain tests under the race
-# detector. CI's serve job runs the `load` target's command.
-serve:
-	$(GO) test -race ./internal/wire -count=1
-	$(GO) test -race ./internal/server -run 'Equivalence|Soak|Drain|Shutdown' -count=1
-
-# Load-generation smoke over in-process loopback: replay 1k synthesized
-# devices through the full codec-server-session path and report
-# throughput and latency percentiles.
+# Load-generation smoke over in-process loopback (CI's serve job): replay
+# 1k synthesized devices through the full codec-server-session path and
+# report throughput and latency percentiles.
 load:
 	$(GO) run ./cmd/etrain-load -devices 1000 -conns 16 -horizon 2m
 
-# Resilience suite: the fault injector and the self-healing client under
-# the race detector (including the chaos soak — fault-injected fleets must
-# produce decision streams identical to clean loopback), the server's
-# resume/park/drain tests, and a fault-injected load-generation run that
-# must complete every session (CI's chaos job).
+# Resilience smoke (CI's chaos job): a fault-injected load-generation
+# run that must complete every session.
 chaos:
-	$(GO) test -race ./internal/faultnet ./internal/client -count=1
-	$(GO) test -race ./internal/server -run 'Resume|Retain|Shutdown|Drain|Protocol' -count=1
 	$(GO) run ./cmd/etrain-load -devices 200 -conns 16 -horizon 2m -faults 0.1
 
-# Scenario engine checks: the declarative scenario suite under the race
-# detector (the golden corpus is pinned byte-for-byte at two worker
-# counts), then CI's scenario job — the corpus validated through the CLI
-# and the broken-Θ negative: overriding Θ to 0 must trip the saving-floor
-# assertion and flip the exit code. The fault-burst workers-1-vs-8
-# byte-compare is a row of `make determinism`.
+# Scenario CLI checks (CI's scenario job): the corpus validated through
+# the CLI and the broken-Θ negative: overriding Θ to 0 must trip the
+# saving-floor assertion and flip the exit code. The fault-burst
+# workers-1-vs-8 byte-compare is a row of `make determinism`.
 scenario:
-	$(GO) test -race ./internal/scenario -count=1
 	$(GO) build -o /tmp/etrain-sim ./cmd/etrain-sim
 	/tmp/etrain-sim validate scenarios/*.yaml
 	! /tmp/etrain-sim run -theta 0 scenarios/clean-baseline.yaml >/dev/null
 
-# Diurnal + radio suite: the workload-curve and radio packages under the
-# race detector plus the fleet/scenario diurnal determinism tests. The
-# byte-compare smokes — a week-compressed 2k-device diurnal fleet under
-# LTE DRX and the diurnal-week scenario at 1 and 8 workers — are rows of
-# `make determinism`.
-diurnal:
-	$(GO) test -race ./internal/diurnal ./internal/radio -count=1
-	$(GO) test -race ./internal/fleet ./internal/scenario -run Diurnal -count=1
-
-# Cluster suite: the control-plane package under the race detector —
-# ring determinism and ~1/N movement, controller membership/drain/sweep,
-# the in-process failover zero-decision-loss test — then CI's cluster
-# job, the 3-process smoke: a real controller and three race-instrumented
-# etraind shards serve an etrain-load -cluster fleet while one shard is
-# SIGKILLed mid-run; every session must still complete and the
-# fleet-wide merged stats block must be byte-identical to a
-# single-process run of the same fleet.
+# Cluster smoke (CI's cluster job), the 3-process run: a real controller
+# and three race-instrumented etraind shards serve an etrain-load
+# -cluster fleet while one shard is SIGKILLed mid-run; every session must
+# still complete and the fleet-wide merged stats block must be
+# byte-identical to a single-process run of the same fleet.
 cluster:
-	$(GO) test -race ./internal/cluster -count=1
 	bash scripts/cluster-smoke.sh
 
-# Overload-survivability suite: admission control and deadline-aware
-# shedding in the server, the client's retry budget and Busy handling,
-# controller snapshot/restore (including the crash-restart recovery test
-# and the thundering-herd shard-kill chaos test), all under the race
-# detector, and the overload-burst golden — then CI's overload job, an
-# overload soak: a fleet at ~2x the loopback server's admission capacity
-# must complete every session, with refusals, sheds and budget
-# exhaustions in the ledger.
+# Overload soak (CI's overload job): a fleet at ~2x the loopback
+# server's admission capacity must complete every session, with
+# refusals, sheds and budget exhaustions in the ledger.
 overload:
-	$(GO) test -race ./internal/server -run 'Admission|TokenBucket|Busy|Shed' -count=1
-	$(GO) test -race ./internal/client -run 'Busy|Budget|PermanentRefusal' -count=1
-	$(GO) test -race ./internal/cluster -run 'Snapshot|Restore|Rejoin|RestartRecovery|Overload|ThunderingHerd' -count=1
-	$(GO) test ./internal/scenario -run 'TestGoldenScenarios/overload-burst' -count=1
 	$(GO) run ./cmd/etrain-load -devices 300 -conns 16 -horizon 2m \
 		-admission-rate 50 -admission-burst 8 -retry-budget 6 -quiet
 

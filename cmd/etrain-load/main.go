@@ -296,6 +296,8 @@ func run(cfg config) error {
 		rt, err = cluster.NewRouter(cluster.RouterConfig{
 			DialControl: func() (net.Conn, error) { return net.Dial("tcp", cfg.cluster) },
 			DialShard:   func(a string) (net.Conn, error) { return net.Dial("tcp", a) },
+			//lint:ignore notime load-harness boundary: real redial pacing against a restarting controller
+			Sleep: time.Sleep,
 		})
 		if err != nil {
 			return fmt.Errorf("cluster %s: %w", cfg.cluster, err)

@@ -177,9 +177,9 @@ func (c StrategyConfig) build() (sched.Strategy, error) {
 	case StrategyBaseline:
 		return baseline.NewImmediate(), nil
 	case StrategyPerES:
-		return baseline.NewPerES(baseline.DefaultPerESOptions(c.Omega))
+		return baseline.NewPerES(c.Omega)
 	case StrategyETime:
-		return baseline.NewETime(baseline.ETimeOptions{V: c.V})
+		return baseline.NewETime(c.V)
 	case StrategyETrainPredictive:
 		k := c.K
 		if k == 0 {
@@ -362,12 +362,12 @@ func sweepFactory(cfg StrategyConfig) (sim.KeyedFactory, error) {
 
 // Sweep runs the simulation once per control value of the configured
 // strategy's tuning parameter (Θ, Ω or V) and returns the E–D points in
-// input order. Workers bounds how many runs execute concurrently (<= 1
-// sequential, 0 or negative meaning one per CPU); results are
-// bit-identical at every setting because each run's randomness is derived
-// from (seed, strategy, control), never from execution order. Failed
-// points are reported through a *sim.SweepError alongside the surviving
-// points.
+// input order. Workers bounds how many runs execute concurrently: 1 runs
+// them sequentially, n > 1 on n workers, and 0 or negative one per CPU.
+// Results are bit-identical at every setting because each run's
+// randomness is derived from (seed, strategy, control), never from
+// execution order. Failed points are reported through a *sim.SweepError
+// alongside the surviving points.
 func Sweep(cfg SimConfig, controls []float64, workers int) ([]EDPoint, error) {
 	simCfg, err := buildSimInputs(cfg)
 	if err != nil {

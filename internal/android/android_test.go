@@ -36,6 +36,25 @@ func defaultService(t *testing.T, d *Device, theta float64) *Service {
 	return s
 }
 
+// beatsSent counts the heartbeat transmissions on d's timeline.
+func beatsSent(d *Device) int {
+	n := 0
+	for _, tx := range d.Timeline().Transmissions() {
+		if tx.Kind == radio.TxHeartbeat {
+			n++
+		}
+	}
+	return n
+}
+
+// sendMessage schedules an IM data transmission (a chat message or photo)
+// of ts's app at the given instant, leaving its heartbeat alarm untouched.
+func sendMessage(ts *TrainService, at time.Duration, size int64) {
+	ts.device.Loop.Schedule(at, func(time.Duration) {
+		_, _ = ts.device.Transmit(size, radio.TxData, ts.app.Name)
+	})
+}
+
 func TestBusDeliversInRegistrationOrder(t *testing.T) {
 	d := newDevice(t)
 	var order []int
@@ -46,7 +65,7 @@ func TestBusDeliversInRegistrationOrder(t *testing.T) {
 	if len(order) != 2 || order[0] != 1 || order[1] != 2 {
 		t.Fatalf("delivery order = %v, want [1 2]", order)
 	}
-	if d.Bus.ReceiverCount("x") != 2 || d.Bus.ReceiverCount("y") != 1 {
+	if len(d.Bus.receivers["x"]) != 2 || len(d.Bus.receivers["y"]) != 1 {
 		t.Fatal("receiver counts wrong")
 	}
 }
@@ -66,16 +85,13 @@ func TestDeviceRejectsBadConfig(t *testing.T) {
 
 func TestTrainServiceSendsHeartbeatsOnSchedule(t *testing.T) {
 	d := newDevice(t)
-	ts, err := StartTrain(d, heartbeat.WeChat(), false)
-	if err != nil {
+	if _, err := StartTrain(d, heartbeat.WeChat(), false); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.Run(time.Hour); err != nil {
-		t.Fatal(err)
-	}
+	d.Run(time.Hour)
 	// WeChat cycle 270 s: beats at 0, 270, ..., 3510 → 14 in an hour.
-	if ts.Sent() != 14 {
-		t.Fatalf("sent %d heartbeats, want 14", ts.Sent())
+	if n := beatsSent(d); n != 14 {
+		t.Fatalf("sent %d heartbeats, want 14", n)
 	}
 	txs := d.Timeline().Transmissions()
 	if len(txs) != 14 {
@@ -88,31 +104,13 @@ func TestTrainServiceSendsHeartbeatsOnSchedule(t *testing.T) {
 
 func TestTrainServiceAdaptiveCycle(t *testing.T) {
 	d := newDevice(t)
-	ts, err := StartTrain(d, heartbeat.NetEase(), false)
-	if err != nil {
+	if _, err := StartTrain(d, heartbeat.NetEase(), false); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.Run(2 * time.Hour); err != nil {
-		t.Fatal(err)
-	}
+	d.Run(2 * time.Hour)
 	want := len(heartbeat.NetEase().Schedule(2*time.Hour, nil))
-	if ts.Sent() != want {
-		t.Fatalf("NetEase sent %d beats, schedule says %d", ts.Sent(), want)
-	}
-}
-
-func TestTrainServiceStop(t *testing.T) {
-	d := newDevice(t)
-	ts, err := StartTrain(d, heartbeat.WeChat(), false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d.Loop.Schedule(300*time.Second, func(time.Duration) { ts.Stop() })
-	if err := d.Run(time.Hour); err != nil {
-		t.Fatal(err)
-	}
-	if ts.Sent() != 2 {
-		t.Fatalf("sent %d beats after stop at 300s, want 2 (0s, 270s)", ts.Sent())
+	if n := beatsSent(d); n != want {
+		t.Fatalf("NetEase sent %d beats, schedule says %d", n, want)
 	}
 }
 
@@ -131,12 +129,10 @@ func TestMessagesDoNotShiftHeartbeats(t *testing.T) {
 			// beat instant: the claim is about the heartbeat *schedule*
 			// (the alarm), not link-level serialization.
 			for at := 37 * time.Second; at < time.Hour; at += 217 * time.Second {
-				ts.SendMessage(at, 50*1024) // a photo
+				sendMessage(ts, at, 50*1024) // a photo
 			}
 		}
-		if err := d.Run(time.Hour); err != nil {
-			t.Fatal(err)
-		}
+		d.Run(time.Hour)
 		var beats []time.Duration
 		for _, tx := range d.Timeline().Transmissions() {
 			if tx.Kind == radio.TxHeartbeat {
@@ -163,9 +159,7 @@ func TestHookNotifiesMonitor(t *testing.T) {
 	if _, err := StartTrain(d, heartbeat.WeChat(), true); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.Run(time.Hour); err != nil {
-		t.Fatal(err)
-	}
+	d.Run(time.Hour)
 	if svc.BeatsObserved() != 14 {
 		t.Fatalf("monitor observed %d beats, want 14", svc.BeatsObserved())
 	}
@@ -181,9 +175,7 @@ func TestUnhookedTrainInvisibleToMonitor(t *testing.T) {
 	if _, err := StartTrain(d, heartbeat.WeChat(), false); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.Run(time.Hour); err != nil {
-		t.Fatal(err)
-	}
+	d.Run(time.Hour)
 	if svc.BeatsObserved() != 0 {
 		t.Fatalf("monitor observed %d beats from unhooked train", svc.BeatsObserved())
 	}
@@ -199,9 +191,7 @@ func TestCargoPiggybacksOnHeartbeat(t *testing.T) {
 	}
 	mail := NewCargoApp(d, "mail", profile.Mail(600*time.Second))
 	mail.ScheduleSubmit(10*time.Second, 5*1024)
-	if err := d.Run(200 * time.Second); err != nil {
-		t.Fatal(err)
-	}
+	d.Run(200 * time.Second)
 	delivered := mail.Delivered()
 	if len(delivered) != 1 {
 		t.Fatalf("delivered %d packets, want 1", len(delivered))
@@ -236,9 +226,7 @@ func TestCargoReleasedByThetaWithoutTrain(t *testing.T) {
 	}
 	weibo := NewCargoApp(d, "weibo", profile.Weibo(30*time.Second))
 	weibo.ScheduleSubmit(5*time.Second, 2048)
-	if err := d.Run(120 * time.Second); err != nil {
-		t.Fatal(err)
-	}
+	d.Run(120 * time.Second)
 	delivered := weibo.Delivered()
 	if len(delivered) != 1 {
 		t.Fatalf("delivered %d, want 1", len(delivered))
@@ -262,9 +250,7 @@ func TestBypassWhenNoTrains(t *testing.T) {
 	}
 	mail := NewCargoApp(d, "mail", profile.Mail(600*time.Second))
 	mail.ScheduleSubmit(10*time.Second, 5*1024)
-	if err := d.Run(300 * time.Second); err != nil {
-		t.Fatal(err)
-	}
+	d.Run(300 * time.Second)
 	delivered := mail.Delivered()
 	if len(delivered) != 1 {
 		t.Fatalf("bypass did not flush: %d delivered, %d queued", len(delivered), svc.QueuedCount())
@@ -290,9 +276,7 @@ func TestUnregisteredCargoPassesThrough(t *testing.T) {
 			Payload: TransmissionRequest{App: "rogue", PacketID: 1, Size: 100},
 		})
 	})
-	if err := d.Run(10 * time.Second); err != nil {
-		t.Fatal(err)
-	}
+	d.Run(10 * time.Second)
 	if received != 1 {
 		t.Fatalf("unregistered app got %d decisions, want immediate pass-through", received)
 	}
@@ -339,9 +323,7 @@ func TestFullStackEnergySavings(t *testing.T) {
 				mail.ScheduleSubmit(at, int64(2000+src.Intn(8000)))
 			}
 		}
-		if err := d.Run(horizon); err != nil {
-			t.Fatal(err)
-		}
+		d.Run(horizon)
 		delivered := len(weibo.Delivered()) + len(mail.Delivered())
 		return d.Energy(horizon).Total(), delivered
 	}
@@ -362,53 +344,12 @@ func TestFullStackEnergySavings(t *testing.T) {
 	}
 }
 
-func TestLiveRadioState(t *testing.T) {
-	d := newDevice(t)
-	var transitions []radio.Transition
-	d.OnRadioTransition(func(tr radio.Transition) { transitions = append(transitions, tr) })
-
-	if got := d.RadioState(); got != radio.StateIdle {
-		t.Fatalf("initial radio state = %v", got)
-	}
-	var midTx, afterTx radio.State
-	d.Loop.Schedule(10*time.Second, func(time.Duration) {
-		if _, err := d.Transmit(200*1024, radio.TxData, "x"); err != nil {
-			t.Error(err)
-		}
-		midTx = d.RadioState()
-	})
-	// 200 KB at 200 KB/s takes 1 s; at 12 s the radio is in the DCH tail.
-	d.Loop.Schedule(12*time.Second, func(time.Duration) { afterTx = d.RadioState() })
-	if err := d.Run(time.Minute); err != nil {
-		t.Fatal(err)
-	}
-	if midTx != radio.StateTransmitting {
-		t.Fatalf("state during transmission = %v", midTx)
-	}
-	if afterTx != radio.StateDCH {
-		t.Fatalf("state in tail = %v", afterTx)
-	}
-	if d.RadioState() != radio.StateIdle {
-		t.Fatalf("state at end = %v", d.RadioState())
-	}
-	// Walk: IDLE->tx->DCH->FACH->IDLE.
-	want := []radio.State{radio.StateTransmitting, radio.StateDCH, radio.StateFACH, radio.StateIdle}
-	if len(transitions) != len(want) {
-		t.Fatalf("transitions = %v", transitions)
-	}
-	for i, tr := range transitions {
-		if tr.To != want[i] {
-			t.Fatalf("transition %d to %v, want %v", i, tr.To, want[i])
-		}
-	}
-}
-
 func TestCargoAppMetadata(t *testing.T) {
 	d := newDevice(t)
 	defaultService(t, d, 1)
 	prof := profile.Weibo(30 * time.Second)
 	app := NewCargoApp(d, "weibo", prof)
-	if app.Name() != "weibo" || app.Profile() != prof {
+	if app.Name() != "weibo" || app.profile != prof {
 		t.Fatal("cargo metadata wrong")
 	}
 	if app.PendingCount() != 0 {
@@ -428,9 +369,7 @@ func TestMultipleCargoAppsIndependentDecisions(t *testing.T) {
 	b := NewCargoApp(d, "b", profile.Cloud(300*time.Second))
 	a.ScheduleSubmit(10*time.Second, 1000)
 	b.ScheduleSubmit(20*time.Second, 2000)
-	if err := d.Run(100 * time.Second); err != nil {
-		t.Fatal(err)
-	}
+	d.Run(100 * time.Second)
 	if len(a.Delivered()) != 1 || len(b.Delivered()) != 1 {
 		t.Fatalf("deliveries a=%d b=%d, want 1 each", len(a.Delivered()), len(b.Delivered()))
 	}

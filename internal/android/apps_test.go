@@ -5,9 +5,102 @@ import (
 	"time"
 
 	"etrain/internal/heartbeat"
+	"etrain/internal/profile"
 	"etrain/internal/randx"
+	"etrain/internal/simtime"
 	"etrain/internal/workload"
 )
+
+// Realistic cargo application models: the three apps the paper built on top
+// of eTrain (§V-5) — eTrain Mail, Luna Weibo and eTrain Cloud — as
+// behaviour generators that drive the simulated stack in these tests. Each
+// wraps a CargoApp client and submits traffic with its own characteristic
+// pattern.
+
+// MailApp models eTrain Mail: outgoing messages are composed at Poisson
+// instants; a periodic background sync occasionally flushes a small batch
+// of queued drafts at once.
+type MailApp struct {
+	cargo *CargoApp
+	src   *randx.Source
+}
+
+// NewMailApp installs a mail client on the device. deadline parameterizes
+// the f1 profile; meanCompose is the Poisson mean between composed mails.
+func NewMailApp(device *Device, src *randx.Source, deadline, meanCompose time.Duration, horizon time.Duration) *MailApp {
+	app := &MailApp{
+		cargo: NewCargoApp(device, "mail", profile.Mail(deadline)),
+		src:   src,
+	}
+	proc := randx.NewPoissonProcess(src.Split(), meanCompose)
+	for _, at := range proc.AppendArrivalsUntil(nil, horizon) {
+		size := int64(src.TruncatedNormal(5*1024, 2.5*1024, 1024))
+		app.cargo.ScheduleSubmit(at, size)
+	}
+	// Background sync every 10 minutes: 0–2 extra drafts.
+	simtime.NewAlarm(device.Loop, 10*time.Minute, 10*time.Minute, func(now time.Duration) {
+		if now >= horizon {
+			return
+		}
+		for i := 0; i < app.src.Intn(3); i++ {
+			app.cargo.Submit(int64(app.src.TruncatedNormal(3*1024, 1024, 512)))
+		}
+	})
+	return app
+}
+
+// Cargo exposes the underlying client (for delivery stats).
+func (a *MailApp) Cargo() *CargoApp { return a.cargo }
+
+// WeiboApp models Luna Weibo: bursts of uploads during "app use" sessions,
+// interleaved with browse-triggered prefetch downloads — the behaviour the
+// paper's deployed client recorded.
+type WeiboApp struct {
+	cargo *CargoApp
+}
+
+// NewWeiboApp installs a Weibo client replaying the given behaviour trace.
+func NewWeiboApp(device *Device, deadline time.Duration, trace []workload.BehaviorRecord) *WeiboApp {
+	app := &WeiboApp{
+		cargo: NewCargoApp(device, "weibo", profile.Weibo(deadline)),
+	}
+	for _, r := range trace {
+		if r.Size > 0 {
+			app.cargo.ScheduleSubmit(r.At, r.Size)
+		}
+	}
+	return app
+}
+
+// Cargo exposes the underlying client.
+func (a *WeiboApp) Cargo() *CargoApp { return a.cargo }
+
+// CloudApp models eTrain Cloud: large file uploads at sparse instants,
+// each file split into chunks submitted together (a sync batch).
+type CloudApp struct {
+	cargo *CargoApp
+}
+
+// NewCloudApp installs a cloud-sync client. meanSync is the Poisson mean
+// between file syncs; each sync submits 1–4 chunks of ~100 KB.
+func NewCloudApp(device *Device, src *randx.Source, deadline, meanSync, horizon time.Duration) *CloudApp {
+	app := &CloudApp{
+		cargo: NewCargoApp(device, "cloud", profile.Cloud(deadline)),
+	}
+	proc := randx.NewPoissonProcess(src.Split(), meanSync)
+	chunkSrc := src.Split()
+	for _, at := range proc.AppendArrivalsUntil(nil, horizon) {
+		chunks := 1 + chunkSrc.Intn(4)
+		for c := 0; c < chunks; c++ {
+			size := int64(chunkSrc.TruncatedNormal(100*1024, 50*1024, 10*1024))
+			app.cargo.ScheduleSubmit(at, size)
+		}
+	}
+	return app
+}
+
+// Cargo exposes the underlying client.
+func (a *CloudApp) Cargo() *CargoApp { return a.cargo }
 
 func TestMailAppGeneratesTraffic(t *testing.T) {
 	d := newDevice(t)
@@ -19,9 +112,7 @@ func TestMailAppGeneratesTraffic(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := d.Run(horizon); err != nil {
-		t.Fatal(err)
-	}
+	d.Run(horizon)
 	delivered := len(app.Cargo().Delivered()) + app.Cargo().PendingCount()
 	// Poisson(5min over 2h) ≈ 24 composes plus sync batches.
 	if delivered < 12 {
@@ -37,9 +128,7 @@ func TestMailAppDeterministic(t *testing.T) {
 		if _, err := StartTrain(d, heartbeat.WeChat(), true); err != nil {
 			t.Fatal(err)
 		}
-		if err := d.Run(time.Hour); err != nil {
-			t.Fatal(err)
-		}
+		d.Run(time.Hour)
 		return len(app.Cargo().Delivered())
 	}
 	if a, b := run(), run(); a != b {
@@ -55,9 +144,7 @@ func TestWeiboAppReplaysTrace(t *testing.T) {
 	if _, err := StartTrain(d, heartbeat.WeChat(), true); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.Run(workload.SessionLength); err != nil {
-		t.Fatal(err)
-	}
+	d.Run(workload.SessionLength)
 	withPayload := 0
 	for _, r := range trace {
 		if r.Size > 0 {
@@ -77,9 +164,7 @@ func TestCloudAppSubmitsChunkBatches(t *testing.T) {
 	if _, err := StartTrain(d, heartbeat.QQ(), true); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.Run(2 * time.Hour); err != nil {
-		t.Fatal(err)
-	}
+	d.Run(2 * time.Hour)
 	total := len(app.Cargo().Delivered()) + app.Cargo().PendingCount()
 	if total < 5 {
 		t.Fatalf("cloud app produced only %d chunks", total)
@@ -103,9 +188,7 @@ func TestThreeAppsTogetherOnStack(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := d.Run(horizon); err != nil {
-		t.Fatal(err)
-	}
+	d.Run(horizon)
 	if svc.BeatsObserved() == 0 {
 		t.Fatal("no heartbeats observed")
 	}

@@ -53,9 +53,6 @@ func (b *Bus) Broadcast(intent Intent) {
 	}
 }
 
-// ReceiverCount reports how many receivers an action has (for tests).
-func (b *Bus) ReceiverCount(action string) int { return len(b.receivers[action]) }
-
 // Broadcast actions used by the eTrain system.
 const (
 	// ActionHeartbeatSent is fired by the Xposed-style hook whenever a

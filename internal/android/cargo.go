@@ -75,9 +75,6 @@ func NewCargoApp(device *Device, name string, prof profile.Profile) *CargoApp {
 // Name returns the app's name.
 func (c *CargoApp) Name() string { return c.name }
 
-// Profile returns the app's registered delay-cost profile.
-func (c *CargoApp) Profile() profile.Profile { return c.profile }
-
 // Submit hands eTrain a new data packet of the given size at the current
 // virtual time and returns its packet ID.
 func (c *CargoApp) Submit(size int64) int {

@@ -20,7 +20,6 @@ type Device struct {
 	power     radio.PowerModel
 	bw        *bandwidth.Trace
 	timeline  *radio.Timeline
-	machine   radio.Machine[radio.PowerModel]
 	busyUntil time.Duration
 }
 
@@ -40,7 +39,6 @@ func NewDevice(power radio.PowerModel, bw *bandwidth.Trace) (*Device, error) {
 		power:    power,
 		bw:       bw,
 		timeline: &radio.Timeline{},
-		machine:  radio.NewMachine(power),
 	}, nil
 }
 
@@ -60,33 +58,15 @@ func (d *Device) Transmit(size int64, kind radio.TxKind, app string) (time.Durat
 		return 0, err
 	}
 	d.busyUntil = start + txTime
-	// Drive the live RRC machine: promotion now, tail start when the
-	// transmission completes.
-	d.machine.BeginTransmission(start)
-	end := d.busyUntil
-	d.Loop.Schedule(end, func(time.Duration) { d.machine.EndTransmission(end) })
 	return start, nil
-}
-
-// RadioState returns the live RRC state at the current virtual time.
-func (d *Device) RadioState() radio.State {
-	return d.machine.State(d.Loop.Now())
-}
-
-// OnRadioTransition subscribes to live RRC state changes.
-func (d *Device) OnRadioTransition(fn func(radio.Transition)) {
-	d.machine.Subscribe(fn)
 }
 
 // Timeline exposes the device's transmission record.
 func (d *Device) Timeline() *radio.Timeline { return d.timeline }
 
-// Power exposes the device's radio power model.
-func (d *Device) Power() radio.PowerModel { return d.power }
-
 // Run executes the device's event loop until the horizon.
-func (d *Device) Run(horizon time.Duration) error {
-	return d.Loop.Run(horizon)
+func (d *Device) Run(horizon time.Duration) {
+	d.Loop.Run(horizon)
 }
 
 // Energy accounts the device's total radio energy over the run.

@@ -23,20 +23,18 @@ func TestTrainDiesMidRunBypassEngages(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	train := heartbeat.WeChat() // 270 s cycle, first beat at 0
-	ts, err := StartTrain(d, train, true)
-	if err != nil {
+	train := heartbeat.WeChat() // first beat at 0
+	// The train dies right after its first beat: the next one would come
+	// after the run.
+	train.Policy = heartbeat.FixedCycle(time.Hour)
+	if _, err := StartTrain(d, train, true); err != nil {
 		t.Fatal(err)
 	}
-	// The train dies right after its first beat.
-	d.Loop.Schedule(time.Second, func(time.Duration) { ts.Stop() })
 
 	mail := NewCargoApp(d, "mail", profile.Mail(time.Hour))
 	mail.ScheduleSubmit(30*time.Second, 5*1024)
 
-	if err := d.Run(10 * time.Minute); err != nil {
-		t.Fatal(err)
-	}
+	d.Run(10 * time.Minute)
 	delivered := mail.Delivered()
 	if len(delivered) != 1 {
 		t.Fatalf("delivered %d packets after train death, want bypass flush", len(delivered))
@@ -47,51 +45,6 @@ func TestTrainDiesMidRunBypassEngages(t *testing.T) {
 	}
 	if svc.QueuedCount() != 0 {
 		t.Fatal("packets still queued after bypass")
-	}
-}
-
-func TestServiceStopFlushesAndPassesThrough(t *testing.T) {
-	d := newDevice(t)
-	svc := defaultService(t, d, 100) // Θ huge: nothing leaves on its own
-	train := heartbeat.QQ()
-	train.FirstAt = time.Hour // effectively never
-	if _, err := StartTrain(d, train, true); err != nil {
-		t.Fatal(err)
-	}
-	app := NewCargoApp(d, "weibo", profile.Weibo(time.Hour))
-	app.ScheduleSubmit(10*time.Second, 1024) // queued, held by Θ
-	d.Loop.Schedule(60*time.Second, func(time.Duration) { svc.Stop() })
-	app.ScheduleSubmit(90*time.Second, 2048) // submitted after Stop
-
-	if err := d.Run(3 * time.Minute); err != nil {
-		t.Fatal(err)
-	}
-	if !svc.Stopped() {
-		t.Fatal("service not stopped")
-	}
-	delivered := app.Delivered()
-	if len(delivered) != 2 {
-		t.Fatalf("delivered %d packets, want 2 (flush + pass-through)", len(delivered))
-	}
-	// First packet flushed at Stop time; second passed through on arrival.
-	if at := delivered[0].StartedAt; at < 60*time.Second || at > 61*time.Second {
-		t.Fatalf("flushed packet at %v, want ~60s", at)
-	}
-	if at := delivered[1].StartedAt; at < 90*time.Second || at > 91*time.Second {
-		t.Fatalf("post-stop packet at %v, want ~90s (pass-through)", at)
-	}
-	if svc.QueuedCount() != 0 {
-		t.Fatal("packets still queued after Stop")
-	}
-}
-
-func TestServiceStopIdempotent(t *testing.T) {
-	d := newDevice(t)
-	svc := defaultService(t, d, 1)
-	svc.Stop()
-	svc.Stop()
-	if !svc.Stopped() {
-		t.Fatal("not stopped")
 	}
 }
 
@@ -121,9 +74,7 @@ func TestDeepFadeStretchesTransmissions(t *testing.T) {
 	weibo := NewCargoApp(d, "weibo", profile.Weibo(time.Hour))
 	weibo.ScheduleSubmit(20*time.Second, 1024)
 
-	if err := d.Run(10 * time.Minute); err != nil {
-		t.Fatal(err)
-	}
+	d.Run(10 * time.Minute)
 	txs := d.Timeline().Transmissions()
 	if len(txs) < 3 {
 		t.Fatalf("only %d transmissions", len(txs))
@@ -155,9 +106,7 @@ func TestDoubleDecisionIsIdempotent(t *testing.T) {
 		d.Bus.Broadcast(Intent{Action: ActionTransmitDecision, Payload: decision})
 		d.Bus.Broadcast(Intent{Action: ActionTransmitDecision, Payload: decision})
 	})
-	if err := d.Run(10 * time.Second); err != nil {
-		t.Fatal(err)
-	}
+	d.Run(10 * time.Second)
 	if got := len(app.Delivered()); got != 1 {
 		t.Fatalf("duplicated decision transmitted %d times", got)
 	}
@@ -173,9 +122,7 @@ func TestDecisionForUnknownPacketIgnored(t *testing.T) {
 			Payload: TransmitDecision{App: "weibo", PacketIDs: []int{424242}},
 		})
 	})
-	if err := d.Run(5 * time.Second); err != nil {
-		t.Fatal(err)
-	}
+	d.Run(5 * time.Second)
 	if len(app.Delivered()) != 0 {
 		t.Fatal("phantom packet transmitted")
 	}
@@ -189,9 +136,7 @@ func TestMalformedIntentPayloadsIgnored(t *testing.T) {
 		d.Bus.Broadcast(Intent{Action: ActionSubmitRequest, Payload: 42})
 		d.Bus.Broadcast(Intent{Action: ActionRegisterCargo, Payload: nil})
 	})
-	if err := d.Run(5 * time.Second); err != nil {
-		t.Fatal(err)
-	}
+	d.Run(5 * time.Second)
 	if svc.BeatsObserved() != 0 || svc.QueuedCount() != 0 {
 		t.Fatal("malformed payloads were processed")
 	}

@@ -46,13 +46,9 @@ type Service struct {
 	profiles map[string]profile.Profile
 	opts     ServiceOptions
 
-	slotAlarm *simtime.Alarm
-	stopped   bool
-
 	lastBeatAt   time.Duration
 	beatSeen     bool
 	beatsHandled int
-	decisions    int
 }
 
 // StartService installs the eTrain service on the device and starts its
@@ -76,24 +72,9 @@ func StartService(device *Device, opts ServiceOptions) (*Service, error) {
 	device.Bus.Register(ActionRegisterCargo, s.onRegister)
 	device.Bus.Register(ActionHeartbeatSent, s.onHeartbeat)
 	device.Bus.Register(ActionSubmitRequest, s.onSubmit)
-	s.slotAlarm = simtime.NewAlarm(device.Loop, strategy.SlotLength(), strategy.SlotLength(), s.onSlot)
+	simtime.NewAlarm(device.Loop, strategy.SlotLength(), strategy.SlotLength(), s.onSlot)
 	return s, nil
 }
-
-// Stop shuts the service down gracefully: the scheduling alarm is
-// cancelled, queued packets are flushed so no cargo is stranded, and
-// subsequent submissions pass straight through.
-func (s *Service) Stop() {
-	if s.stopped {
-		return
-	}
-	s.stopped = true
-	s.slotAlarm.Cancel()
-	s.flushAll()
-}
-
-// Stopped reports whether Stop was called.
-func (s *Service) Stopped() bool { return s.stopped }
 
 // Detector exposes the monitor's cycle detector (Table 1 style analysis).
 func (s *Service) Detector() *heartbeat.Detector { return s.detector }
@@ -104,9 +85,6 @@ func (s *Service) QueuedCount() int { return s.queues.Len() }
 // BeatsObserved reports how many heartbeat notifications the monitor
 // received.
 func (s *Service) BeatsObserved() int { return s.beatsHandled }
-
-// Decisions reports how many transmit decisions the broadcast module sent.
-func (s *Service) Decisions() int { return s.decisions }
 
 func (s *Service) onRegister(now time.Duration, intent Intent) {
 	reg, ok := intent.Payload.(CargoRegistration)
@@ -120,7 +98,7 @@ func (s *Service) onRegister(now time.Duration, intent Intent) {
 // right now — run the scheduler with the train flag set and piggyback.
 func (s *Service) onHeartbeat(now time.Duration, intent Intent) {
 	ev, ok := intent.Payload.(HeartbeatEvent)
-	if !ok || s.stopped {
+	if !ok {
 		return
 	}
 	s.detector.Observe(ev.App, now)
@@ -138,10 +116,9 @@ func (s *Service) onSubmit(now time.Duration, intent Intent) {
 		return
 	}
 	prof, registered := s.profiles[req.App]
-	if !registered || s.stopped {
-		// Unregistered apps have no profile to schedule under; a stopped
-		// service withholds nothing. Either way the request passes straight
-		// through.
+	if !registered {
+		// Unregistered apps have no profile to schedule under: the request
+		// passes straight through.
 		s.dispatch(map[string][]int{req.App: {req.PacketID}})
 		return
 	}
@@ -215,7 +192,6 @@ func (s *Service) dispatch(byApp map[string][]int) {
 	}
 	sort.Strings(apps)
 	for _, app := range apps {
-		s.decisions++
 		s.device.Bus.Broadcast(Intent{
 			Action:  ActionTransmitDecision,
 			Payload: TransmitDecision{App: app, PacketIDs: byApp[app]},

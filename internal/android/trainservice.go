@@ -26,7 +26,6 @@ type TrainService struct {
 	app    heartbeat.TrainApp
 	alarm  *simtime.Alarm
 	beat   int
-	sent   int
 	hooked bool
 }
 
@@ -48,7 +47,6 @@ func (ts *TrainService) sendHeartbeat(now time.Duration) {
 		// rather than corrupt the timeline.
 		return
 	}
-	ts.sent++
 	// Adaptive policies (NetEase) change the interval as beats accumulate:
 	// the gap after beat index i is IntervalAfter(i).
 	ts.alarm.SetInterval(ts.app.Policy.IntervalAfter(ts.beat))
@@ -60,19 +58,3 @@ func (ts *TrainService) sendHeartbeat(now time.Duration) {
 		})
 	}
 }
-
-// Sent reports how many heartbeats the app has transmitted.
-func (ts *TrainService) Sent() int { return ts.sent }
-
-// SendMessage schedules an IM data transmission (a chat message or photo)
-// at the given instant. Per the paper's §II-B measurement, data traffic has
-// no impact on the timing of heartbeat transmissions: the heartbeat alarm
-// is untouched.
-func (ts *TrainService) SendMessage(at time.Duration, size int64) {
-	ts.device.Loop.Schedule(at, func(time.Duration) {
-		_, _ = ts.device.Transmit(size, radio.TxData, ts.app.Name)
-	})
-}
-
-// Stop cancels the app's heartbeat alarm.
-func (ts *TrainService) Stop() { ts.alarm.Cancel() }

@@ -57,11 +57,6 @@ func (t *Trace) own(samples []float64) error {
 // Len returns the trace length in seconds.
 func (t *Trace) Len() int { return len(t.samples) }
 
-// Duration returns the covered virtual time span.
-func (t *Trace) Duration() time.Duration {
-	return time.Duration(len(t.samples)) * time.Second
-}
-
 // At returns the bandwidth (bytes/second) at virtual time at. Times beyond
 // the trace wrap around, so a short trace can drive a long simulation.
 func (t *Trace) At(at time.Duration) float64 {
@@ -86,39 +81,6 @@ func (t *Trace) Mean() float64 {
 		sum += s
 	}
 	return sum / float64(len(t.samples))
-}
-
-// StdDev returns the standard deviation of the samples.
-func (t *Trace) StdDev() float64 {
-	mean := t.Mean()
-	acc := 0.0
-	for _, s := range t.samples {
-		d := s - mean
-		acc += d * d
-	}
-	return math.Sqrt(acc / float64(len(t.samples)))
-}
-
-// Min returns the smallest sample.
-func (t *Trace) Min() float64 {
-	m := t.samples[0]
-	for _, s := range t.samples[1:] {
-		if s < m {
-			m = s
-		}
-	}
-	return m
-}
-
-// Max returns the largest sample.
-func (t *Trace) Max() float64 {
-	m := t.samples[0]
-	for _, s := range t.samples[1:] {
-		if s > m {
-			m = s
-		}
-	}
-	return m
 }
 
 // TransmitTime returns how long transmitting size bytes takes if started at

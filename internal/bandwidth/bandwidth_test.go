@@ -3,6 +3,7 @@ package bandwidth
 import (
 	"errors"
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -61,19 +62,6 @@ func TestStats(t *testing.T) {
 	}
 	if got := tr.Mean(); got != 2000 {
 		t.Fatalf("Mean = %v, want 2000", got)
-	}
-	if got := tr.Min(); got != 1000 {
-		t.Fatalf("Min = %v, want 1000", got)
-	}
-	if got := tr.Max(); got != 3000 {
-		t.Fatalf("Max = %v, want 3000", got)
-	}
-	wantStd := math.Sqrt(2.0 / 3.0 * 1000 * 1000)
-	if got := tr.StdDev(); math.Abs(got-wantStd) > 1e-6 {
-		t.Fatalf("StdDev = %v, want %v", got, wantStd)
-	}
-	if got := tr.Duration(); got != 3*time.Second {
-		t.Fatalf("Duration = %v, want 3s", got)
 	}
 }
 
@@ -164,8 +152,8 @@ func TestSynthesizeLengthAndPositivity(t *testing.T) {
 	if tr.Len() != 7200 {
 		t.Fatalf("Len = %d, want 7200", tr.Len())
 	}
-	if tr.Min() <= 0 {
-		t.Fatalf("Min = %v, want > 0", tr.Min())
+	if m := slices.Min(tr.Samples()); m <= 0 {
+		t.Fatalf("min sample = %v, want > 0", m)
 	}
 }
 
@@ -180,8 +168,12 @@ func TestSynthesizeRealisticRange(t *testing.T) {
 	if mean < 60e3 || mean > 400e3 {
 		t.Fatalf("synthetic mean = %.0f B/s, want within [60k, 400k]", mean)
 	}
-	if tr.StdDev() < 10e3 {
-		t.Fatalf("synthetic trace suspiciously smooth: std = %.0f", tr.StdDev())
+	acc := 0.0
+	for _, s := range tr.Samples() {
+		acc += (s - mean) * (s - mean)
+	}
+	if std := math.Sqrt(acc / 7200); std < 10e3 {
+		t.Fatalf("synthetic trace suspiciously smooth: std = %.0f", std)
 	}
 }
 

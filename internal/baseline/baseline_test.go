@@ -50,13 +50,13 @@ func TestImmediateEmpty(t *testing.T) {
 }
 
 func TestPerESRejectsNegativeOmega(t *testing.T) {
-	if _, err := NewPerES(PerESOptions{Omega: -1}); err == nil {
+	if _, err := NewPerES(-1); err == nil {
 		t.Fatal("negative Omega accepted")
 	}
 }
 
 func TestPerESDefaults(t *testing.T) {
-	p, err := NewPerES(PerESOptions{Omega: 1})
+	p, err := NewPerES(1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,13 +66,13 @@ func TestPerESDefaults(t *testing.T) {
 	if p.Name() != "peres" {
 		t.Fatalf("name = %q", p.Name())
 	}
-	if p.V() <= 0 {
+	if p.v <= 0 {
 		t.Fatal("V not initialized")
 	}
 }
 
 func TestPerESTransmitsDeadlineViolators(t *testing.T) {
-	p, err := NewPerES(DefaultPerESOptions(5))
+	p, err := NewPerES(5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +88,7 @@ func TestPerESTransmitsDeadlineViolators(t *testing.T) {
 }
 
 func TestPerESHoldsFreshPacketsOnBadChannel(t *testing.T) {
-	p, err := NewPerES(DefaultPerESOptions(5))
+	p, err := NewPerES(5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +104,7 @@ func TestPerESHoldsFreshPacketsOnBadChannel(t *testing.T) {
 }
 
 func TestPerESDrainsOnGoodChannelWithBacklog(t *testing.T) {
-	p, err := NewPerES(DefaultPerESOptions(5))
+	p, err := NewPerES(5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,13 +122,13 @@ func TestPerESDrainsOnGoodChannelWithBacklog(t *testing.T) {
 }
 
 func TestPerESDynamicVConverges(t *testing.T) {
-	p, err := NewPerES(DefaultPerESOptions(0.01)) // tiny Ω: V should shrink
+	p, err := NewPerES(0.01) // tiny Ω: V should shrink
 	if err != nil {
 		t.Fatal(err)
 	}
 	q := sched.NewQueues()
 	q.Add(pkt(1, "a", 0))
-	v0 := p.V()
+	v0 := p.v
 	c := ctx(20*time.Second, q)
 	c.MeanBandwidth = 100e3
 	c.EstimateBandwidth = func() float64 { return 100 }
@@ -138,33 +138,33 @@ func TestPerESDynamicVConverges(t *testing.T) {
 			q.Add(pkt(i+100, "a", 0))
 		}
 	}
-	if p.V() >= v0 {
-		t.Fatalf("V did not shrink toward performance: %v -> %v", v0, p.V())
+	if p.v >= v0 {
+		t.Fatalf("V did not shrink toward performance: %v -> %v", v0, p.v)
 	}
 
 	// Large Ω with an empty cost signal: V should grow (save energy).
-	p2, err := NewPerES(DefaultPerESOptions(100))
+	p2, err := NewPerES(100)
 	if err != nil {
 		t.Fatal(err)
 	}
-	v0 = p2.V()
+	v0 = p2.v
 	empty := sched.NewQueues()
 	for i := 0; i < 200; i++ {
 		p2.Schedule(ctx(time.Duration(i)*time.Second, empty))
 	}
-	if p2.V() <= v0 {
-		t.Fatalf("V did not grow under slack cost bound: %v -> %v", v0, p2.V())
+	if p2.v <= v0 {
+		t.Fatalf("V did not grow under slack cost bound: %v -> %v", v0, p2.v)
 	}
 }
 
 func TestETimeRejectsNegativeV(t *testing.T) {
-	if _, err := NewETime(ETimeOptions{V: -1}); err == nil {
+	if _, err := NewETime(-1); err == nil {
 		t.Fatal("negative V accepted")
 	}
 }
 
 func TestETimeDefaults(t *testing.T) {
-	e, err := NewETime(ETimeOptions{V: 4})
+	e, err := NewETime(4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +177,7 @@ func TestETimeDefaults(t *testing.T) {
 }
 
 func TestETimeAllOrNothing(t *testing.T) {
-	e, err := NewETime(ETimeOptions{V: 4})
+	e, err := NewETime(4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +206,7 @@ func TestETimeAllOrNothing(t *testing.T) {
 func TestETimeBacklogPressureForcesDrain(t *testing.T) {
 	// Even on a bad channel, waiting long enough must force a drain
 	// (Lyapunov stability), since pressure grows with waiting time.
-	e, err := NewETime(ETimeOptions{V: 10})
+	e, err := NewETime(10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,7 +231,7 @@ func TestETimeBacklogPressureForcesDrain(t *testing.T) {
 }
 
 func TestETimeEmptyQueues(t *testing.T) {
-	e, err := NewETime(ETimeOptions{V: 1})
+	e, err := NewETime(1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,11 +244,11 @@ func TestETimeEmptyQueues(t *testing.T) {
 func TestStrategiesWithoutEstimatorFallBack(t *testing.T) {
 	// Without a channel estimator both strategies assume neutral quality
 	// and still function.
-	p, err := NewPerES(DefaultPerESOptions(0.1))
+	p, err := NewPerES(0.1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	e, err := NewETime(ETimeOptions{V: 0.5})
+	e, err := NewETime(0.5)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,43 +9,32 @@ import (
 )
 
 // ETime reimplements the eTime scheduler [16] from the paper's description:
-// a Lyapunov strategy that decides once per 60-second slot whether to drain
-// the whole backlog, transmitting when the estimated channel is good
-// relative to its average. The tradeoff parameter V balances energy against
-// delay (larger V defers longer); eTime is not deadline-aware. The paper
-// restricts its multi-interface selection to the cellular interface, as we
-// do here.
-type ETimeOptions struct {
-	// V is the fixed energy/performance tradeoff parameter.
-	V float64
-	// Slot is the decision period; the paper uses 60 s as suggested
-	// in [16].
-	Slot time.Duration
-}
-
-// ETime is the coarse-slotted channel-dependent comparator.
+// a Lyapunov strategy that decides once per 60-second slot (the period
+// [16] suggests) whether to drain the whole backlog, transmitting when the
+// estimated channel is good relative to its average. The tradeoff
+// parameter V balances energy against delay (larger V defers longer);
+// eTime is not deadline-aware. The paper restricts its multi-interface
+// selection to the cellular interface, as we do here.
 type ETime struct {
-	opts ETimeOptions
+	// v is the fixed energy/performance tradeoff parameter V.
+	v float64
 }
 
 var _ sched.Strategy = (*ETime)(nil)
 
-// NewETime returns an eTime instance.
-func NewETime(opts ETimeOptions) (*ETime, error) {
-	if opts.V < 0 {
-		return nil, fmt.Errorf("baseline: negative V %v", opts.V)
+// NewETime returns an eTime instance with tradeoff parameter v (V).
+func NewETime(v float64) (*ETime, error) {
+	if v < 0 {
+		return nil, fmt.Errorf("baseline: negative V %v", v)
 	}
-	if opts.Slot == 0 {
-		opts.Slot = 60 * time.Second
-	}
-	return &ETime{opts: opts}, nil
+	return &ETime{v: v}, nil
 }
 
 // Name implements sched.Strategy.
 func (*ETime) Name() string { return "etime" }
 
 // SlotLength implements sched.Strategy.
-func (e *ETime) SlotLength() time.Duration { return e.opts.Slot }
+func (*ETime) SlotLength() time.Duration { return 60 * time.Second }
 
 // Schedule implements sched.Strategy: drain everything when the V-weighted
 // backlog clears the channel-quality bar, otherwise hold. Backlog pressure
@@ -67,7 +56,7 @@ func (e *ETime) Schedule(ctx *sched.SlotContext) []workload.Packet {
 		waited := (ctx.Now - p.ArrivedAt).Seconds() / ctx.SlotLength.Seconds()
 		pressure += 1 + waited
 	})
-	if pressure*quality >= e.opts.V {
+	if pressure*quality >= e.v {
 		return DrainAll(q)
 	}
 	return nil

@@ -21,36 +21,10 @@ import (
 // Because decisions hinge on a noisy, lagged channel estimate, PerES
 // fragments transmissions more than eTrain and never aligns them with
 // heartbeat tails.
-type PerESOptions struct {
-	// Omega is the user's performance cost bound Ω.
-	Omega float64
-	// InitialV seeds the dynamic tradeoff parameter.
-	InitialV float64
-	// MinV and MaxV clamp the adaptation.
-	MinV, MaxV float64
-	// Gamma is the multiplicative adaptation step per slot.
-	Gamma float64
-	// Slot is the decision period; 1 s if zero.
-	Slot time.Duration
-}
-
-// DefaultPerESOptions returns the adaptation constants used in the
-// reproduction's experiments.
-func DefaultPerESOptions(omega float64) PerESOptions {
-	return PerESOptions{
-		Omega:    omega,
-		InitialV: 2.0,
-		MinV:     0.05,
-		MaxV:     200,
-		Gamma:    0.01,
-		Slot:     time.Second,
-	}
-}
-
-// PerES is the deadline-aware channel-dependent comparator.
 type PerES struct {
-	opts PerESOptions
-	v    float64
+	// omega is the user's performance cost bound Ω, PerES's one control.
+	omega float64
+	v     float64
 	// emaCost is the exponential moving average of the instantaneous cost,
 	// the signal V converges against.
 	emaCost float64
@@ -58,41 +32,30 @@ type PerES struct {
 
 var _ sched.Strategy = (*PerES)(nil)
 
-// defaultVRange spans MinV to the default MaxV of the V-parameter search.
-// V here is PerES's Lyapunov control knob (the paper's V), not volts.
-const defaultVRange = 1000
+// PerES's adaptation constants: V starts at peresInitialV, moves by the
+// factor 1 ± peresGamma every slot and stays within [peresMinV,
+// peresMaxV]. V here is PerES's Lyapunov control knob (the paper's V), not
+// volts.
+const (
+	peresInitialV = 2.0
+	peresMinV     = 0.05
+	peresMaxV     = 200
+	peresGamma    = 0.01
+)
 
-// NewPerES returns a PerES instance.
-func NewPerES(opts PerESOptions) (*PerES, error) {
-	if opts.Omega < 0 {
-		return nil, fmt.Errorf("baseline: negative Omega %v", opts.Omega)
+// NewPerES returns a PerES instance with cost bound omega (Ω).
+func NewPerES(omega float64) (*PerES, error) {
+	if omega < 0 {
+		return nil, fmt.Errorf("baseline: negative Omega %v", omega)
 	}
-	if opts.Slot == 0 {
-		opts.Slot = time.Second
-	}
-	if opts.InitialV <= 0 {
-		opts.InitialV = 2.0
-	}
-	if opts.MinV <= 0 {
-		opts.MinV = 0.05
-	}
-	if opts.MaxV < opts.MinV {
-		opts.MaxV = opts.MinV * defaultVRange
-	}
-	if opts.Gamma <= 0 {
-		opts.Gamma = 0.01
-	}
-	return &PerES{opts: opts, v: opts.InitialV}, nil
+	return &PerES{omega: omega, v: peresInitialV}, nil
 }
 
 // Name implements sched.Strategy.
 func (*PerES) Name() string { return "peres" }
 
 // SlotLength implements sched.Strategy.
-func (p *PerES) SlotLength() time.Duration { return p.opts.Slot }
-
-// V exposes the current tradeoff parameter (for tests and traces).
-func (p *PerES) V() float64 { return p.v }
+func (*PerES) SlotLength() time.Duration { return time.Second }
 
 // Schedule implements sched.Strategy.
 func (p *PerES) Schedule(ctx *sched.SlotContext) []workload.Packet {
@@ -102,15 +65,15 @@ func (p *PerES) Schedule(ctx *sched.SlotContext) []workload.Packet {
 	// Dynamic V: converge the time-averaged cost to Ω.
 	const emaAlpha = 0.05
 	p.emaCost = (1-emaAlpha)*p.emaCost + emaAlpha*cost
-	if p.emaCost > p.opts.Omega {
-		p.v *= 1 - p.opts.Gamma
-		if p.v < p.opts.MinV {
-			p.v = p.opts.MinV
+	if p.emaCost > p.omega {
+		p.v *= 1 - peresGamma
+		if p.v < peresMinV {
+			p.v = peresMinV
 		}
 	} else {
-		p.v *= 1 + p.opts.Gamma
-		if p.v > p.opts.MaxV {
-			p.v = p.opts.MaxV
+		p.v *= 1 + peresGamma
+		if p.v > peresMaxV {
+			p.v = peresMaxV
 		}
 	}
 

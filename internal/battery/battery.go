@@ -67,12 +67,3 @@ func (b Battery) StandbyLoss(joules float64, measured, standby time.Duration) fl
 	scaled := joules * standby.Seconds() / measured.Seconds()
 	return b.DrainFraction(scaled)
 }
-
-// StandbyHours estimates how long the battery lasts when drained at the
-// given average power (watts).
-func (b Battery) StandbyHours(watts float64) float64 {
-	if watts <= 0 {
-		return 0
-	}
-	return b.CapacityJoules() / watts / secondsPerHour
-}

@@ -35,18 +35,6 @@ func TestDrainFraction(t *testing.T) {
 	}
 }
 
-func TestStandbyHours(t *testing.T) {
-	b := GalaxyS4()
-	// At 0.6 W the 22644 J battery lasts ~10.5 h.
-	got := b.StandbyHours(0.6)
-	if got < 10 || got > 11 {
-		t.Fatalf("standby at 0.6 W = %.1f h, want ~10.5", got)
-	}
-	if b.StandbyHours(0) != 0 {
-		t.Fatal("zero power should return 0")
-	}
-}
-
 func TestStandbyLossZeroMeasured(t *testing.T) {
 	if got := GalaxyS4().StandbyLoss(100, 0, time.Hour); got != 0 {
 		t.Fatalf("loss with zero measurement = %v", got)

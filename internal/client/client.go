@@ -65,10 +65,6 @@ type Config struct {
 	// Hello replay — which, by determinism, regenerates the exact
 	// stream the old shard would have sent.
 	Route func() (conn net.Conn, moved bool, err error)
-	// Power is the radio model for degraded-mode local scheduling
-	// (radio.GalaxyS43G() if unset) — it must match the server's model
-	// for local decisions to be identical.
-	Power radio.PowerModel
 	// MaxAttempts bounds consecutive no-progress attempts before the
 	// client degrades to local scheduling (DefaultMaxAttempts if zero).
 	MaxAttempts int
@@ -213,10 +209,6 @@ func Run(cfg Config, sess server.Session) (*Outcome, error) {
 	if cfg.RetryBudget <= 0 {
 		cfg.RetryBudget = DefaultRetryBudget
 	}
-	if cfg.Power.Validate() != nil {
-		cfg.Power = radio.GalaxyS43G()
-	}
-
 	journal := make([]wire.Message, 0, len(sess.Events)+1)
 	journal = append(journal, sess.Events...)
 	journal = append(journal, wire.Ack{Seq: uint64(len(sess.Events)) + 1})
@@ -565,7 +557,7 @@ func (st *state) stint() (net.Conn, error) {
 
 	localSkip := len(st.out)
 	seq := 0
-	rep, err := server.NewReplayer(st.hello, st.cfg.Power, func(m wire.Message) error {
+	rep, err := server.NewReplayer(st.hello, radio.GalaxyS43G(), func(m wire.Message) error {
 		seq++
 		if seq > localSkip {
 			st.out = append(st.out, m)

@@ -14,12 +14,11 @@ const DefaultFleetAlpha = 0.01
 
 // FleetStats folds per-device StatsSnapshot frames into fleet-wide
 // aggregates on the mergeable stats primitives. Determinism discipline
-// (DESIGN.md §9): Moments merges are combined in device-index order —
-// the caller folds snapshots sorted by device, never by arrival — so the
-// merged result is a pure function of the device set, regardless of which
-// shard served which device, how many shards there were, or when one was
-// killed. The Sketch needs no ordering (its merge is exactly associative
-// and commutative), but it rides the same fold.
+// (DESIGN.md §9): the caller folds snapshots sorted by device, never by
+// arrival, so the Moments are a pure function of the device set,
+// regardless of which shard served which device, how many shards there
+// were, or when one was killed. The Sketch needs no ordering (its adds
+// commute exactly), but it rides the same fold.
 type FleetStats struct {
 	devices     uint64
 	energy      stats.Moments
@@ -56,29 +55,6 @@ func (f *FleetStats) Add(s wire.StatsSnapshot) {
 	f.heartbeats += s.Heartbeats
 	f.forcedFlush += s.ForcedFlush
 }
-
-// Merge folds another accumulator in. Like Add, merge order must be a
-// pure function of device identity (e.g. shard-index order over
-// contiguous device ranges), never completion order.
-func (f *FleetStats) Merge(other *FleetStats) error {
-	if other == nil || other.devices == 0 {
-		return nil
-	}
-	if err := f.delaySketch.Merge(other.delaySketch); err != nil {
-		return fmt.Errorf("cluster: fleet stats: %w", err)
-	}
-	f.devices += other.devices
-	f.energy.Merge(other.energy)
-	f.delay.Merge(other.delay)
-	f.violation.Merge(other.violation)
-	f.dataPackets += other.dataPackets
-	f.heartbeats += other.heartbeats
-	f.forcedFlush += other.forcedFlush
-	return nil
-}
-
-// Devices returns how many snapshots were folded in.
-func (f *FleetStats) Devices() uint64 { return f.devices }
 
 // FleetReport is the machine-readable aggregate, with floats carried
 // bit-exactly (shortest round-trip form under encoding/json).

@@ -303,7 +303,6 @@ func TestControllerRestartRecovery(t *testing.T) {
 		DialControl: tcpDialer(ctrlAddr),
 		DialShard:   func(a string) (net.Conn, error) { return net.Dial("tcp", a) },
 		Sleep:       func(time.Duration) { time.Sleep(time.Millisecond) },
-		RedialWait:  time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -32,10 +32,8 @@ type ringPoint struct {
 // expectation 1/N of the keyspace per membership change. The churn tests
 // hold the ring to both properties.
 type Ring struct {
-	seed    int64
-	vnodes  int
-	members []uint64
-	points  []ringPoint
+	seed   int64
+	points []ringPoint
 }
 
 // BuildRing constructs the ring for the given member set. vnodes <= 0
@@ -57,10 +55,8 @@ func BuildRing(seed int64, vnodes int, members []uint64) *Ring {
 	sort.Slice(dedup, func(i, j int) bool { return dedup[i] < dedup[j] })
 
 	r := &Ring{
-		seed:    seed,
-		vnodes:  vnodes,
-		members: dedup,
-		points:  make([]ringPoint, 0, len(dedup)*vnodes),
+		seed:   seed,
+		points: make([]ringPoint, 0, len(dedup)*vnodes),
 	}
 	for _, m := range dedup {
 		for v := 0; v < vnodes; v++ {
@@ -103,10 +99,6 @@ func (r *Ring) Owner(deviceID uint64) (shard uint64, ok bool) {
 	}
 	return r.points[i].shard, true
 }
-
-// Members returns the ring's member IDs in ascending order. The slice is
-// shared; callers must not mutate it.
-func (r *Ring) Members() []uint64 { return r.members }
 
 // FNV-1a constants, shared with wire.SessionToken.
 const (

@@ -20,12 +20,10 @@ type RouterConfig struct {
 	// DialShard opens a session connection to a shard's advertised
 	// address. Required for Dialer; lookups work without it.
 	DialShard func(addr string) (net.Conn, error)
-	// Sleep paces control-connection redials; nil retries immediately
-	// (tests). Real deployments should pass a sleeper.
+	// Sleep paces control-connection redials: it is handed
+	// DefaultBeatEvery between attempts. Nil retries immediately (tests);
+	// real deployments should pass a sleeper.
 	Sleep func(time.Duration)
-	// RedialWait is the pause between control redials (DefaultBeatEvery
-	// if zero; only used with Sleep).
-	RedialWait time.Duration
 	// Logf, when non-nil, receives connection reports.
 	Logf func(format string, args ...any)
 }
@@ -68,9 +66,6 @@ type Router struct {
 func NewRouter(cfg RouterConfig) (*Router, error) {
 	if cfg.DialControl == nil {
 		return nil, fmt.Errorf("cluster: router: DialControl is required")
-	}
-	if cfg.RedialWait <= 0 {
-		cfg.RedialWait = DefaultBeatEvery
 	}
 	rt := &Router{cfg: cfg, readerDone: make(chan struct{})}
 	rt.cond = sync.NewCond(&rt.mu)
@@ -154,7 +149,7 @@ func (rt *Router) readLoop(conn net.Conn) {
 				rt.cfg.Logf("router: resubscribe: %v", err)
 			}
 			if rt.cfg.Sleep != nil {
-				rt.cfg.Sleep(rt.cfg.RedialWait)
+				rt.cfg.Sleep(DefaultBeatEvery)
 			}
 		}
 	}

@@ -4,7 +4,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
-	"path/filepath"
+
+	"etrain/internal/tracefile"
 )
 
 // ShardSnapshot is one registered shard as the controller snapshot
@@ -60,36 +61,11 @@ func sortShardSnapshots(s []ShardSnapshot) {
 }
 
 // WriteSnapshot atomically persists the controller's current snapshot
-// to path: marshal, write to a temp file in the same directory, fsync,
-// rename. A crash mid-write leaves either the old file or the new one,
-// never a torn JSON.
+// to path (tracefile.WriteJSONAtomic): a crash mid-write leaves either
+// the old file or the new one, never a torn JSON.
 func (c *Controller) WriteSnapshot(path string) error {
-	snap := c.Snapshot()
-	data, err := json.MarshalIndent(snap, "", "  ")
-	if err != nil {
-		return fmt.Errorf("cluster: snapshot marshal: %w", err)
-	}
-	data = append(data, '\n')
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, ".etrain-snapshot-*")
-	if err != nil {
-		return fmt.Errorf("cluster: snapshot temp: %w", err)
-	}
-	tmpName := tmp.Name()
-	defer os.Remove(tmpName) // no-op after a successful rename
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		return fmt.Errorf("cluster: snapshot write: %w", err)
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return fmt.Errorf("cluster: snapshot sync: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("cluster: snapshot close: %w", err)
-	}
-	if err := os.Rename(tmpName, path); err != nil {
-		return fmt.Errorf("cluster: snapshot rename: %w", err)
+	if err := tracefile.WriteJSONAtomic(path, c.Snapshot()); err != nil {
+		return fmt.Errorf("cluster: snapshot: %w", err)
 	}
 	return nil
 }

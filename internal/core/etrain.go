@@ -135,12 +135,6 @@ func (e *ETrain) Name() string { return "etrain" }
 // SlotLength implements sched.Strategy.
 func (e *ETrain) SlotLength() time.Duration { return e.opts.Slot }
 
-// Theta returns the configured cost bound.
-func (e *ETrain) Theta() float64 { return e.opts.Theta }
-
-// K returns the configured batch limit.
-func (e *ETrain) K() int { return e.opts.K }
-
 // Schedule implements Algorithm 1 for one slot.
 func (e *ETrain) Schedule(ctx *sched.SlotContext) []workload.Packet {
 	q := ctx.Queues

@@ -60,8 +60,8 @@ func TestOptionsValidate(t *testing.T) {
 	if e.Name() != "etrain" {
 		t.Fatalf("Name = %q", e.Name())
 	}
-	if e.Theta() != 0.5 || e.K() != KInfinite {
-		t.Fatal("accessors wrong")
+	if e.opts.Theta != 0.5 || e.opts.K != KInfinite {
+		t.Fatalf("options = %+v", e.opts)
 	}
 }
 

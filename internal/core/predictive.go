@@ -56,15 +56,6 @@ func (p *Predictive) Name() string { return "etrain-predictive" }
 // SlotLength implements sched.Strategy.
 func (p *Predictive) SlotLength() time.Duration { return p.inner.SlotLength() }
 
-// LearnedCycles reports the cycles established so far (for tests).
-func (p *Predictive) LearnedCycles() map[string]time.Duration {
-	out := make(map[string]time.Duration, len(p.cycle))
-	for app, c := range p.cycle {
-		out[app] = c
-	}
-	return out
-}
-
 // Schedule implements sched.Strategy.
 func (p *Predictive) Schedule(ctx *sched.SlotContext) []workload.Packet {
 	trainNow := false

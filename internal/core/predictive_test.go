@@ -47,9 +47,8 @@ func TestPredictiveLearnsCycle(t *testing.T) {
 		at := time.Duration(i) * 100 * time.Second
 		p.Schedule(predictiveCtx(at, []heartbeat.Beat{beat("qq", at)}, q))
 	}
-	cycles := p.LearnedCycles()
-	if cycles["qq"] != 100*time.Second {
-		t.Fatalf("learned cycles = %v, want qq:100s", cycles)
+	if p.cycle["qq"] != 100*time.Second {
+		t.Fatalf("learned cycles = %v, want qq:100s", p.cycle)
 	}
 }
 

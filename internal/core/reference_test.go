@@ -210,7 +210,7 @@ func TestNextWakeMatchesBisectionReference(t *testing.T) {
 		}
 		for _, stop := range stops {
 			if got, want := e.NextWake(q, now, stop, slot), refNextWake(e, q, now, stop, slot); got != want {
-				t.Fatalf("trial %d (Θ %v, slot %v, now %v, stop %v): NextWake = %v, want %v", trial, e.Theta(), slot, now, stop, got, want)
+				t.Fatalf("trial %d (Θ %v, slot %v, now %v, stop %v): NextWake = %v, want %v", trial, e.opts.Theta, slot, now, stop, got, want)
 			}
 		}
 	}

@@ -105,14 +105,8 @@ func (c *Curve) segmentWidth(i int) time.Duration {
 	return c.period - c.knots[i].Offset
 }
 
-// Period returns the curve's period.
-func (c *Curve) Period() time.Duration { return c.period }
-
 // Max returns the curve's peak level.
 func (c *Curve) Max() float64 { return c.max }
-
-// Mean returns the curve's period-average level.
-func (c *Curve) Mean() float64 { return c.total / c.period.Seconds() }
 
 // wrap maps any instant into [0, period).
 func (c *Curve) wrap(at time.Duration) time.Duration {

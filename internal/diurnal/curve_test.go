@@ -24,6 +24,9 @@ func twoStep(t *testing.T) *Curve {
 	})
 }
 
+// mean is the curve's period-average level.
+func (c *Curve) mean() float64 { return c.total / c.period.Seconds() }
+
 func TestCurveLevel(t *testing.T) {
 	c := twoStep(t)
 	cases := []struct {
@@ -50,13 +53,13 @@ func TestCurveLevel(t *testing.T) {
 func TestCurveMeanMax(t *testing.T) {
 	c := twoStep(t)
 	// (2·4 + 0.5·6) / 10 = 1.1
-	if got := c.Mean(); math.Abs(got-1.1) > 1e-12 {
+	if got := c.mean(); math.Abs(got-1.1) > 1e-12 {
 		t.Errorf("Mean() = %v, want 1.1", got)
 	}
 	if got := c.Max(); got != 2 {
 		t.Errorf("Max() = %v, want 2", got)
 	}
-	if got := c.Period(); got != 10*time.Second {
+	if got := c.period; got != 10*time.Second {
 		t.Errorf("Period() = %v, want 10s", got)
 	}
 }
@@ -94,7 +97,7 @@ func TestCurveIntegralMatchesRiemann(t *testing.T) {
 // exactly.
 func TestCurveCumPeriodBoundaries(t *testing.T) {
 	c := mustCurve(t, Day, []Knot{{Offset: 0, Level: 0.2}, {Offset: 6 * time.Hour, Level: 1.5}, {Offset: 18 * time.Hour, Level: 0.5}})
-	p := c.Period()
+	p := c.period
 	ref := func(at time.Duration) float64 {
 		n, rem := at/p, at%p
 		if rem < 0 {
@@ -185,16 +188,16 @@ func TestNewCurveRejects(t *testing.T) {
 
 func TestHourlyAndConcat(t *testing.T) {
 	wd := hourly(weekdayLevels)
-	if wd.Period() != Day {
-		t.Fatalf("weekday period = %v", wd.Period())
+	if wd.period != Day {
+		t.Fatalf("weekday period = %v", wd.period)
 	}
-	if m := wd.Mean(); m < 0.9 || m > 1.1 {
+	if m := wd.mean(); m < 0.9 || m > 1.1 {
 		t.Errorf("weekday mean %v outside [0.9, 1.1]", m)
 	}
 	we := hourly(weekendLevels)
 	week := concat(wd, wd, wd, wd, wd, we, we)
-	if week.Period() != 7*Day {
-		t.Fatalf("week period = %v", week.Period())
+	if week.period != 7*Day {
+		t.Fatalf("week period = %v", week.period)
 	}
 	// Saturday 13:00 is the 5th day's 13:00 slot.
 	if got, want := week.Level(5*Day+13*time.Hour), weekendLevels[13]; got != want {

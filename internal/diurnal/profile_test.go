@@ -34,7 +34,7 @@ func TestPresetMeansNearOne(t *testing.T) {
 			curves = append(curves, cc.Curve)
 		}
 		for i, c := range curves {
-			if m := c.Mean(); m < 0.8 || m > 1.2 {
+			if m := c.mean(); m < 0.8 || m > 1.2 {
 				t.Errorf("preset %q curve %d mean %v outside [0.8, 1.2]", name, i, m)
 			}
 		}

@@ -49,12 +49,6 @@ func (p *Profile) ForDeviceInto(s *Sampler, class string, deviceSeed int64) {
 	}
 }
 
-// Profile returns the profile the sampler was built from.
-func (s *Sampler) Profile() *Profile { return s.prof }
-
-// Phase returns the device's seed-derived phase offset.
-func (s *Sampler) Phase() time.Duration { return s.phase }
-
 // clock maps a sim instant onto the device's diurnal clock (phased).
 func (s *Sampler) clock(simAt time.Duration) time.Duration {
 	return s.prof.Start + s.phase + time.Duration(float64(simAt)*s.scale)
@@ -113,18 +107,13 @@ func (s *Sampler) MaxCargoFactor() float64 {
 	return bound
 }
 
-// Arrivals generates the arrival instants of a non-homogeneous Poisson
-// process over [0, horizon) whose instantaneous rate is
+// AppendArrivals appends to dst the arrival instants of a non-homogeneous
+// Poisson process over [0, horizon) whose instantaneous rate is
 // CargoFactor(t)/meanGap, by thinning a homogeneous envelope process at
 // the MaxCargoFactor bound. With a flat level-1 curve and no events this
 // consumes more draws than randx.PoissonProcess but realizes the same
 // law; expected count over any window integrates the activity curve
 // (property-tested).
-func (s *Sampler) Arrivals(src *randx.Source, meanGap, horizon time.Duration) []time.Duration {
-	return s.AppendArrivals(nil, src, meanGap, horizon)
-}
-
-// AppendArrivals appends to dst the instants Arrivals returns.
 //
 //etrain:hotpath
 func (s *Sampler) AppendArrivals(dst []time.Duration, src *randx.Source, meanGap, horizon time.Duration) []time.Duration {

@@ -17,19 +17,19 @@ func TestPhaseDeterministicAndBounded(t *testing.T) {
 	for seed := int64(1); seed <= 64; seed++ {
 		a := p.ForDevice("active", seed)
 		b := p.ForDevice("active", seed)
-		if a.Phase() != b.Phase() {
-			t.Fatalf("seed %d: phase not deterministic: %v vs %v", seed, a.Phase(), b.Phase())
+		if a.phase != b.phase {
+			t.Fatalf("seed %d: phase not deterministic: %v vs %v", seed, a.phase, b.phase)
 		}
-		if a.Phase() < 0 || a.Phase() >= p.PhaseJitter {
-			t.Fatalf("seed %d: phase %v outside [0, %v)", seed, a.Phase(), p.PhaseJitter)
+		if a.phase < 0 || a.phase >= p.PhaseJitter {
+			t.Fatalf("seed %d: phase %v outside [0, %v)", seed, a.phase, p.PhaseJitter)
 		}
-		seen[a.Phase()] = true
+		seen[a.phase] = true
 	}
 	if len(seen) < 32 {
 		t.Errorf("only %d distinct phases over 64 seeds", len(seen))
 	}
 	// No jitter → no phase.
-	if got := Week().ForDevice("active", 7).Phase(); got != 0 {
+	if got := Week().ForDevice("active", 7).phase; got != 0 {
 		t.Errorf("zero-jitter phase = %v", got)
 	}
 }
@@ -97,7 +97,7 @@ func TestEventsIgnorePhase(t *testing.T) {
 	p.Events = []Event{{Name: "storm", At: 5 * time.Hour, Duration: time.Hour, BeatFactor: 2}}
 	a := p.ForDevice("moderate", 3)
 	b := p.ForDevice("moderate", 1234567)
-	if a.Phase() == b.Phase() {
+	if a.phase == b.phase {
 		t.Skip("seeds drew equal phases; pick different seeds")
 	}
 	at := 5*time.Hour + 30*time.Minute
@@ -208,7 +208,7 @@ func TestArrivalsIntegrateCurveArea(t *testing.T) {
 	counts := make([]float64, len(windows))
 	for trial := 0; trial < trials; trial++ {
 		src := randx.New(int64(1000 + trial))
-		arr := s.Arrivals(src, meanGap, horizon)
+		arr := s.AppendArrivals(nil, src, meanGap, horizon)
 		for wi, w := range windows {
 			for _, at := range arr {
 				if at >= w.from && at < w.to {
@@ -236,8 +236,8 @@ func TestArrivalsIntegrateCurveArea(t *testing.T) {
 
 func TestArrivalsDeterministic(t *testing.T) {
 	s := Week().ForDevice("moderate", 5)
-	a := s.Arrivals(randx.New(77), 50*time.Second, 6*time.Hour)
-	b := s.Arrivals(randx.New(77), 50*time.Second, 6*time.Hour)
+	a := s.AppendArrivals(nil, randx.New(77), 50*time.Second, 6*time.Hour)
+	b := s.AppendArrivals(nil, randx.New(77), 50*time.Second, 6*time.Hour)
 	if !reflect.DeepEqual(a, b) {
 		t.Fatal("Arrivals not deterministic for equal seeds")
 	}
@@ -253,10 +253,10 @@ func TestArrivalsDeterministic(t *testing.T) {
 
 func TestArrivalsEdgeCases(t *testing.T) {
 	s := Week().ForDevice("moderate", 5)
-	if got := s.Arrivals(randx.New(1), 0, time.Hour); got != nil {
+	if got := s.AppendArrivals(nil, randx.New(1), 0, time.Hour); got != nil {
 		t.Errorf("zero mean gap → %v arrivals", len(got))
 	}
-	if got := s.Arrivals(randx.New(1), time.Second, 0); got != nil {
+	if got := s.AppendArrivals(nil, randx.New(1), time.Second, 0); got != nil {
 		t.Errorf("zero horizon → %v arrivals", len(got))
 	}
 }
@@ -300,6 +300,6 @@ func BenchmarkSamplerArrivals(b *testing.B) {
 	src := randx.New(5)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		_ = s.Arrivals(src, 100*time.Second, 2*time.Hour)
+		_ = s.AppendArrivals(nil, src, 100*time.Second, 2*time.Hour)
 	}
 }

@@ -33,10 +33,10 @@ func SeedRobustness(opts Options) (*Table, error) {
 			return core.New(core.Options{Theta: 10, K: core.KInfinite})
 		}},
 		{"etime", "V=10", func() (sched.Strategy, error) {
-			return baseline.NewETime(baseline.ETimeOptions{V: 10})
+			return baseline.NewETime(10)
 		}},
 		{"peres", "Ω=1", func() (sched.Strategy, error) {
-			return baseline.NewPerES(baseline.DefaultPerESOptions(1))
+			return baseline.NewPerES(1)
 		}},
 		{"baseline", "-", func() (sched.Strategy, error) {
 			return baseline.NewImmediate(), nil

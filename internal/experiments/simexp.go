@@ -21,13 +21,13 @@ func etrainFactory(k int) sim.KeyedFactory {
 
 func peresFactory() sim.KeyedFactory {
 	return sim.Keyed("peres", func(omega float64) (sched.Strategy, error) {
-		return baseline.NewPerES(baseline.DefaultPerESOptions(omega))
+		return baseline.NewPerES(omega)
 	})
 }
 
 func etimeFactory() sim.KeyedFactory {
 	return sim.Keyed("etime", func(v float64) (sched.Strategy, error) {
-		return baseline.NewETime(baseline.ETimeOptions{V: v})
+		return baseline.NewETime(v)
 	})
 }
 

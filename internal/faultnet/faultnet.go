@@ -6,8 +6,7 @@
 // one per connection direction, so a run's complete fault schedule is a
 // pure function of (seed, connection identity, operation index): the
 // same chaos test fails the same way every time. The package never reads
-// the wall clock or math/rand — added latency is expressed through an
-// injected Sleep and drawn from the same derived streams.
+// the wall clock or math/rand.
 package faultnet
 
 import (
@@ -15,7 +14,6 @@ import (
 	"net"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"etrain/internal/randx"
 )
@@ -43,12 +41,6 @@ type Config struct {
 	// MaxChunk, when positive, fragments reads and writes into chunks of
 	// at most this many bytes, surfacing short-read/short-write bugs.
 	MaxChunk int
-	// Latency, when positive, is the mean of an exponential delay drawn
-	// per operation; it is imposed via Sleep and skipped when Sleep is
-	// nil, keeping simulated-time tests instantaneous.
-	Latency time.Duration
-	// Sleep imposes drawn latency. Nil disables waiting entirely.
-	Sleep func(time.Duration)
 	// ReadFaultsOnly confines Drop/Reset/Truncate to the read direction:
 	// writes pass through untouched (Truncate then tears read buffers
 	// instead of write buffers). A single-goroutine reader makes its own
@@ -109,9 +101,6 @@ func New(cfg Config) (*Injector, error) {
 	if cfg.MaxChunk < 0 {
 		return nil, fmt.Errorf("faultnet: MaxChunk %d negative", cfg.MaxChunk)
 	}
-	if cfg.Latency < 0 {
-		return nil, fmt.Errorf("faultnet: Latency %v negative", cfg.Latency)
-	}
 	return &Injector{cfg: cfg}, nil
 }
 
@@ -129,8 +118,7 @@ func (in *Injector) Stats() Stats {
 // active reports whether wrapping changes behavior at all.
 func (in *Injector) active() bool {
 	c := in.cfg
-	return c.Drop > 0 || c.Reset > 0 || c.Truncate > 0 || c.MaxChunk > 0 ||
-		(c.Latency > 0 && c.Sleep != nil)
+	return c.Drop > 0 || c.Reset > 0 || c.Truncate > 0 || c.MaxChunk > 0
 }
 
 // Wrap returns conn with the injector's fault model applied. The parts
@@ -176,26 +164,6 @@ func (in *Injector) Dialer(dial func() (net.Conn, error), parts ...uint64) func(
 	}
 }
 
-// Listen wraps l so accepted connections carry the fault model, each
-// under a sequential identity.
-func (in *Injector) Listen(l net.Listener) net.Listener {
-	return &faultListener{Listener: l, in: in}
-}
-
-type faultListener struct {
-	net.Listener
-	in    *Injector
-	index atomic.Uint64
-}
-
-func (fl *faultListener) Accept() (net.Conn, error) {
-	conn, err := fl.Listener.Accept()
-	if err != nil {
-		return nil, err
-	}
-	return fl.in.Wrap(conn, 1<<32, fl.index.Add(1)), nil
-}
-
 // faultStream is one direction's fault schedule: a private randx stream
 // consumed one draw per operation, serialized by its own mutex so the
 // schedule is a deterministic sequence even when callers race.
@@ -211,11 +179,10 @@ type verdict struct {
 	reset    bool
 	truncate bool
 	chunk    int
-	delay    time.Duration
 }
 
-// next draws the next operation's verdict. Draw order is fixed —
-// fate, chunk, latency — so schedules replay identically.
+// next draws the next operation's verdict. Draw order is fixed — fate,
+// then the truncation cut — so schedules replay identically.
 func (fs *faultStream) next(forWrite bool, n int) verdict {
 	cfg := fs.in.cfg
 	fs.mu.Lock()
@@ -239,9 +206,6 @@ func (fs *faultStream) next(forWrite bool, n int) verdict {
 		// Deliver a strict prefix of the chunk, at least one byte, so the
 		// peer sees a torn frame rather than a clean boundary.
 		v.chunk = 1 + fs.rng.Intn(v.chunk-1)
-	}
-	if cfg.Latency > 0 && cfg.Sleep != nil {
-		v.delay = time.Duration(fs.rng.Exp(float64(cfg.Latency)))
 	}
 	return v
 }
@@ -269,9 +233,6 @@ func (fc *faultConn) Read(p []byte) (int, error) {
 		return fc.Conn.Read(p)
 	}
 	v := fc.read.next(false, len(p))
-	if v.delay > 0 {
-		fc.in.cfg.Sleep(v.delay)
-	}
 	switch {
 	case v.drop:
 		fc.in.drops.Add(1)
@@ -299,9 +260,6 @@ func (fc *faultConn) Write(p []byte) (int, error) {
 	written := 0
 	for written < len(p) {
 		v := fc.wrte.next(true, len(p)-written)
-		if v.delay > 0 {
-			fc.in.cfg.Sleep(v.delay)
-		}
 		switch {
 		case v.drop:
 			fc.in.drops.Add(1)

@@ -6,9 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"sync"
 	"testing"
-	"time"
 )
 
 // chatter pushes total bytes through a wrapped pipe, returning how many
@@ -220,44 +218,6 @@ func TestDialerConnectFail(t *testing.T) {
 	}
 }
 
-// TestListenerWrapsAccepts verifies accepted conns carry the fault
-// model.
-func TestListenerWrapsAccepts(t *testing.T) {
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Skipf("loopback listen unavailable: %v", err)
-	}
-	in, err := New(Config{Seed: 17, Reset: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fl := in.Listen(l)
-	defer fl.Close()
-	accepted := make(chan error, 1)
-	go func() {
-		conn, err := fl.Accept()
-		if err != nil {
-			accepted <- err
-			return
-		}
-		defer conn.Close()
-		_, err = conn.Read(make([]byte, 1))
-		accepted <- err
-	}()
-	client, err := net.Dial("tcp", l.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer client.Close()
-	client.Write([]byte("x"))
-	if err := <-accepted; !errors.Is(err, ErrReset) {
-		t.Fatalf("accepted conn read error %v, want injected ErrReset", err)
-	}
-	if s := in.Stats(); s.Wrapped != 1 {
-		t.Errorf("wrapped = %d, want 1", s.Wrapped)
-	}
-}
-
 // TestConfigValidation rejects out-of-range rates.
 func TestConfigValidation(t *testing.T) {
 	bad := []Config{
@@ -266,40 +226,10 @@ func TestConfigValidation(t *testing.T) {
 		{Truncate: 2},
 		{ConnectFail: -1},
 		{MaxChunk: -1},
-		{Latency: -time.Second},
 	}
 	for _, cfg := range bad {
 		if _, err := New(cfg); err == nil {
 			t.Errorf("New(%+v) accepted invalid config", cfg)
-		}
-	}
-}
-
-// TestLatencyDraws verifies latency is imposed through the injected
-// Sleep and only when one is provided.
-func TestLatencyDraws(t *testing.T) {
-	var mu sync.Mutex
-	var slept []time.Duration
-	sleep := func(d time.Duration) {
-		mu.Lock()
-		slept = append(slept, d)
-		mu.Unlock()
-	}
-	in, err := New(Config{Seed: 19, Latency: time.Millisecond, Sleep: sleep, MaxChunk: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, b := net.Pipe()
-	wa, wb := in.Wrap(a, 0), in.Wrap(b, 1)
-	if n, werr, rerr := chatter(wa, wb, 64); n != 64 {
-		t.Fatalf("transfer n=%d write=%v read=%v", n, werr, rerr)
-	}
-	if len(slept) == 0 {
-		t.Fatal("latency configured but Sleep never called")
-	}
-	for _, d := range slept {
-		if d < 0 {
-			t.Fatalf("negative sleep %v", d)
 		}
 	}
 }

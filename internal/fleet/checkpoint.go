@@ -5,7 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"os"
-	"path/filepath"
+
+	"etrain/internal/tracefile"
 )
 
 // checkpointVersion names the snapshot schema; it is also folded into the
@@ -27,9 +28,9 @@ type checkpointFile struct {
 	Shards     []*ShardAggregate `json:"shards"`
 }
 
-// writeCheckpoint atomically snapshots the completed shards: marshal, write
-// to a temp file in the target directory, fsync, rename. A crash mid-write
-// leaves the previous snapshot intact.
+// writeCheckpoint atomically snapshots the completed shards
+// (tracefile.WriteJSONAtomic). A crash mid-write leaves the previous
+// snapshot intact.
 func writeCheckpoint(path, hash string, aggs []*ShardAggregate, completed []bool) error {
 	ck := checkpointFile{Version: checkpointVersion, ConfigHash: hash}
 	for s, done := range completed {
@@ -37,35 +38,8 @@ func writeCheckpoint(path, hash string, aggs []*ShardAggregate, completed []bool
 			ck.Shards = append(ck.Shards, aggs[s])
 		}
 	}
-	data, err := json.MarshalIndent(&ck, "", "  ")
-	if err != nil {
-		return fmt.Errorf("fleet: marshal checkpoint: %w", err)
-	}
-	data = append(data, '\n')
-
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp-*")
-	if err != nil {
-		return fmt.Errorf("fleet: checkpoint temp file: %w", err)
-	}
-	tmpName := tmp.Name()
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		os.Remove(tmpName)
-		return fmt.Errorf("fleet: write checkpoint: %w", err)
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		os.Remove(tmpName)
-		return fmt.Errorf("fleet: sync checkpoint: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmpName)
-		return fmt.Errorf("fleet: close checkpoint: %w", err)
-	}
-	if err := os.Rename(tmpName, path); err != nil {
-		os.Remove(tmpName)
-		return fmt.Errorf("fleet: publish checkpoint: %w", err)
+	if err := tracefile.WriteJSONAtomic(path, &ck); err != nil {
+		return fmt.Errorf("fleet: checkpoint: %w", err)
 	}
 	return nil
 }

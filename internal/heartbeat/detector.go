@@ -30,9 +30,6 @@ func (d *Detector) Observe(app string, at time.Duration) {
 	d.observed[app] = append(d.observed[app], at)
 }
 
-// Count returns how many heartbeats of app were observed.
-func (d *Detector) Count(app string) int { return len(d.observed[app]) }
-
 // Apps returns the names of all observed apps, sorted.
 func (d *Detector) Apps() []string {
 	names := make([]string, 0, len(d.observed))
@@ -111,20 +108,4 @@ func (d *Detector) PredictNext(app string) (time.Duration, bool) {
 	}
 	beats := d.observed[app]
 	return beats[len(beats)-1] + cycle, true
-}
-
-// PredictSeries returns the next n predicted heartbeat instants of app,
-// following the paper's linear extrapolation t_0 + cycle·j.
-func (d *Detector) PredictSeries(app string, n int) ([]time.Duration, bool) {
-	cycle, ok := d.Cycle(app)
-	if !ok || n <= 0 {
-		return nil, false
-	}
-	beats := d.observed[app]
-	last := beats[len(beats)-1]
-	out := make([]time.Duration, n)
-	for j := 1; j <= n; j++ {
-		out[j-1] = last + cycle*time.Duration(j)
-	}
-	return out, true
 }

@@ -231,26 +231,6 @@ func TestDetectorPredictNext(t *testing.T) {
 	}
 }
 
-func TestDetectorPredictSeries(t *testing.T) {
-	d := NewDetector(time.Second)
-	for i := 0; i < 4; i++ {
-		d.Observe("wa", time.Duration(i)*240*time.Second)
-	}
-	series, ok := d.PredictSeries("wa", 3)
-	if !ok {
-		t.Fatal("no series")
-	}
-	want := []time.Duration{4 * 240 * time.Second, 5 * 240 * time.Second, 6 * 240 * time.Second}
-	for i := range want {
-		if series[i] != want[i] {
-			t.Fatalf("series[%d] = %v, want %v", i, series[i], want[i])
-		}
-	}
-	if _, ok := d.PredictSeries("wa", 0); ok {
-		t.Fatal("series with n=0 should fail")
-	}
-}
-
 func TestDetectorToleratesJitter(t *testing.T) {
 	d := NewDetector(2 * time.Second)
 	jitters := []time.Duration{0, 300 * time.Millisecond, -500 * time.Millisecond, time.Second, 0}
@@ -276,8 +256,8 @@ func TestDetectorApps(t *testing.T) {
 	if len(apps) != 2 || apps[0] != "a" || apps[1] != "b" {
 		t.Fatalf("Apps() = %v, want [a b]", apps)
 	}
-	if d.Count("a") != 1 {
-		t.Fatalf("Count(a) = %d, want 1", d.Count("a"))
+	if n := len(d.observed["a"]); n != 1 {
+		t.Fatalf("observed %d beats of a, want 1", n)
 	}
 }
 

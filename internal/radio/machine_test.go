@@ -6,6 +6,177 @@ import (
 	"time"
 )
 
+// tailModel is a Model whose tail Machine can walk: nextTailBoundary is
+// the first offset after off, both offsets from a transmission's end, at
+// which TailStateAt can change, or -1 once the tail is exhausted.
+type tailModel interface {
+	Model
+	nextTailBoundary(off time.Duration) time.Duration
+}
+
+// nextTailBoundary returns the next offset after off at which the tail
+// state can change — δ_D, then δ_D+δ_F — or -1 once the tail is
+// exhausted.
+func (m PowerModel) nextTailBoundary(off time.Duration) time.Duration {
+	switch {
+	case off < m.DeltaD:
+		return m.DeltaD
+	case off < m.DeltaD+m.DeltaF:
+		return m.DeltaD + m.DeltaF
+	default:
+		return -1
+	}
+}
+
+// nextTailBoundary returns the next offset after off at which the tail
+// state can change — the inactivity timer's expiry, then each cycle's
+// on-duration edge and cycle end, capped at RRC release — or -1 once
+// the tail is exhausted.
+func (m DRXModel) nextTailBoundary(off time.Duration) time.Duration {
+	if off >= m.ReleaseAfter {
+		return -1
+	}
+	if off < m.InactivityTimer {
+		return min(m.InactivityTimer, m.ReleaseAfter)
+	}
+	shortEnd := m.InactivityTimer + m.shortSpan()
+	var cycleStart, cycle time.Duration
+	if off < shortEnd {
+		cycle = m.ShortCycle
+		cycleStart = m.InactivityTimer + (off-m.InactivityTimer)/cycle*cycle
+	} else {
+		cycle = m.LongCycle
+		cycleStart = shortEnd + (off-shortEnd)/cycle*cycle
+	}
+	next := cycleStart + cycle
+	if edge := cycleStart + m.OnDuration; off < edge {
+		next = edge
+	}
+	return min(next, m.ReleaseAfter)
+}
+
+// Transition is one radio state change observed by a Machine listener.
+type Transition struct {
+	// At is the instant of the change.
+	At time.Duration
+	// From and To are the states before and after.
+	From, To State
+}
+
+// Machine is a live radio state machine over any radio generation, kept
+// as a test oracle: fed transmission starts and ends as they happen, it
+// walks the model's tail in virtual time — IDLE → DCH(tx) → DCH → FACH →
+// IDLE for the paper's 3G radio, PSM → tx → ACTIVE → short cDRX → long
+// cDRX → PSM for LTE/NR DRX — and notifies listeners of every transition
+// at its true instant. Walked forward boundary by boundary, it is an
+// independent check on Timeline.StateAt, which derives states after the
+// fact, and on every model's TailStateAt and Power.
+//
+// The model is a type parameter, not an interface field, so a machine
+// over a concrete model holds it unboxed and allocates nothing.
+type Machine[M tailModel] struct {
+	model   M
+	state   State
+	stateAt time.Duration
+	// txEnd anchors the tail: every demotion boundary is an offset from
+	// the end of the last transmission.
+	txEnd     time.Duration
+	listeners []func(Transition)
+	// transmitting tracks nesting so overlapping notifications (which the
+	// serialized link never produces, but defensive) do not corrupt state.
+	transmitting int
+	transitions  int
+}
+
+// NewMachine returns a machine at the model's idle baseline at time zero.
+// It starts as if a transmission had ended a full tail earlier, so the
+// walk finds no boundary ahead until the first transmission. Like
+// NewEnergyFold it returns a value; keep it in a variable or field, whose
+// address the methods take.
+func NewMachine[M tailModel](model M) Machine[M] {
+	tail := model.TailTime()
+	return Machine[M]{model: model, state: model.TailStateAt(tail), txEnd: -tail}
+}
+
+// Subscribe registers a listener invoked synchronously on every transition,
+// in subscription order.
+func (m *Machine[M]) Subscribe(fn func(Transition)) {
+	m.listeners = append(m.listeners, fn)
+}
+
+// State returns the machine's state at the given instant, accounting for
+// tail demotions that elapsed since the last event.
+func (m *Machine[M]) State(now time.Duration) State {
+	m.advance(now)
+	return m.state
+}
+
+// Transitions reports how many state changes have occurred.
+func (m *Machine[M]) Transitions() int { return m.transitions }
+
+// Power returns the instantaneous extra power at now.
+func (m *Machine[M]) Power(now time.Duration) float64 {
+	return m.model.Power(m.State(now))
+}
+
+// BeginTransmission moves the machine to the transmitting state.
+func (m *Machine[M]) BeginTransmission(now time.Duration) {
+	m.advance(now)
+	m.transmitting++
+	if m.state != StateTransmitting {
+		m.setState(now, StateTransmitting)
+	}
+}
+
+// EndTransmission marks a transmission's end; the tail starts now, in the
+// model's state at offset zero (a zero-length first phase is skipped).
+func (m *Machine[M]) EndTransmission(now time.Duration) {
+	m.advance(now)
+	if m.transmitting > 0 {
+		m.transmitting--
+	}
+	if m.transmitting == 0 && m.state == StateTransmitting {
+		m.txEnd = now
+		m.setState(now, m.model.TailStateAt(0))
+	}
+}
+
+// advance applies the tail demotions that elapsed between the last event
+// and now, emitting the corresponding transitions at their true instants.
+// A boundary that does not change the state (the seam between two DRX
+// cycles whose on-duration fills the cycle) advances the cursor silently.
+func (m *Machine[M]) advance(now time.Duration) {
+	if m.transmitting > 0 || now <= m.stateAt {
+		return
+	}
+	for off := m.stateAt - m.txEnd; ; {
+		next := m.model.nextTailBoundary(off)
+		if next <= off {
+			return // the tail is exhausted
+		}
+		at := m.txEnd + next
+		if now < at {
+			return
+		}
+		if st := m.model.TailStateAt(next); st != m.state {
+			m.setState(at, st)
+		} else {
+			m.stateAt = at
+		}
+		off = next
+	}
+}
+
+func (m *Machine[M]) setState(at time.Duration, to State) {
+	tr := Transition{At: at, From: m.state, To: to}
+	m.state = to
+	m.stateAt = at
+	m.transitions++
+	for _, fn := range m.listeners {
+		fn(tr)
+	}
+}
+
 func TestMachineWalk(t *testing.T) {
 	m := NewMachine(GalaxyS43G())
 	if got := m.State(0); got != StateIdle {
@@ -205,7 +376,7 @@ func TestMachineAgreesWithModel(t *testing.T) {
 	seams.OnDuration = seams.ShortCycle
 	type namedModel struct {
 		name  string
-		model Model
+		model tailModel
 	}
 	cases := []namedModel{{"3g-no-dch", noDCH}, {"3g-no-fach", noFACH}, {"lte-drx-seams", seams}}
 	for _, name := range ModelNames() {
@@ -213,7 +384,7 @@ func TestMachineAgreesWithModel(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cases = append(cases, namedModel{name, m})
+		cases = append(cases, namedModel{name, m.(tailModel)})
 	}
 	for _, c := range cases {
 		model := c.model

@@ -2,8 +2,7 @@
 // that follows every transmission, and the resulting energy accounting.
 // Two generations implement Model: PowerModel, the paper's 3G RRC machine
 // (IDLE / FACH / DCH) with LTE and WiFi parameter sets, and DRXModel, the
-// LTE/5G connected-mode DRX machine. One live Machine and one EnergyFold
-// serve every Model.
+// LTE/5G connected-mode DRX machine. One EnergyFold serves every Model.
 //
 // PowerModel is exactly the paper's (§II-C, §III-A): after a transmission the
 // radio lingers in DCH for δ_D, demotes to FACH for δ_F, then returns to
@@ -184,20 +183,6 @@ func (m PowerModel) TailStateAt(sinceTxEnd time.Duration) State {
 		return StateFACH
 	default:
 		return StateIdle
-	}
-}
-
-// nextTailBoundary returns the next offset after off at which the tail
-// state can change — δ_D, then δ_D+δ_F — or -1 once the tail is
-// exhausted.
-func (m PowerModel) nextTailBoundary(off time.Duration) time.Duration {
-	switch {
-	case off < m.DeltaD:
-		return m.DeltaD
-	case off < m.DeltaD+m.DeltaF:
-		return m.DeltaD + m.DeltaF
-	default:
-		return -1
 	}
 }
 

@@ -32,14 +32,3 @@ func (tl *Timeline) PowerTrace(m PowerModel, horizon, step time.Duration) []Powe
 	}
 	return out
 }
-
-// IntegratePower integrates a power trace with the trapezoid-free rectangle
-// rule (each sample holds until the next), returning joules. It cross-checks
-// AccountEnergy: for fine steps the two agree closely.
-func IntegratePower(samples []PowerSample, step time.Duration) float64 {
-	total := 0.0
-	for _, s := range samples {
-		total += s.Watts * step.Seconds()
-	}
-	return total
-}

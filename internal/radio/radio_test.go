@@ -305,7 +305,10 @@ func TestPowerTraceMatchesAccounting(t *testing.T) {
 	mustAppend(t, &tl, Transmission{Start: 30 * time.Second, TxTime: 2 * time.Second, Kind: TxData})
 	horizon := 2 * time.Minute
 	samples := tl.PowerTrace(m, horizon, 10*time.Millisecond)
-	integrated := IntegratePower(samples, 10*time.Millisecond)
+	integrated := 0.0 // each sample holds until the next
+	for _, s := range samples {
+		integrated += s.Watts * (10 * time.Millisecond).Seconds()
+	}
 	accounted := tl.AccountEnergy(m, horizon).Total()
 	if math.Abs(integrated-accounted) > 0.05*accounted {
 		t.Fatalf("integrated %v vs accounted %v differ by more than 5%%", integrated, accounted)

@@ -11,7 +11,7 @@ type PoissonProcess struct {
 }
 
 // NewPoissonProcess returns a process with the given mean inter-arrival time.
-// The first arrival is drawn immediately so Peek is valid from the start.
+// The first arrival is drawn immediately.
 func NewPoissonProcess(src *Source, meanInterArrival time.Duration) *PoissonProcess {
 	p := &PoissonProcess{src: src, mean: meanInterArrival}
 	p.next = p.draw(0)
@@ -23,9 +23,6 @@ func (p *PoissonProcess) draw(from time.Duration) time.Duration {
 	return from + time.Duration(gap*float64(time.Second))
 }
 
-// Peek returns the time of the next arrival without consuming it.
-func (p *PoissonProcess) Peek() time.Duration { return p.next }
-
 // Next consumes and returns the next arrival instant.
 func (p *PoissonProcess) Next() time.Duration {
 	t := p.next
@@ -33,13 +30,8 @@ func (p *PoissonProcess) Next() time.Duration {
 	return t
 }
 
-// ArrivalsUntil returns every remaining arrival instant strictly before
-// horizon, consuming them from the process.
-func (p *PoissonProcess) ArrivalsUntil(horizon time.Duration) []time.Duration {
-	return p.AppendArrivalsUntil(nil, horizon)
-}
-
-// AppendArrivalsUntil appends to dst the instants ArrivalsUntil returns.
+// AppendArrivalsUntil appends to dst every remaining arrival instant
+// strictly before horizon, consuming them from the process.
 //
 //etrain:hotpath
 func (p *PoissonProcess) AppendArrivalsUntil(dst []time.Duration, horizon time.Duration) []time.Duration {

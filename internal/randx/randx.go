@@ -7,7 +7,6 @@
 package randx
 
 import (
-	"math"
 	"math/rand"
 	"sync"
 )
@@ -139,30 +138,4 @@ func (s *Source) TruncatedNormal(mean, stddev, min float64) float64 {
 		}
 	}
 	return min
-}
-
-// Poisson returns a Poisson-distributed count with the given mean, using
-// inversion for small means and the normal approximation for large ones.
-func (s *Source) Poisson(mean float64) int {
-	if mean <= 0 {
-		return 0
-	}
-	if mean > 60 {
-		// Normal approximation keeps inversion numerically stable.
-		v := math.Round(s.Normal(mean, math.Sqrt(mean)))
-		if v < 0 {
-			return 0
-		}
-		return int(v)
-	}
-	l := math.Exp(-mean)
-	k := 0
-	p := 1.0
-	for {
-		p *= s.Float64()
-		if p <= l {
-			return k
-		}
-		k++
-	}
 }

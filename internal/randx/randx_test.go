@@ -178,39 +178,6 @@ func TestTruncatedNormalMean(t *testing.T) {
 	}
 }
 
-func TestPoissonSmallMean(t *testing.T) {
-	s := New(23)
-	const n = 100000
-	sum := 0
-	for i := 0; i < n; i++ {
-		sum += s.Poisson(2.5)
-	}
-	mean := float64(sum) / n
-	if math.Abs(mean-2.5) > 0.05 {
-		t.Fatalf("Poisson mean = %.3f, want ~2.5", mean)
-	}
-}
-
-func TestPoissonLargeMean(t *testing.T) {
-	s := New(29)
-	const n = 20000
-	sum := 0
-	for i := 0; i < n; i++ {
-		sum += s.Poisson(100)
-	}
-	mean := float64(sum) / n
-	if math.Abs(mean-100) > 1 {
-		t.Fatalf("Poisson(100) mean = %.2f, want ~100", mean)
-	}
-}
-
-func TestPoissonZeroMean(t *testing.T) {
-	s := New(31)
-	if got := s.Poisson(0); got != 0 {
-		t.Fatalf("Poisson(0) = %d, want 0", got)
-	}
-}
-
 func TestPoissonProcessMonotone(t *testing.T) {
 	p := NewPoissonProcess(New(37), 10*time.Second)
 	prev := time.Duration(-1)
@@ -226,7 +193,7 @@ func TestPoissonProcessMonotone(t *testing.T) {
 func TestPoissonProcessRate(t *testing.T) {
 	p := NewPoissonProcess(New(41), 10*time.Second)
 	horizon := 100000 * time.Second
-	arrivals := p.ArrivalsUntil(horizon)
+	arrivals := p.AppendArrivalsUntil(nil, horizon)
 	want := int(horizon / (10 * time.Second))
 	got := len(arrivals)
 	if math.Abs(float64(got-want)) > 0.05*float64(want) {
@@ -239,21 +206,9 @@ func TestPoissonProcessRate(t *testing.T) {
 	}
 }
 
-func TestPoissonProcessPeekDoesNotConsume(t *testing.T) {
-	p := NewPoissonProcess(New(43), time.Second)
-	a := p.Peek()
-	b := p.Peek()
-	if a != b {
-		t.Fatalf("Peek consumed the arrival: %v then %v", a, b)
-	}
-	if got := p.Next(); got != a {
-		t.Fatalf("Next = %v, want peeked %v", got, a)
-	}
-}
-
 func TestPoissonProcessExhaustedHorizon(t *testing.T) {
 	p := NewPoissonProcess(New(47), time.Hour)
-	if got := p.ArrivalsUntil(0); got != nil {
-		t.Fatalf("ArrivalsUntil(0) = %v, want nil", got)
+	if got := p.AppendArrivalsUntil(nil, 0); got != nil {
+		t.Fatalf("AppendArrivalsUntil(nil, 0) = %v, want nil", got)
 	}
 }

@@ -29,9 +29,6 @@ type Options struct {
 	// sequential, negative one per CPU. The report is byte-identical at
 	// every setting.
 	Workers int
-	// Progress, when non-nil, is invoked after every completed device
-	// with (done, total). Calls are serialized.
-	Progress func(done, total int)
 }
 
 // deviceResult is one device's measured outcome.
@@ -91,22 +88,13 @@ func (c *compiled) run(opts Options) (*outcomeSet, error) {
 
 	devices := c.sc.Fleet.Devices
 	results := make([]*deviceResult, devices)
-	done := 0
-	runErr := parallel.ForEachStatus(parallel.NewLimit(workers), devices, func(i int) error {
+	runErr := parallel.ForEach(parallel.NewLimit(workers), devices, func(i int) error {
 		out, err := runScenarioDevice(c, lb, i)
 		if err != nil {
 			return fmt.Errorf("device %d: %w", i, err)
 		}
 		results[i] = out
 		return nil
-	}, func(i int, err error) {
-		if err != nil {
-			return
-		}
-		done++
-		if opts.Progress != nil {
-			opts.Progress(done, devices)
-		}
 	})
 	if runErr != nil {
 		return nil, runErr

@@ -64,28 +64,6 @@ func TestRunBrokenThetaFailsAssertions(t *testing.T) {
 	}
 }
 
-func TestRunProgress(t *testing.T) {
-	s := smallDirect()
-	var calls int
-	last := 0
-	_, err := Run(s, Options{Progress: func(done, total int) {
-		calls++
-		if total != s.Fleet.Devices {
-			t.Errorf("total = %d, want %d", total, s.Fleet.Devices)
-		}
-		if done != last+1 {
-			t.Errorf("done jumped from %d to %d", last, done)
-		}
-		last = done
-	}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if calls != s.Fleet.Devices {
-		t.Errorf("progress called %d times, want %d", calls, s.Fleet.Devices)
-	}
-}
-
 // TestRunRejectsInvalid ensures Run validates before executing.
 func TestRunRejectsInvalid(t *testing.T) {
 	s := smallDirect()

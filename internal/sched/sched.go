@@ -279,10 +279,12 @@ type SlotContext struct {
 	Queues *Queues
 	// EstimateBandwidth returns the strategy-visible channel estimate in
 	// bytes/second. It is nil for channel-oblivious operation; eTrain
-	// never calls it, PerES and eTime depend on it.
+	// calls it only when channel-gated, PerES and eTime depend on it.
 	EstimateBandwidth func() float64
 	// MeanBandwidth is the long-run average bandwidth in bytes/second,
-	// which channel-aware strategies use as their quality reference.
+	// which channel-aware strategies use as their quality reference. The
+	// engine sets it only together with EstimateBandwidth; it is 0 when
+	// that is nil.
 	MeanBandwidth float64
 }
 

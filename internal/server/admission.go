@@ -43,15 +43,13 @@ type TokenBucketConfig struct {
 	// back-to-back after an idle period (and the bucket's initial fill).
 	Burst float64
 	// RetryAfter is the backoff hinted in every Busy this policy produces.
+	// It is also the shed floor: cargo whose Deadline is at most
+	// RetryAfter is never shed, because a retry deferred by RetryAfter
+	// could no longer meet it.
 	RetryAfter time.Duration
-	// HighWater is the event-queue occupancy at or above which cargo is
-	// shed; 0 disables shedding.
+	// HighWater is the event-queue occupancy at or above which cargo with
+	// a longer deadline is shed; 0 disables shedding.
 	HighWater int
-	// MinShedDeadline spares urgent work: cargo with a Deadline below it
-	// is never shed, because a deferred retry could no longer meet the
-	// deadline. Work with a generous deadline is preferred for shedding —
-	// it can still be met after the retry round-trip.
-	MinShedDeadline time.Duration
 	// Clock refills the bucket; nil freezes refill (the bucket is then a
 	// fixed budget of Burst admissions), which keeps clockless tests
 	// deterministic.
@@ -113,12 +111,9 @@ func (a *TokenBucketAdmission) AdmitHello(wire.Hello) (bool, time.Duration) {
 
 // ShedCargo implements Admission: shed when the session queue sits at or
 // above the high-water mark, but never shed work whose deadline a
-// deferred retry could miss.
+// deferred retry could miss (a Deadline of at most RetryAfter).
 func (a *TokenBucketAdmission) ShedCargo(_ wire.Hello, c wire.CargoArrival, queued int) (bool, time.Duration) {
-	if a.cfg.HighWater <= 0 || queued < a.cfg.HighWater {
-		return false, 0
-	}
-	if c.Deadline < a.cfg.MinShedDeadline {
+	if a.cfg.HighWater <= 0 || queued < a.cfg.HighWater || c.Deadline <= a.cfg.RetryAfter {
 		return false, 0
 	}
 	return true, a.cfg.RetryAfter

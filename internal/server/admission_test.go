@@ -88,14 +88,15 @@ func TestTokenBucketClocklessIsFixedBudget(t *testing.T) {
 
 // TestTokenBucketShedCargo pins the deadline-aware shedding rule: no
 // shedding below the high-water mark, and above it only work whose
-// deadline survives a deferred retry is shed.
+// deadline survives a deferred retry (a Deadline longer than RetryAfter)
+// is shed.
 func TestTokenBucketShedCargo(t *testing.T) {
 	a := NewTokenBucketAdmission(TokenBucketConfig{
-		RetryAfter: 50 * time.Millisecond, HighWater: 8, MinShedDeadline: 10 * time.Second,
+		RetryAfter: 50 * time.Millisecond, HighWater: 8,
 	})
 	h := wire.Hello{DeviceID: 1}
 	slack := wire.CargoArrival{ID: 1, Deadline: time.Minute}
-	urgent := wire.CargoArrival{ID: 2, Deadline: time.Second}
+	urgent := wire.CargoArrival{ID: 2, Deadline: 20 * time.Millisecond}
 
 	if shed, _ := a.ShedCargo(h, slack, 7); shed {
 		t.Error("shed below the high-water mark")
@@ -110,6 +111,20 @@ func TestTokenBucketShedCargo(t *testing.T) {
 	off := NewTokenBucketAdmission(TokenBucketConfig{})
 	if shed, _ := off.ShedCargo(h, slack, 1<<20); shed {
 		t.Error("HighWater 0 must disable shedding")
+	}
+
+	// The policy etraind -admission-highwater builds sets only HighWater
+	// and RetryAfter: the floor is RetryAfter itself.
+	daemon := NewTokenBucketAdmission(TokenBucketConfig{
+		Rate: 10, Burst: 4, RetryAfter: 2 * time.Second, HighWater: 8,
+	})
+	atFloor := wire.CargoArrival{ID: 3, Deadline: 2 * time.Second}
+	pastFloor := wire.CargoArrival{ID: 4, Deadline: 2*time.Second + time.Millisecond}
+	if shed, _ := daemon.ShedCargo(h, atFloor, 64); shed {
+		t.Error("shed cargo whose deadline is no longer than RetryAfter")
+	}
+	if shed, ra := daemon.ShedCargo(h, pastFloor, 64); !shed || ra != 2*time.Second {
+		t.Errorf("cargo with a deadline past RetryAfter at high water: shed=%v ra=%v, want true/2s", shed, ra)
 	}
 }
 

@@ -39,8 +39,10 @@ type Replayer struct {
 }
 
 // NewReplayer validates the Hello and builds the replayer: the channel
-// trace is rebuilt from the Hello's seed, and emit receives every
-// outbound session frame in protocol order. An emit error aborts the
+// trace is rebuilt from the Hello's seed, energy is accounted under power
+// (server sessions and the client's degraded replays both pass
+// radio.GalaxyS43G()), and emit receives every outbound session frame in
+// protocol order. An emit error aborts the
 // current Apply and is returned as-is (unwrapped), so callers can
 // distinguish transport failures from protocol violations.
 func NewReplayer(h wire.Hello, power radio.PowerModel, emit func(wire.Message) error) (*Replayer, error) {
@@ -51,9 +53,6 @@ func NewReplayer(h wire.Hello, power radio.PowerModel, emit func(wire.Message) e
 	bw, err := bandwidth.FromSeed(h.Seed, h.Horizon, nil)
 	if err != nil {
 		return nil, fmt.Errorf("server: hello: channel from seed: %w", err)
-	}
-	if power.Validate() != nil {
-		power = radio.GalaxyS43G()
 	}
 	engine, err := sim.NewEngine(sim.Config{
 		Horizon:   h.Horizon,
@@ -79,9 +78,6 @@ func NewReplayer(h wire.Hello, power radio.PowerModel, emit func(wire.Message) e
 	}
 	return rp, nil
 }
-
-// Hello returns the session parameters the replayer was built from.
-func (rp *Replayer) Hello() wire.Hello { return rp.hello }
 
 // Done reports whether the finish exchange has run.
 func (rp *Replayer) Done() bool { return rp.done }

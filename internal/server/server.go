@@ -19,7 +19,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"etrain/internal/radio"
 	"etrain/internal/wire"
 )
 
@@ -87,9 +86,6 @@ type Config struct {
 	// refusals — is answered with a wire.Busy frame instead of a silent
 	// close. Nil (the default) preserves the legacy byte stream exactly.
 	Admission Admission
-	// Power is the radio energy model sessions account under
-	// (radio.GalaxyS43G() if unset).
-	Power radio.PowerModel
 	// Clock supplies the wall clock for connection deadlines. Leaving it
 	// nil disables deadlines and keeps the server fully deterministic;
 	// cmd/etraind injects time.Now at the process boundary.
@@ -191,9 +187,6 @@ func New(cfg Config) *Server {
 	}
 	if cfg.RetainSessions <= 0 {
 		cfg.RetainSessions = DefaultRetainSessions
-	}
-	if cfg.Power.Validate() != nil {
-		cfg.Power = radio.GalaxyS43G()
 	}
 	return &Server{
 		cfg:       cfg,

@@ -9,6 +9,7 @@ import (
 	"os"
 	"sync"
 
+	"etrain/internal/radio"
 	"etrain/internal/wire"
 )
 
@@ -180,7 +181,7 @@ func (s *Server) runSession(conn net.Conn) error {
 			}
 		}
 		sess = &session{srv: s, conn: conn, w: cb.w}
-		rep, err := NewReplayer(h, s.cfg.Power, sess.emit)
+		rep, err := NewReplayer(h, radio.GalaxyS43G(), sess.emit)
 		if err != nil {
 			return err
 		}

@@ -374,20 +374,16 @@ func (e *Engine) init(cfg Config, summaryOnly bool) error {
 	}
 	e.energy = radio.NewEnergyFold(e.cfg.model())
 	e.waker, _ = cfg.Strategy.(sched.Waker)
-	e.ctx = sched.SlotContext{
-		SlotLength:    slot,
-		Queues:        e.queues,
-		MeanBandwidth: cfg.Bandwidth.Mean(),
-	}
+	e.ctx = sched.SlotContext{SlotLength: slot, Queues: e.queues}
 	if cfg.Estimator != nil {
-		// One closure for the run; step repoints estimateAt.
+		// One closure for the run; step repoints estimateAt. Strategies
+		// read MeanBandwidth only next to an estimate, so the pass over
+		// the trace is made only here.
 		e.ctx.EstimateBandwidth = func() float64 { return e.cfg.Estimator.Estimate(e.estimateAt) }
+		e.ctx.MeanBandwidth = cfg.Bandwidth.Mean()
 	}
 	return nil
 }
-
-// Now returns the start instant of the next unexecuted slot.
-func (e *Engine) Now() time.Duration { return e.slotStart }
 
 // SlotLength returns the engine's decision period.
 func (e *Engine) SlotLength() time.Duration { return e.slot }

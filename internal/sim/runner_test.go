@@ -61,7 +61,7 @@ func etrainKeyed(k int) KeyedFactory {
 
 func etimeKeyed() KeyedFactory {
 	return Keyed("etime", func(v float64) (sched.Strategy, error) {
-		return baseline.NewETime(baseline.ETimeOptions{V: v})
+		return baseline.NewETime(v)
 	})
 }
 
@@ -247,8 +247,12 @@ func TestSweepPartialFailure(t *testing.T) {
 	if !errors.As(err, &se) {
 		t.Fatalf("error type %T, want *SweepError", err)
 	}
-	if got := se.Controls(); !reflect.DeepEqual(got, []float64{1, 3}) {
-		t.Fatalf("failed controls %v, want [1 3]", got)
+	failed := []float64{}
+	for _, f := range se.Failures {
+		failed = append(failed, f.Control)
+	}
+	if !reflect.DeepEqual(failed, []float64{1, 3}) {
+		t.Fatalf("failed controls %v, want [1 3]", failed)
 	}
 	survivors := []float64{}
 	for _, pt := range points {

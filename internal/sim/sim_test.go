@@ -269,9 +269,9 @@ func TestEngineInvariantsProperty(t *testing.T) {
 		case 1:
 			strategy, err = core.New(core.Options{Theta: 2, K: core.KInfinite})
 		case 2:
-			strategy, err = baseline.NewPerES(baseline.DefaultPerESOptions(0.5))
+			strategy, err = baseline.NewPerES(0.5)
 		default:
-			strategy, err = baseline.NewETime(baseline.ETimeOptions{V: 6})
+			strategy, err = baseline.NewETime(6)
 		}
 		if err != nil {
 			return false
@@ -420,11 +420,11 @@ func TestChannelAwareStrategiesRun(t *testing.T) {
 	cfg := paperConfig(t, 14)
 	cfg.Estimator = bandwidth.NewEstimator(cfg.Bandwidth, randx.New(99), time.Second, 0.3)
 
-	peres, err := baseline.NewPerES(baseline.DefaultPerESOptions(0.5))
+	peres, err := baseline.NewPerES(0.5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	etime, err := baseline.NewETime(baseline.ETimeOptions{V: 8})
+	etime, err := baseline.NewETime(8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -461,13 +461,13 @@ func TestComparativeOrderingMatchesPaper(t *testing.T) {
 		t.Fatal(err)
 	}
 	etimePt, err := runner.CalibrateDelay(cfg, Keyed("", func(v float64) (sched.Strategy, error) {
-		return baseline.NewETime(baseline.ETimeOptions{V: v})
+		return baseline.NewETime(v)
 	}), target, 1, 40, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
 	peresPt, err := runner.CalibrateDelay(cfg, Keyed("", func(omega float64) (sched.Strategy, error) {
-		return baseline.NewPerES(baseline.DefaultPerESOptions(omega))
+		return baseline.NewPerES(omega)
 	}), target, 0, 3, 8)
 	if err != nil {
 		t.Fatal(err)

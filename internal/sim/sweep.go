@@ -68,15 +68,6 @@ func (e *SweepError) Unwrap() []error {
 	return out
 }
 
-// Controls returns the failed control values in input order.
-func (e *SweepError) Controls() []float64 {
-	out := make([]float64, len(e.Failures))
-	for i, f := range e.Failures {
-		out[i] = f.Control
-	}
-	return out
-}
-
 // Sweep evaluates the configuration once per control value on the
 // runner's pool and returns the E–D points of the successful runs in
 // input order. When some points fail, the returned error is a *SweepError

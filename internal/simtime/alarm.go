@@ -9,11 +9,10 @@ type Alarm struct {
 	loop     *Loop
 	interval time.Duration
 	fire     Event
-	canceled bool
 }
 
 // NewAlarm schedules fire to first run at virtual instant first and then,
-// if interval > 0, to repeat every interval until canceled.
+// if interval > 0, to repeat every interval.
 func NewAlarm(loop *Loop, first, interval time.Duration, fire Event) *Alarm {
 	a := &Alarm{loop: loop, interval: interval, fire: fire}
 	loop.Schedule(first, a.run)
@@ -21,11 +20,8 @@ func NewAlarm(loop *Loop, first, interval time.Duration, fire Event) *Alarm {
 }
 
 func (a *Alarm) run(now time.Duration) {
-	if a.canceled {
-		return
-	}
 	a.fire(now)
-	if a.canceled || a.interval <= 0 {
+	if a.interval <= 0 {
 		return
 	}
 	a.loop.Schedule(now+a.interval, a.run)
@@ -34,9 +30,3 @@ func (a *Alarm) run(now time.Duration) {
 // SetInterval changes the repeat interval applied after the next firing.
 // NetEase-style adaptive heartbeats use this to double their cycle.
 func (a *Alarm) SetInterval(interval time.Duration) { a.interval = interval }
-
-// Interval returns the current repeat interval.
-func (a *Alarm) Interval() time.Duration { return a.interval }
-
-// Cancel stops the alarm; pending firings become no-ops.
-func (a *Alarm) Cancel() { a.canceled = true }

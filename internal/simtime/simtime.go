@@ -9,13 +9,8 @@ package simtime
 
 import (
 	"container/heap"
-	"errors"
 	"time"
 )
-
-// ErrStopped is returned by Run when the loop was stopped explicitly before
-// the horizon was reached.
-var ErrStopped = errors.New("simtime: loop stopped")
 
 // Event is a callback scheduled to fire at a virtual instant. The loop passes
 // the firing time (which equals the scheduled time).
@@ -59,10 +54,9 @@ func (q *eventQueue) Pop() any {
 
 // Loop is a single-threaded discrete-event simulation loop.
 type Loop struct {
-	now     time.Duration
-	queue   eventQueue
-	seq     uint64
-	stopped bool
+	now   time.Duration
+	queue eventQueue
+	seq   uint64
 }
 
 // NewLoop returns a loop positioned at virtual time zero.
@@ -83,27 +77,10 @@ func (l *Loop) Schedule(at time.Duration, fire Event) {
 	heap.Push(&l.queue, &queuedEvent{at: at, seq: l.seq, fire: fire})
 }
 
-// After enqueues fire to run delay after the current virtual time.
-func (l *Loop) After(delay time.Duration, fire Event) {
-	l.Schedule(l.now+delay, fire)
-}
-
-// Stop terminates Run before the horizon. It is safe to call from within an
-// event callback.
-func (l *Loop) Stop() { l.stopped = true }
-
-// Pending reports the number of queued events.
-func (l *Loop) Pending() int { return len(l.queue) }
-
 // Run executes events in time order until the queue drains or the next event
-// would fire at or beyond horizon. The clock finishes at horizon unless the
-// loop was stopped early. Returns ErrStopped if Stop was called.
-func (l *Loop) Run(horizon time.Duration) error {
-	l.stopped = false
+// would fire at or beyond horizon. The clock finishes at horizon.
+func (l *Loop) Run(horizon time.Duration) {
 	for len(l.queue) > 0 {
-		if l.stopped {
-			return ErrStopped
-		}
 		next := l.queue[0]
 		if next.at >= horizon {
 			break
@@ -115,11 +92,7 @@ func (l *Loop) Run(horizon time.Duration) error {
 		l.now = popped.at
 		popped.fire(l.now)
 	}
-	if l.stopped {
-		return ErrStopped
-	}
 	if l.now < horizon {
 		l.now = horizon
 	}
-	return nil
 }

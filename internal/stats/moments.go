@@ -3,7 +3,6 @@ package stats
 import (
 	"encoding/json"
 	"fmt"
-	"math"
 )
 
 // Moments is a streaming, mergeable accumulator for count, mean, variance
@@ -80,17 +79,6 @@ func (m Moments) Min() float64 { return m.min }
 
 // Max returns the largest sample (0 when empty).
 func (m Moments) Max() float64 { return m.max }
-
-// Variance returns the sample (n−1) variance; 0 for fewer than 2 samples.
-func (m Moments) Variance() float64 {
-	if m.n < 2 {
-		return 0
-	}
-	return m.m2 / float64(m.n-1)
-}
-
-// StdDev returns the sample standard deviation.
-func (m Moments) StdDev() float64 { return math.Sqrt(m.Variance()) }
 
 // momentsJSON is the checkpoint wire form. Float64 fields round-trip
 // bit-exactly through encoding/json (shortest-representation encoding),

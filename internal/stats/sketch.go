@@ -141,12 +141,6 @@ func newSketch(alpha float64) *Sketch {
 	return s
 }
 
-// Alpha returns the sketch's relative accuracy.
-func (s *Sketch) Alpha() float64 { return s.alpha }
-
-// Count returns how many samples were added.
-func (s *Sketch) Count() uint64 { return s.count }
-
 // bucketIndex maps a finite magnitude v > sketchZeroThreshold to its
 // bucket: i such that v ∈ (γ^(i−1), γ^i].
 func (s *Sketch) bucketIndex(v float64) int {

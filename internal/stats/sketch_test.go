@@ -128,7 +128,7 @@ func TestSketchQuantileWithinRankErrorBound(t *testing.T) {
 			if err != nil {
 				return false
 			}
-			tol := s.Alpha()*math.Abs(exact) + sketchZeroThreshold
+			tol := s.alpha*math.Abs(exact) + sketchZeroThreshold
 			if math.Abs(got-exact) > tol {
 				return false
 			}
@@ -216,7 +216,7 @@ func TestSketchRandomizedAgainstExactMedian(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if math.Abs(got-exact) > s.Alpha()*math.Abs(exact)+sketchZeroThreshold {
+	if math.Abs(got-exact) > s.alpha*math.Abs(exact)+sketchZeroThreshold {
 		t.Fatalf("median %v vs exact %v beyond alpha bound", got, exact)
 	}
 }

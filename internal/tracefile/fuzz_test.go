@@ -1,6 +1,7 @@
 package tracefile
 
 import (
+	"slices"
 	"strings"
 	"testing"
 )
@@ -41,8 +42,8 @@ func FuzzParseTrace(f *testing.F) {
 			}
 		}
 		if trace, err := ReadBandwidthTrace(strings.NewReader(input)); err == nil {
-			if trace.Min() <= 0 {
-				t.Fatalf("bandwidth trace has non-positive minimum %v", trace.Min())
+			if m := slices.Min(trace.Samples()); m <= 0 {
+				t.Fatalf("bandwidth trace has non-positive minimum %v", m)
 			}
 		}
 	})
@@ -99,8 +100,8 @@ func FuzzReadBandwidthTrace(f *testing.F) {
 			return
 		}
 		// Parsed traces must have strictly positive samples (the floor).
-		if trace.Min() <= 0 {
-			t.Fatalf("parsed trace has non-positive minimum %v", trace.Min())
+		if m := slices.Min(trace.Samples()); m <= 0 {
+			t.Fatalf("parsed trace has non-positive minimum %v", m)
 		}
 	})
 }

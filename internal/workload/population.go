@@ -79,15 +79,10 @@ func NewPopulation(mix []ClassShare) (*Population, error) {
 	return p, nil
 }
 
-// Shares returns a copy of the mix entries in declaration order.
-func (p *Population) Shares() []ClassShare {
-	return append([]ClassShare(nil), p.shares...)
-}
-
-// Pick maps a uniform draw u ∈ [0, 1) to a mix entry: the index into
-// Shares and its class. The assignment is a pure function of u, so a
-// device whose u is derived from its identity gets the same class no
-// matter which worker simulates it.
+// Pick maps a uniform draw u ∈ [0, 1) to a mix entry: its index in
+// declaration order and its class. The assignment is a pure function of
+// u, so a device whose u is derived from its identity gets the same class
+// no matter which worker simulates it.
 func (p *Population) Pick(u float64) (int, ActivenessClass) {
 	if u < 0 {
 		u = 0

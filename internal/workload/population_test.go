@@ -43,20 +43,20 @@ func TestPopulationPickSharesConverge(t *testing.T) {
 		t.Fatal(err)
 	}
 	const n = 20000
-	counts := make([]int, len(pop.Shares()))
+	counts := make([]int, len(pop.shares))
 	src := randx.New(42)
 	for i := 0; i < n; i++ {
 		idx, class := pop.Pick(src.Float64())
-		if pop.Shares()[idx].Class != class {
+		if pop.shares[idx].Class != class {
 			t.Fatalf("index %d disagrees with class %v", idx, class)
 		}
 		counts[idx]++
 	}
 	total := 0.0
-	for _, s := range pop.Shares() {
+	for _, s := range pop.shares {
 		total += s.Weight
 	}
-	for i, s := range pop.Shares() {
+	for i, s := range pop.shares {
 		want := s.Weight / total
 		got := float64(counts[i]) / n
 		if math.Abs(got-want) > 0.02 {

@@ -23,9 +23,9 @@ func refGenerate(src *randx.Source, specs []CargoSpec, horizon time.Duration, sa
 		appSrc := src.SplitPooled()
 		var arrivals []time.Duration
 		if sam == nil {
-			arrivals = randx.NewPoissonProcess(appSrc, spec.MeanInterArrival).ArrivalsUntil(horizon)
+			arrivals = randx.NewPoissonProcess(appSrc, spec.MeanInterArrival).AppendArrivalsUntil(nil, horizon)
 		} else {
-			arrivals = sam.Arrivals(appSrc, spec.MeanInterArrival, horizon)
+			arrivals = sam.AppendArrivals(nil, appSrc, spec.MeanInterArrival, horizon)
 		}
 		for _, at := range arrivals {
 			size := int64(appSrc.TruncatedNormal(spec.SizeMean, spec.SizeStdDev, spec.SizeMin))

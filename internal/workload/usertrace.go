@@ -163,14 +163,3 @@ func AppendPacketsFromTrace(dst []Packet, records []BehaviorRecord, prof profile
 	}
 	return dst
 }
-
-// TruncateToSession clips a trace to the paper's 10-minute app-use window.
-func TruncateToSession(records []BehaviorRecord) []BehaviorRecord {
-	out := make([]BehaviorRecord, 0, len(records))
-	for _, r := range records {
-		if r.At < SessionLength {
-			out = append(out, r)
-		}
-	}
-	return out
-}

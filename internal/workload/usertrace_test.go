@@ -118,18 +118,6 @@ func TestPacketsFromTraceSkipsEmpty(t *testing.T) {
 	}
 }
 
-func TestTruncateToSession(t *testing.T) {
-	records := []BehaviorRecord{
-		{At: time.Minute},
-		{At: 9 * time.Minute},
-		{At: 11 * time.Minute},
-	}
-	got := TruncateToSession(records)
-	if len(got) != 2 {
-		t.Fatalf("got %d records, want 2", len(got))
-	}
-}
-
 func TestActivenessClassString(t *testing.T) {
 	tests := []struct {
 		c    ActivenessClass

@@ -10,6 +10,9 @@ import (
 	"etrain/internal/randx"
 )
 
+// rate is a spec's arrival rate in packets/second.
+func rate(s CargoSpec) float64 { return 1 / s.MeanInterArrival.Seconds() }
+
 func TestDefaultSpecsRatioAndRate(t *testing.T) {
 	specs := DefaultSpecs()
 	if len(specs) != 3 {
@@ -20,7 +23,7 @@ func TestDefaultSpecsRatioAndRate(t *testing.T) {
 		if err := s.Validate(); err != nil {
 			t.Fatalf("%s invalid: %v", s.Name, err)
 		}
-		total += s.Rate()
+		total += rate(s)
 	}
 	if math.Abs(total-0.08) > 1e-9 {
 		t.Fatalf("total rate = %v, want 0.08", total)
@@ -42,13 +45,13 @@ func TestSpecsForLambda(t *testing.T) {
 		}
 		total := 0.0
 		for _, s := range specs {
-			total += s.Rate()
+			total += rate(s)
 		}
 		if math.Abs(total-lambda) > 1e-9 {
 			t.Fatalf("lambda %v: total rate %v", lambda, total)
 		}
 		// Ratio preserved.
-		if math.Abs(specs[2].Rate()/specs[0].Rate()-0.5) > 1e-9 {
+		if math.Abs(rate(specs[2])/rate(specs[0])-0.5) > 1e-9 {
 			t.Fatalf("lambda %v: cloud/mail rate ratio broken", lambda)
 		}
 	}
@@ -189,12 +192,6 @@ func TestValidateRejects(t *testing.T) {
 		if err := c.Validate(); err == nil {
 			t.Fatalf("case %d validated", i)
 		}
-	}
-}
-
-func TestRateZeroForNoInterArrival(t *testing.T) {
-	if got := (CargoSpec{}).Rate(); got != 0 {
-		t.Fatalf("Rate = %v, want 0", got)
 	}
 }
 

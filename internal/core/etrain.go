@@ -143,8 +143,12 @@ func (e *ETrain) Schedule(ctx *sched.SlotContext) []workload.Packet {
 	}
 
 	// Lines 1 and 3: transmit only on a train departure or once P(t)
-	// (Eq. 6) passes the cost bound. A departure needs no P(t).
-	if !ctx.HeartbeatNow && !e.gateOpen(q.CostAt(ctx.Now)) {
+	// (Eq. 6) passes the cost bound. A departure needs no P(t), and
+	// neither does a slot the engine woke on: NextWake found the gate open
+	// there over these very queues. The channel-gated NextWake names every
+	// slot without probing, so that variant probes here.
+	woken := ctx.Woken && !e.opts.ChannelGated
+	if !ctx.HeartbeatNow && !woken && !e.gateAt(q, ctx.Now) {
 		return nil
 	}
 
@@ -184,15 +188,37 @@ func (e *ETrain) gateOpen(cost float64) bool {
 	return !(cost < e.opts.Theta || cost <= 0)
 }
 
+// gateAt reports gateOpen(q.CostAt(now)) without always summing every
+// packet: it adds the costs in CostAt's order and stops at the first
+// prefix that opens the gate. Costs are non-negative, and IEEE addition
+// of a non-negative term never lowers a sum, so once a prefix reaches Θ
+// (and 0) the full sum does too; a NaN prefix opens the gate, and the sum
+// stays NaN to the end. A prefix that never opens it ends as the full sum.
+//
+//etrain:hotpath
+func (e *ETrain) gateAt(q *sched.Queues, now time.Duration) bool {
+	total := 0.0
+	for a := range q.AppsView() {
+		for _, p := range q.ViewAt(a) {
+			total += p.Cost(now)
+			if e.gateOpen(total) {
+				return true
+			}
+		}
+	}
+	return false
+}
+
 // NextWake implements sched.Waker. Away from heartbeats Schedule selects
 // exactly when the Θ gate is open at P(t). Every built-in profile is
 // non-decreasing, and each step of P(t) — Duration.Seconds, division by
-// the deadline, the profile's affine pieces, a sum in fixed order — is
-// monotone in IEEE arithmetic, so once the gate opens it stays open. A
-// bisection over q.CostAt therefore lands on the very slot stepping would
-// reach, not an approximation of it. Most wakes find the gate still shut
-// at the last candidate slot, which by the same argument settles them
-// with one probe; the rest bisect below it. The channel-gated variant also
+// the deadline, the profile's pieces, a sum in fixed order — is monotone
+// in IEEE arithmetic, so once the gate opens it stays open. A bisection
+// over gateAt therefore lands on the very slot stepping would reach, not
+// an approximation of it. Most wakes find the gate still shut at the last
+// candidate slot, which by the same argument settles them with one probe;
+// the rest bisect below it, and Schedule then trusts SlotContext.Woken
+// instead of probing the slot again. The channel-gated variant also
 // consults the noisy estimate, which is not monotone, so it wakes every
 // slot.
 //
@@ -206,14 +232,14 @@ func (e *ETrain) NextWake(q *sched.Queues, now, stop, slot time.Duration) time.D
 	}
 	// The candidates are the slots now+i·slot, i in [0, n).
 	n := (stop - now + slot - 1) / slot
-	if n <= 0 || !e.gateOpen(q.CostAt(now+(n-1)*slot)) {
+	if n <= 0 || !e.gateAt(q, now+(n-1)*slot) {
 		return stop
 	}
 	// The gate is closed at every slot below lo and open at hi.
 	lo, hi := time.Duration(0), n-1
 	for lo < hi {
 		mid := lo + (hi-lo)/2
-		if e.gateOpen(q.CostAt(now + mid*slot)) {
+		if e.gateAt(q, now+mid*slot) {
 			hi = mid
 		} else {
 			lo = mid + 1

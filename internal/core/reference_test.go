@@ -156,10 +156,13 @@ func refNextWake(e *ETrain, q *sched.Queues, now, stop, slot time.Duration) time
 
 // TestNextWakeMatchesBisectionReference compares NextWake with the
 // bisection-only reference over 20k random queues: up to 12 packets over
-// one to three apps, all three profiles and a custom monotone one, Θ from
-// 0 to 7 and three slot lengths. Each queue is asked with stop at zero,
-// one and two candidate slots (one of them off the slot grid), on the
-// slot where the gate opens and one slot past it, and far out.
+// one to three apps, all three profiles, a custom monotone one and one
+// that turns NaN past its deadline, Θ from 0 to 7 and three slot lengths.
+// Each queue is asked with stop at zero, one and two candidate slots (one
+// of them off the slot grid), on the slot where the gate opens and one
+// slot past it, and far out. At every slot the test probes on its way to
+// the crossing, and at every stop, the early-exit gateAt must agree with
+// the gate over the full sum.
 func TestNextWakeMatchesBisectionReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	names := []string{"weibo", "mail", "cloud"}
@@ -168,6 +171,20 @@ func TestNextWakeMatchesBisectionReference(t *testing.T) {
 		func(d time.Duration) profile.Profile {
 			return profile.Custom("steps", d, func(x float64) float64 { return math.Floor(4*x) / 4 })
 		},
+		func(d time.Duration) profile.Profile {
+			return profile.Custom("nan", d, func(x float64) float64 {
+				if x > 1 {
+					return math.NaN()
+				}
+				return x
+			})
+		},
+	}
+	gateAgrees := func(e *ETrain, q *sched.Queues, at time.Duration) bool {
+		if got, want := e.gateAt(q, at), e.gateOpen(q.CostAt(at)); got != want {
+			t.Fatalf("Θ %v at %v: gateAt = %v, gate over P(t) = %v is %v", e.opts.Theta, at, got, q.CostAt(at), want)
+		}
+		return e.gateOpen(q.CostAt(at))
 	}
 	thetas := []float64{0, 0.25, 1, 2, 4, 7}
 	strategies := make([]*ETrain, len(thetas))
@@ -202,13 +219,14 @@ func TestNextWakeMatchesBisectionReference(t *testing.T) {
 		now := time.Duration(rng.Intn(300)) * time.Second
 		stops := []time.Duration{now, now + slot, now + 2*slot, now + slot + 1, now + time.Duration(rng.Intn(3000))*slot}
 		for i := time.Duration(0); i < 3000; i++ {
-			if e.gateOpen(q.CostAt(now + i*slot)) {
+			if gateAgrees(e, q, now+i*slot) {
 				stops = append(stops, now+i*slot, now+(i+1)*slot)
 				crossings++
 				break
 			}
 		}
 		for _, stop := range stops {
+			gateAgrees(e, q, stop)
 			if got, want := e.NextWake(q, now, stop, slot), refNextWake(e, q, now, stop, slot); got != want {
 				t.Fatalf("trial %d (Θ %v, slot %v, now %v, stop %v): NextWake = %v, want %v", trial, e.opts.Theta, slot, now, stop, got, want)
 			}

@@ -54,72 +54,106 @@ type Profile interface {
 	Name() string
 }
 
-// funcProfile implements Profile with an explicit cost function. It holds
-// its name by pointer, which keeps it at 32 bytes with deadlineS cached:
-// a server session builds one per cargo arrival.
+// funcProfile implements Profile for the three families and for Custom.
+// It is 32 bytes: a built-in family's name and cost come from its kind,
+// and a Custom profile keeps its name and cost function behind one
+// pointer.
 type funcProfile struct {
-	name     *string
 	deadline time.Duration
-	// deadlineS is deadline.Seconds(), which every Cost divides by.
+	// deadlineS is deadline.Seconds(), which every affine piece divides by.
 	deadlineS float64
-	cost      func(dNorm float64) float64
+	// custom is a Custom profile's name and cost; nil for the families.
+	custom *customCost
+	// kind is the family, 0 for a Custom profile.
+	kind Kind
+}
+
+// customCost is what a Custom profile adds to funcProfile.
+type customCost struct {
+	name string
+	cost func(dNorm float64) float64
 }
 
 var _ Profile = (*funcProfile)(nil)
 
-// The built-in families' names, shared by every profile of the family.
-var (
-	mailName  = "mail/f1"
-	weiboName = "weibo/f2"
-	cloudName = "cloud/f3"
-)
-
-func newFuncProfile(name *string, deadline time.Duration, cost func(dNorm float64) float64) *funcProfile {
-	return &funcProfile{name: name, deadline: deadline, deadlineS: deadline.Seconds(), cost: cost}
+func newFamily(kind Kind, deadline time.Duration) *funcProfile {
+	return &funcProfile{deadline: deadline, deadlineS: deadline.Seconds(), kind: kind}
 }
 
-func (p *funcProfile) Name() string            { return *p.name }
+func (p *funcProfile) Name() string {
+	switch p.kind {
+	case KindMail:
+		return "mail/f1"
+	case KindWeibo:
+		return "weibo/f2"
+	case KindCloud:
+		return "cloud/f3"
+	default:
+		return p.custom.name
+	}
+}
+
 func (p *funcProfile) Deadline() time.Duration { return p.deadline }
 
+// Cost evaluates the family's piece at x = d.Seconds()/deadline.Seconds().
+// Two pieces are constant, and Cost returns them without dividing, with
+// the very value the division would have led to:
+//
+//   - Mail is 0 for d ≤ deadline. Duration.Seconds and the division by a
+//     positive deadlineS are monotone in IEEE arithmetic, and
+//     x(deadline) = deadlineS/deadlineS = 1, so x ≤ 1 there.
+//   - Weibo is 2 once d − deadline > deadline>>20. Duration.Seconds rounds
+//     to within a relative 2⁻⁵² of d, far inside that margin of more than
+//     2⁻²⁰, so d.Seconds() > deadlineS; the rounded quotient of positive
+//     floats a > b is above 1, so x > 1. With d and deadline both positive
+//     the subtraction cannot overflow, whatever deadline a client sends.
+//
+// Every other piece computes x and the formula of the package comment.
 func (p *funcProfile) Cost(d time.Duration) float64 {
 	if d <= 0 || p.deadline <= 0 {
 		return 0
 	}
-	return p.cost(d.Seconds() / p.deadlineS)
-}
-
-// Mail returns the f1 profile: zero cost before the deadline, then
-// d/deadline − 1.
-func Mail(deadline time.Duration) Profile {
-	return newFuncProfile(&mailName, deadline, func(x float64) float64 {
+	switch p.kind {
+	case KindMail:
+		if d <= p.deadline {
+			return 0
+		}
+		x := d.Seconds() / p.deadlineS
 		if x <= 1 {
 			return 0
 		}
 		return x - 1
-	})
-}
-
-// Weibo returns the f2 profile: d/deadline before the deadline, then the
-// constant 2.
-func Weibo(deadline time.Duration) Profile {
-	return newFuncProfile(&weiboName, deadline, func(x float64) float64 {
+	case KindWeibo:
+		if d-p.deadline > p.deadline>>20 {
+			return 2
+		}
+		x := d.Seconds() / p.deadlineS
 		if x <= 1 {
 			return x
 		}
 		return 2
-	})
-}
-
-// Cloud returns the f3 profile: d/deadline before the deadline, then
-// 3·d/deadline − 2.
-func Cloud(deadline time.Duration) Profile {
-	return newFuncProfile(&cloudName, deadline, func(x float64) float64 {
+	case KindCloud:
+		x := d.Seconds() / p.deadlineS
 		if x <= 1 {
 			return x
 		}
 		return 3*x - 2
-	})
+	default:
+		return p.custom.cost(d.Seconds() / p.deadlineS)
+	}
 }
+
+// Mail returns the f1 profile: zero cost before the deadline, then
+// d/deadline − 1.
+func Mail(deadline time.Duration) Profile { return newFamily(KindMail, deadline) }
+
+// Weibo returns the f2 profile: d/deadline before the deadline, then the
+// constant 2.
+func Weibo(deadline time.Duration) Profile { return newFamily(KindWeibo, deadline) }
+
+// Cloud returns the f3 profile: d/deadline before the deadline, then
+// 3·d/deadline − 2.
+func Cloud(deadline time.Duration) Profile { return newFamily(KindCloud, deadline) }
 
 // New returns the profile of the given family with the given deadline.
 func New(kind Kind, deadline time.Duration) (Profile, error) {
@@ -136,21 +170,13 @@ func New(kind Kind, deadline time.Duration) (Profile, error) {
 }
 
 // KindOf returns the family a profile belongs to. Custom profiles have no
-// family and report ok = false; they cannot travel over the wire protocol.
+// family and report ok = false, whatever their name; they cannot travel
+// over the wire protocol.
 func KindOf(p Profile) (Kind, bool) {
-	if p == nil {
-		return 0, false
+	if fp, ok := p.(*funcProfile); ok && fp.kind != 0 {
+		return fp.kind, true
 	}
-	switch p.Name() {
-	case "mail/f1":
-		return KindMail, true
-	case "weibo/f2":
-		return KindWeibo, true
-	case "cloud/f3":
-		return KindCloud, true
-	default:
-		return 0, false
-	}
+	return 0, false
 }
 
 // Custom returns a profile with an arbitrary cost function of normalized
@@ -159,7 +185,11 @@ func KindOf(p Profile) (Kind, bool) {
 // The simulation engine relies on it too: it skips the slots before eTrain's
 // Θ gate opens by bisecting on P(t), so a cost that is not monotone, or
 // that returns NaN, also makes a skipping run differ from one that steps
-// every slot.
+// every slot. eTrain's gate stops summing P(t) at the first prefix that
+// reaches Θ, which equals the full sum's verdict only while every cost is
+// non-negative.
 func Custom(name string, deadline time.Duration, cost func(dNorm float64) float64) Profile {
-	return newFuncProfile(&name, deadline, cost)
+	p := newFamily(0, deadline)
+	p.custom = &customCost{name: name, cost: cost}
+	return p
 }

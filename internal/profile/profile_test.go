@@ -2,9 +2,11 @@ package profile
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 	"time"
+	"unsafe"
 )
 
 const dl = 30 * time.Second
@@ -167,5 +169,119 @@ func TestZeroDeadlineIsSafe(t *testing.T) {
 	p := Mail(0)
 	if got := p.Cost(time.Second); got != 0 {
 		t.Fatalf("cost with zero deadline = %v, want 0 (no division by zero)", got)
+	}
+}
+
+// refFamilies holds each family's cost as a closure over x = d/deadline,
+// the form Cost took before it switched on the family: the reference its
+// constant pieces must reproduce bit for bit.
+var refFamilies = map[Kind]func(x float64) float64{
+	KindMail: func(x float64) float64 {
+		if x <= 1 {
+			return 0
+		}
+		return x - 1
+	},
+	KindWeibo: func(x float64) float64 {
+		if x <= 1 {
+			return x
+		}
+		return 2
+	},
+	KindCloud: func(x float64) float64 {
+		if x <= 1 {
+			return x
+		}
+		return 3*x - 2
+	},
+}
+
+func refCost(kind Kind, deadline, d time.Duration) float64 {
+	if d <= 0 || deadline <= 0 {
+		return 0
+	}
+	return refFamilies[kind](d.Seconds() / deadline.Seconds())
+}
+
+// TestCostMatchesClosureReference compares every family's Cost with the
+// closure reference bit for bit: deadlines from 1 ns to 2⁶² ns (each power
+// of two, its neighbours and random ones up to 2⁵⁰ ns) and the largest a
+// client can send, probed at D−2…D+2, at D + 2ʲ up to 2D, around Weibo's
+// plateau edge D + D>>20 and at random delays. Past 2⁵² ns, Seconds
+// cannot tell D from D + 1 ns, so a plateau that starts too early shows
+// there.
+func TestCostMatchesClosureReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(24))
+	deadlines := []time.Duration{dl, time.Minute, time.Second, math.MaxInt64, math.MaxInt64 - 1, math.MaxInt64 >> 1}
+	for e := 0; e <= 62; e++ {
+		deadlines = append(deadlines, 1<<e-1, 1<<e, 1<<e+1)
+	}
+	for i := 0; i < 400; i++ {
+		deadlines = append(deadlines, 1+time.Duration(rng.Int63n(1<<uint(1+rng.Intn(50)))))
+	}
+	// add saturates at the largest Duration instead of wrapping.
+	add := func(a, b time.Duration) time.Duration {
+		if b > 0 && a > math.MaxInt64-b {
+			return math.MaxInt64
+		}
+		return a + b
+	}
+	checked := 0
+	for _, D := range deadlines {
+		var probes []time.Duration
+		edge := add(D, D>>20)
+		for k := time.Duration(-2); k <= 2; k++ {
+			probes = append(probes, add(D, k), add(edge, k))
+		}
+		for step := time.Duration(1); step > 0 && step <= D; step *= 2 {
+			probes = append(probes, add(D, step))
+		}
+		probes = append(probes, add(D, D), 0, -1)
+		for i := 0; i < 8; i++ {
+			probes = append(probes, time.Duration(rng.Int63n(int64(max(add(D, D), 1))))+1)
+		}
+		for _, kind := range []Kind{KindMail, KindWeibo, KindCloud} {
+			p, err := New(kind, D)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, d := range probes {
+				got, want := p.Cost(d), refCost(kind, D, d)
+				if math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("%s deadline %d ns: Cost(%d ns) = %v, closure reference %v", kind, D, d, got, want)
+				}
+				checked++
+			}
+		}
+	}
+	t.Logf("%d costs compared", checked)
+}
+
+// TestKindOfReadsTheFamily: a family reports its kind, and a custom
+// profile has none even under a family's name.
+func TestKindOfReadsTheFamily(t *testing.T) {
+	for _, kind := range []Kind{KindMail, KindWeibo, KindCloud} {
+		p, err := New(kind, dl)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, ok := KindOf(p); !ok || got != kind {
+			t.Errorf("KindOf(New(%s)) = %v, %v", kind, got, ok)
+		}
+	}
+	impostor := Custom("mail/f1", dl, func(x float64) float64 { return x })
+	if got, ok := KindOf(impostor); ok {
+		t.Errorf("KindOf(custom %q) = %v, want no kind", impostor.Name(), got)
+	}
+	if _, ok := KindOf(nil); ok {
+		t.Error("KindOf(nil) reported a kind")
+	}
+}
+
+// A server session builds a profile per distinct (kind, deadline) of its
+// cargo; keep each one a single 32-byte allocation.
+func TestFuncProfileIs32Bytes(t *testing.T) {
+	if size := unsafe.Sizeof(funcProfile{}); size != 32 {
+		t.Fatalf("funcProfile is %d bytes, want 32", size)
 	}
 }

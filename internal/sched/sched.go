@@ -271,6 +271,12 @@ type SlotContext struct {
 	// HeartbeatNow reports whether at least one train departs this slot
 	// (t = t_s(h) for some h ∈ H).
 	HeartbeatNow bool
+	// Woken reports that the engine stepped onto this slot because the
+	// strategy's NextWake named it, the first slot before the stop it was
+	// given: the queues are those NextWake saw, and HeartbeatNow is false.
+	// It is false on every other slot, and always for a strategy that is
+	// not a Waker.
+	Woken bool
 	// Beats lists the train departures of this slot (the observations the
 	// heartbeat monitor would deliver); empty when HeartbeatNow is false.
 	Beats []heartbeat.Beat
@@ -308,6 +314,14 @@ type Strategy interface {
 // is a pure function of the slot context that leaves the queues untouched
 // whenever it selects nothing; the engine then never calls Schedule at the
 // slots NextWake rules out.
+//
+// The engine calls Schedule only at a slot NextWake names and at a slot
+// in which a heartbeat departs. When NextWake runs out at a slot where
+// only an arrival becomes visible, the engine adds the arrival to the
+// queues and calls NextWake again from that slot. On a slot NextWake
+// named, the engine sets SlotContext.Woken and changes nothing between the
+// NextWake call and Schedule, so a strategy may skip the test NextWake
+// just made.
 type Waker interface {
 	// NextWake returns the first slot start in [now, stop) — now,
 	// now+slot, now+2·slot, … — at which Schedule could select any

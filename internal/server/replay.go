@@ -2,6 +2,7 @@ package server
 
 import (
 	"fmt"
+	"time"
 
 	"etrain/internal/bandwidth"
 	"etrain/internal/core"
@@ -31,11 +32,15 @@ var newStrategy = func(h wire.Hello) (sched.Strategy, error) {
 // of its Hello and events, identical no matter which side of a dead
 // connection produced it (DESIGN.md §11).
 type Replayer struct {
-	hello   wire.Hello
-	engine  *sim.Engine
-	pending []wire.Decision
-	emit    func(wire.Message) error
-	done    bool
+	// deviceID is the Hello's, echoed in the StatsSnapshot.
+	deviceID uint64
+	engine   *sim.Engine
+	pending  []wire.Decision
+	emit     func(wire.Message) error
+	done     bool
+	// profiles holds, per profile family in Kind order, the first profile
+	// the session's cargo named (profileFor).
+	profiles [profile.KindCloud]profile.Profile
 }
 
 // NewReplayer validates the Hello and builds the replayer: the channel
@@ -65,7 +70,7 @@ func NewReplayer(h wire.Hello, power radio.PowerModel, emit func(wire.Message) e
 	if err != nil {
 		return nil, fmt.Errorf("server: hello: %w", err)
 	}
-	rp := &Replayer{hello: h, engine: engine, emit: emit}
+	rp := &Replayer{deviceID: h.DeviceID, engine: engine, emit: emit}
 	engine.OnSlot = func(r sim.SlotResult) {
 		if len(r.Data) == 0 {
 			return
@@ -104,7 +109,7 @@ func (rp *Replayer) Apply(m wire.Message) error {
 		}
 		return rp.flush()
 	case wire.CargoArrival:
-		prof, err := profile.New(v.Profile, v.Deadline)
+		prof, err := rp.profileFor(v.Profile, v.Deadline)
 		if err != nil {
 			return fmt.Errorf("server: cargo %d: %w", v.ID, err)
 		}
@@ -129,6 +134,33 @@ func (rp *Replayer) Apply(m wire.Message) error {
 	}
 }
 
+// profileFor returns the profile of the given family and deadline,
+// reusing the one an earlier arrival of the session built. A device's
+// cargo names one deadline per family, so one profile per family serves a
+// whole session; deadlines come from the client, so an arrival naming
+// another deadline builds its own profile instead of growing the cache.
+// A profile is immutable and a pure function of its kind and deadline, so
+// sharing it changes no cost.
+//
+//etrain:hotpath
+func (rp *Replayer) profileFor(kind profile.Kind, deadline time.Duration) (profile.Profile, error) {
+	i := int(kind) - int(profile.KindMail)
+	if i < 0 || i >= len(rp.profiles) {
+		return profile.New(kind, deadline)
+	}
+	if p := rp.profiles[i]; p != nil && p.Deadline() == deadline {
+		return p, nil
+	}
+	prof, err := profile.New(kind, deadline)
+	if err != nil {
+		return nil, err
+	}
+	if rp.profiles[i] == nil {
+		rp.profiles[i] = prof
+	}
+	return prof, nil
+}
+
 // finish runs the engine to the horizon and emits the closing frames: the
 // flush decisions, the StatsSnapshot, and the echoed Ack.
 func (rp *Replayer) finish(ack wire.Ack) error {
@@ -141,7 +173,7 @@ func (rp *Replayer) finish(ack wire.Ack) error {
 	}
 	m := res.Metrics()
 	snap := wire.StatsSnapshot{
-		DeviceID:       rp.hello.DeviceID,
+		DeviceID:       rp.deviceID,
 		EnergyJ:        m.EnergyJ,
 		AvgDelayS:      m.AvgDelayS,
 		ViolationRatio: m.ViolationRatio,

@@ -266,11 +266,13 @@ type SlotResult struct {
 //
 // The loop skips idle slots when the strategy implements sched.Waker.
 // Before each slot it jumps to the earliest of the strategy's wake slot,
-// the slot holding the next heartbeat, the first slot start after the next
-// arrival, and the slot where the loop stops anyway. The queues cannot
-// change and no train departs before that slot, so the strategy would
-// have selected nothing at every slot jumped over: skipping changes no
-// transmission. Strategies without Waker execute every slot.
+// the slot holding the next heartbeat and the slot where the loop stops
+// anyway. A slot where only an arrival becomes visible is not stepped: the
+// engine ingests the arrival and asks the strategy again from there. The
+// queues cannot change and no train departs between two of these points,
+// so the strategy would have selected nothing at every slot jumped over:
+// skipping changes no transmission. Strategies without Waker execute every
+// slot.
 //
 // Run is implemented on top of Engine, so a device driven incrementally —
 // e.g. from decoded wire frames by internal/server — produces decisions
@@ -384,9 +386,6 @@ func (e *Engine) init(cfg Config, summaryOnly bool) error {
 	}
 	return nil
 }
-
-// SlotLength returns the engine's decision period.
-func (e *Engine) SlotLength() time.Duration { return e.slot }
 
 // AddBeat appends one heartbeat departure. Beats must arrive in
 // non-decreasing time order and must not predate the next unexecuted slot
@@ -550,29 +549,50 @@ func (e *Engine) run(upTo time.Duration) error {
 	return nil
 }
 
-// skipIdle moves slotStart, at most to end, to the next slot at which
-// anything can happen: the strategy's wake slot, the slot holding the next
-// beat, or the first slot start after the next arrival. Every slot in
-// between sees the same queues and no heartbeat, and the strategy's
-// NextWake rules each of them out.
+// skipIdle moves slotStart, at most to end, to the next slot the engine
+// steps: the strategy's wake slot, the slot holding the next beat, or end.
+// Each NextWake call covers slots that see one set of queues and no
+// heartbeat, and rules out every slot it passes over.
+//
+// A call ends at the first slot start after the next arrival, where that
+// arrival becomes visible. When NextWake finds nothing before it, the
+// engine does not step that slot to ask the strategy: it ingests the
+// arrival and calls NextWake again from that slot, the slot included. A
+// strategy that could select there is named there, and one that could
+// not would have selected nothing and left the queues as they were. A
+// slot reached through NextWake is marked Woken.
 //
 //etrain:hotpath
 func (e *Engine) skipIdle(end time.Duration) {
-	e.ingest()
-	next := end
-	if e.nextBeat < len(e.beats) {
-		// The slot [s, s+slot) holding the next beat; a beat that is
-		// already due gives a slot at or before this one.
-		next = min(next, e.slotStart+(e.beats[e.nextBeat].At-e.slotStart)/e.slot*e.slot)
-	}
-	if e.nextPacket < len(e.packets) {
-		// ingest left only arrivals at or after slotStart: the first slot
-		// start past one is where it becomes visible.
-		at := e.packets[e.nextPacket].ArrivedAt
-		next = min(next, e.slotStart+((at-e.slotStart)/e.slot+1)*e.slot)
-	}
-	if next > e.slotStart {
-		e.slotStart = e.waker.NextWake(e.queues, e.slotStart, next, e.slot)
+	e.ctx.Woken = false
+	for {
+		e.ingest()
+		next := end
+		if e.nextBeat < len(e.beats) {
+			// The slot [s, s+slot) holding the next beat; a beat that is
+			// already due gives a slot at or before this one.
+			next = min(next, e.slotStart+(e.beats[e.nextBeat].At-e.slotStart)/e.slot*e.slot)
+		}
+		stop := next
+		if e.nextPacket < len(e.packets) {
+			// ingest left only arrivals at or after slotStart: the first
+			// slot start past one is where it becomes visible.
+			at := e.packets[e.nextPacket].ArrivedAt
+			stop = min(stop, e.slotStart+((at-e.slotStart)/e.slot+1)*e.slot)
+		}
+		if stop <= e.slotStart {
+			return
+		}
+		wake := e.waker.NextWake(e.queues, e.slotStart, stop, e.slot)
+		if wake < stop {
+			e.slotStart = wake
+			e.ctx.Woken = true
+			return
+		}
+		e.slotStart = stop
+		if stop == next {
+			return
+		}
 	}
 }
 

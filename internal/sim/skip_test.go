@@ -13,6 +13,8 @@ import (
 	"etrain/internal/core"
 	"etrain/internal/fleet"
 	"etrain/internal/heartbeat"
+	"etrain/internal/profile"
+	"etrain/internal/radio"
 	"etrain/internal/randx"
 	"etrain/internal/sched"
 	"etrain/internal/sim"
@@ -160,10 +162,39 @@ func incremental(t *testing.T, cfg sim.Config) (*sim.Result, []sim.SlotResult) {
 	return res, slots
 }
 
+// matchesStepping runs cfg with c's strategy four ways, skipping and
+// stepping, in one Run and fed event by event, and fails unless all four
+// results and both slot streams agree. It returns the skipping Run.
+func matchesStepping(t *testing.T, label string, cfg sim.Config, c skipCase, seed int64) *sim.Result {
+	t.Helper()
+	want, err := sim.Run(withStrategy(cfg, c, true, seed))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := sim.Run(withStrategy(cfg, c, false, seed))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("%s (%s): skipping Run differs from stepping:\n got %+v\nwant %+v", label, c.name, got.Metrics(), want.Metrics())
+	}
+
+	wantInc, wantSlots := incremental(t, withStrategy(cfg, c, true, seed))
+	gotInc, gotSlots := incremental(t, withStrategy(cfg, c, false, seed))
+	if !reflect.DeepEqual(gotSlots, wantSlots) {
+		t.Fatalf("%s (%s): skipping engine's slot stream differs from stepping (%d vs %d slots)", label, c.name, len(gotSlots), len(wantSlots))
+	}
+	if !reflect.DeepEqual(gotInc, wantInc) || !reflect.DeepEqual(gotInc, want) {
+		t.Fatalf("%s (%s): incremental skipping result differs", label, c.name)
+	}
+	return got
+}
+
 // TestSkippingMatchesStepping is the stepping ≡ skipping differential
 // test: over 420 synthesized fleet devices, an engine that jumps over idle
 // slots must produce exactly the result of one that executes every slot,
-// both in one Run and fed one event at a time, slot stream included.
+// both in one Run and fed one event at a time, slot stream included. Two
+// crafted devices follow (arrivalSlots).
 func TestSkippingMatchesStepping(t *testing.T) {
 	pop, err := workload.NewPopulation(workload.DefaultMix())
 	if err != nil {
@@ -172,28 +203,64 @@ func TestSkippingMatchesStepping(t *testing.T) {
 	const devices = 420
 	for i := 0; i < devices; i++ {
 		c := skipCaseFor(i)
-		cfg := skipConfig(t, pop, i, c)
-		seed := int64(i)
+		matchesStepping(t, fmt.Sprintf("device %d", i), skipConfig(t, pop, i, c), c, int64(i))
+	}
+	t.Run("arrival slots", arrivalSlots)
+}
 
-		want, err := sim.Run(withStrategy(cfg, c, true, seed))
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := sim.Run(withStrategy(cfg, c, false, seed))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("device %d (%s): skipping Run differs from stepping:\n got %+v\nwant %+v", i, c.name, got.Metrics(), want.Metrics())
-		}
+// arrivalSlots pins the two arrival-slot paths of the wake search against
+// stepping, in one Run and fed event by event: a run of arrivals in
+// consecutive slots while the Θ gate stays shut, whose slots the skipping
+// engine never steps, and an arrival that opens the gate at the very slot
+// where it becomes visible.
+func arrivalSlots(t *testing.T) {
+	const slot = time.Second
+	bw, err := bandwidth.Constant(50e3, 10*time.Minute)
+	if err != nil {
+		t.Fatal(err)
+	}
+	weibo := profile.Weibo(time.Minute)
+	cfg := sim.Config{
+		Horizon:   4 * time.Minute,
+		Beats:     []heartbeat.Beat{{At: 150 * time.Second, App: "qq", Size: 378}},
+		Bandwidth: bw,
+		Power:     radio.GalaxyS43G(),
+	}
+	// One arrival in each of 30 consecutive slots, alternating between
+	// mid-slot, on the slot start and 1 ns before it.
+	for i := 0; i < 30; i++ {
+		at := time.Duration(i)*slot + []time.Duration{slot / 2, 0, slot - 1}[i%3]
+		cfg.Packets = append(cfg.Packets, workload.Packet{ID: i, App: "weibo", ArrivedAt: at, Size: 2000, Profile: weibo})
+	}
+	etrain := func(theta float64) skipCase {
+		opts := core.Options{Theta: theta, K: 20}
+		return skipCase{name: fmt.Sprintf("Θ %v", theta), slot: slot, strategy: func() sched.Strategy {
+			s, err := core.New(opts)
+			if err != nil {
+				panic(err)
+			}
+			return s
+		}}
+	}
 
-		wantInc, wantSlots := incremental(t, withStrategy(cfg, c, true, seed))
-		gotInc, gotSlots := incremental(t, withStrategy(cfg, c, false, seed))
-		if !reflect.DeepEqual(gotSlots, wantSlots) {
-			t.Fatalf("device %d (%s): skipping engine's slot stream differs from stepping (%d vs %d slots)", i, c.name, len(gotSlots), len(wantSlots))
+	// Θ 8: while the arrivals last, P(t) ≤ Σ_i (30 s − i·1 s)/60 s < 8,
+	// so the gate is shut at every arrival slot.
+	shut := matchesStepping(t, "arrivals while shut", cfg, etrain(8), 1)
+	for _, p := range shut.Packets {
+		if p.StartedAt < 30*time.Second {
+			t.Fatalf("packet %d started at %v, while the gate should be shut", p.ID, p.StartedAt)
 		}
-		if !reflect.DeepEqual(gotInc, wantInc) || !reflect.DeepEqual(gotInc, want) {
-			t.Fatalf("device %d (%s): incremental skipping result differs", i, c.name)
-		}
+	}
+
+	// Five weibo packets alone keep P(t) below 8 until about 98 s. A cloud
+	// packet with a 100 ms deadline that arrives at 40.3 s costs
+	// 3·7 − 2 = 19 when it becomes visible at 41 s: the gate opens at its
+	// own slot.
+	cfg.Packets = append(slices.Clone(cfg.Packets[:5]), workload.Packet{
+		ID: 30, App: "cloud", ArrivedAt: 40*time.Second + 300*time.Millisecond, Size: 50000, Profile: profile.Cloud(100 * time.Millisecond),
+	})
+	opens := matchesStepping(t, "arrival opens the gate", cfg, etrain(8), 1)
+	if len(opens.Packets) == 0 || opens.Packets[0].ID != 30 || opens.Packets[0].StartedAt != 41*time.Second {
+		t.Fatalf("first transmission %+v, want the cloud packet at its visible slot 41s", opens.Packets[:min(1, len(opens.Packets))])
 	}
 }

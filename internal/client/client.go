@@ -13,6 +13,7 @@ package client
 import (
 	"fmt"
 	"net"
+	"sync"
 	"time"
 
 	"etrain/internal/radio"
@@ -367,6 +368,11 @@ func (st *state) refill() {
 	}
 }
 
+// writerPool holds exchange's frame writers, so an attempt reuses the
+// buffer an earlier one grew. Only writes are pooled: reads stay
+// unbuffered (see exchange).
+var writerPool = sync.Pool{New: func() any { return wire.NewWriter(nil) }}
+
 // readResult is one connection's collected server frames. Busy frames
 // are control frames, not session frames: they are split out so the
 // authoritative stream stays decisions/stats/ack only.
@@ -401,7 +407,12 @@ func handshakeAnswer(r *wire.Reader) (wire.Message, error) {
 // for unrecoverable protocol violations.
 func (st *state) exchange(conn net.Conn) (progress bool, fatal error) {
 	defer conn.Close()
-	w := wire.NewWriter(conn)
+	w := writerPool.Get().(*wire.Writer)
+	w.Reset(conn)
+	defer func() {
+		w.Reset(nil)
+		writerPool.Put(w)
+	}()
 	r := wire.NewReader(conn)
 
 	var start uint64 // journal frames the server already consumed

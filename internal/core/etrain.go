@@ -117,8 +117,20 @@ var (
 
 // New returns an eTrain strategy with the given options.
 func New(opts Options) (*ETrain, error) {
-	if err := opts.Validate(); err != nil {
+	e := new(ETrain)
+	if err := e.Reset(opts); err != nil {
 		return nil, err
+	}
+	return e, nil
+}
+
+// Reset re-options e in place, keeping its scratch, so a strategy that
+// serves runs under different options in turn, such as a pooled server
+// session's or a fleet shard's, need not grow a new one. It leaves e as it
+// was when opts are invalid.
+func (e *ETrain) Reset(opts Options) error {
+	if err := opts.Validate(); err != nil {
+		return err
 	}
 	if opts.Slot == 0 {
 		opts.Slot = DefaultSlot
@@ -126,7 +138,8 @@ func New(opts Options) (*ETrain, error) {
 	if opts.Selection == 0 {
 		opts.Selection = SelectEq9
 	}
-	return &ETrain{opts: opts}, nil
+	e.opts = opts
+	return nil
 }
 
 // Name implements sched.Strategy.

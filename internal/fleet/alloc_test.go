@@ -29,7 +29,7 @@ func TestDevicePairAllocatesNothing(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sc, err := newScratch(&norm)
+		sc, err := getScratch(&norm)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -21,7 +21,7 @@ func BenchmarkDevicePair(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	sc, err := newScratch(&norm)
+	sc, err := getScratch(&norm)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -3,6 +3,7 @@ package fleet
 import (
 	"fmt"
 	"slices"
+	"sync"
 	"time"
 
 	"etrain/internal/bandwidth"
@@ -130,11 +131,12 @@ func RunPair(base sim.Config, theta float64, k int) (DeviceOutcome, error) {
 }
 
 // scratch is everything one device's synthesis and run pair fill, kept
-// for the next device: a shard's devices share one, so the device loop
-// allocates nothing once its buffers have grown. A device synthesized into
-// a scratch is valid until the scratch synthesizes the next one. The zero
-// value can synthesize and run a pair; runDevice also needs the eTrain
-// strategy newScratch sets. A scratch is not safe for concurrent use.
+// for the next device: a shard's devices share one, and shards take it
+// from a pool, so the device loop allocates nothing once its buffers have
+// grown. A device synthesized into a scratch is valid until the scratch
+// synthesizes the next one. The zero value can synthesize and run a pair;
+// runDevice also needs the eTrain strategy getScratch sets. A scratch is
+// not safe for concurrent use.
 type scratch struct {
 	trains  []heartbeat.TrainApp
 	records []workload.BehaviorRecord
@@ -155,14 +157,19 @@ type scratch struct {
 	etrain    *core.ETrain
 }
 
-// newScratch returns a scratch whose eTrain strategy runs under cfg's Θ
-// and k.
-func newScratch(cfg *Config) (*scratch, error) {
-	strategy, err := core.New(core.Options{Theta: cfg.Theta, K: cfg.K})
-	if err != nil {
+// scratchPool holds the scratches of finished shards.
+var scratchPool = sync.Pool{New: func() any { return &scratch{etrain: new(core.ETrain)} }}
+
+// getScratch takes a scratch from the pool and re-options its eTrain
+// strategy for cfg's Θ and k. Every device overwrites what it uses of the
+// rest, so a scratch carries nothing from one shard or fleet to the next
+// but buffer capacity.
+func getScratch(cfg *Config) (*scratch, error) {
+	sc := scratchPool.Get().(*scratch)
+	if err := sc.etrain.Reset(core.Options{Theta: cfg.Theta, K: cfg.K}); err != nil {
 		return nil, err
 	}
-	return &scratch{etrain: strategy}, nil
+	return sc, nil
 }
 
 // synthesize is SynthesizeDeviceOpts into s's buffers.

@@ -314,7 +314,8 @@ func haltOnly(err error) bool {
 }
 
 // runShard simulates the devices of shard s and folds their outcomes, in
-// device-index order, into one aggregate. The devices share one scratch.
+// device-index order, into one aggregate. The devices share one pooled
+// scratch, which goes back to the pool when the shard ends.
 //
 //etrain:hotpath
 func runShard(cfg *Config, pop *workload.Population, s int) (*ShardAggregate, error) {
@@ -322,10 +323,11 @@ func runShard(cfg *Config, pop *workload.Population, s int) (*ShardAggregate, er
 	if err != nil {
 		return nil, err
 	}
-	sc, err := newScratch(cfg)
+	sc, err := getScratch(cfg)
 	if err != nil {
 		return nil, err
 	}
+	defer scratchPool.Put(sc)
 	lo, hi := cfg.shardRange(s)
 	for i := lo; i < hi; i++ {
 		out, err := sc.runDevice(cfg, pop, i)

@@ -91,3 +91,21 @@ func TestGoldenAggregates(t *testing.T) {
 		})
 	}
 }
+
+// TestGoldenAfterOtherFleet runs a fleet under other options, Θ=0, k=1
+// and lte-drx, before the default one in the same process, so the default
+// fleet's shards take the scratches the first fleet returned to the pool.
+// The default fleet must still match its golden file: a pooled scratch
+// carries nothing from one fleet to the next.
+func TestGoldenAfterOtherFleet(t *testing.T) {
+	mustRun(t, Config{Devices: 512, Seed: 42, Theta: 0, K: 1, Radio: "lte-drx"})
+	g := goldenFleets[0]
+	got := goldenLines(t, mustRun(t, g.cfg(t)))
+	want, err := os.ReadFile(filepath.Join("testdata", g.name+".golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("%s after a Θ=0, k=1, lte-drx fleet drifted from its golden file:\n--- want ---\n%s--- got ---\n%s", g.name, want, got)
+	}
+}

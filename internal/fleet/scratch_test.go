@@ -63,7 +63,7 @@ func TestScratchMatchesFreshRunPair(t *testing.T) {
 		t.Fatal(err)
 	}
 	week.TimeScale = 1008
-	sc, err := newScratch(&Config{Theta: 3, K: 12})
+	sc, err := getScratch(&Config{Theta: 3, K: 12})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -25,11 +25,11 @@ func (panicStrategy) Schedule(*sched.SlotContext) []workload.Packet { panic("str
 // while a healthy concurrent session on the same server completes.
 func TestPanicIsolation(t *testing.T) {
 	orig := newStrategy
-	newStrategy = func(h wire.Hello) (sched.Strategy, error) {
+	newStrategy = func(h wire.Hello, prev sched.Strategy) (sched.Strategy, error) {
 		if h.DeviceID == 666 {
 			return panicStrategy{}, nil
 		}
-		return orig(h)
+		return orig(h, prev)
 	}
 	defer func() { newStrategy = orig }()
 

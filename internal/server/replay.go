@@ -2,6 +2,7 @@ package server
 
 import (
 	"fmt"
+	"sync"
 	"time"
 
 	"etrain/internal/bandwidth"
@@ -15,11 +16,18 @@ import (
 	"etrain/internal/workload"
 )
 
-// newStrategy builds a session's scheduling strategy from its Hello. A
-// package variable so the panic-isolation test can substitute a hostile
-// strategy; production sessions always host the core eTrain scheduler.
-var newStrategy = func(h wire.Hello) (sched.Strategy, error) {
-	return core.New(core.Options{Theta: h.Theta, K: int(h.K), Slot: h.Slot})
+// newStrategy returns a session's scheduling strategy for its Hello,
+// given prev, the strategy of the pooled replayer's previous session (nil
+// for a new replayer). A package variable so the panic-isolation test can
+// substitute a hostile strategy; production sessions always host the core
+// eTrain scheduler, re-optioned in place when the replayer already holds
+// one.
+var newStrategy = func(h wire.Hello, prev sched.Strategy) (sched.Strategy, error) {
+	opts := core.Options{Theta: h.Theta, K: int(h.K), Slot: h.Slot}
+	if e, ok := prev.(*core.ETrain); ok {
+		return e, e.Reset(opts)
+	}
+	return core.New(opts)
 }
 
 // Replayer turns a session's inbound wire frames into its outbound wire
@@ -34,7 +42,12 @@ var newStrategy = func(h wire.Hello) (sched.Strategy, error) {
 type Replayer struct {
 	// deviceID is the Hello's, echoed in the StatsSnapshot.
 	deviceID uint64
-	engine   *sim.Engine
+	// engine runs summary-only: the protocol reads each executed slot's
+	// (ID, StartedAt) pairs through OnSlot and the run's Metrics, nothing
+	// else.
+	engine   sim.Engine
+	strategy sched.Strategy
+	trace    bandwidth.Trace
 	pending  []wire.Decision
 	emit     func(wire.Message) error
 	done     bool
@@ -43,45 +56,87 @@ type Replayer struct {
 	profiles [profile.KindCloud]profile.Profile
 }
 
-// NewReplayer validates the Hello and builds the replayer: the channel
-// trace is rebuilt from the Hello's seed, energy is accounted under power
-// (server sessions and the client's degraded replays both pass
-// radio.GalaxyS43G()), and emit receives every outbound session frame in
-// protocol order. An emit error aborts the
-// current Apply and is returned as-is (unwrapped), so callers can
-// distinguish transport failures from protocol violations.
+// replayerPool holds the replayers of cleanly completed server sessions
+// (putReplayer); NewReplayer takes from it.
+var replayerPool = sync.Pool{New: func() any { return newReplayer() }}
+
+// newReplayer returns an empty replayer whose engine reports its slots to
+// it; reset readies it for a session.
+func newReplayer() *Replayer {
+	rp := &Replayer{}
+	rp.engine.OnSlot = rp.onSlot
+	return rp
+}
+
+// NewReplayer validates the Hello and readies a replayer for it: the
+// channel trace is rebuilt from the Hello's seed, energy is accounted
+// under power (server sessions and the client's degraded replays both
+// pass radio.GalaxyS43G()), and emit receives every outbound session
+// frame in protocol order. An emit error aborts the current Apply and is
+// returned as-is (unwrapped), so callers can distinguish transport
+// failures from protocol violations. The replayer comes from a pool of
+// completed server sessions' replayers, re-initialised in place; it is
+// the caller's, and only a server session that completes returns its
+// replayer to the pool.
 func NewReplayer(h wire.Hello, power radio.PowerModel, emit func(wire.Message) error) (*Replayer, error) {
-	strategy, err := newStrategy(h)
-	if err != nil {
-		return nil, fmt.Errorf("server: hello: %w", err)
+	rp := replayerPool.Get().(*Replayer)
+	if err := rp.reset(h, power, emit); err != nil {
+		return nil, err
 	}
-	bw, err := bandwidth.FromSeed(h.Seed, h.Horizon, nil)
+	return rp, nil
+}
+
+// putReplayer returns the replayer of a cleanly completed session to the
+// pool. It drops emit, so the pool does not keep the session alive.
+func putReplayer(rp *Replayer) {
+	rp.emit = nil
+	replayerPool.Put(rp)
+}
+
+// reset re-initialises rp in place for a session opened by h, keeping
+// only buffer capacity: nothing of an earlier session, finished or
+// abandoned, reaches the new one.
+func (rp *Replayer) reset(h wire.Hello, power radio.PowerModel, emit func(wire.Message) error) error {
+	strategy, err := newStrategy(h, rp.strategy)
 	if err != nil {
-		return nil, fmt.Errorf("server: hello: channel from seed: %w", err)
+		return fmt.Errorf("server: hello: %w", err)
 	}
-	engine, err := sim.NewEngine(sim.Config{
+	rp.strategy = strategy
+	if err := bandwidth.FromSeedInto(&rp.trace, h.Seed, h.Horizon, nil); err != nil {
+		return fmt.Errorf("server: hello: channel from seed: %w", err)
+	}
+	err = rp.engine.Reset(sim.Config{
 		Horizon:   h.Horizon,
 		Beats:     []heartbeat.Beat{},
-		Bandwidth: bw,
+		Bandwidth: &rp.trace,
 		Power:     power,
 		Strategy:  strategy,
 		Seed:      h.Seed,
 	})
 	if err != nil {
-		return nil, fmt.Errorf("server: hello: %w", err)
+		return fmt.Errorf("server: hello: %w", err)
 	}
-	rp := &Replayer{deviceID: h.DeviceID, engine: engine, emit: emit}
-	engine.OnSlot = func(r sim.SlotResult) {
-		if len(r.Data) == 0 {
-			return
-		}
-		d := wire.Decision{Slot: r.Slot, Flush: r.Flush, Entries: make([]wire.DecisionEntry, len(r.Data))}
-		for i, p := range r.Data {
-			d.Entries[i] = wire.DecisionEntry{ID: uint64(p.ID), Start: p.StartedAt}
-		}
-		rp.pending = append(rp.pending, d)
+	rp.deviceID = h.DeviceID
+	rp.emit = emit
+	rp.done = false
+	clear(rp.profiles[:])
+	clear(rp.pending)
+	rp.pending = rp.pending[:0]
+	return nil
+}
+
+// onSlot is the engine's OnSlot: it buffers one Decision per executed
+// slot that transmitted data. The Entries slice is built fresh per
+// decision because emit may journal the frame for resume replay.
+func (rp *Replayer) onSlot(r sim.SlotResult) {
+	if len(r.Data) == 0 {
+		return
 	}
-	return rp, nil
+	d := wire.Decision{Slot: r.Slot, Flush: r.Flush, Entries: make([]wire.DecisionEntry, len(r.Data))}
+	for i, p := range r.Data {
+		d.Entries[i] = wire.DecisionEntry{ID: uint64(p.ID), Start: p.StartedAt}
+	}
+	rp.pending = append(rp.pending, d)
 }
 
 // Done reports whether the finish exchange has run.
@@ -164,14 +219,13 @@ func (rp *Replayer) profileFor(kind profile.Kind, deadline time.Duration) (profi
 // finish runs the engine to the horizon and emits the closing frames: the
 // flush decisions, the StatsSnapshot, and the echoed Ack.
 func (rp *Replayer) finish(ack wire.Ack) error {
-	res, err := rp.engine.Finish()
-	if err != nil {
+	if _, err := rp.engine.Finish(); err != nil {
 		return fmt.Errorf("server: finish: %w", err)
 	}
 	if err := rp.flush(); err != nil {
 		return err
 	}
-	m := res.Metrics()
+	m := rp.engine.Metrics()
 	snap := wire.StatsSnapshot{
 		DeviceID:       rp.deviceID,
 		EnergyJ:        m.EnergyJ,

@@ -26,17 +26,22 @@ const (
 )
 
 // connBufs is one connection's I/O state: the buffered reader the
-// session's reader goroutine decodes from and the frame writer its
-// processor batches into. It is pooled across connections, so a
-// session's steady state allocates neither.
+// session's reader goroutine decodes from, the event queue it feeds and
+// the frame writer the session's processor batches into. It is pooled
+// across connections, so a session's steady state allocates none of them.
 type connBufs struct {
-	br *bufio.Reader
-	fr *wire.Reader
-	w  *wire.Writer
+	br     *bufio.Reader
+	fr     *wire.Reader
+	w      *wire.Writer
+	events chan inbound
 }
 
 var connBufPool = sync.Pool{New: func() any {
-	cb := &connBufs{br: bufio.NewReaderSize(nil, readBufSize), w: wire.NewWriter(nil)}
+	cb := &connBufs{
+		br:     bufio.NewReaderSize(nil, readBufSize),
+		w:      wire.NewWriter(nil),
+		events: make(chan inbound, DefaultQueueDepth),
+	}
 	cb.fr = wire.NewReader(cb.br)
 	return cb
 }}
@@ -49,13 +54,16 @@ func getConnBufs(conn net.Conn) *connBufs {
 	return cb
 }
 
-// putConnBufs drops cb's conn and any unread or unflushed bytes and
-// returns it to the pool. Only call it once nothing can touch cb again:
-// after the reader goroutine has joined and after the session has
-// dropped its writer.
+// putConnBufs drops cb's conn, any unread or unflushed bytes and any
+// queued events, and returns it to the pool. Only call it once nothing
+// can touch cb again: after the reader goroutine has joined and after the
+// session has dropped its writer.
 func putConnBufs(cb *connBufs) {
 	cb.br.Reset(nil)
 	cb.w.Reset(nil)
+	for len(cb.events) > 0 {
+		<-cb.events
+	}
 	connBufPool.Put(cb)
 }
 
@@ -129,7 +137,10 @@ type inbound struct {
 // session parks for ResumeGrace and runSession returns ErrSessionParked.
 func (s *Server) runSession(conn net.Conn) error {
 	cb := getConnBufs(conn)
-	events := make(chan inbound, s.cfg.QueueDepth)
+	events := cb.events
+	if cap(events) != s.cfg.QueueDepth {
+		events = make(chan inbound, s.cfg.QueueDepth)
+	}
 	stop := make(chan struct{})
 	readerDone := make(chan struct{})
 	go func() {
@@ -155,7 +166,8 @@ func (s *Server) runSession(conn net.Conn) error {
 	// Join the reader on every exit path: closing stop releases it from a
 	// send onto a full queue, closing conn releases it from a blocked
 	// Read, and readerDone confirms it is gone. Only then do the
-	// connection's buffers go back to the pool; a session that parked
+	// connection's buffers go back to the pool, with the event queue
+	// drained of what the processor left unread; a session that parked
 	// dropped its writer before parking (detach), so nothing still
 	// reachable holds them.
 	defer func() {
@@ -334,9 +346,13 @@ func transportErr(err error) bool {
 
 // complete finishes a session cleanly, dropping any stale parked twin —
 // a session that parked and was then healed by a full Hello replay
-// rather than a resume — so it does not linger to expiry.
+// rather than a resume — so it does not linger to expiry. The finished
+// replayer goes back to the pool for the next Hello; this is the only
+// place one does; a parked, errored or panicked session's never does.
 func (sess *session) complete() error {
 	sess.srv.dropDetached(sessionKey{device: sess.hello.DeviceID, token: sess.token})
+	putReplayer(sess.rep)
+	sess.rep = nil
 	return nil
 }
 

@@ -3,16 +3,19 @@ package server
 import (
 	"context"
 	"net"
+	"reflect"
 	"testing"
 	"time"
 
 	"etrain/internal/fleet"
 	"etrain/internal/parallel"
+	"etrain/internal/wire"
 )
 
 // TestLoopbackSoak replays a synthesized fleet through one server over
 // concurrent loopback connections — the CI `serve` job runs it under
-// -race — then drains the server and audits the counters: every session
+// -race — comparing every session's decisions and stats with a direct
+// replay, then drains the server and audits the counters: every session
 // completed, none errored, nothing left active.
 func TestLoopbackSoak(t *testing.T) {
 	devices := 1000
@@ -50,6 +53,20 @@ func TestLoopbackSoak(t *testing.T) {
 		// transmissions means the engine never ran.
 		if out.Stats.Heartbeats == 0 {
 			t.Errorf("device %d: no heartbeats transmitted", i)
+		}
+		// Sessions run on pooled replayers and connection buffers, 16 at
+		// a time: every one must match a replay no other session touched.
+		frames, err := replayFrames(newReplayer(), sess)
+		if err != nil {
+			return err
+		}
+		if want := decisionsOf(frames); !reflect.DeepEqual(out.Decisions, want) {
+			t.Errorf("device %d: %d decisions over loopback, %d in a direct replay; they differ", i, len(out.Decisions), len(want))
+		}
+		for _, m := range frames {
+			if want, ok := m.(wire.StatsSnapshot); ok && out.Stats != want {
+				t.Errorf("device %d stats:\n got %+v\nwant %+v", i, out.Stats, want)
+			}
 		}
 		return nil
 	})

@@ -8,10 +8,11 @@
 //
 // The engine comes in two forms sharing one code path: Run executes a
 // fully precomputed Config to the horizon in one call, and Engine exposes
-// the same slot loop incrementally — events are fed one at a time
-// (AddBeat/AddPacket) and slots execute as virtual time advances — which
-// is what lets a network session (internal/server) drive a device from
-// wire events and still produce output byte-identical to Run.
+// the same slot loop incrementally — re-initialised in place by Reset,
+// fed events one at a time (AddBeat/AddPacket), executing slots as
+// virtual time advances — which is what lets a network session
+// (internal/server) drive a device from wire events and still produce
+// output byte-identical to Run.
 //
 // Time advances from event to event: a strategy implementing sched.Waker
 // names the next slot at which it could select anything, and the engine
@@ -242,10 +243,9 @@ func (r Result) DeadlineViolationRatio() float64 {
 	return float64(violated) / float64(len(r.Packets))
 }
 
-// SlotResult reports what one executed slot transmitted. Data is a view
-// into the growing Result.Packets, valid until the next slot executes.
-// Slots the engine skips as idle transmit nothing and produce no
-// SlotResult.
+// SlotResult reports what one executed slot transmitted. Data is the
+// engine's per-slot buffer, valid until the next slot executes. Slots the
+// engine skips as idle transmit nothing and produce no SlotResult.
 type SlotResult struct {
 	// Slot is the slot's start instant (the horizon for the final flush).
 	Slot time.Duration
@@ -259,10 +259,11 @@ type SlotResult struct {
 }
 
 // Engine is the incremental form of the simulation: the exact slot loop of
-// Run, exposed as an event-fed state machine. Events enter through AddBeat
-// and AddPacket in non-decreasing time order; Advance executes every slot
-// whose inputs are complete; Finish runs the remaining slots to the
-// horizon, drains the queues and accounts energy.
+// Run, exposed as an event-fed state machine. Reset positions it at slot
+// zero of a config; events enter through AddBeat and AddPacket in
+// non-decreasing time order; Advance executes every slot whose inputs are
+// complete; Finish runs the remaining slots to the horizon, drains the
+// queues and accounts energy, and Metrics summarizes the run.
 //
 // The loop skips idle slots when the strategy implements sched.Waker.
 // Before each slot it jumps to the earliest of the strategy's wake slot,
@@ -294,9 +295,16 @@ type Engine struct {
 
 	// summaryOnly makes recordData fold each data packet into summary
 	// instead of appending it to Result.Packets, and leaves the result
-	// without a Timeline (RunMetrics).
+	// without a Timeline (RunMetrics, Reset).
 	summaryOnly bool
 	summary     packetSummary
+	// ownEvents marks beats and packets as the engine's own buffers,
+	// which AddBeat and AddPacket grow and the next Reset refills
+	// (Reset), rather than the caller's Config slices (RunMetrics, Run).
+	ownEvents bool
+	// slotData holds the data packets the current slot transmitted, for
+	// OnSlot; step and the horizon flush empty it.
+	slotData []PacketStat
 
 	// ctx is the slot context handed to the strategy, reused across slots
 	// so the hot loop performs no per-slot allocation. Strategies must not
@@ -313,31 +321,46 @@ type Engine struct {
 	OnSlot func(SlotResult)
 }
 
-// NewEngine validates the config and returns an engine positioned at slot
-// zero. Config.Packets and Config.Beats (or the Trains' merged schedule)
-// preload the event buffers; more events may be appended with AddPacket
-// and AddBeat as long as time order is preserved.
-func NewEngine(cfg Config) (*Engine, error) {
-	e := &Engine{}
-	if err := e.init(cfg, false); err != nil {
-		return nil, err
-	}
-	return e, nil
+// Reset validates cfg and re-initialises e in place at its slot zero for
+// incremental use. The engine runs summary-only, as RunMetrics does: it
+// keeps no per-packet record and no timeline, so Finish's Result carries
+// only the energy and the counts, and Metrics summarizes the run. That
+// Result is the engine's own, overwritten by its next summary-only run.
+// Config.Packets and Config.Beats (or the Trains' merged schedule) are
+// copied into the engine's own event buffers, which AddPacket and AddBeat
+// then extend as long as time order is preserved. Reset keeps the queues,
+// the event and slot buffers and OnSlot of an earlier run, so a caller
+// that drives many sessions in turn, such as a pooled server session,
+// allocates nothing for them once they have grown. Any earlier run of e
+// is abandoned.
+func (e *Engine) Reset(cfg Config) error {
+	return e.init(cfg, true, true)
 }
 
-// init validates cfg and positions e at its slot zero, as NewEngine does;
-// with summaryOnly the engine keeps no per-packet record and no timeline,
-// only the packetSummary and energy RunMetrics reads. init keeps the
-// queues of an earlier run, reset, and the Result of an earlier
-// summary-only run, which never leaves the engine; everything else starts
-// afresh.
-func (e *Engine) init(cfg Config, summaryOnly bool) error {
+// init validates cfg and positions e at its slot zero. With summaryOnly
+// the engine keeps no per-packet record and no timeline, only the
+// packetSummary and energy Metrics reads; with ownEvents it copies cfg's
+// events into its own buffers (Reset) instead of reading cfg's slices.
+// init keeps the queues of an earlier run, reset, OnSlot, the slot
+// buffer, the event buffers of an earlier Reset and the Result of an
+// earlier summary-only run, which never leaves the engine; everything
+// else starts afresh.
+func (e *Engine) init(cfg Config, summaryOnly, ownEvents bool) error {
 	if err := cfg.Validate(); err != nil {
 		return err
 	}
-	beats := cfg.Beats
+	beats, packets := cfg.Beats, cfg.Packets
 	if beats == nil {
 		beats = heartbeat.Merge(cfg.Trains, cfg.Horizon, nil)
+	}
+	if ownEvents {
+		var beatBuf []heartbeat.Beat
+		var packetBuf []workload.Packet
+		if e.ownEvents {
+			beatBuf, packetBuf = e.beats[:0], e.packets[:0]
+		}
+		beats = append(beatBuf, beats...)
+		packets = append(packetBuf, packets...)
 	}
 	slot := cfg.Strategy.SlotLength()
 	if slot <= 0 {
@@ -371,8 +394,11 @@ func (e *Engine) init(cfg Config, summaryOnly bool) error {
 		queues:      queues,
 		res:         res,
 		beats:       beats,
-		packets:     cfg.Packets,
+		packets:     packets,
 		summaryOnly: summaryOnly,
+		ownEvents:   ownEvents,
+		slotData:    e.slotData[:0],
+		OnSlot:      e.OnSlot,
 	}
 	e.energy = radio.NewEnergyFold(e.cfg.model())
 	e.waker, _ = cfg.Strategy.(sched.Waker)
@@ -454,7 +480,7 @@ func (e *Engine) Finish() (*Result, error) {
 		e.queues.Add(e.packets[e.nextPacket])
 		e.nextPacket++
 	}
-	flushFrom := len(e.res.Packets)
+	e.slotData = e.slotData[:0]
 	for {
 		oldest, ok := e.queues.Oldest()
 		if !ok {
@@ -471,8 +497,8 @@ func (e *Engine) Finish() (*Result, error) {
 		e.recordData(p, start, true)
 		e.res.ForcedFlushCount++
 	}
-	if e.OnSlot != nil && len(e.res.Packets) > flushFrom {
-		e.OnSlot(SlotResult{Slot: e.cfg.Horizon, Flush: true, Data: e.res.Packets[flushFrom:]})
+	if e.OnSlot != nil && len(e.slotData) > 0 {
+		e.OnSlot(SlotResult{Slot: e.cfg.Horizon, Flush: true, Data: e.slotData})
 	}
 
 	e.res.Energy = e.energy.Energy(e.cfg.Horizon + e.cfg.model().TailTime())
@@ -504,7 +530,8 @@ func (e *Engine) transmit(at time.Duration, size int64, kind radio.TxKind, app s
 }
 
 // recordData appends one data packet's fate to the result, or folds it
-// into the summary of a summary-only engine.
+// into the summary of a summary-only engine, and, for OnSlot, to the slot
+// buffer.
 //
 //etrain:hotpath
 func (e *Engine) recordData(p workload.Packet, start time.Duration, forced bool) {
@@ -514,6 +541,9 @@ func (e *Engine) recordData(p workload.Packet, start time.Duration, forced bool)
 		Delay:       start - p.ArrivedAt,
 		Violated:    p.DeadlineViolated(start),
 		ForcedFlush: forced,
+	}
+	if e.OnSlot != nil {
+		e.slotData = append(e.slotData, stat)
 	}
 	if e.summaryOnly {
 		e.summary.add(stat)
@@ -627,7 +657,7 @@ func (e *Engine) step() error {
 	e.nextBeat = beatEnd
 
 	// The slot context is reused across slots; only the slot-varying
-	// fields are rewritten here (see NewEngine for the fixed ones).
+	// fields are rewritten here (see init for the fixed ones).
 	e.ctx.Now = slotStart
 	e.ctx.HeartbeatNow = len(slotBeats) > 0
 	e.ctx.Beats = slotBeats
@@ -639,7 +669,7 @@ func (e *Engine) step() error {
 	// heartbeats departing at or before the slot start (data rides their
 	// tail), then the selection in order, then the slot's later beats.
 	selected := e.cfg.Strategy.Schedule(&e.ctx)
-	dataFrom := len(e.res.Packets)
+	e.slotData = e.slotData[:0]
 	i := 0
 	for ; i < len(slotBeats) && slotBeats[i].At <= slotStart; i++ {
 		if err := e.transmitBeat(slotBeats[i]); err != nil {
@@ -659,7 +689,7 @@ func (e *Engine) step() error {
 		}
 	}
 	if e.OnSlot != nil {
-		e.OnSlot(SlotResult{Slot: slotStart, Data: e.res.Packets[dataFrom:], Heartbeats: len(slotBeats)})
+		e.OnSlot(SlotResult{Slot: slotStart, Data: e.slotData, Heartbeats: len(slotBeats)})
 	}
 	e.slotStart = slotEnd
 	return nil
@@ -677,10 +707,12 @@ func (e *Engine) transmitBeat(b heartbeat.Beat) error {
 }
 
 // Run executes the simulation in one call: the whole Config is precomputed,
-// so the engine is constructed and finished immediately.
+// so the engine is initialised and finished immediately, keeping every
+// transmission in the Result's Timeline and every data packet's fate in
+// its Packets.
 func Run(cfg Config) (*Result, error) {
-	e, err := NewEngine(cfg)
-	if err != nil {
+	e := &Engine{}
+	if err := e.init(cfg, false, false); err != nil {
 		return nil, err
 	}
 	return e.Finish()

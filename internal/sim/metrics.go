@@ -23,14 +23,11 @@ type Metrics struct {
 
 // Metrics summarizes the run.
 func (r *Result) Metrics() Metrics {
-	return Metrics{
-		EnergyJ:        r.Energy.Total(),
-		AvgDelayS:      r.NormalizedDelay().Seconds(),
-		ViolationRatio: r.DeadlineViolationRatio(),
-		DataPackets:    len(r.Packets),
-		Heartbeats:     r.HeartbeatCount,
-		ForcedFlush:    r.ForcedFlushCount,
+	var s packetSummary
+	for _, p := range r.Packets {
+		s.add(p)
 	}
+	return s.metrics(r)
 }
 
 // packetSummary folds data packets into exactly what NormalizedDelay and
@@ -48,6 +45,29 @@ func (s *packetSummary) add(p PacketStat) {
 	}
 }
 
+// metrics is the Metrics of a run whose data packets s folded and whose
+// energy and counts r holds: the one place a run's summary becomes its
+// Metrics, so a Result's and a summary-only engine's agree bit for bit.
+func (s *packetSummary) metrics(r *Result) Metrics {
+	m := Metrics{
+		EnergyJ:     r.Energy.Total(),
+		DataPackets: s.count,
+		Heartbeats:  r.HeartbeatCount,
+		ForcedFlush: r.ForcedFlushCount,
+	}
+	if s.count > 0 {
+		m.AvgDelayS = (s.delay / time.Duration(s.count)).Seconds()
+		m.ViolationRatio = float64(s.violated) / float64(s.count)
+	}
+	return m
+}
+
+// Metrics returns the Metrics of e's finished summary-only run (RunMetrics
+// or Reset): equal to Run(cfg).Metrics() for the run's whole event set.
+func (e *Engine) Metrics() Metrics {
+	return e.summary.metrics(e.res)
+}
+
 // RunMetrics runs cfg like Run and returns only the run's Metrics, equal
 // to Run(cfg).Metrics(). It builds no per-packet record, so a caller that
 // reads nothing else, such as a fleet device or a scenario's direct run,
@@ -59,26 +79,14 @@ func RunMetrics(cfg Config) (Metrics, error) {
 // RunMetrics is the package's RunMetrics on e: it re-initialises e for cfg
 // in place, reusing its queues and result, so a caller that runs many
 // configs in turn, such as a fleet shard, allocates nothing per run once
-// the buffers have grown. Any earlier run of e, incremental or not, is
-// abandoned; a Result that e's Finish returned before stays valid.
+// the buffers have grown. It reads cfg's event slices without copying
+// them. Any earlier run of e, incremental or not, is abandoned.
 func (e *Engine) RunMetrics(cfg Config) (Metrics, error) {
-	if err := e.init(cfg, true); err != nil {
+	if err := e.init(cfg, true, false); err != nil {
 		return Metrics{}, err
 	}
-	res, err := e.Finish()
-	if err != nil {
+	if _, err := e.Finish(); err != nil {
 		return Metrics{}, err
 	}
-	s := e.summary
-	m := Metrics{
-		EnergyJ:     res.Energy.Total(),
-		DataPackets: s.count,
-		Heartbeats:  res.HeartbeatCount,
-		ForcedFlush: res.ForcedFlushCount,
-	}
-	if s.count > 0 {
-		m.AvgDelayS = (s.delay / time.Duration(s.count)).Seconds()
-		m.ViolationRatio = float64(s.violated) / float64(s.count)
-	}
-	return m, nil
+	return e.Metrics(), nil
 }

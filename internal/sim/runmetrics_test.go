@@ -1,6 +1,8 @@
 package sim_test
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -28,11 +30,15 @@ func radioColumn(t *testing.T) []radio.Model {
 	return models
 }
 
-// TestRunMetricsMatchesRun checks that the summary-only run the fleet uses
-// reports exactly Run's Metrics, over the differential test's strategy
-// space and devices, every tenth with no cargo at all, and every radio
-// model: fresh, and on one engine that every device re-initialises, as a
-// fleet shard's does.
+// TestRunMetricsMatchesRun checks that the summary-only runs the fleet and
+// the server use report exactly Run's Metrics, over the differential
+// test's strategy space and devices, every tenth with no cargo at all, and
+// every radio model: RunMetrics fresh, and RunMetrics and an event-fed
+// Reset run in turn on one engine that every device re-initialises, as a
+// fleet shard's and a pooled server session's do. The engine feeds each
+// device's events after the next device's RunMetrics, so a Reset that
+// reused the slices RunMetrics read as its own buffers would overwrite
+// that device's events.
 func TestRunMetricsMatchesRun(t *testing.T) {
 	pop, err := workload.NewPopulation(workload.DefaultMix())
 	if err != nil {
@@ -40,6 +46,8 @@ func TestRunMetricsMatchesRun(t *testing.T) {
 	}
 	models := radioColumn(t)
 	var reused sim.Engine
+	// feedPrev runs the previous device event by event on reused.
+	feedPrev := func() {}
 	const devices = 420
 	for i := 0; i < devices; i++ {
 		c := skipCaseFor(i)
@@ -49,6 +57,7 @@ func TestRunMetricsMatchesRun(t *testing.T) {
 		}
 		cfg.Radio = models[i%len(models)]
 		seed := int64(i)
+		beats, packets := slices.Clone(cfg.Beats), slices.Clone(cfg.Packets)
 		res, err := sim.Run(withStrategy(cfg, c, false, seed))
 		if err != nil {
 			t.Fatal(err)
@@ -67,7 +76,16 @@ func TestRunMetricsMatchesRun(t *testing.T) {
 		if again != got {
 			t.Fatalf("device %d (%s, radio %v): a reused engine's RunMetrics differs:\n got %+v\nwant %+v", i, c.name, cfg.Radio, again, got)
 		}
+		feedPrev()
+		if !slices.Equal(cfg.Beats, beats) || !slices.Equal(cfg.Packets, packets) {
+			t.Fatalf("device %d: an event-fed run changed the events a RunMetrics run before it read", i)
+		}
+		feedPrev = func() {
+			fed, slots := incremental(t, &reused, withStrategy(cfg, c, false, seed))
+			matchesSlots(t, fmt.Sprintf("device %d (%s, radio %v), reused engine", i, c.name, cfg.Radio), fed, slots, res)
+		}
 	}
+	feedPrev()
 }
 
 // TestRunEnergyMatchesTimeline checks, under every radio model, that the

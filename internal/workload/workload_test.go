@@ -181,6 +181,42 @@ func TestWithDeadline(t *testing.T) {
 	}
 }
 
+// TestWithDeadlineKeepsTheProfileFamily moves specs whose names do not
+// match their profiles: the family comes from the profile, and a custom
+// profile's curve moves with its deadline.
+func TestWithDeadlineKeepsTheProfileFamily(t *testing.T) {
+	cases := []struct {
+		name string
+		prof profile.Profile
+		kind profile.Kind
+		want float64 // cost at 90 s once moved to a 60 s deadline
+	}{
+		{"mail", profile.Weibo(30 * time.Second), profile.KindWeibo, 2},
+		{"sync", profile.Cloud(30 * time.Second), profile.KindCloud, 2.5},
+	}
+	for _, c := range cases {
+		mod := CargoSpec{Name: c.name, Profile: c.prof}.WithDeadline(60 * time.Second)
+		if kind, ok := profile.KindOf(mod.Profile); !ok || kind != c.kind {
+			t.Errorf("%s carrying %s: moved profile has kind %v (ok %v), want %v", c.name, c.prof.Name(), kind, ok, c.kind)
+		}
+		if got := mod.Profile.Cost(90 * time.Second); got != c.want {
+			t.Errorf("%s carrying %s: moved profile costs %v at 90 s, want %v", c.name, c.prof.Name(), got, c.want)
+		}
+	}
+
+	// A custom profile keeps its curve over normalized delay.
+	curve := func(x float64) float64 { return 3 * x }
+	mod := CargoSpec{Name: "mail", Profile: profile.Custom("linear", 30*time.Second, curve)}.WithDeadline(60 * time.Second)
+	if _, ok := profile.KindOf(mod.Profile); ok || mod.Profile.Deadline() != 60*time.Second {
+		t.Fatalf("custom profile moved to %v, family reported %v", mod.Profile.Deadline(), ok)
+	}
+	for _, d := range []time.Duration{0, 15 * time.Second, 60 * time.Second, 90 * time.Second} {
+		if got, want := mod.Profile.Cost(d), curve(d.Seconds()/60); got != want {
+			t.Errorf("moved custom profile costs %v at %v, want %v", got, d, want)
+		}
+	}
+}
+
 func TestValidateRejects(t *testing.T) {
 	cases := []CargoSpec{
 		{},

@@ -53,10 +53,7 @@ func ExampleNewSystem() {
 		return
 	}
 	mail.ScheduleSubmit(10*time.Second, 5*1024)
-	if err := sys.Run(5 * time.Minute); err != nil {
-		fmt.Println(err)
-		return
-	}
+	sys.Run(5 * time.Minute)
 	d := sys.Delivered()[0]
 	fmt.Printf("submitted at %v, rode the train at ~%v\n",
 		d.ArrivedAt, d.StartedAt.Truncate(time.Second))

@@ -57,9 +57,7 @@ func run() error {
 		}
 	}
 
-	if err := sys.Run(horizon); err != nil {
-		return err
-	}
+	sys.Run(horizon)
 
 	energy := sys.EnergyBreakdown(horizon)
 	fmt.Printf("synced %d files (%d chunks) over %v\n",

@@ -33,9 +33,7 @@ func run() error {
 			return err
 		}
 	}
-	if err := sys.Run(4 * time.Hour); err != nil {
-		return err
-	}
+	sys.Run(4 * time.Hour)
 
 	fmt.Println("Detected heartbeat cycles after 4h of observation:")
 	cycles := sys.DetectedCycles()

@@ -42,9 +42,7 @@ func run() error {
 		mail.ScheduleSubmit(at, 5*1024) // a 5 KB e-mail
 	}
 
-	if err := sys.Run(time.Hour); err != nil {
-		return err
-	}
+	sys.Run(time.Hour)
 
 	fmt.Printf("heartbeats observed: %d\n", sys.HeartbeatsObserved())
 	fmt.Printf("detected cycles:     %v\n", sys.DetectedCycles())

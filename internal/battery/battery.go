@@ -4,10 +4,7 @@
 // 10-hour standby.
 package battery
 
-import (
-	"fmt"
-	"time"
-)
+import "time"
 
 // Unit-conversion constants, named so the units analyzer can prove every
 // scale crossing in the capacity arithmetic is intentional.
@@ -31,15 +28,6 @@ type Battery struct {
 // used for comparability.)
 func GalaxyS4() Battery {
 	return Battery{CapacityMAh: 1700, Voltage: 3.7}
-}
-
-// Validate reports whether the battery parameters are usable.
-func (b Battery) Validate() error {
-	if b.CapacityMAh <= 0 || b.Voltage <= 0 {
-		return fmt.Errorf("battery: non-positive capacity %v mAh / voltage %v V",
-			b.CapacityMAh, b.Voltage)
-	}
-	return nil
 }
 
 // CapacityJoules returns the battery's total energy: mAh → C × V.

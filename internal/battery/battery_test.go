@@ -40,12 +40,3 @@ func TestStandbyLossZeroMeasured(t *testing.T) {
 		t.Fatalf("loss with zero measurement = %v", got)
 	}
 }
-
-func TestValidate(t *testing.T) {
-	if err := GalaxyS4().Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if err := (Battery{}).Validate(); err == nil {
-		t.Fatal("zero battery validated")
-	}
-}

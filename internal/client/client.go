@@ -13,6 +13,7 @@ package client
 import (
 	"fmt"
 	"net"
+	"slices"
 	"sync"
 	"time"
 
@@ -129,19 +130,26 @@ type Outcome struct {
 	BusyWait time.Duration
 }
 
-// state is one run's progress: the outbound journal, the authoritative
-// frame stream assembled so far, and the resume bookkeeping.
+// state is one run's progress: the session's frames, the authoritative
+// frame stream assembled so far, and the resume bookkeeping. States are
+// pooled with their exchange scratch — the frame reader and writer, the
+// reader goroutine's done signal, the frames and the stream's buffers —
+// so a clean run allocates only its Outcome and the reader goroutine's
+// start.
 type state struct {
-	cfg     Config
-	hello   wire.Hello
-	token   uint64
-	journal []wire.Message // events then the finish Ack; frame n is journal[n-1]
+	cfg   Config
+	hello wire.Hello
+	token uint64
+	// events are the session's event frames, read in place: client
+	// session frame n is events[n-1] for n <= len(events), then the
+	// finish Ack (finishAck).
+	events []wire.Message
 
 	// out is the session's authoritative server-frame stream: decisions,
 	// then stats, then the final ack — whether frames arrived over a
-	// connection or were generated locally while degraded. len(out) is
-	// what Resume confirms.
-	out  []wire.Message
+	// connection or were generated locally while degraded. out.n is what
+	// Resume confirms.
+	out  stream
 	done bool
 
 	admitted    bool // a server accepted our Hello at least once
@@ -182,6 +190,120 @@ type state struct {
 	busyResponses   int
 	budgetExhausted int
 	busyWait        time.Duration
+
+	// Exchange scratch. r reads the current conn, unbuffered, and w
+	// batches writes to it; rx is the frame r decodes into — the
+	// handshake's, then the reader goroutine's — and tx the frame the
+	// handshake and the finish Ack are encoded from. busy collects the
+	// reader's Busy frames and readDone carries its one exit signal per
+	// exchange.
+	r        *wire.Reader
+	w        *wire.Writer
+	rx, tx   wire.Frame
+	busy     []wire.Busy
+	readDone chan struct{}
+}
+
+// statePool holds finished runs' states; Run takes its state from it.
+var statePool = sync.Pool{New: func() any {
+	return &state{r: wire.NewReader(nil), w: wire.NewWriter(nil), readDone: make(chan struct{}, 1)}
+}}
+
+// stream is a session's authoritative server-frame stream, held typed:
+// the decisions, their entries back to back, the stats snapshot, and
+// whether the final ack arrived. n counts its frames; err latches the
+// first frame out of protocol order, which outcome reports.
+type stream struct {
+	deviceID  uint64
+	n         int
+	decisions []heldDecision
+	entries   []wire.DecisionEntry
+	stats     wire.StatsSnapshot
+	sawStats  bool
+	final     bool
+	err       error
+}
+
+// heldDecision is one Decision of a stream: its entries are the stream's
+// entries up to end, from the previous decision's end.
+type heldDecision struct {
+	slot  time.Duration
+	flush bool
+	end   int
+}
+
+// fail latches err unless an earlier frame already failed the stream.
+func (s *stream) fail(err error) {
+	if s.err == nil {
+		s.err = err
+	}
+}
+
+// next counts one more frame, failing the stream if it follows the final
+// ack.
+func (s *stream) next() {
+	if s.final {
+		s.fail(fmt.Errorf("client: misplaced ack in session stream"))
+	}
+	s.n++
+}
+
+// addFrame appends one server session frame decoded into f.
+//
+//etrain:hotpath
+func (s *stream) addFrame(f *wire.Frame) {
+	switch f.Type {
+	case wire.TypeDecision:
+		s.addDecision(&f.Decision)
+	case wire.TypeStatsSnapshot:
+		s.addStats(f.Stats)
+	case wire.TypeAck:
+		s.addAck()
+	default:
+		s.next()
+		s.fail(fmt.Errorf("client: unexpected %s frame in session stream", f.Type))
+	}
+}
+
+// addMessage appends one server session frame a degraded stint produced.
+func (s *stream) addMessage(m wire.Message) {
+	switch v := m.(type) {
+	case wire.Decision:
+		s.addDecision(&v)
+	case wire.StatsSnapshot:
+		s.addStats(v)
+	case wire.Ack:
+		s.addAck()
+	default:
+		s.next()
+		s.fail(fmt.Errorf("client: unexpected %s frame in session stream", m.MsgType()))
+	}
+}
+
+func (s *stream) addDecision(d *wire.Decision) {
+	s.next()
+	if s.sawStats {
+		s.fail(fmt.Errorf("client: decision after stats snapshot"))
+	}
+	s.entries = append(s.entries, d.Entries...)
+	s.decisions = append(s.decisions, heldDecision{slot: d.Slot, flush: d.Flush, end: len(s.entries)})
+}
+
+func (s *stream) addStats(v wire.StatsSnapshot) {
+	s.next()
+	if v.DeviceID != s.deviceID {
+		s.fail(fmt.Errorf("client: stats for device %d, want %d", v.DeviceID, s.deviceID))
+	}
+	s.stats = v
+	s.sawStats = true
+}
+
+func (s *stream) addAck() {
+	s.next()
+	if !s.sawStats {
+		s.fail(fmt.Errorf("client: misplaced ack in session stream"))
+	}
+	s.final = true
 }
 
 // Run replays sess against the server reached through cfg.Dial,
@@ -210,18 +332,9 @@ func Run(cfg Config, sess server.Session) (*Outcome, error) {
 	if cfg.RetryBudget <= 0 {
 		cfg.RetryBudget = DefaultRetryBudget
 	}
-	journal := make([]wire.Message, 0, len(sess.Events)+1)
-	journal = append(journal, sess.Events...)
-	journal = append(journal, wire.Ack{Seq: uint64(len(sess.Events)) + 1})
-	st := &state{
-		cfg:        cfg,
-		hello:      sess.Hello,
-		token:      wire.SessionToken(sess.Hello),
-		journal:    journal,
-		probeEvery: cfg.RetryEvery,
-		budget:     cfg.RetryBudget,
-		budgetCap:  cfg.RetryBudget,
-	}
+	st := statePool.Get().(*state)
+	defer st.release()
+	st.open(cfg, sess)
 
 	consecFail := 0
 	var conn net.Conn // a live connection handed over by a degraded probe
@@ -287,6 +400,51 @@ func Run(cfg Config, sess server.Session) (*Outcome, error) {
 	}
 	return st.outcome()
 }
+
+// open readies a pooled state for a run of sess under cfg, keeping only
+// the scratch's capacity.
+func (st *state) open(cfg Config, sess server.Session) {
+	*st = state{
+		cfg:        cfg,
+		hello:      sess.Hello,
+		token:      wire.SessionToken(sess.Hello),
+		events:     sess.Events,
+		probeEvery: cfg.RetryEvery,
+		budget:     cfg.RetryBudget,
+		budgetCap:  cfg.RetryBudget,
+		out: stream{
+			deviceID:  sess.Hello.DeviceID,
+			decisions: st.out.decisions[:0],
+			entries:   st.out.entries[:0],
+		},
+		r:        st.r,
+		w:        st.w,
+		rx:       st.rx,
+		tx:       st.tx,
+		busy:     st.busy[:0],
+		readDone: st.readDone,
+	}
+}
+
+// release returns st to the pool once the run is over: no exchange's
+// reader goroutine is left, and the run's config, session and connection
+// are dropped so the pool keeps none of them alive.
+func (st *state) release() {
+	st.cfg = Config{}
+	st.events = nil
+	st.rng = nil
+	st.r.Reset(nil)
+	st.w.Reset(nil)
+	statePool.Put(st)
+}
+
+// journalLen is the number of client session frames: the events, then
+// the finish Ack.
+func (st *state) journalLen() int { return len(st.events) + 1 }
+
+// finishAck is the session's finish Ack, client session frame
+// journalLen().
+func (st *state) finishAck() wire.Ack { return wire.Ack{Seq: uint64(len(st.events)) + 1} }
 
 // dial opens one connection through whichever hook the config carries,
 // counting the attempt. A Route dial that reports the device's shard
@@ -368,34 +526,17 @@ func (st *state) refill() {
 	}
 }
 
-// writerPool holds exchange's frame writers, so an attempt reuses the
-// buffer an earlier one grew. Only writes are pooled: reads stay
-// unbuffered (see exchange).
-var writerPool = sync.Pool{New: func() any { return wire.NewWriter(nil) }}
-
-// readResult is one connection's collected server frames. Busy frames
-// are control frames, not session frames: they are split out so the
-// authoritative stream stays decisions/stats/ack only.
-type readResult struct {
-	frames []wire.Message
-	busy   []wire.Busy
-	final  bool
-	err    error
-}
-
-// handshakeAnswer reads the server's answer to a Hello or Resume,
-// skipping advisory Redirect hints (the route table stays
+// handshakeAnswer reads the server's answer to a Hello or Resume into
+// st.rx, skipping advisory Redirect hints (the route table stays
 // authoritative).
-func handshakeAnswer(r *wire.Reader) (wire.Message, error) {
+func (st *state) handshakeAnswer() error {
 	for {
-		m, err := r.Next()
-		if err != nil {
-			return nil, err
+		if err := st.r.ReadFrame(&st.rx); err != nil {
+			return err
 		}
-		if _, isRedirect := m.(wire.Redirect); isRedirect {
-			continue
+		if st.rx.Type != wire.TypeRedirect {
+			return nil
 		}
-		return m, nil
 	}
 }
 
@@ -407,23 +548,19 @@ func handshakeAnswer(r *wire.Reader) (wire.Message, error) {
 // for unrecoverable protocol violations.
 func (st *state) exchange(conn net.Conn) (progress bool, fatal error) {
 	defer conn.Close()
-	w := writerPool.Get().(*wire.Writer)
+	w := st.w
 	w.Reset(conn)
-	defer func() {
-		w.Reset(nil)
-		writerPool.Put(w)
-	}()
-	r := wire.NewReader(conn)
+	st.r.Reset(conn)
 
-	var start uint64 // journal frames the server already consumed
-	skip := 0        // duplicate regenerated frames to discard (full replay)
+	start := 0 // journal frames the server already consumed
+	skip := 0  // duplicate regenerated frames to discard (full replay)
 	if st.admitted && st.canResume {
-		resume := wire.Resume{DeviceID: st.hello.DeviceID, Token: st.token, Got: uint64(len(st.out))}
-		if err := w.Write(resume); err != nil {
+		st.tx.Type = wire.TypeResume
+		st.tx.Resume = wire.Resume{DeviceID: st.hello.DeviceID, Token: st.token, Got: uint64(st.out.n)}
+		if err := w.WriteFrame(&st.tx); err != nil {
 			return false, nil
 		}
-		m, err := handshakeAnswer(r)
-		if err != nil {
+		if err := st.handshakeAnswer(); err != nil {
 			// Indistinguishable here: the server refused the resume (not
 			// parked yet, expired, or disabled) or the transport died.
 			// Retry the resume a bounded number of times — the backoff
@@ -436,40 +573,42 @@ func (st *state) exchange(conn net.Conn) (progress bool, fatal error) {
 			}
 			return false, nil
 		}
-		if b, isBusy := m.(wire.Busy); isBusy {
+		if st.rx.Type == wire.TypeBusy {
 			// The shard is overloaded, not gone: the parked session stays
 			// presumed resumable for the post-backoff retry.
-			st.noteBusy(b)
+			st.noteBusy(st.rx.Busy)
 			return false, nil
 		}
-		ok, is := m.(wire.ResumeOK)
-		if !is {
-			return false, fmt.Errorf("client: resume answer is %s, want resume_ok", m.MsgType())
+		if st.rx.Type != wire.TypeResumeOK {
+			return false, fmt.Errorf("client: resume answer is %s, want resume_ok", st.rx.Type)
 		}
-		if ok.Got > uint64(len(st.journal)) {
-			return false, fmt.Errorf("client: server consumed %d frames, session has %d", ok.Got, len(st.journal))
+		got := st.rx.ResumeOK.Got
+		if got > uint64(st.journalLen()) {
+			return false, fmt.Errorf("client: server consumed %d frames, session has %d", got, st.journalLen())
 		}
 		st.resumes++
 		st.resumeFails = 0
-		start = ok.Got
-		if int(ok.Got) > st.maxApplied {
-			st.maxApplied = int(ok.Got)
+		start = int(got)
+		if start > st.maxApplied {
+			st.maxApplied = start
 		}
 	} else {
-		if err := w.Write(st.hello); err != nil {
+		st.tx.Type, st.tx.Hello = wire.TypeHello, st.hello
+		if err := w.WriteFrame(&st.tx); err != nil {
 			return false, nil
 		}
-		m, err := handshakeAnswer(r)
-		if err != nil {
+		if err := st.handshakeAnswer(); err != nil {
 			return false, nil
 		}
-		if b, isBusy := m.(wire.Busy); isBusy {
-			st.noteBusy(b)
+		if st.rx.Type == wire.TypeBusy {
+			st.noteBusy(st.rx.Busy)
 			return false, nil
 		}
-		a, is := m.(wire.Ack)
-		if !is || a.Seq != 0 {
-			return false, fmt.Errorf("client: admission frame is %v, want ack{0}", m)
+		if st.rx.Type != wire.TypeAck {
+			return false, fmt.Errorf("client: admission frame is %s, want ack{0}", st.rx.Type)
+		}
+		if st.rx.Ack.Seq != 0 {
+			return false, fmt.Errorf("client: admission frame is ack{%d}, want ack{0}", st.rx.Ack.Seq)
 		}
 		if st.admitted {
 			st.replays++
@@ -477,53 +616,26 @@ func (st *state) exchange(conn net.Conn) (progress bool, fatal error) {
 		st.admitted = true
 		st.canResume = true
 		st.resumeFails = 0
-		start = 0
-		skip = len(st.out)
+		skip = st.out.n
 	}
 
-	// The reader goroutine is the conn's only reader from here; it exits
-	// on the final ack or the first read error, and the handover below
-	// joins it on every path (the conn closes either way, so a blocked
-	// read cannot strand it).
-	done := make(chan readResult, 1)
-	go func() {
-		var fs []wire.Message
-		var busy []wire.Busy
-		toSkip := skip
-		for {
-			m, err := r.Next()
-			if err != nil {
-				done <- readResult{frames: fs, busy: busy, err: err}
-				return
-			}
-			switch v := m.(type) {
-			case wire.Busy:
-				// A mid-stream Busy means the server shed an event and
-				// parked the session; the conn is about to close. Control
-				// frames never enter the session stream and never count
-				// against the skip window.
-				busy = append(busy, v)
-				continue
-			case wire.Redirect:
-				continue
-			}
-			if toSkip > 0 {
-				toSkip--
-				continue
-			}
-			fs = append(fs, m)
-			if _, isAck := m.(wire.Ack); isAck {
-				done <- readResult{frames: fs, busy: busy, final: true}
-				return
-			}
-		}
-	}()
+	// The reader goroutine is the conn's only reader, and the only user
+	// of st.r, st.rx, st.busy and st.out, from here until it signals
+	// readDone; it exits on the final ack or the first read error, and the
+	// handover below joins it on every path (the conn closes either way,
+	// so a blocked read cannot strand it).
+	before := st.out.n
+	go st.readLoop(skip) // the exchange's one allocation: the goroutine's start
 	// The whole unacknowledged tail goes out as one batch. Reads stay
 	// unbuffered: faultnet draws one fault per read call, so a read-ahead
 	// buffer would change the fault schedule a seed produces.
 	var writeErr error
-	for i := start; i < uint64(len(st.journal)) && writeErr == nil; i++ {
-		writeErr = w.Buffer(st.journal[i])
+	for i := start; i < len(st.events) && writeErr == nil; i++ {
+		writeErr = w.Buffer(st.events[i])
+	}
+	if writeErr == nil && start <= len(st.events) {
+		st.tx.Type, st.tx.Ack = wire.TypeAck, st.finishAck()
+		writeErr = w.BufferFrame(&st.tx)
 	}
 	if err := w.Flush(); writeErr == nil {
 		writeErr = err
@@ -534,16 +646,52 @@ func (st *state) exchange(conn net.Conn) (progress bool, fatal error) {
 	}
 	// With all writes delivered, the reader ends on the server's final
 	// ack — or on the server's own failure closing the conn.
-	res := <-done
+	<-st.readDone
 
-	st.out = append(st.out, res.frames...)
-	if res.final {
+	if st.out.final {
 		st.done = true
 	}
-	for _, b := range res.busy {
+	for _, b := range st.busy {
 		st.noteBusy(b)
 	}
-	return len(res.frames) > 0, nil
+	st.busy = st.busy[:0]
+	return st.out.n > before, nil
+}
+
+// readLoop is an exchange's reader goroutine: it decodes server frames
+// into st.rx and appends the session frames to the authoritative stream,
+// discarding the first skip (a full replay's regenerated duplicates),
+// until the final ack or the first read error. Busy frames are control
+// frames, not session frames: they are collected in st.busy so the stream
+// stays decisions/stats/ack only. Its last act is the readDone signal.
+//
+//etrain:hotpath
+func (st *state) readLoop(skip int) {
+	defer func() { st.readDone <- struct{}{} }()
+	for {
+		if err := st.r.ReadFrame(&st.rx); err != nil {
+			return
+		}
+		switch st.rx.Type {
+		case wire.TypeBusy:
+			// A mid-stream Busy means the server shed an event and
+			// parked the session; the conn is about to close. Control
+			// frames never enter the session stream and never count
+			// against the skip window.
+			st.busy = append(st.busy, st.rx.Busy)
+			continue
+		case wire.TypeRedirect:
+			continue
+		}
+		if skip > 0 {
+			skip--
+			continue
+		}
+		st.out.addFrame(&st.rx)
+		if st.rx.Type == wire.TypeAck {
+			return
+		}
+	}
 }
 
 // stint is graceful degradation: with the server unreachable, the
@@ -566,12 +714,12 @@ func (st *state) stint() (net.Conn, error) {
 		}
 	}()
 
-	localSkip := len(st.out)
+	localSkip := st.out.n
 	seq := 0
 	rep, err := server.NewReplayer(st.hello, radio.GalaxyS43G(), func(m wire.Message) error {
 		seq++
 		if seq > localSkip {
-			st.out = append(st.out, m)
+			st.out.addMessage(m)
 		}
 		return nil
 	})
@@ -583,7 +731,13 @@ func (st *state) stint() (net.Conn, error) {
 		st.probeEvery *= 2
 	}
 	countdown := every
-	for i, frame := range st.journal {
+	for i := 0; i < st.journalLen(); i++ {
+		var frame wire.Message
+		if i < len(st.events) {
+			frame = st.events[i]
+		} else {
+			frame = st.finishAck()
+		}
 		if err := rep.Apply(frame); err != nil {
 			return nil, fmt.Errorf("client: degraded replay: %w", err)
 		}
@@ -609,9 +763,19 @@ func (st *state) stint() (net.Conn, error) {
 	return nil, fmt.Errorf("client: local replay exhausted events before finishing")
 }
 
-// outcome assembles the final Outcome from the authoritative stream.
+// outcome assembles the final Outcome from the authoritative stream: the
+// Outcome, one exact-size Decisions slice and one array of their Entries
+// are its only allocations.
 func (st *state) outcome() (*Outcome, error) {
+	if st.out.err != nil {
+		return nil, st.out.err
+	}
+	if !st.out.sawStats {
+		return nil, fmt.Errorf("client: session stream has no stats snapshot")
+	}
 	o := &Outcome{
+		Stats: st.out.stats,
+
 		Attempts:       st.attempts,
 		Reconnects:     st.reconnects,
 		Resumes:        st.resumes,
@@ -627,30 +791,17 @@ func (st *state) outcome() (*Outcome, error) {
 		BudgetExhausted: st.budgetExhausted,
 		BusyWait:        st.busyWait,
 	}
-	sawStats := false
-	for i, m := range st.out {
-		switch v := m.(type) {
-		case wire.Decision:
-			if sawStats {
-				return nil, fmt.Errorf("client: decision after stats snapshot")
+	if len(st.out.decisions) > 0 {
+		o.Decisions = make([]wire.Decision, len(st.out.decisions))
+		entries := slices.Clone(st.out.entries)
+		from := 0
+		for i, d := range st.out.decisions {
+			o.Decisions[i] = wire.Decision{Slot: d.slot, Flush: d.flush}
+			if d.end > from {
+				o.Decisions[i].Entries = entries[from:d.end:d.end]
 			}
-			o.Decisions = append(o.Decisions, v)
-		case wire.StatsSnapshot:
-			if v.DeviceID != st.hello.DeviceID {
-				return nil, fmt.Errorf("client: stats for device %d, want %d", v.DeviceID, st.hello.DeviceID)
-			}
-			o.Stats = v
-			sawStats = true
-		case wire.Ack:
-			if !sawStats || i != len(st.out)-1 {
-				return nil, fmt.Errorf("client: misplaced ack in session stream")
-			}
-		default:
-			return nil, fmt.Errorf("client: unexpected %s frame in session stream", m.MsgType())
+			from = d.end
 		}
-	}
-	if !sawStats {
-		return nil, fmt.Errorf("client: session stream has no stats snapshot")
 	}
 	return o, nil
 }

@@ -49,11 +49,41 @@ type Replayer struct {
 	strategy sched.Strategy
 	trace    bandwidth.Trace
 	pending  []wire.Decision
-	emit     func(wire.Message) error
-	done     bool
+	// entries is the arena the decisions' Entries are cut from. It only
+	// grows within a session and is emptied only by reset, so every
+	// decision a sink keeps stays intact for the session; a replayer whose
+	// decisions a caller keeps is never returned to the pool.
+	entries []wire.DecisionEntry
+	// out is the frame each emitted message is handed to the sink in.
+	out  wire.Frame
+	sink sink
+	done bool
 	// profiles holds, per profile family in Kind order, the first profile
 	// the session's cargo named (profileFor).
 	profiles [profile.KindCloud]profile.Profile
+}
+
+// sink receives a Replayer's outbound session frames in protocol order:
+// Decisions, then the StatsSnapshot, then the echoed finish Ack. The frame
+// is the replayer's and is reused for the next emission; a Decision's
+// Entries stay valid until the replayer is reset.
+type sink interface {
+	emit(f *wire.Frame) error
+}
+
+// funcSink is the sink behind NewReplayer's emit func: it boxes each frame
+// into a wire.Message.
+type funcSink func(wire.Message) error
+
+func (fs funcSink) emit(f *wire.Frame) error {
+	switch f.Type {
+	case wire.TypeDecision:
+		return fs(f.Decision)
+	case wire.TypeStatsSnapshot:
+		return fs(f.Stats)
+	default:
+		return fs(f.Ack)
+	}
 }
 
 // replayerPool holds the replayers of cleanly completed server sessions
@@ -77,26 +107,33 @@ func newReplayer() *Replayer {
 // failures from protocol violations. The replayer comes from a pool of
 // completed server sessions' replayers, re-initialised in place; it is
 // the caller's, and only a server session that completes returns its
-// replayer to the pool.
+// replayer to the pool. The Entries of the Decisions emit receives stay
+// valid for the replayer's life.
 func NewReplayer(h wire.Hello, power radio.PowerModel, emit func(wire.Message) error) (*Replayer, error) {
+	return getReplayer(h, power, funcSink(emit))
+}
+
+// getReplayer takes a replayer from the pool and readies it for a session
+// opened by h, emitting into out.
+func getReplayer(h wire.Hello, power radio.PowerModel, out sink) (*Replayer, error) {
 	rp := replayerPool.Get().(*Replayer)
-	if err := rp.reset(h, power, emit); err != nil {
+	if err := rp.reset(h, power, out); err != nil {
 		return nil, err
 	}
 	return rp, nil
 }
 
 // putReplayer returns the replayer of a cleanly completed session to the
-// pool. It drops emit, so the pool does not keep the session alive.
+// pool. It drops the sink, so the pool does not keep the session alive.
 func putReplayer(rp *Replayer) {
-	rp.emit = nil
+	rp.sink = nil
 	replayerPool.Put(rp)
 }
 
 // reset re-initialises rp in place for a session opened by h, keeping
 // only buffer capacity: nothing of an earlier session, finished or
 // abandoned, reaches the new one.
-func (rp *Replayer) reset(h wire.Hello, power radio.PowerModel, emit func(wire.Message) error) error {
+func (rp *Replayer) reset(h wire.Hello, power radio.PowerModel, out sink) error {
 	strategy, err := newStrategy(h, rp.strategy)
 	if err != nil {
 		return fmt.Errorf("server: hello: %w", err)
@@ -117,26 +154,29 @@ func (rp *Replayer) reset(h wire.Hello, power radio.PowerModel, emit func(wire.M
 		return fmt.Errorf("server: hello: %w", err)
 	}
 	rp.deviceID = h.DeviceID
-	rp.emit = emit
+	rp.sink = out
 	rp.done = false
 	clear(rp.profiles[:])
 	clear(rp.pending)
 	rp.pending = rp.pending[:0]
+	rp.entries = rp.entries[:0]
 	return nil
 }
 
 // onSlot is the engine's OnSlot: it buffers one Decision per executed
-// slot that transmitted data. The Entries slice is built fresh per
-// decision because emit may journal the frame for resume replay.
+// slot that transmitted data, its Entries cut from the arena.
+//
+//etrain:hotpath
 func (rp *Replayer) onSlot(r sim.SlotResult) {
 	if len(r.Data) == 0 {
 		return
 	}
-	d := wire.Decision{Slot: r.Slot, Flush: r.Flush, Entries: make([]wire.DecisionEntry, len(r.Data))}
-	for i, p := range r.Data {
-		d.Entries[i] = wire.DecisionEntry{ID: uint64(p.ID), Start: p.StartedAt}
+	from := len(rp.entries)
+	for _, p := range r.Data {
+		rp.entries = append(rp.entries, wire.DecisionEntry{ID: uint64(p.ID), Start: p.StartedAt})
 	}
-	rp.pending = append(rp.pending, d)
+	to := len(rp.entries)
+	rp.pending = append(rp.pending, wire.Decision{Slot: r.Slot, Flush: r.Flush, Entries: rp.entries[from:to:to]})
 }
 
 // Done reports whether the finish exchange has run.
@@ -147,14 +187,22 @@ func (rp *Replayer) Done() bool { return rp.done }
 // emitting the resulting frames. A protocol or engine error is returned
 // wrapped with context; an emit error is returned exactly as emit
 // produced it.
+func (rp *Replayer) Apply(m wire.Message) error {
+	var ev inbound
+	ev.setMessage(m)
+	return rp.apply(&ev)
+}
+
+// apply is Apply on a by-value event, the form a server session queues.
 //
 //etrain:hotpath
-func (rp *Replayer) Apply(m wire.Message) error {
+func (rp *Replayer) apply(ev *inbound) error {
 	if rp.done {
-		return fmt.Errorf("server: %s frame after finish", m.MsgType())
+		return fmt.Errorf("server: %s frame after finish", ev.typ)
 	}
-	switch v := m.(type) {
-	case wire.HeartbeatObserved:
+	switch ev.typ {
+	case wire.TypeHeartbeatObserved:
+		v := &ev.beat
 		b := heartbeat.Beat{At: v.At, App: v.App, Size: v.Size}
 		if err := rp.engine.AddBeat(b); err != nil {
 			return fmt.Errorf("server: %w", err)
@@ -163,7 +211,8 @@ func (rp *Replayer) Apply(m wire.Message) error {
 			return fmt.Errorf("server: %w", err)
 		}
 		return rp.flush()
-	case wire.CargoArrival:
+	case wire.TypeCargoArrival:
+		v := &ev.cargo
 		prof, err := rp.profileFor(v.Profile, v.Deadline)
 		if err != nil {
 			return fmt.Errorf("server: cargo %d: %w", v.ID, err)
@@ -182,10 +231,10 @@ func (rp *Replayer) Apply(m wire.Message) error {
 			return fmt.Errorf("server: %w", err)
 		}
 		return rp.flush()
-	case wire.Ack:
-		return rp.finish(v)
+	case wire.TypeAck:
+		return rp.finish(ev.ack)
 	default:
-		return fmt.Errorf("server: unexpected %s frame mid-session", m.MsgType())
+		return fmt.Errorf("server: unexpected %s frame mid-session", ev.typ)
 	}
 }
 
@@ -226,7 +275,8 @@ func (rp *Replayer) finish(ack wire.Ack) error {
 		return err
 	}
 	m := rp.engine.Metrics()
-	snap := wire.StatsSnapshot{
+	rp.out.Type = wire.TypeStatsSnapshot
+	rp.out.Stats = wire.StatsSnapshot{
 		DeviceID:       rp.deviceID,
 		EnergyJ:        m.EnergyJ,
 		AvgDelayS:      m.AvgDelayS,
@@ -235,10 +285,12 @@ func (rp *Replayer) finish(ack wire.Ack) error {
 		Heartbeats:     uint64(m.Heartbeats),
 		ForcedFlush:    uint64(m.ForcedFlush),
 	}
-	if err := rp.emit(snap); err != nil {
+	if err := rp.sink.emit(&rp.out); err != nil {
 		return err
 	}
-	if err := rp.emit(wire.Ack{Seq: ack.Seq}); err != nil {
+	rp.out.Type = wire.TypeAck
+	rp.out.Ack = wire.Ack{Seq: ack.Seq}
+	if err := rp.sink.emit(&rp.out); err != nil {
 		return err
 	}
 	rp.done = true
@@ -246,22 +298,20 @@ func (rp *Replayer) finish(ack wire.Ack) error {
 }
 
 // flush emits and clears the buffered Decision frames. The pending slice's
-// backing array is retained across flushes so steady-state slots buffer
-// without allocating; the Entries slices themselves are freshly built per
-// decision because emit may journal the frame for resume replay.
+// backing array is retained across flushes, and the Entries live in the
+// arena, so steady-state slots buffer and emit without allocating.
 //
 //etrain:hotpath
 func (rp *Replayer) flush() error {
-	for i, d := range rp.pending {
-		if err := rp.emit(d); err != nil {
+	for i := range rp.pending {
+		rp.out.Type = wire.TypeDecision
+		rp.out.Decision = rp.pending[i]
+		if err := rp.sink.emit(&rp.out); err != nil {
 			// The failed frame is dropped, matching the historical
 			// pop-then-emit order; later frames stay pending.
 			rp.pending = rp.pending[i+1:]
 			return err
 		}
-	}
-	for i := range rp.pending {
-		rp.pending[i] = wire.Decision{}
 	}
 	rp.pending = rp.pending[:0]
 	return nil

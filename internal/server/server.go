@@ -241,7 +241,8 @@ func (s *Server) ServeConn(conn net.Conn) error {
 // serveSession runs one registered session with panic isolation: a panic
 // in the session (or the strategy it hosts) is recovered, counted, and
 // confined to its connection. Outcomes count three ways: completed,
-// parked (recoverable disconnect, engine retained), or errored.
+// parked (recoverable disconnect, engine retained), or errored. The conn
+// is closed once, by runSession's reader join, on every path.
 //
 // Opening is one counter transition (Accepted and Active together) and the
 // outcome another (Active release plus exactly one outcome counter), so
@@ -260,7 +261,6 @@ func (s *Server) serveSession(conn net.Conn) (err error) {
 			err = fmt.Errorf("server: session panic: %v", r)
 		}
 		s.unregister(conn)
-		conn.Close()
 		s.count(func(c *Counters) {
 			c.Active--
 			if panicked {

@@ -151,6 +151,48 @@ func TestBackpressureQueueDepth(t *testing.T) {
 	}
 }
 
+// TestJoinReleasesBlockedReader fails a session while its reader is
+// blocked sending onto a full queue: with QueueDepth 1, the client's
+// first event is a protocol error and 63 more frames follow in the same
+// write. ServeConn must still return — the join drains the queue until
+// the reader signals — and the server must serve the next session.
+func TestJoinReleasesBlockedReader(t *testing.T) {
+	srv := New(Config{QueueDepth: 1})
+	client, serverSide := net.Pipe()
+	defer client.Close()
+	srvErr := make(chan error, 1)
+	go func() { srvErr <- srv.ServeConn(serverSide) }()
+	w := wire.NewWriter(client)
+	r := wire.NewReader(client)
+	if err := w.Write(wire.Hello{Theta: 1, K: 2, Horizon: time.Minute}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.Next(); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Buffer(wire.CargoArrival{ID: 1, At: time.Second, App: "a", Size: 1, Profile: 99}); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 63; i++ {
+		if err := w.Buffer(wire.HeartbeatObserved{At: time.Second + time.Duration(i), App: "a", Size: 1}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	go w.Flush() // fails once the server closes the conn
+	select {
+	case err := <-srvErr:
+		if err == nil || !strings.Contains(err.Error(), "unknown kind") {
+			t.Fatalf("session error %v, want the cargo's unknown profile kind", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("ServeConn did not return: the reader blocked on the full queue was never released")
+	}
+	sess := testSession(t, 0)
+	if out := driveLoopback(t, srv, sess); out.Stats.DeviceID != sess.Hello.DeviceID {
+		t.Errorf("next session's stats name device %d, want %d", out.Stats.DeviceID, sess.Hello.DeviceID)
+	}
+}
+
 // TestConnLimit verifies connections beyond MaxConns are rejected while
 // admitted sessions proceed.
 func TestConnLimit(t *testing.T) {

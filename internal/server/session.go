@@ -25,22 +25,28 @@ const (
 	flushAt = 4 << 10
 )
 
-// connBufs is one connection's I/O state: the buffered reader the
-// session's reader goroutine decodes from, the event queue it feeds and
-// the frame writer the session's processor batches into. It is pooled
-// across connections, so a session's steady state allocates none of them.
+// connBufs is one connection's I/O state: the buffered reader and frame
+// the session's reader goroutine decodes into, the event queue it feeds,
+// the signal it sends on exit, and the frame writer the session's
+// processor batches into. It is pooled across connections, so a session's
+// steady state allocates none of them.
 type connBufs struct {
 	br     *bufio.Reader
 	fr     *wire.Reader
+	frame  wire.Frame
 	w      *wire.Writer
 	events chan inbound
+	// readerDone receives the reader goroutine's one exit signal; the
+	// join consumes it, so it is empty again when cb is pooled.
+	readerDone chan struct{}
 }
 
 var connBufPool = sync.Pool{New: func() any {
 	cb := &connBufs{
-		br:     bufio.NewReaderSize(nil, readBufSize),
-		w:      wire.NewWriter(nil),
-		events: make(chan inbound, DefaultQueueDepth),
+		br:         bufio.NewReaderSize(nil, readBufSize),
+		w:          wire.NewWriter(nil),
+		events:     make(chan inbound, DefaultQueueDepth),
+		readerDone: make(chan struct{}, 1),
 	}
 	cb.fr = wire.NewReader(cb.br)
 	return cb
@@ -67,18 +73,13 @@ func putConnBufs(cb *connBufs) {
 	connBufPool.Put(cb)
 }
 
-// journaled is one emitted session frame retained for resume replay.
-type journaled struct {
-	seq uint64
-	msg wire.Message
-}
-
 // session is one device's protocol state: a frame reader feeding a
 // bounded event queue, a Replayer turning events into outbound frames,
 // and the sequence bookkeeping that lets the session survive its
 // connection. A session outlives a broken conn: it parks in the server's
 // detached registry and a later Resume handshake adopts it onto a fresh
-// connection (DESIGN.md §11).
+// connection (DESIGN.md §11). Sessions are pooled with their journal's
+// capacity; only a completed session goes back (complete).
 type session struct {
 	srv *Server
 	// conn and w are the current connection and its pooled frame writer;
@@ -97,12 +98,34 @@ type session struct {
 	// the client already holds (it resumed ahead after degraded mode).
 	outSeq uint64
 	skipTo uint64
-	// journal retains exactly the frames with seq in (skipTo, outSeq] for
-	// replay; Resume{Got} prunes the prefix the client confirms.
-	journal []journaled
+	// journal retains, encoded back to back, exactly the frames with seq
+	// in (skipTo, outSeq] for replay: frame i has seq skipTo+1+i, and
+	// Resume{Got} drops the prefix the client confirms.
+	journal []byte
+	// frame is the scratch frame handshake answers and journal replays
+	// are encoded from.
+	frame wire.Frame
 	// broken latches the first transport write error on the current conn;
 	// emission keeps journaling past it so nothing is lost before parking.
 	broken error
+}
+
+// sessionPool holds completed sessions, with their journal's capacity.
+var sessionPool = sync.Pool{New: func() any { return new(session) }}
+
+// newSession takes a pooled session and opens it for h on conn and its
+// writer w, with an empty journal.
+func (s *Server) newSession(conn net.Conn, w *wire.Writer, h wire.Hello) *session {
+	sess := sessionPool.Get().(*session)
+	*sess = session{
+		srv:     s,
+		conn:    conn,
+		w:       w,
+		hello:   h,
+		token:   wire.SessionToken(h),
+		journal: sess.journal[:0],
+	}
+	return sess
 }
 
 // batch counts the frames buffered on the session's writer since the
@@ -111,11 +134,88 @@ type batch struct {
 	frames, decisions, busy uint64
 }
 
-// inbound is one decoded frame (or the reader's terminal error) queued
-// for the session's processor.
+// inbound is one client frame as the session's processor consumes it, by
+// value: the message of a session kind (Hello, Resume, HeartbeatObserved,
+// CargoArrival, Ack), only the type of any other frame (the session
+// rejects it), or the reader's terminal error. It holds no pointer into
+// the frame it was decoded from.
 type inbound struct {
-	msg wire.Message
-	err error
+	typ    wire.Type
+	hello  wire.Hello
+	resume wire.Resume
+	beat   wire.HeartbeatObserved
+	cargo  wire.CargoArrival
+	ack    wire.Ack
+	err    error
+}
+
+// setFrame copies f's message into ev.
+func (ev *inbound) setFrame(f *wire.Frame) {
+	ev.typ = f.Type
+	switch f.Type {
+	case wire.TypeHello:
+		ev.hello = f.Hello
+	case wire.TypeResume:
+		ev.resume = f.Resume
+	case wire.TypeHeartbeatObserved:
+		ev.beat = f.Heartbeat
+	case wire.TypeCargoArrival:
+		ev.cargo = f.Cargo
+	case wire.TypeAck:
+		ev.ack = f.Ack
+	}
+}
+
+// setMessage copies m into ev as far as a Replayer reads it: the events
+// and the finish Ack, and only the type of anything else.
+func (ev *inbound) setMessage(m wire.Message) {
+	ev.typ = m.MsgType()
+	switch v := m.(type) {
+	case wire.HeartbeatObserved:
+		ev.beat = v
+	case wire.CargoArrival:
+		ev.cargo = v
+	case wire.Ack:
+		ev.ack = v
+	}
+}
+
+// readLoop is the session's reader goroutine, conn's only reader: it
+// decodes each frame into cb.frame and queues it by value, until a read
+// fails or it has queued a session's finish Ack — the client sends
+// nothing after it, so the reader ends there instead of waiting in a Read
+// that only the close would end. Its last act is the readerDone signal.
+//
+//etrain:hotpath
+func (s *Server) readLoop(conn net.Conn, cb *connBufs, events chan<- inbound) {
+	defer func() { cb.readerDone <- struct{}{} }()
+	for {
+		s.readDeadline(conn)
+		var ev inbound
+		if ev.err = cb.fr.ReadFrame(&cb.frame); ev.err == nil {
+			s.countFrameIn()
+			ev.setFrame(&cb.frame)
+		}
+		events <- ev
+		if ev.err != nil || ev.typ == wire.TypeAck {
+			return
+		}
+	}
+}
+
+// joinReader ends the session's reader goroutine on any exit path and
+// waits for it: closing conn releases it from a blocked Read, and
+// draining the queue until it signals releases it from a send onto a
+// full queue. The close is the connection's only one.
+func joinReader(conn net.Conn, cb *connBufs, events <-chan inbound) {
+	conn.Close()
+	for {
+		select {
+		case <-events:
+		case <-cb.readerDone:
+			return
+		}
+	}
 }
 
 // runSession speaks the session protocol on conn: a Hello or Resume
@@ -135,45 +235,22 @@ type inbound struct {
 //
 // A transport failure mid-session does not discard the engine: the
 // session parks for ResumeGrace and runSession returns ErrSessionParked.
+//
+//etrain:hotpath
 func (s *Server) runSession(conn net.Conn) error {
 	cb := getConnBufs(conn)
 	events := cb.events
 	if cap(events) != s.cfg.QueueDepth {
 		events = make(chan inbound, s.cfg.QueueDepth)
 	}
-	stop := make(chan struct{})
-	readerDone := make(chan struct{})
-	go func() {
-		defer close(readerDone)
-		for {
-			s.readDeadline(conn)
-			m, err := cb.fr.Next()
-			if err != nil {
-				select {
-				case events <- inbound{err: err}:
-				case <-stop:
-				}
-				return
-			}
-			s.countFrameIn()
-			select {
-			case events <- inbound{msg: m}:
-			case <-stop:
-				return
-			}
-		}
-	}()
-	// Join the reader on every exit path: closing stop releases it from a
-	// send onto a full queue, closing conn releases it from a blocked
-	// Read, and readerDone confirms it is gone. Only then do the
-	// connection's buffers go back to the pool, with the event queue
-	// drained of what the processor left unread; a session that parked
+	go s.readLoop(conn, cb, events) // the session's one allocation: the goroutine's start
+	// Join the reader on every exit path, panics included; only then do
+	// the connection's buffers go back to the pool, with the event queue
+	// drained of what the processor left unread. A session that parked
 	// dropped its writer before parking (detach), so nothing still
 	// reachable holds them.
 	defer func() {
-		close(stop)
-		conn.Close()
-		<-readerDone
+		joinReader(conn, cb, events)
 		putConnBufs(cb)
 	}()
 
@@ -184,30 +261,30 @@ func (s *Server) runSession(conn net.Conn) error {
 		return fmt.Errorf("server: reading hello: %w", first.err)
 	}
 	var sess *session
-	switch h := first.msg.(type) {
-	case wire.Hello:
+	switch first.typ {
+	case wire.TypeHello:
+		h := first.hello
 		if a := s.cfg.Admission; a != nil {
 			if ok, ra := a.AdmitHello(h); !ok {
 				s.sendBusy(conn, wire.Busy{RetryAfter: ra, Reason: wire.ReasonConns})
 				return errHelloRefused
 			}
 		}
-		sess = &session{srv: s, conn: conn, w: cb.w}
-		rep, err := NewReplayer(h, radio.GalaxyS43G(), sess.emit)
+		sess = s.newSession(conn, cb.w, h)
+		rep, err := getReplayer(h, radio.GalaxyS43G(), sess)
 		if err != nil {
 			return err
 		}
 		sess.rep = rep
-		sess.hello = h
-		sess.token = wire.SessionToken(h)
-		sess.send(wire.Ack{Seq: 0})
+		sess.frame.Type, sess.frame.Ack = wire.TypeAck, wire.Ack{Seq: 0}
+		sess.send(&sess.frame)
 		sess.flush()
 		if sess.broken != nil {
 			return fmt.Errorf("server: writing ack: %w", sess.broken)
 		}
-	case wire.Resume:
+	case wire.TypeResume:
 		var err error
-		sess, err = s.adopt(conn, cb.w, h)
+		sess, err = s.adopt(conn, cb.w, first.resume)
 		if err != nil {
 			return err
 		}
@@ -220,11 +297,12 @@ func (s *Server) runSession(conn net.Conn) error {
 			return sess.complete()
 		}
 	default:
-		return fmt.Errorf("server: first frame is %s, want hello", first.msg.MsgType())
+		return fmt.Errorf("server: first frame is %s, want hello", first.typ)
 	}
 
 	// Event loop: feed the engine until the client's end-of-events Ack.
-	for ev := range events {
+	for {
+		ev := <-events
 		if ev.err != nil {
 			if transportErr(ev.err) {
 				return s.reparkOr(sess, readLossErr(ev.err))
@@ -232,24 +310,22 @@ func (s *Server) runSession(conn net.Conn) error {
 			sess.flush()
 			return fmt.Errorf("server: reading frame: %w", ev.err)
 		}
-		if a := s.cfg.Admission; a != nil {
-			if c, cargo := ev.msg.(wire.CargoArrival); cargo {
-				if shed, ra := a.ShedCargo(sess.hello, c, len(events)); shed {
-					// Shed defers, it never loses: the event is not
-					// consumed (no inSeq advance, no Apply), so the
-					// resume handshake's ResumeOK.Got makes the client
-					// redeliver it. Busy goes out as a control frame —
-					// never numbered, never journaled — in the batch
-					// flushed before the session parks awaiting that
-					// resume.
-					s.count(func(ct *Counters) { ct.Shed++ })
-					sess.send(wire.Busy{RetryAfter: ra, Reason: wire.ReasonQueue})
-					return s.reparkOr(sess, fmt.Errorf("server: cargo %d shed under queue pressure", c.ID))
-				}
+		if a := s.cfg.Admission; a != nil && ev.typ == wire.TypeCargoArrival {
+			if shed, ra := a.ShedCargo(sess.hello, ev.cargo, len(events)); shed {
+				// Shed defers, it never loses: the event is not consumed
+				// (no inSeq advance, no Apply), so the resume handshake's
+				// ResumeOK.Got makes the client redeliver it. Busy goes
+				// out as a control frame — never numbered, never
+				// journaled — in the batch flushed before the session
+				// parks awaiting that resume.
+				s.count(func(ct *Counters) { ct.Shed++ })
+				sess.frame.Type, sess.frame.Busy = wire.TypeBusy, wire.Busy{RetryAfter: ra, Reason: wire.ReasonQueue}
+				sess.send(&sess.frame)
+				return s.reparkOr(sess, fmt.Errorf("server: cargo %d shed under queue pressure", ev.cargo.ID))
 			}
 		}
 		sess.inSeq++
-		if err := sess.rep.Apply(ev.msg); err != nil {
+		if err := sess.rep.apply(&ev); err != nil {
 			sess.flush()
 			return err
 		}
@@ -263,7 +339,6 @@ func (s *Server) runSession(conn net.Conn) error {
 			return sess.complete()
 		}
 	}
-	return fmt.Errorf("server: event queue closed") // unreachable
 }
 
 // adopt moves a parked session onto conn and its writer w: it validates
@@ -297,13 +372,25 @@ func (s *Server) adopt(conn net.Conn, w *wire.Writer, r wire.Resume) (*session, 
 	sess.broken = nil
 	// Drop the confirmed prefix; suppress regeneration of anything the
 	// client already holds (it may be ahead after degraded-mode work).
-	for len(sess.journal) > 0 && sess.journal[0].seq <= r.Got {
-		sess.journal = sess.journal[1:]
+	confirmed := 0
+	for seq := sess.skipTo + 1; seq <= r.Got && confirmed < len(sess.journal); seq++ {
+		n, err := sess.frame.Decode(sess.journal[confirmed:])
+		if err != nil {
+			return nil, fmt.Errorf("server: resume: journal: %w", err)
+		}
+		confirmed += n
 	}
+	sess.journal = sess.journal[:copy(sess.journal, sess.journal[confirmed:])]
 	sess.skipTo = r.Got
-	sess.send(wire.ResumeOK{Got: sess.inSeq})
-	for _, j := range sess.journal {
-		sess.send(j.msg)
+	sess.frame.Type, sess.frame.ResumeOK = wire.TypeResumeOK, wire.ResumeOK{Got: sess.inSeq}
+	sess.send(&sess.frame)
+	for off := 0; off < len(sess.journal); {
+		n, err := sess.frame.Decode(sess.journal[off:])
+		if err != nil {
+			return nil, fmt.Errorf("server: resume: journal: %w", err)
+		}
+		off += n
+		sess.send(&sess.frame)
 	}
 	return sess, nil
 }
@@ -347,50 +434,57 @@ func transportErr(err error) bool {
 // complete finishes a session cleanly, dropping any stale parked twin —
 // a session that parked and was then healed by a full Hello replay
 // rather than a resume — so it does not linger to expiry. The finished
-// replayer goes back to the pool for the next Hello; this is the only
-// place one does; a parked, errored or panicked session's never does.
+// replayer and the session itself go back to their pools for the next
+// Hello; this is the only place either does: a parked, errored or
+// panicked session's never do. The caller must not touch sess after.
 func (sess *session) complete() error {
 	sess.srv.dropDetached(sessionKey{device: sess.hello.DeviceID, token: sess.token})
 	putReplayer(sess.rep)
-	sess.rep = nil
+	*sess = session{journal: sess.journal}
+	sessionPool.Put(sess)
 	return nil
 }
 
-// emit is the Replayer's sink: it numbers the frame, suppresses what the
-// client already holds, journals the rest for resume, and best-effort
-// buffers it for the next flush. It never fails — a write error latches
-// sess.broken so the engine finishes the event cleanly and the session
-// parks afterwards with every frame journaled.
+// emit is the session's Replayer sink: it numbers the frame, suppresses
+// what the client already holds, journals the rest for resume, and
+// best-effort buffers it for the next flush. Only an encoding failure is
+// returned; a write error latches sess.broken so the engine finishes the
+// event cleanly and the session parks afterwards with every frame
+// journaled.
 //
 //etrain:hotpath
-func (sess *session) emit(m wire.Message) error {
+func (sess *session) emit(f *wire.Frame) error {
 	sess.outSeq++
 	if sess.outSeq <= sess.skipTo {
 		return nil
 	}
-	sess.journal = append(sess.journal, journaled{seq: sess.outSeq, msg: m})
-	sess.send(m)
+	journal, err := f.Append(sess.journal)
+	if err != nil {
+		return err
+	}
+	sess.journal = journal
+	sess.send(f)
 	return nil
 }
 
-// send buffers m on the current conn's batch unless the conn is already
+// send buffers f on the current conn's batch unless the conn is already
 // broken, flushing once flushAt bytes are pending. An encoding failure
 // latches broken like a write failure.
 //
 //etrain:hotpath
-func (sess *session) send(m wire.Message) {
+func (sess *session) send(f *wire.Frame) {
 	if sess.broken != nil {
 		return
 	}
-	if err := sess.w.Buffer(m); err != nil {
+	if err := sess.w.BufferFrame(f); err != nil {
 		sess.broken = err
 		return
 	}
 	sess.batch.frames++
-	switch m.(type) {
-	case wire.Decision:
+	switch f.Type {
+	case wire.TypeDecision:
 		sess.batch.decisions++
-	case wire.Busy:
+	case wire.TypeBusy:
 		sess.batch.busy++
 	}
 	if sess.w.Buffered() >= flushAt {

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"time"
 
 	"etrain/internal/profile"
@@ -23,31 +24,155 @@ const maxEntries = (MaxPayload - 11) / 16
 // implied by MaxPayload but checked explicitly before allocating.
 const maxRouteEntries = (MaxPayload - 16) / 10
 
+// Frame is one protocol message held by value: Type names the message
+// and the field of that type holds it; every other field is left as the
+// last frame that used it left it. A Frame is the codec's one currency:
+// Frame.Append encodes one, Frame.Decode and Reader.ReadFrame decode into
+// one, and the Message functions (Append, Decode, Reader.Next,
+// Writer.Buffer and Writer.Write) wrap these, boxing at the edge. A frame
+// decoded into again reuses its Decision entries and RouteTable shards,
+// so a caller that keeps one frame per connection decodes a session's
+// stream without allocating; a caller that keeps a decoded Decision
+// across the next decode must copy its Entries.
+type Frame struct {
+	// Type is the message type; 0 (invalid) for a frame that holds none.
+	Type Type
+
+	Hello         Hello
+	Heartbeat     HeartbeatObserved
+	Cargo         CargoArrival
+	Decision      Decision
+	Ack           Ack
+	Stats         StatsSnapshot
+	Resume        Resume
+	ResumeOK      ResumeOK
+	ShardHello    ShardHello
+	ShardBeat     ShardBeat
+	ShardStats    ShardStats
+	RouteTable    RouteTable
+	Busy          Busy
+	Redirect      Redirect
+	ShardOverload ShardOverload
+}
+
+// set stores m in f, reporting false for a message type the codec does
+// not know.
+func (f *Frame) set(m Message) bool {
+	switch v := m.(type) {
+	case Hello:
+		f.Hello = v
+	case HeartbeatObserved:
+		f.Heartbeat = v
+	case CargoArrival:
+		f.Cargo = v
+	case Decision:
+		f.Decision = v
+	case Ack:
+		f.Ack = v
+	case StatsSnapshot:
+		f.Stats = v
+	case Resume:
+		f.Resume = v
+	case ResumeOK:
+		f.ResumeOK = v
+	case ShardHello:
+		f.ShardHello = v
+	case ShardBeat:
+		f.ShardBeat = v
+	case ShardStats:
+		f.ShardStats = v
+	case RouteTable:
+		f.RouteTable = v
+	case Busy:
+		f.Busy = v
+	case Redirect:
+		f.Redirect = v
+	case ShardOverload:
+		f.ShardOverload = v
+	default:
+		return false
+	}
+	f.Type = m.MsgType()
+	return true
+}
+
+// message returns f's message boxed, or nil when f holds none.
+func (f *Frame) message() Message {
+	switch f.Type {
+	case TypeHello:
+		return f.Hello
+	case TypeHeartbeatObserved:
+		return f.Heartbeat
+	case TypeCargoArrival:
+		return f.Cargo
+	case TypeDecision:
+		return f.Decision
+	case TypeAck:
+		return f.Ack
+	case TypeStatsSnapshot:
+		return f.Stats
+	case TypeResume:
+		return f.Resume
+	case TypeResumeOK:
+		return f.ResumeOK
+	case TypeShardHello:
+		return f.ShardHello
+	case TypeShardBeat:
+		return f.ShardBeat
+	case TypeShardStats:
+		return f.ShardStats
+	case TypeRouteTable:
+		return f.RouteTable
+	case TypeBusy:
+		return f.Busy
+	case TypeRedirect:
+		return f.Redirect
+	case TypeShardOverload:
+		return f.ShardOverload
+	default:
+		return nil
+	}
+}
+
 // Append encodes m as one frame appended to dst and returns the extended
 // slice. Encoding is total on well-formed messages; it fails only on
 // overlong strings or entry lists.
+func Append(dst []byte, m Message) ([]byte, error) {
+	var f Frame
+	if !f.set(m) {
+		return nil, fmt.Errorf("wire: cannot encode message type %T", m)
+	}
+	return f.Append(dst)
+}
+
+// Append encodes f's message as one frame appended to dst and returns the
+// extended slice. Encoding is total on well-formed messages; it fails only
+// on overlong strings or entry lists, or a frame that holds no message.
 //
 //etrain:hotpath
-func Append(dst []byte, m Message) ([]byte, error) {
+func (f *Frame) Append(dst []byte) ([]byte, error) {
 	frameFrom := len(dst)
-	dst = append(dst, 0, 0, 0, 0, Version, byte(m.MsgType()))
+	dst = append(dst, 0, 0, 0, 0, Version, byte(f.Type))
 	bodyFrom := len(dst)
 	var err error
-	switch v := m.(type) {
-	case Hello:
+	switch f.Type {
+	case TypeHello:
+		v := &f.Hello
 		dst = appendU64(dst, v.DeviceID)
 		dst = appendI64(dst, v.Seed)
 		dst = appendF64(dst, v.Theta)
 		dst = binary.BigEndian.AppendUint32(dst, v.K)
 		dst = appendDur(dst, v.Slot)
 		dst = appendDur(dst, v.Horizon)
-	case HeartbeatObserved:
+	case TypeHeartbeatObserved:
+		v := &f.Heartbeat
 		dst = appendDur(dst, v.At)
 		if dst, err = appendString(dst, v.App); err != nil {
 			return nil, err
 		}
 		dst = appendI64(dst, v.Size)
-	case CargoArrival:
+	case TypeCargoArrival:
+		v := &f.Cargo
 		dst = appendU64(dst, v.ID)
 		dst = appendDur(dst, v.At)
 		if dst, err = appendString(dst, v.App); err != nil {
@@ -56,7 +181,8 @@ func Append(dst []byte, m Message) ([]byte, error) {
 		dst = appendI64(dst, v.Size)
 		dst = append(dst, byte(v.Profile))
 		dst = appendDur(dst, v.Deadline)
-	case Decision:
+	case TypeDecision:
+		v := &f.Decision
 		if len(v.Entries) > maxEntries {
 			return nil, fmt.Errorf("wire: decision with %d entries exceeds the %d-entry frame bound", len(v.Entries), maxEntries)
 		}
@@ -67,15 +193,17 @@ func Append(dst []byte, m Message) ([]byte, error) {
 			dst = appendU64(dst, e.ID)
 			dst = appendDur(dst, e.Start)
 		}
-	case Ack:
-		dst = appendU64(dst, v.Seq)
-	case Resume:
+	case TypeAck:
+		dst = appendU64(dst, f.Ack.Seq)
+	case TypeResume:
+		v := &f.Resume
 		dst = appendU64(dst, v.DeviceID)
 		dst = appendU64(dst, v.Token)
 		dst = appendU64(dst, v.Got)
-	case ResumeOK:
-		dst = appendU64(dst, v.Got)
-	case StatsSnapshot:
+	case TypeResumeOK:
+		dst = appendU64(dst, f.ResumeOK.Got)
+	case TypeStatsSnapshot:
+		v := &f.Stats
 		dst = appendU64(dst, v.DeviceID)
 		dst = appendF64(dst, v.EnergyJ)
 		dst = appendF64(dst, v.AvgDelayS)
@@ -83,15 +211,18 @@ func Append(dst []byte, m Message) ([]byte, error) {
 		dst = appendU64(dst, v.DataPackets)
 		dst = appendU64(dst, v.Heartbeats)
 		dst = appendU64(dst, v.ForcedFlush)
-	case ShardHello:
+	case TypeShardHello:
+		v := &f.ShardHello
 		dst = appendU64(dst, v.ShardID)
 		if dst, err = appendString(dst, v.Addr); err != nil {
 			return nil, err
 		}
-	case ShardBeat:
+	case TypeShardBeat:
+		v := &f.ShardBeat
 		dst = appendU64(dst, v.ShardID)
 		dst = appendU64(dst, v.Seq)
-	case ShardStats:
+	case TypeShardStats:
+		v := &f.ShardStats
 		dst = appendU64(dst, v.ShardID)
 		dst = appendU64(dst, v.Accepted)
 		dst = appendU64(dst, v.Rejected)
@@ -107,7 +238,8 @@ func Append(dst []byte, m Message) ([]byte, error) {
 		dst = appendU64(dst, v.FramesIn)
 		dst = appendU64(dst, v.FramesOut)
 		dst = appendU64(dst, v.Decisions)
-	case RouteTable:
+	case TypeRouteTable:
+		v := &f.RouteTable
 		if len(v.Shards) > maxRouteEntries {
 			return nil, fmt.Errorf("wire: route table with %d shards exceeds the %d-entry frame bound", len(v.Shards), maxRouteEntries)
 		}
@@ -121,20 +253,21 @@ func Append(dst []byte, m Message) ([]byte, error) {
 				return nil, err
 			}
 		}
-	case Busy:
-		dst = appendDur(dst, v.RetryAfter)
-		dst = append(dst, byte(v.Reason))
-	case Redirect:
-		if dst, err = appendString(dst, v.Addr); err != nil {
+	case TypeBusy:
+		dst = appendDur(dst, f.Busy.RetryAfter)
+		dst = append(dst, byte(f.Busy.Reason))
+	case TypeRedirect:
+		if dst, err = appendString(dst, f.Redirect.Addr); err != nil {
 			return nil, err
 		}
-	case ShardOverload:
+	case TypeShardOverload:
+		v := &f.ShardOverload
 		dst = appendU64(dst, v.ShardID)
 		dst = appendU64(dst, v.Refused)
 		dst = appendU64(dst, v.Shed)
 		dst = appendU64(dst, v.BusySent)
 	default:
-		return nil, fmt.Errorf("wire: cannot encode message type %T", m)
+		return nil, fmt.Errorf("wire: cannot encode message type %d", uint8(f.Type))
 	}
 	payload := len(dst) - bodyFrom + 2 // version + type bytes
 	if payload > MaxPayload {
@@ -150,45 +283,66 @@ func Encode(m Message) ([]byte, error) {
 }
 
 // Decode decodes the first frame of b, returning the message and the
-// number of bytes consumed. It never panics on hostile input: every
-// length is checked before use, the declared payload must be entirely
-// consumed, and the frame is rejected if it is not the canonical encoding
-// of the returned message.
-//
-//etrain:hotpath
+// number of bytes consumed; it is Frame.Decode into a fresh frame.
 func Decode(b []byte) (Message, int, error) {
-	if len(b) < headerSize {
-		return nil, 0, fmt.Errorf("wire: short frame header: %d bytes", len(b))
-	}
-	payload := binary.BigEndian.Uint32(b)
-	if payload < 2 {
-		return nil, 0, fmt.Errorf("wire: payload length %d below version+type minimum", payload)
-	}
-	if payload > MaxPayload {
-		return nil, 0, fmt.Errorf("wire: payload length %d exceeds MaxPayload %d", payload, MaxPayload)
-	}
-	total := int(payload) + 4
-	if len(b) < total {
-		return nil, 0, fmt.Errorf("wire: truncated frame: have %d of %d bytes", len(b), total)
-	}
-	if b[4] != Version {
-		return nil, 0, fmt.Errorf("wire: version %d, want %d", b[4], Version)
-	}
-	typ := Type(b[5])
-	m, err := decodeBody(typ, b[headerSize:total])
+	var f Frame
+	n, err := f.Decode(b)
 	if err != nil {
 		return nil, 0, err
 	}
-	return m, total, nil
+	return f.message(), n, nil
 }
 
-// decodeBody decodes one message body. The body must be consumed exactly.
-func decodeBody(typ Type, body []byte) (Message, error) {
-	d := &decoder{b: body}
-	var m Message
+// Decode decodes the first frame of b into f, returning the number of
+// bytes consumed. It never panics on hostile input: every length is
+// checked before use, the declared payload must be entirely consumed, and
+// the frame is rejected if it is not the canonical encoding of the
+// decoded message. On error f holds no message (Type 0).
+//
+//etrain:hotpath
+func (f *Frame) Decode(b []byte) (int, error) {
+	f.Type = 0
+	if len(b) < headerSize {
+		return 0, fmt.Errorf("wire: short frame header: %d bytes", len(b))
+	}
+	payload, err := checkHeader(b)
+	if err != nil {
+		return 0, err
+	}
+	total := int(payload) + 4
+	if len(b) < total {
+		return 0, fmt.Errorf("wire: truncated frame: have %d of %d bytes", len(b), total)
+	}
+	if b[4] != Version {
+		return 0, fmt.Errorf("wire: version %d, want %d", b[4], Version)
+	}
+	if err := f.decodeBody(Type(b[5]), b[headerSize:total]); err != nil {
+		return 0, err
+	}
+	return total, nil
+}
+
+// checkHeader validates a frame header's payload length, returning it.
+func checkHeader(h []byte) (uint32, error) {
+	payload := binary.BigEndian.Uint32(h)
+	if payload < 2 {
+		return 0, fmt.Errorf("wire: payload length %d below version+type minimum", payload)
+	}
+	if payload > MaxPayload {
+		return 0, fmt.Errorf("wire: payload length %d exceeds MaxPayload %d", payload, MaxPayload)
+	}
+	return payload, nil
+}
+
+// decodeBody decodes one message body into f. The body must be consumed
+// exactly. A Decision or RouteTable reuses the capacity f already holds.
+//
+//etrain:hotpath
+func (f *Frame) decodeBody(typ Type, body []byte) error {
+	d := decoder{b: body}
 	switch typ {
 	case TypeHello:
-		m = Hello{
+		f.Hello = Hello{
 			DeviceID: d.u64(),
 			Seed:     d.i64(),
 			Theta:    d.f64(),
@@ -197,9 +351,9 @@ func decodeBody(typ Type, body []byte) (Message, error) {
 			Horizon:  d.dur(),
 		}
 	case TypeHeartbeatObserved:
-		m = HeartbeatObserved{At: d.dur(), App: d.str(), Size: d.i64()}
+		f.Heartbeat = HeartbeatObserved{At: d.dur(), App: d.str(), Size: d.i64()}
 	case TypeCargoArrival:
-		m = CargoArrival{
+		f.Cargo = CargoArrival{
 			ID:       d.u64(),
 			At:       d.dur(),
 			App:      d.str(),
@@ -208,26 +362,27 @@ func decodeBody(typ Type, body []byte) (Message, error) {
 			Deadline: d.dur(),
 		}
 	case TypeDecision:
-		dec := Decision{Slot: d.dur(), Flush: d.bool()}
+		v := &f.Decision
+		v.Slot, v.Flush = d.dur(), d.bool()
+		v.Entries = v.Entries[:0]
 		n := int(d.u16())
 		if d.err == nil && n > 0 {
 			if n > maxEntries || len(d.b)-d.off < n*16 {
-				return nil, fmt.Errorf("wire: decision entry count %d exceeds remaining body", n)
+				return fmt.Errorf("wire: decision entry count %d exceeds remaining body", n)
 			}
-			dec.Entries = make([]DecisionEntry, n)
-			for i := range dec.Entries {
-				dec.Entries[i] = DecisionEntry{ID: d.u64(), Start: d.dur()}
+			v.Entries = slices.Grow(v.Entries, n)[:n]
+			for i := range v.Entries {
+				v.Entries[i] = DecisionEntry{ID: d.u64(), Start: d.dur()}
 			}
 		}
-		m = dec
 	case TypeAck:
-		m = Ack{Seq: d.u64()}
+		f.Ack = Ack{Seq: d.u64()}
 	case TypeResume:
-		m = Resume{DeviceID: d.u64(), Token: d.u64(), Got: d.u64()}
+		f.Resume = Resume{DeviceID: d.u64(), Token: d.u64(), Got: d.u64()}
 	case TypeResumeOK:
-		m = ResumeOK{Got: d.u64()}
+		f.ResumeOK = ResumeOK{Got: d.u64()}
 	case TypeStatsSnapshot:
-		m = StatsSnapshot{
+		f.Stats = StatsSnapshot{
 			DeviceID:       d.u64(),
 			EnergyJ:        d.f64(),
 			AvgDelayS:      d.f64(),
@@ -237,11 +392,11 @@ func decodeBody(typ Type, body []byte) (Message, error) {
 			ForcedFlush:    d.u64(),
 		}
 	case TypeShardHello:
-		m = ShardHello{ShardID: d.u64(), Addr: d.str()}
+		f.ShardHello = ShardHello{ShardID: d.u64(), Addr: d.str()}
 	case TypeShardBeat:
-		m = ShardBeat{ShardID: d.u64(), Seq: d.u64()}
+		f.ShardBeat = ShardBeat{ShardID: d.u64(), Seq: d.u64()}
 	case TypeShardStats:
-		m = ShardStats{
+		f.ShardStats = ShardStats{
 			ShardID:      d.u64(),
 			Accepted:     d.u64(),
 			Rejected:     d.u64(),
@@ -259,39 +414,41 @@ func decodeBody(typ Type, body []byte) (Message, error) {
 			Decisions:    d.u64(),
 		}
 	case TypeRouteTable:
-		rt := RouteTable{Epoch: d.u64(), Seed: d.i64(), Vnodes: d.u32()}
+		v := &f.RouteTable
+		v.Epoch, v.Seed, v.Vnodes = d.u64(), d.i64(), d.u32()
+		v.Shards = v.Shards[:0]
 		n := int(d.u16())
 		if d.err == nil && n > 0 {
 			if n > maxRouteEntries || len(d.b)-d.off < n*10 {
-				return nil, fmt.Errorf("wire: route table shard count %d exceeds remaining body", n)
+				return fmt.Errorf("wire: route table shard count %d exceeds remaining body", n)
 			}
-			rt.Shards = make([]RouteEntry, n)
-			for i := range rt.Shards {
-				rt.Shards[i] = RouteEntry{ShardID: d.u64(), Addr: d.str()}
+			v.Shards = slices.Grow(v.Shards, n)[:n]
+			for i := range v.Shards {
+				v.Shards[i] = RouteEntry{ShardID: d.u64(), Addr: d.str()}
 			}
 		}
-		m = rt
 	case TypeBusy:
-		m = Busy{RetryAfter: d.dur(), Reason: BusyReason(d.u8())}
+		f.Busy = Busy{RetryAfter: d.dur(), Reason: BusyReason(d.u8())}
 	case TypeRedirect:
-		m = Redirect{Addr: d.str()}
+		f.Redirect = Redirect{Addr: d.str()}
 	case TypeShardOverload:
-		m = ShardOverload{
+		f.ShardOverload = ShardOverload{
 			ShardID:  d.u64(),
 			Refused:  d.u64(),
 			Shed:     d.u64(),
 			BusySent: d.u64(),
 		}
 	default:
-		return nil, fmt.Errorf("wire: unknown message type %d", uint8(typ))
+		return fmt.Errorf("wire: unknown message type %d", uint8(typ))
 	}
 	if d.err != nil {
-		return nil, fmt.Errorf("wire: %s: %w", typ, d.err)
+		return fmt.Errorf("wire: %s: %w", typ, d.err)
 	}
 	if d.off != len(d.b) {
-		return nil, fmt.Errorf("wire: %s: %d trailing body bytes", typ, len(d.b)-d.off)
+		return fmt.Errorf("wire: %s: %d trailing body bytes", typ, len(d.b)-d.off)
 	}
-	return m, nil
+	f.Type = typ
+	return nil
 }
 
 // decoder is a bounds-checked cursor over a frame body. The first failed
@@ -451,7 +608,7 @@ func (e *truncErr) Is(target error) bool {
 func (e *truncErr) Unwrap() error { return e.cause }
 
 // Reader decodes a frame stream from an io.Reader, reusing one body
-// buffer across frames.
+// buffer across frames and, through Reset, across streams.
 type Reader struct {
 	r      io.Reader
 	header [headerSize]byte
@@ -463,28 +620,44 @@ func NewReader(r io.Reader) *Reader {
 	return &Reader{r: r}
 }
 
-// Next reads and decodes the next frame. It returns io.EOF only on a
-// clean frame boundary; a stream that ends (or errors) mid-frame yields an
-// error matching ErrTruncated (and io.ErrUnexpectedEOF) — never a hang and
-// never a misparse of the partial bytes.
+// Reset retargets the reader at r, keeping its body buffer for reuse.
+func (fr *Reader) Reset(r io.Reader) {
+	fr.r = r
+}
+
+// Next reads and decodes the next frame; it is ReadFrame into a fresh
+// frame.
+func (fr *Reader) Next() (Message, error) {
+	var f Frame
+	if err := fr.ReadFrame(&f); err != nil {
+		return nil, err
+	}
+	return f.message(), nil
+}
+
+// ReadFrame reads the next frame and decodes it into f. It returns io.EOF
+// only on a clean frame boundary; a stream that ends (or errors)
+// mid-frame yields an error matching ErrTruncated (and
+// io.ErrUnexpectedEOF) — never a hang and never a misparse of the partial
+// bytes. Each frame costs two reads of the underlying reader, header then
+// body, so an unbuffered stream sees the same read calls however it is
+// decoded.
 //
 //etrain:hotpath
-func (fr *Reader) Next() (Message, error) {
+func (fr *Reader) ReadFrame(f *Frame) error {
+	f.Type = 0
 	if n, err := io.ReadFull(fr.r, fr.header[:]); err != nil {
 		if n == 0 && err == io.EOF {
-			return nil, io.EOF
+			return io.EOF
 		}
-		return nil, &truncErr{section: "header", cause: err}
+		return &truncErr{section: "header", cause: err}
 	}
-	payload := binary.BigEndian.Uint32(fr.header[:])
-	if payload < 2 {
-		return nil, fmt.Errorf("wire: payload length %d below version+type minimum", payload)
-	}
-	if payload > MaxPayload {
-		return nil, fmt.Errorf("wire: payload length %d exceeds MaxPayload %d", payload, MaxPayload)
+	payload, err := checkHeader(fr.header[:])
+	if err != nil {
+		return err
 	}
 	if fr.header[4] != Version {
-		return nil, fmt.Errorf("wire: version %d, want %d", fr.header[4], Version)
+		return fmt.Errorf("wire: version %d, want %d", fr.header[4], Version)
 	}
 	bodyLen := int(payload) - 2
 	if cap(fr.body) < bodyLen {
@@ -492,9 +665,9 @@ func (fr *Reader) Next() (Message, error) {
 	}
 	fr.body = fr.body[:bodyLen]
 	if _, err := io.ReadFull(fr.r, fr.body); err != nil {
-		return nil, &truncErr{section: "body", cause: err}
+		return &truncErr{section: "body", cause: err}
 	}
-	return decodeBody(Type(fr.header[5]), fr.body)
+	return f.decodeBody(Type(fr.header[5]), fr.body)
 }
 
 // Writer encodes frames onto an io.Writer. Frames accumulate in one
@@ -512,12 +685,22 @@ func NewWriter(w io.Writer) *Writer {
 	return &Writer{w: w}
 }
 
-// Buffer encodes m onto the pending batch without writing it. An
+// Buffer encodes m onto the pending batch without writing it; it is
+// BufferFrame of m. An encoding error leaves the batch as it was.
+func (fw *Writer) Buffer(m Message) error {
+	var f Frame
+	if !f.set(m) {
+		return fmt.Errorf("wire: cannot encode message type %T", m)
+	}
+	return fw.BufferFrame(&f)
+}
+
+// BufferFrame encodes f onto the pending batch without writing it. An
 // encoding error leaves the batch as it was.
 //
 //etrain:hotpath
-func (fw *Writer) Buffer(m Message) error {
-	b, err := Append(fw.buf, m)
+func (fw *Writer) BufferFrame(f *Frame) error {
+	b, err := f.Append(fw.buf)
 	if err != nil {
 		return err
 	}
@@ -562,10 +745,19 @@ func (fw *Writer) Reset(w io.Writer) {
 
 // Write encodes m and writes it, together with any pending batch: Buffer
 // then Flush.
-//
-//etrain:hotpath
 func (fw *Writer) Write(m Message) error {
 	if err := fw.Buffer(m); err != nil {
+		return err
+	}
+	return fw.Flush()
+}
+
+// WriteFrame encodes f and writes it, together with any pending batch:
+// BufferFrame then Flush.
+//
+//etrain:hotpath
+func (fw *Writer) WriteFrame(f *Frame) error {
+	if err := fw.BufferFrame(f); err != nil {
 		return err
 	}
 	return fw.Flush()

@@ -468,13 +468,13 @@ func (ShardOverload) MsgType() Type { return TypeShardOverload }
 // FNV-1a hash of the Hello's canonical frame encoding. Both ends compute
 // it independently — no token ever crosses the wire before the Resume that
 // presents it — and it is a pure function of the session parameters, so
-// reconnect behaviour stays reproducible from the run's seeds.
+// reconnect behaviour stays reproducible from the run's seeds. The frame
+// is encoded into a stack array, so a token costs no allocation.
 func SessionToken(h Hello) uint64 {
-	b, err := Encode(h)
-	if err != nil {
-		// Hello has no variable-length fields; encoding is total.
-		return 0
-	}
+	var buf [helloFrameSize]byte
+	f := Frame{Type: TypeHello, Hello: h}
+	// Hello has no variable-length fields: encoding is total and fits buf.
+	b, _ := f.Append(buf[:0])
 	const (
 		offset64 = 14695981039346656037
 		prime64  = 1099511628211
@@ -486,3 +486,7 @@ func SessionToken(h Hello) uint64 {
 	}
 	return t
 }
+
+// helloFrameSize is a Hello's encoded size: the header plus DeviceID,
+// Seed, Theta, K, Slot and Horizon.
+const helloFrameSize = headerSize + 8 + 8 + 8 + 4 + 8 + 8

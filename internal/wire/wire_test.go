@@ -4,7 +4,10 @@ import (
 	"bytes"
 	"encoding/hex"
 	"errors"
+	"hash/fnv"
 	"io"
+	"math"
+	"math/rand"
 	"reflect"
 	"strings"
 	"testing"
@@ -450,20 +453,69 @@ func TestWriterZeroProgress(t *testing.T) {
 	}
 }
 
+// TestSessionToken pins the resume token to its definition, FNV-1a of
+// the Hello's canonical frame (Encode), over 10,000 seeded Hellos and the
+// edge values — zero and maximum fields, a negative seed, and NaN, ±Inf
+// and −0 bits for Θ — and to the literal values earlier releases
+// computed, so no token can change. It also checks the token is a pure
+// function of its Hello that allocates nothing.
 func TestSessionToken(t *testing.T) {
-	a := Hello{DeviceID: 1, Seed: 42, Theta: 2.5, K: 3, Horizon: time.Minute}
+	fnv1a := func(h Hello) uint64 {
+		b, err := Encode(h)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sum := fnv.New64a()
+		sum.Write(b)
+		return sum.Sum64()
+	}
+	pinned := []struct {
+		hello Hello
+		token uint64
+	}{
+		{Hello{DeviceID: 1, Seed: 42, Theta: 2.5, K: 3, Slot: time.Second, Horizon: time.Minute}, 0x4c2f11bde1a63f38},
+		{Hello{}, 0x1db8c0621aea782d},
+		{Hello{DeviceID: math.MaxUint64, Seed: math.MaxInt64, Theta: math.MaxFloat64, K: math.MaxUint32, Slot: math.MaxInt64, Horizon: math.MaxInt64}, 0xbf4d9f122d633f11},
+		{Hello{DeviceID: 7, Seed: -1, Theta: 4, K: 20, Horizon: 2 * time.Minute}, 0xaa63c074d7502b43},
+		{Hello{DeviceID: 7, Seed: math.MinInt64, Theta: math.NaN(), K: 20, Horizon: 2 * time.Minute}, 0x822808f823670a7f},
+		{Hello{DeviceID: 7, Seed: 3, Theta: math.Inf(1), K: 20, Horizon: 2 * time.Minute}, 0x34dc6ab90f425841},
+		{Hello{DeviceID: 7, Seed: 3, Theta: math.Inf(-1), K: 20, Horizon: 2 * time.Minute}, 0xbe730f55f41823c1},
+		{Hello{DeviceID: 7, Seed: 3, Theta: math.Copysign(0, -1), K: 20, Horizon: 2 * time.Minute}, 0xdc96bb3928e300ce},
+	}
+	for _, p := range pinned {
+		if got := SessionToken(p.hello); got != p.token {
+			t.Errorf("SessionToken(%+v) = %#x, want the pinned %#x", p.hello, got, p.token)
+		}
+	}
+	hellos := []Hello{
+		{Slot: math.MinInt64, Horizon: math.MinInt64, Seed: math.MinInt64},
+		{Theta: math.Float64frombits(0x7ff0000000000001)}, // signalling NaN
+		{Theta: math.Float64frombits(0xfff8000000000000)}, // negative quiet NaN
+		{Theta: math.Float64frombits(0x8000000000000000)}, // −0
+		{Theta: math.SmallestNonzeroFloat64},
+	}
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 10000; i++ {
+		hellos = append(hellos, Hello{
+			DeviceID: rng.Uint64(),
+			Seed:     int64(rng.Uint64()),
+			Theta:    math.Float64frombits(rng.Uint64()),
+			K:        rng.Uint32(),
+			Slot:     time.Duration(rng.Uint64()),
+			Horizon:  time.Duration(rng.Uint64()),
+		})
+	}
+	for _, h := range append(hellos, pinned[2].hello) {
+		if got, want := SessionToken(h), fnv1a(h); got != want {
+			t.Fatalf("SessionToken(%+v) = %#x, FNV-1a of its frame is %#x", h, got, want)
+		}
+	}
+	a := pinned[0].hello
 	if SessionToken(a) != SessionToken(a) {
 		t.Error("token is not a pure function of the hello")
 	}
-	b := a
-	b.Seed = 43
-	if SessionToken(a) == SessionToken(b) {
-		t.Error("token ignores the channel seed")
-	}
-	c := a
-	c.DeviceID = 2
-	if SessionToken(a) == SessionToken(c) {
-		t.Error("token ignores the device identity")
+	if allocs := testing.AllocsPerRun(100, func() { SessionToken(a) }); allocs != 0 {
+		t.Errorf("SessionToken allocates %v times, want 0", allocs)
 	}
 }
 

@@ -104,11 +104,9 @@ func (s *System) RegisterCargo(name string, prof Profile) (*Cargo, error) {
 	return cargo, nil
 }
 
-// Run executes the system until the virtual horizon. The virtual-time run
-// cannot fail; the error result is always nil.
-func (s *System) Run(horizon time.Duration) error {
+// Run executes the system until the virtual horizon.
+func (s *System) Run(horizon time.Duration) {
 	s.device.Run(horizon)
-	return nil
 }
 
 // Now returns the system's current virtual time.

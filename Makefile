@@ -10,7 +10,7 @@
 
 GO ?= go
 
-.PHONY: all build test perfbench race fuzz lint vet determinism bench-json bench-server bench-cluster gate load chaos scenario cluster overload clean
+.PHONY: all build test perfbench race fuzz lint vet determinism bench-json gate load chaos scenario cluster overload clean
 
 all: build test lint
 
@@ -104,45 +104,16 @@ overload:
 	$(GO) run ./cmd/etrain-load -devices 300 -conns 16 -horizon 2m \
 		-admission-rate 50 -admission-burst 8 -retry-budget 6 -quiet
 
-# Cluster benchmark snapshot: the ring and fleet-fold microbenchmarks
-# plus a live 3-shard failover smoke folded in under the "load" key, so
-# BENCH_cluster.json records cluster throughput, reroutes and
-# failover-recovery latency percentiles alongside allocation counts.
-bench-cluster:
-	CLUSTER_JSON=/tmp/etrain-cluster-report.json bash scripts/cluster-smoke.sh >/dev/null
-	$(GO) test -run '^$$' -bench 'BenchmarkRingOwner|BenchmarkBuildRing|BenchmarkFleetStatsAdd' -benchmem \
-		-benchtime $(BENCHTIME) -count 5 ./internal/cluster \
-		| $(GO) run ./cmd/etrain-benchjson -load /tmp/etrain-cluster-report.json > BENCH_cluster.json
-	@echo "wrote BENCH_cluster.json"
-
-# Service-layer benchmark snapshot (BenchmarkServerThroughput +
-# BenchmarkWireCodec) through cmd/etrain-benchjson into BENCH_server.json,
-# with a fault-injected load soak folded in under the "load" key so the
-# snapshot records healing behavior alongside the microbenchmarks.
-bench-server:
-	$(GO) run ./cmd/etrain-load -devices 300 -conns 16 -horizon 2m \
-		-faults 0.1 -quiet -json /tmp/etrain-load-report.json >/dev/null
-	$(GO) test -run '^$$' -bench 'BenchmarkServerThroughput|BenchmarkWireCodec' -benchmem \
-		-benchtime $(BENCHTIME) -count 5 ./internal/server ./internal/wire \
-		| $(GO) run ./cmd/etrain-benchjson -load /tmp/etrain-load-report.json > BENCH_server.json
-	@echo "wrote BENCH_server.json"
-
-# Benchmark regression gate: fresh runs of the fleet and server benchmark
-# suites are diffed against the checked-in BENCH_*.json baselines through
+# Benchmark regression gate: one fresh run of every benchmark, each
+# gated once against the checked-in BENCH_fleet.json baseline through
 # cmd/etrain-benchjson -gate. allocs/op and B/op more than GATETOL above
 # baseline fail the build; ns/op is reported but never gated (too
-# machine-dependent). Regenerate the baselines with `make bench-json
-# bench-server` after an intentional allocation change.
+# machine-dependent). Regenerate the baseline with `make bench-json`
+# after an intentional allocation change.
 GATETOL ?= 0.10
 gate:
 	$(GO) test -run '^$$' -bench . -benchmem -benchtime $(BENCHTIME) -count 5 ./... \
 		| $(GO) run ./cmd/etrain-benchjson -gate BENCH_fleet.json -tolerance $(GATETOL)
-	$(GO) test -run '^$$' -bench 'BenchmarkServerThroughput|BenchmarkWireCodec' -benchmem \
-		-benchtime $(BENCHTIME) -count 5 ./internal/server ./internal/wire \
-		| $(GO) run ./cmd/etrain-benchjson -gate BENCH_server.json -tolerance $(GATETOL)
-	$(GO) test -run '^$$' -bench 'BenchmarkRingOwner|BenchmarkBuildRing|BenchmarkFleetStatsAdd' -benchmem \
-		-benchtime $(BENCHTIME) -count 5 ./internal/cluster \
-		| $(GO) run ./cmd/etrain-benchjson -gate BENCH_cluster.json -tolerance $(GATETOL)
 
 # End-to-end determinism check (CI's determinism job): every row of
 # scripts/determinism.sh — the registry with ablations, the 2k-device
@@ -154,5 +125,4 @@ determinism:
 
 clean:
 	$(GO) clean ./...
-	rm -f /tmp/etrain-load-report.json /tmp/etrain-cluster-report.json
 	rm -f /tmp/etrain-sim

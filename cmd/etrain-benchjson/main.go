@@ -19,22 +19,11 @@
 // -count 5), each field is the median of its lines, so one run disturbed
 // by the host moves neither the snapshot nor the gate.
 //
-// With -load FILE the report from an etrain-load -json run is folded in,
-// and the output becomes a two-section object:
-//
-//	{"benchmarks": {"pkg.BenchmarkName": {...}, ...}, "load": {...}}
-//
-// so BENCH_server.json carries both microbenchmarks and the service-level
-// soak (throughput, latency percentiles, reconnect/resume/degraded-mode
-// healing counts) in one snapshot. Without -load the flat map is emitted
-// unchanged.
-//
 // With -gate FILE the tool becomes the repository's benchmark regression
 // gate: instead of emitting JSON it compares the fresh run on stdin
-// against the checked-in baseline FILE (either the flat map or the
-// two-section {"benchmarks": ...} shape) and exits non-zero if any
-// benchmark's allocs/op or B/op regressed beyond -tolerance (a fraction;
-// default 0.10). Wall-clock ns/op is reported for context but never
+// against the checked-in baseline FILE, a map of the shape above, and
+// exits non-zero if any benchmark's allocs/op or B/op regressed beyond
+// -tolerance (a fraction; default 0.10). Wall-clock ns/op is reported for context but never
 // gated — it is too machine-dependent — while allocation counts are
 // deterministic and gate exactly. Benchmarks present on only one side are
 // reported but do not fail the gate, so adding a benchmark does not
@@ -61,7 +50,6 @@ type benchResult struct {
 }
 
 func main() {
-	loadPath := flag.String("load", "", "etrain-load -json report to fold in alongside the benchmarks")
 	gatePath := flag.String("gate", "", "baseline JSON to gate the fresh run against; non-zero exit on regression")
 	tolerance := flag.Float64("tolerance", 0.10, "allowed fractional regression of allocs/op and B/op in -gate mode")
 	flag.Parse()
@@ -81,24 +69,7 @@ func main() {
 		}
 		return
 	}
-	var out any = results
-	if *loadPath != "" {
-		raw, err := os.ReadFile(*loadPath)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "etrain-benchjson:", err)
-			os.Exit(1)
-		}
-		var load json.RawMessage
-		if err := json.Unmarshal(raw, &load); err != nil {
-			fmt.Fprintf(os.Stderr, "etrain-benchjson: %s: %v\n", *loadPath, err)
-			os.Exit(1)
-		}
-		out = struct {
-			Benchmarks map[string]benchResult `json:"benchmarks"`
-			Load       json.RawMessage        `json:"load"`
-		}{Benchmarks: results, Load: load}
-	}
-	data, err := json.MarshalIndent(out, "", "  ")
+	data, err := json.MarshalIndent(results, "", "  ")
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "etrain-benchjson:", err)
 		os.Exit(1)
@@ -185,19 +156,12 @@ func medianOf(rs []benchResult, field func(benchResult) float64) float64 {
 	return (xs[mid-1] + xs[mid]) / 2
 }
 
-// readBaseline loads a checked-in benchmark snapshot: either the flat
-// {"pkg.Benchmark": {...}} map or the two-section {"benchmarks": ...}
-// shape BENCH_server.json uses.
+// readBaseline loads a checked-in benchmark snapshot, the
+// {"pkg.Benchmark": {...}} map this tool writes.
 func readBaseline(path string) (map[string]benchResult, error) {
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
-	}
-	var sectioned struct {
-		Benchmarks map[string]benchResult `json:"benchmarks"`
-	}
-	if err := json.Unmarshal(raw, &sectioned); err == nil && len(sectioned.Benchmarks) > 0 {
-		return sectioned.Benchmarks, nil
 	}
 	var flat map[string]benchResult
 	if err := json.Unmarshal(raw, &flat); err != nil {

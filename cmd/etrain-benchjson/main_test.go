@@ -142,14 +142,22 @@ func TestReadBaselineShapes(t *testing.T) {
 		[]byte(`{"benchmarks": {"p.BenchmarkA": {"allocs_per_op": 5}}, "load": {"x": 1}}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	for _, path := range []string{flat, sectioned} {
-		got, err := readBaseline(path)
-		if err != nil {
-			t.Fatalf("%s: %v", path, err)
-		}
-		if got["p.BenchmarkA"].AllocsPerOp != 5 {
-			t.Errorf("%s: %+v", path, got)
-		}
+	got, err := readBaseline(flat)
+	if err != nil {
+		t.Fatalf("%s: %v", flat, err)
+	}
+	if got["p.BenchmarkA"].AllocsPerOp != 5 {
+		t.Errorf("%s: %+v", flat, got)
+	}
+	// A file in the retired two-section shape names no benchmark, so
+	// gating against it fails instead of passing on nothing.
+	old, err := readBaseline(sectioned)
+	if err != nil {
+		t.Fatalf("%s: %v", sectioned, err)
+	}
+	var out strings.Builder
+	if gate(&out, old, got, 0.10) {
+		t.Errorf("gate passed against a two-section baseline:\n%s", out.String())
 	}
 }
 

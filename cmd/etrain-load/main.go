@@ -18,9 +18,8 @@
 // truncation, refused dials) via internal/faultnet, seeded by -fault-seed:
 // the summary then also reports how much healing — reconnects, resumes,
 // full replays, degraded local scheduling — the fleet needed. -json
-// writes the whole report to a file for etrain-benchjson -load to fold
-// into BENCH_server.json. -cpuprofile and -memprofile write runtime/pprof
-// profiles on every exit, Ctrl-C included.
+// writes the whole report to a file. -cpuprofile and -memprofile write
+// runtime/pprof profiles on every exit, Ctrl-C included.
 //
 // With -cluster ADDR the generator runs against a sharded etraind
 // cluster instead of one server (DESIGN.md §13): it subscribes to the
@@ -186,8 +185,7 @@ func parseDiurnal(name string, timeScale float64) (*diurnal.Profile, error) {
 	return prof, prof.Validate()
 }
 
-// report is the machine-readable run summary -json emits; field names are
-// the BENCH_server.json vocabulary.
+// report is the machine-readable run summary -json emits.
 type report struct {
 	Devices    int     `json:"devices"`
 	Conns      int     `json:"conns"`

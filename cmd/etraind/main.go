@@ -159,7 +159,6 @@ func main() {
 				Advertise: pub,
 				Dial:      func() (net.Conn, error) { return net.Dial("tcp", *join) },
 				Stats:     func() wire.ShardStats { return cluster.CountersToShardStats(*shardID, srv.Stats()) },
-				Overload:  func() wire.ShardOverload { return cluster.CountersToShardOverload(*shardID, srv.Stats()) },
 				BeatEvery: *beat,
 				//lint:ignore notime daemon boundary: the beat cadence is real time by definition
 				Sleep:        time.Sleep,

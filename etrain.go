@@ -298,8 +298,7 @@ func buildSimInputs(cfg SimConfig) (sim.Config, error) {
 		power = GalaxyS43G()
 	}
 	bw := cfg.Bandwidth
-	synthetic := bw == nil
-	if synthetic {
+	if bw == nil {
 		var err error
 		bw, err = bandwidth.Synthesize(src.Split(), horizon, nil)
 		if err != nil {
@@ -310,7 +309,7 @@ func buildSimInputs(cfg SimConfig) (sim.Config, error) {
 	if err != nil {
 		return sim.Config{}, err
 	}
-	simCfg := sim.Config{
+	return sim.Config{
 		Horizon:   horizon,
 		Trains:    trains,
 		Packets:   packets,
@@ -318,13 +317,7 @@ func buildSimInputs(cfg SimConfig) (sim.Config, error) {
 		Power:     power,
 		Estimator: bandwidth.NewEstimator(bw, src.Split(), time.Second, 0.3),
 		Seed:      cfg.Seed,
-	}
-	if synthetic && cfg.Trains == nil && cfg.Cargo == nil && cfg.Power == (PowerModel{}) {
-		// Fully derived from (seed, horizon): safe to name for the
-		// runner's cross-sweep result cache.
-		simCfg.CacheKey = fmt.Sprintf("etrain-api/seed=%d/horizon=%s", cfg.Seed, horizon)
-	}
-	return simCfg, nil
+	}, nil
 }
 
 // sweepFactory names the control parameter of cfg.Strategy's kind and

@@ -57,7 +57,7 @@ func TestRunAllocatesOnlyItsOutcome(t *testing.T) {
 		readerStart = 1
 	)
 	sess := testSession(t, 1)
-	script, err := wire.Encode(wire.Ack{Seq: 0})
+	script, err := wire.Append(nil, wire.Ack{Seq: 0})
 	if err != nil {
 		t.Fatal(err)
 	}

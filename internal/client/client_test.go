@@ -122,7 +122,7 @@ func cutAfterFrames(t *testing.T, c net.Conn, sess server.Session, n int) *limit
 	}
 	lc := &limitConn{Conn: c}
 	for _, m := range frames[:n] {
-		b, err := wire.Encode(m)
+		b, err := wire.Append(nil, m)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -21,13 +21,10 @@ type AgentConfig struct {
 	Advertise string
 	// Dial opens a control connection to the controller. Required.
 	Dial func() (net.Conn, error)
-	// Stats, when non-nil, supplies the counter snapshot sent alongside
-	// every beat.
+	// Stats, when non-nil, supplies the counter snapshot each beat
+	// carries; the agent stamps ShardID and Seq. Nil beats carry only
+	// those two.
 	Stats func() wire.ShardStats
-	// Overload, when non-nil, supplies the overload-counter snapshot
-	// (refused, shed, busy-sent) sent after each stats frame. Nil keeps
-	// the beat stream byte-identical to pre-overload agents.
-	Overload func() wire.ShardOverload
 	// BeatEvery is the beat cadence handed to Sleep (DefaultBeatEvery if
 	// zero).
 	BeatEvery time.Duration
@@ -43,8 +40,8 @@ type AgentConfig struct {
 }
 
 // RunAgent registers the shard with the controller and keeps it
-// registered until ctx is done: ShardHello on connect, then a
-// ShardBeat (plus ShardStats when configured) every BeatEvery. A lost
+// registered until ctx is done: ShardHello on connect, then one
+// ShardStats beat every BeatEvery. A lost
 // control connection is redialed with the same cadence — the controller
 // treats the gap as a death and the re-registration as a join, which is
 // exactly right: routing moved away and comes back.
@@ -124,32 +121,17 @@ func agentConn(ctx context.Context, cfg AgentConfig, conn net.Conn, seq *uint64)
 	}()
 
 	for ctx.Err() == nil {
+		var beat wire.ShardStats
+		if cfg.Stats != nil {
+			beat = cfg.Stats()
+		}
 		*seq++
-		if err := w.Write(wire.ShardBeat{ShardID: cfg.ShardID, Seq: *seq}); err != nil {
+		beat.ShardID, beat.Seq = cfg.ShardID, *seq
+		if err := w.Write(beat); err != nil {
 			if cfg.Logf != nil {
 				cfg.Logf("agent %d: beat: %v", cfg.ShardID, err)
 			}
 			return
-		}
-		if cfg.Stats != nil {
-			s := cfg.Stats()
-			s.ShardID = cfg.ShardID
-			if err := w.Write(s); err != nil {
-				if cfg.Logf != nil {
-					cfg.Logf("agent %d: stats: %v", cfg.ShardID, err)
-				}
-				return
-			}
-		}
-		if cfg.Overload != nil {
-			o := cfg.Overload()
-			o.ShardID = cfg.ShardID
-			if err := w.Write(o); err != nil {
-				if cfg.Logf != nil {
-					cfg.Logf("agent %d: overload: %v", cfg.ShardID, err)
-				}
-				return
-			}
 		}
 		cfg.Sleep(cfg.BeatEvery)
 	}

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"context"
+	"fmt"
 	"net"
 	"sync"
 	"testing"
@@ -70,6 +71,111 @@ func TestAgentRegistersBeatsAndStops(t *testing.T) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("RunAgent did not stop on cancel")
+	}
+}
+
+// TestAgentOneFramePerBeat reads an agent's control stream: ShardHello,
+// then exactly one ShardStats per beat — the agent sleeps after each one
+// before it writes again — stamped with the shard's ID and a Seq that
+// keeps rising across a redial. Without a Stats func the beat carries
+// only the ID and Seq.
+func TestAgentOneFramePerBeat(t *testing.T) {
+	for _, withStats := range []bool{true, false} {
+		t.Run(fmt.Sprintf("stats=%v", withStats), func(t *testing.T) {
+			recv := func(ch <-chan struct{}, what string) {
+				t.Helper()
+				select {
+				case <-ch:
+				case <-time.After(5 * time.Second):
+					t.Fatalf("timed out waiting for the agent to %s", what)
+				}
+			}
+			conns := make(chan net.Conn)
+			sleeping, wake := make(chan struct{}), make(chan struct{})
+			cfg := AgentConfig{
+				ShardID:   6,
+				Advertise: "a:1",
+				// net.Pipe is synchronous: a frame is written only when
+				// the test reads it.
+				Dial: func() (net.Conn, error) {
+					agentEnd, ctlEnd := net.Pipe()
+					conns <- ctlEnd
+					return agentEnd, nil
+				},
+				Sleep: func(time.Duration) {
+					sleeping <- struct{}{}
+					<-wake
+				},
+			}
+			want := wire.ShardStats{ShardID: 6}
+			if withStats {
+				cfg.Stats = func() wire.ShardStats {
+					return wire.ShardStats{ShardID: 99, Seq: 99, Accepted: 3, Completed: 2, Refused: 1}
+				}
+				want.Accepted, want.Completed, want.Refused = 3, 2, 1
+			}
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			done := make(chan error, 1)
+			go func() { done <- RunAgent(ctx, cfg) }()
+
+			var seq uint64
+			for redial := 0; redial < 2; redial++ {
+				var ctl net.Conn
+				select {
+				case ctl = <-conns:
+				case <-time.After(5 * time.Second):
+					t.Fatal("timed out waiting for the agent to dial")
+				}
+				if err := ctl.SetReadDeadline(time.Now().Add(5 * time.Second)); err != nil {
+					t.Fatal(err)
+				}
+				r := wire.NewReader(ctl)
+				m, err := r.Next()
+				if h, ok := m.(wire.ShardHello); err != nil || !ok || h != (wire.ShardHello{ShardID: 6, Addr: "a:1"}) {
+					t.Fatalf("first frame %#v (%v), want the shard's hello", m, err)
+				}
+				for beat := 0; beat < 3; beat++ {
+					m, err := r.Next()
+					s, ok := m.(wire.ShardStats)
+					if err != nil || !ok {
+						t.Fatalf("beat %d: frame %#v (%v), want shard_stats", beat, m, err)
+					}
+					if s.Seq <= seq {
+						t.Fatalf("beat %d: seq %d after %d", beat, s.Seq, seq)
+					}
+					seq = s.Seq
+					want.Seq = s.Seq
+					if s != want {
+						t.Fatalf("beat %d: %+v, want %+v", beat, s, want)
+					}
+					recv(sleeping, "sleep after one frame")
+					if beat < 2 {
+						wake <- struct{}{}
+					}
+				}
+				if redial == 0 {
+					// Hang up mid-sleep: the next beat fails and the agent
+					// backs off once, then redials.
+					ctl.Close()
+					wake <- struct{}{}
+					recv(sleeping, "back off before redialing")
+					wake <- struct{}{}
+				}
+			}
+			cancel()
+			wake <- struct{}{}
+			select {
+			case err := <-done:
+				if err != context.Canceled {
+					t.Fatalf("RunAgent returned %v, want context.Canceled", err)
+				}
+			case <-conns:
+				t.Fatal("agent redialed after cancel")
+			case <-time.After(5 * time.Second):
+				t.Fatal("RunAgent did not stop on cancel")
+			}
+		})
 	}
 }
 

@@ -1,8 +1,9 @@
 // Package cluster scales the etraind service layer past one process: a
 // control plane (Controller) registers N shard servers, tracks their
-// health through periodic ShardBeat control frames — the cluster
-// borrowing the paper's heartbeat-piggybacking premise for its own
-// liveness channel — and publishes a RouteTable whose consistent-hash
+// health through periodic ShardStats beats that carry each shard's
+// counters as cargo — the cluster borrowing the paper's
+// heartbeat-piggybacking premise for its own liveness channel — and
+// publishes a RouteTable whose consistent-hash
 // ring (Ring) routes every device to a shard as a pure function of the
 // member set. Shard death or drain bumps the route epoch; in-flight
 // sessions recover through the token-authenticated Resume path (or a
@@ -80,15 +81,10 @@ type shardState struct {
 	conn net.Conn
 	pu   pushUnit
 
-	beatSeq  uint64
 	beats    uint64
 	lastBeat time.Time
 	hasBeat  bool
-	stats    wire.ShardStats
-	hasStats bool
-
-	overload    wire.ShardOverload
-	hasOverload bool
+	stats    wire.ShardStats // the latest beat; valid once beats > 0
 }
 
 // watcher is one route-table subscriber (a load generator or admin
@@ -287,7 +283,7 @@ func (c *Controller) handleConn(conn net.Conn) error {
 	}
 }
 
-// shardLoop registers the shard and consumes its beat/stats stream until
+// shardLoop registers the shard and consumes its beat stream until
 // the connection dies; conn loss removes the shard from the ring
 // immediately (a SIGKILLed shard is detected here, not by beat expiry).
 func (c *Controller) shardLoop(conn net.Conn, r *wire.Reader, h wire.ShardHello) error {
@@ -306,12 +302,8 @@ func (c *Controller) shardLoop(conn net.Conn, r *wire.Reader, h wire.ShardHello)
 			return nil // conn loss is a membership event, not a handler error
 		}
 		switch v := m.(type) {
-		case wire.ShardBeat:
-			c.noteBeat(sh, v)
 		case wire.ShardStats:
-			c.noteStats(sh, v)
-		case wire.ShardOverload:
-			c.noteOverload(sh, v)
+			c.noteBeat(sh, v)
 		case wire.Ack:
 			// A shard may ack pushed tables; nothing to do.
 		default:
@@ -410,32 +402,16 @@ func (c *Controller) dropShard(sh *shardState, why string) {
 	c.logf("shard %d removed: %s", sh.id, why)
 }
 
-// noteBeat records one liveness beat.
-func (c *Controller) noteBeat(sh *shardState, b wire.ShardBeat) {
+// noteBeat records one beat and the counter snapshot it carries.
+func (c *Controller) noteBeat(sh *shardState, s wire.ShardStats) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	sh.beatSeq = b.Seq
+	sh.stats = s
 	sh.beats++
 	if c.cfg.Clock != nil {
 		sh.lastBeat = c.cfg.Clock()
 		sh.hasBeat = true
 	}
-}
-
-// noteStats records one counter snapshot.
-func (c *Controller) noteStats(sh *shardState, s wire.ShardStats) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	sh.stats = s
-	sh.hasStats = true
-}
-
-// noteOverload records one overload-counter snapshot.
-func (c *Controller) noteOverload(sh *shardState, o wire.ShardOverload) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	sh.overload = o
-	sh.hasOverload = true
 }
 
 // Sweep removes shards whose last beat is older than BeatTimeout. It

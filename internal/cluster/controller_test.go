@@ -160,9 +160,9 @@ func TestControllerDrain(t *testing.T) {
 	}
 }
 
-// TestControllerBeatsAndStats: beats and counter snapshots land in
-// Status and Totals, and sweep expiry under a fake clock removes a
-// silent shard.
+// TestControllerBeatsAndStats: a beat and the counter snapshot it
+// carries land in Status and Totals, and sweep expiry under a fake clock
+// removes a silent shard.
 func TestControllerBeatsAndStats(t *testing.T) {
 	var mu sync.Mutex
 	now := time.Unix(1000, 0)
@@ -175,8 +175,7 @@ func TestControllerBeatsAndStats(t *testing.T) {
 	s1 := joinShard(t, addr, 7, "a:1")
 	defer s1.conn.Close()
 	s1.tableWith(7)
-	s1.write(wire.ShardBeat{ShardID: 7, Seq: 3})
-	s1.write(wire.ShardStats{ShardID: 7, Accepted: 5, Completed: 4, Active: 1, Decisions: 99, FramesOut: 120})
+	s1.write(wire.ShardStats{ShardID: 7, Seq: 3, Accepted: 5, Completed: 4, Active: 1, Decisions: 99, FramesOut: 120})
 
 	deadline := time.Now().Add(5 * time.Second)
 	for {

@@ -52,9 +52,6 @@ func startShardProcWith(t *testing.T, ctrlAddr string, id uint64, scfg server.Co
 			Stats: func() wire.ShardStats {
 				return CountersToShardStats(id, srv.Stats())
 			},
-			Overload: func() wire.ShardOverload {
-				return CountersToShardOverload(id, srv.Stats())
-			},
 			BeatEvery: time.Millisecond,
 			Sleep:     time.Sleep,
 		})

@@ -21,11 +21,8 @@ type ShardStatus struct {
 	// BeatAgeMS is how stale the last beat is, in milliseconds; -1 when
 	// the controller has no Clock (staleness undefined) or no beat yet.
 	BeatAgeMS int64 `json:"beat_age_ms"`
-	// Stats is the shard's latest counter snapshot, if one arrived.
+	// Stats is the shard's latest beat, if one arrived.
 	Stats *wire.ShardStats `json:"stats,omitempty"`
-	// Overload is the shard's latest admission/shedding snapshot, if one
-	// arrived (only overload-aware agents send them).
-	Overload *wire.ShardOverload `json:"overload,omitempty"`
 }
 
 // Status is the controller's full observable state.
@@ -58,20 +55,16 @@ func (c *Controller) Status() Status {
 			ID:        sh.id,
 			Addr:      sh.addr,
 			Draining:  sh.draining,
-			BeatSeq:   sh.beatSeq,
+			BeatSeq:   sh.stats.Seq,
 			Beats:     sh.beats,
 			BeatAgeMS: -1,
 		}
 		if sh.hasBeat && c.cfg.Clock != nil {
 			ss.BeatAgeMS = c.cfg.Clock().Sub(sh.lastBeat).Milliseconds()
 		}
-		if sh.hasStats {
+		if sh.beats > 0 {
 			stats := sh.stats
 			ss.Stats = &stats
-		}
-		if sh.hasOverload {
-			ov := sh.overload
-			ss.Overload = &ov
 		}
 		st.Shards = append(st.Shards, ss)
 	}
@@ -80,7 +73,7 @@ func (c *Controller) Status() Status {
 }
 
 // Totals sums the latest counter snapshot of every registered shard
-// (ShardID 0 marks the aggregate). A killed shard's counters leave the
+// (ShardID and Seq 0 mark the aggregate). A killed shard's counters leave the
 // sum when its registration drops — Totals is "what the live fleet
 // reports", not a historical ledger.
 func (c *Controller) Totals() wire.ShardStats {
@@ -88,9 +81,6 @@ func (c *Controller) Totals() wire.ShardStats {
 	defer c.mu.Unlock()
 	var t wire.ShardStats
 	for _, sh := range c.shards {
-		if !sh.hasStats {
-			continue
-		}
 		s := sh.stats
 		t.Accepted += s.Accepted
 		t.Rejected += s.Rejected
@@ -106,24 +96,9 @@ func (c *Controller) Totals() wire.ShardStats {
 		t.FramesIn += s.FramesIn
 		t.FramesOut += s.FramesOut
 		t.Decisions += s.Decisions
-	}
-	return t
-}
-
-// OverloadTotals sums the latest overload snapshot of every registered
-// shard (ShardID 0 marks the aggregate), with the same live-fleet
-// semantics as Totals.
-func (c *Controller) OverloadTotals() wire.ShardOverload {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	var t wire.ShardOverload
-	for _, sh := range c.shards {
-		if !sh.hasOverload {
-			continue
-		}
-		t.Refused += sh.overload.Refused
-		t.Shed += sh.overload.Shed
-		t.BusySent += sh.overload.BusySent
+		t.Refused += s.Refused
+		t.Shed += s.Shed
+		t.BusySent += s.BusySent
 	}
 	return t
 }
@@ -150,7 +125,7 @@ func (c *Controller) OpsHandler() http.Handler {
 	})
 	mux.HandleFunc("/sessions", func(w http.ResponseWriter, r *http.Request) {
 		st := c.Status()
-		writeJSON(w, sessionsReport{Shards: len(st.Shards), Totals: c.Totals(), Overload: c.OverloadTotals()})
+		writeJSON(w, sessionsReport{Shards: len(st.Shards), Totals: c.Totals()})
 	})
 	mux.HandleFunc("/table", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, c.Table())
@@ -179,9 +154,6 @@ func (c *Controller) OpsHandler() http.Handler {
 type sessionsReport struct {
 	Shards int             `json:"shards"`
 	Totals wire.ShardStats `json:"totals"`
-	// Overload sums the fleet's admission/shedding counters; all-zero on
-	// clusters whose agents predate overload reporting.
-	Overload wire.ShardOverload `json:"overload"`
 }
 
 func writeJSON(w http.ResponseWriter, v any) {
@@ -234,18 +206,9 @@ func writeMetrics(w http.ResponseWriter, st Status) {
 	counter("etrain_shard_frames_in", func(s wire.ShardStats) uint64 { return s.FramesIn })
 	counter("etrain_shard_frames_out", func(s wire.ShardStats) uint64 { return s.FramesOut })
 	counter("etrain_shard_decisions", func(s wire.ShardStats) uint64 { return s.Decisions })
-
-	overload := func(name string, pick func(o wire.ShardOverload) uint64) {
-		shardGauge(w, st, name, func(sh ShardStatus) uint64 {
-			if sh.Overload == nil {
-				return 0
-			}
-			return pick(*sh.Overload)
-		})
-	}
-	overload("etrain_shard_hellos_refused", func(o wire.ShardOverload) uint64 { return o.Refused })
-	overload("etrain_shard_cargo_shed", func(o wire.ShardOverload) uint64 { return o.Shed })
-	overload("etrain_shard_busy_sent", func(o wire.ShardOverload) uint64 { return o.BusySent })
+	counter("etrain_shard_hellos_refused", func(s wire.ShardStats) uint64 { return s.Refused })
+	counter("etrain_shard_cargo_shed", func(s wire.ShardStats) uint64 { return s.Shed })
+	counter("etrain_shard_busy_sent", func(s wire.ShardStats) uint64 { return s.BusySent })
 }
 
 // shardGauge writes one metric line per shard, in the status's ascending

@@ -1,11 +1,15 @@
 package cluster
 
 import (
+	"bytes"
+	"context"
+	"encoding/json"
 	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -16,27 +20,27 @@ import (
 	"etrain/internal/workload"
 )
 
-// TestControllerOverloadReporting: ShardOverload frames land in Status,
-// OverloadTotals and the /metrics exposition without disturbing the
-// stats path.
+// TestControllerOverloadReporting: a beat's admission and shedding
+// counters land in Status, Totals, /sessions and the /metrics exposition
+// alongside the session counters of the same snapshot.
 func TestControllerOverloadReporting(t *testing.T) {
 	c, addr := startController(t, ControllerConfig{RingSeed: 1})
 	s1 := joinShard(t, addr, 4, "a:1")
 	defer s1.conn.Close()
 	s1.tableWith(4)
-	s1.write(wire.ShardStats{ShardID: 4, Accepted: 9, Rejected: 2, Completed: 9})
-	s1.write(wire.ShardOverload{ShardID: 4, Refused: 3, Shed: 2, BusySent: 5})
-	waitUntil(t, "overload snapshot landed", func() bool {
+	s1.write(wire.ShardStats{ShardID: 4, Seq: 1, Accepted: 12, Rejected: 2, Completed: 9,
+		Refused: 3, Shed: 2, BusySent: 5})
+	waitUntil(t, "beat landed", func() bool {
 		st := c.Status()
-		return len(st.Shards) == 1 && st.Shards[0].Overload != nil
+		return len(st.Shards) == 1 && st.Shards[0].Stats != nil
 	})
 
-	ov := c.Status().Shards[0].Overload
-	if ov.Refused != 3 || ov.Shed != 2 || ov.BusySent != 5 {
-		t.Fatalf("overload snapshot %+v", ov)
+	s := c.Status().Shards[0].Stats
+	if s.Refused != 3 || s.Shed != 2 || s.BusySent != 5 || s.Accepted != 12 {
+		t.Fatalf("beat snapshot %+v", s)
 	}
-	if tot := c.OverloadTotals(); tot.Refused != 3 || tot.Shed != 2 || tot.BusySent != 5 {
-		t.Fatalf("overload totals %+v", tot)
+	if tot := c.Totals(); tot.Refused != 3 || tot.Shed != 2 || tot.BusySent != 5 || tot.Accepted != 12 {
+		t.Fatalf("totals %+v", tot)
 	}
 
 	ops := httptest.NewServer(c.OpsHandler())
@@ -55,6 +59,160 @@ func TestControllerOverloadReporting(t *testing.T) {
 		if !strings.Contains(body, want) {
 			t.Errorf("/metrics missing %q in:\n%s", want, body)
 		}
+	}
+
+	resp, err = http.Get(ops.URL + "/sessions")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sr sessionsReport
+	if err := json.Unmarshal([]byte(readAll(t, resp)), &sr); err != nil {
+		t.Fatal(err)
+	}
+	if sr.Totals.Refused != 3 || sr.Totals.Shed != 2 || sr.Totals.BusySent != 5 {
+		t.Fatalf("/sessions totals %+v", sr.Totals)
+	}
+}
+
+// teeListener records, per accepted conn, every byte the server side
+// reads: the frames a controller consumed, in order.
+type teeListener struct {
+	net.Listener
+	mu    sync.Mutex
+	reads []*bytes.Buffer
+}
+
+func (l *teeListener) Accept() (net.Conn, error) {
+	conn, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	buf := new(bytes.Buffer)
+	l.reads = append(l.reads, buf)
+	return &teeConn{Conn: conn, l: l, buf: buf}, nil
+}
+
+type teeConn struct {
+	net.Conn
+	l   *teeListener
+	buf *bytes.Buffer
+}
+
+func (c *teeConn) Read(p []byte) (int, error) {
+	n, err := c.Conn.Read(p)
+	c.l.mu.Lock()
+	c.buf.Write(p[:n])
+	c.l.mu.Unlock()
+	return n, err
+}
+
+// TestBeatIsOneSnapshot: an agent over an admission-limited server beats
+// with one snapshot of its counters per frame, so every beat the
+// controller records balances Accepted == Active + Completed + Errored +
+// Parked + Refused while Hellos are being refused.
+func TestBeatIsOneSnapshot(t *testing.T) {
+	const devices, admitted = 6, 2
+	pop, err := workload.NewPopulation(workload.DefaultMix())
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := NewController(ControllerConfig{RingSeed: 1})
+	cl, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tee := &teeListener{Listener: cl}
+	go c.Serve(tee)
+	defer c.Shutdown(context.Background())
+
+	// No Clock: the bucket is a fixed budget of admitted Hellos.
+	srv := server.New(server.Config{
+		Admission: server.NewTokenBucketAdmission(server.TokenBucketConfig{Burst: admitted}),
+	})
+	sl, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go srv.Serve(sl)
+	defer srv.Shutdown(context.Background())
+	ctx, cancel := context.WithCancel(context.Background())
+	agentDone := make(chan struct{})
+	go func() {
+		defer close(agentDone)
+		_ = RunAgent(ctx, AgentConfig{
+			ShardID:   1,
+			Advertise: sl.Addr().String(),
+			Dial:      tcpDialer(cl.Addr().String()),
+			Stats:     func() wire.ShardStats { return CountersToShardStats(1, srv.Stats()) },
+			BeatEvery: 50 * time.Microsecond,
+			Sleep:     time.Sleep,
+		})
+	}()
+
+	var wg sync.WaitGroup
+	var served atomic.Int32
+	for i := 0; i < devices; i++ {
+		dev, err := fleet.SynthesizeDevice(7, pop, i, 2*time.Minute)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sess, err := server.SessionFromDevice(dev, 4, 20)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			conn, err := net.Dial("tcp", sl.Addr().String())
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if _, err := server.Drive(conn, sess); err == nil {
+				served.Add(1)
+			}
+		}()
+	}
+	wg.Wait()
+	waitUntil(t, "the last sessions' beat", func() bool {
+		st := c.Status()
+		return len(st.Shards) == 1 && st.Shards[0].Stats != nil &&
+			st.Shards[0].Stats.Refused == devices-admitted && st.Shards[0].Stats.Completed == admitted
+	})
+	cancel()
+	<-agentDone
+
+	tee.mu.Lock()
+	defer tee.mu.Unlock()
+	beats, refusing := 0, 0
+	for _, buf := range tee.reads {
+		b := buf.Bytes()
+		for len(b) > 0 {
+			m, n, err := wire.Decode(b)
+			if err != nil {
+				break // a frame the hang-up cut short
+			}
+			b = b[n:]
+			s, ok := m.(wire.ShardStats)
+			if !ok {
+				continue
+			}
+			beats++
+			if s.Accepted != s.Active+s.Completed+s.Errored+s.Parked+s.Refused {
+				t.Errorf("beat %d is not one snapshot: %+v", s.Seq, s)
+			}
+			if s.Refused > 0 {
+				refusing++
+			}
+		}
+	}
+	if beats == 0 || refusing == 0 {
+		t.Fatalf("%d beats recorded, %d with refusals: the refusal path went unexercised", beats, refusing)
+	}
+	if n := served.Load(); n != admitted {
+		t.Errorf("%d sessions served, want the %d the bucket admits", n, admitted)
 	}
 }
 

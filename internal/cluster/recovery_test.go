@@ -174,7 +174,7 @@ func TestShardRejoinEpochBumpsOnce(t *testing.T) {
 	mu.Lock()
 	now = now.Add(11 * time.Second)
 	mu.Unlock()
-	s2.write(wire.ShardBeat{ShardID: 2, Seq: 1})
+	s2.write(wire.ShardStats{ShardID: 2, Seq: 1})
 	waitUntil(t, "beat 1 landed", func() bool {
 		st := c.Status()
 		return len(st.Shards) == 2 && st.Shards[1].BeatSeq == 1
@@ -200,7 +200,7 @@ func TestShardRejoinEpochBumpsOnce(t *testing.T) {
 	// it dialed again before the old conn died) must not bump at all.
 	s1c := joinShard(t, addr, 1, "a:1")
 	defer s1c.conn.Close()
-	s1c.write(wire.ShardBeat{ShardID: 1, Seq: 42})
+	s1c.write(wire.ShardStats{ShardID: 1, Seq: 42})
 	waitUntil(t, "supersede processed", func() bool {
 		st := c.Status()
 		return len(st.Shards) == 2 && st.Shards[0].BeatSeq == 42

@@ -6,9 +6,10 @@ import (
 )
 
 // CountersToShardStats maps a session server's counter snapshot onto the
-// ShardStats control frame a shard agent reports. Every etraind shard
-// and the in-process test rig use this one mapping, so the controller's
-// merged totals mean the same thing regardless of who produced them.
+// ShardStats beat a shard agent reports, every counter from the one
+// snapshot. Every etraind shard and the in-process test rig use this one
+// mapping, so the controller's merged totals mean the same thing
+// regardless of who produced them.
 func CountersToShardStats(id uint64, c server.Counters) wire.ShardStats {
 	return wire.ShardStats{
 		ShardID:      id,
@@ -26,18 +27,8 @@ func CountersToShardStats(id uint64, c server.Counters) wire.ShardStats {
 		FramesIn:     c.FramesIn,
 		FramesOut:    c.FramesOut,
 		Decisions:    c.Decisions,
-	}
-}
-
-// CountersToShardOverload maps the overload slice of a session server's
-// counters onto the ShardOverload control frame — the companion of
-// CountersToShardStats for the admission/shedding counters that ride on
-// their own frame so pre-overload controllers never see them.
-func CountersToShardOverload(id uint64, c server.Counters) wire.ShardOverload {
-	return wire.ShardOverload{
-		ShardID:  id,
-		Refused:  c.Refused,
-		Shed:     c.Shed,
-		BusySent: c.BusySent,
+		Refused:      c.Refused,
+		Shed:         c.Shed,
+		BusySent:     c.BusySent,
 	}
 }

@@ -132,7 +132,7 @@ func TestSessionAllocatesOnlyItsReader(t *testing.T) {
 // mustEncode encodes m as one frame.
 func mustEncode(t *testing.T, m wire.Message) []byte {
 	t.Helper()
-	b, err := wire.Encode(m)
+	b, err := wire.Append(nil, m)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -104,7 +104,7 @@ func TestFlushOnIdle(t *testing.T) {
 func TestBatchedStreamBytes(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		sess := testSession(t, i)
-		want, err := wire.Encode(wire.Ack{Seq: 0})
+		want, err := wire.Append(nil, wire.Ack{Seq: 0})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"sync"
 	"testing"
@@ -74,7 +75,10 @@ func admitAndCut(t *testing.T, srv *Server, sess Session, n int) []wire.Message 
 
 // resumeAndFinish reconnects with a Resume confirming got frames, then
 // completes the protocol, returning the frames received on the second
-// connection.
+// connection. The events go out on their own goroutine and the conn is
+// closed before the server is waited on, so a server stream that runs
+// past its final Ack fails the call instead of blocking both ends of the
+// pipe.
 func resumeAndFinish(t *testing.T, srv *Server, sess Session, got uint64) ([]wire.Message, error) {
 	t.Helper()
 	c, sconn := net.Pipe()
@@ -99,45 +103,52 @@ func resumeAndFinish(t *testing.T, srv *Server, sess Session, got uint64) ([]wir
 	if !is {
 		return nil, fmt.Errorf("resume answer %v, want resume_ok", m)
 	}
-	if ok.Got > uint64(len(sess.Events))+1 {
-		return nil, fmt.Errorf("resume_ok reports %d consumed frames, client only sent %d", ok.Got, len(sess.Events)+1)
+	rest := clientFrames(sess)[1:]
+	if ok.Got > uint64(len(rest)) {
+		return nil, fmt.Errorf("resume_ok reports %d consumed frames, client only sent %d", ok.Got, len(rest))
 	}
-	type result struct {
-		frames []wire.Message
-		err    error
-	}
-	done := make(chan result, 1)
+	writeErr := make(chan error, 1)
 	go func() {
-		var fs []wire.Message
-		for {
-			m, err := r.Next()
-			if err != nil {
-				done <- result{fs, err}
-				return
-			}
-			fs = append(fs, m)
-			if _, final := m.(wire.Ack); final {
-				done <- result{fs, nil}
+		for _, m := range rest[ok.Got:] {
+			if err := w.Write(m); err != nil {
+				writeErr <- fmt.Errorf("resending %s: %w", m.MsgType(), err)
 				return
 			}
 		}
+		writeErr <- nil
 	}()
-	for _, ev := range sess.Events[ok.Got:] {
-		if err := w.Write(ev); err != nil {
-			return nil, fmt.Errorf("resending event: %w", err)
+	frames, readErr := readToFinalAck(r)
+	c.Close()
+	werr, serr := <-writeErr, <-srvErr
+	for _, err := range []error{readErr, werr, serr} {
+		if err != nil {
+			return nil, err
 		}
 	}
-	if err := w.Write(wire.Ack{Seq: uint64(len(sess.Events)) + 1}); err != nil {
-		return nil, fmt.Errorf("finish ack: %w", err)
+	return frames, nil
+}
+
+// readToFinalAck reads a resumed session's frames through its final Ack,
+// then requires the stream to end there: the server closes the conn after
+// the Ack, and any frame after it is an error.
+func readToFinalAck(r *wire.Reader) ([]wire.Message, error) {
+	var frames []wire.Message
+	for {
+		m, err := r.Next()
+		if err != nil {
+			return nil, err
+		}
+		frames = append(frames, m)
+		if _, final := m.(wire.Ack); final {
+			break
+		}
 	}
-	res := <-done
-	if res.err != nil {
-		return nil, res.err
-	}
-	if err := <-srvErr; err != nil {
+	if m, err := r.Next(); err == nil {
+		return nil, fmt.Errorf("%s frame after the final ack", m.MsgType())
+	} else if err != io.EOF {
 		return nil, err
 	}
-	return res.frames, nil
+	return frames, nil
 }
 
 // decisionsOf filters a frame stream to its Decision frames.

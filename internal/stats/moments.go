@@ -5,8 +5,8 @@ import (
 	"fmt"
 )
 
-// Moments is a streaming, mergeable accumulator for count, mean, variance
-// and extrema. Adding one sample applies Welford's update; merging two
+// Moments is a streaming, mergeable accumulator for count, mean and
+// extrema. Adding one sample applies Welford's mean update; merging two
 // accumulators applies Chan et al.'s pairwise update, of which Welford's
 // is the single-sample special case — Add is literally implemented as a
 // merge with a one-sample accumulator, so folding a sequence with Add and
@@ -23,7 +23,6 @@ import (
 type Moments struct {
 	n    int64
 	mean float64
-	m2   float64
 	min  float64
 	max  float64
 }
@@ -39,8 +38,8 @@ func (m *Moments) Add(v float64) {
 	m.Merge(Single(v))
 }
 
-// Merge folds other into m with the pairwise mean/M2 update of Chan,
-// Golub & LeVeque. Merging an empty side is the identity; with
+// Merge folds other into m with the pairwise mean update of Chan, Golub
+// & LeVeque. Merging an empty side is the identity; with
 // other.N() == 1 the update reduces, operation for operation, to
 // Welford's single-sample rule.
 func (m *Moments) Merge(other Moments) {
@@ -55,10 +54,8 @@ func (m *Moments) Merge(other Moments) {
 	d := other.mean - m.mean
 	// Operation order matters for the Add ≡ Merge(Single) bit-identity:
 	// d*float64(other.n) is exact when other.n == 1, so the mean update
-	// becomes Welford's mean += d/n, and other.m2 == 0 keeps the M2
-	// update at m2 += d*d*nA/n.
+	// becomes Welford's mean += d/n.
 	m.mean += d * float64(other.n) / float64(n)
-	m.m2 += other.m2 + d*d*float64(m.n)*float64(other.n)/float64(n)
 	if other.min < m.min {
 		m.min = other.min
 	}
@@ -83,18 +80,18 @@ func (m Moments) Max() float64 { return m.max }
 // momentsJSON is the checkpoint wire form. Float64 fields round-trip
 // bit-exactly through encoding/json (shortest-representation encoding),
 // which is what lets a resumed fleet run reproduce a byte-identical
-// report.
+// report. Earlier checkpoints also carry an "m2" member (a second moment
+// nothing read); decoding ignores it, so they resume unchanged.
 type momentsJSON struct {
 	N    int64   `json:"n"`
 	Mean float64 `json:"mean"`
-	M2   float64 `json:"m2"`
 	Min  float64 `json:"min"`
 	Max  float64 `json:"max"`
 }
 
 // MarshalJSON implements json.Marshaler.
 func (m Moments) MarshalJSON() ([]byte, error) {
-	return json.Marshal(momentsJSON{N: m.n, Mean: m.mean, M2: m.m2, Min: m.min, Max: m.max})
+	return json.Marshal(momentsJSON{N: m.n, Mean: m.mean, Min: m.min, Max: m.max})
 }
 
 // UnmarshalJSON implements json.Unmarshaler.
@@ -106,6 +103,6 @@ func (m *Moments) UnmarshalJSON(data []byte) error {
 	if w.N < 0 {
 		return fmt.Errorf("stats: moments: negative count %d", w.N)
 	}
-	*m = Moments{n: w.N, mean: w.Mean, m2: w.M2, min: w.Min, max: w.Max}
+	*m = Moments{n: w.N, mean: w.Mean, min: w.Min, max: w.Max}
 	return nil
 }

@@ -11,7 +11,7 @@ import (
 
 // sampleSet derives a bounded, deterministic sample slice from a seed:
 // mixed magnitudes (including negatives and exact zeros) without the
-// float64 extremes that would overflow a variance accumulator.
+// float64 extremes that would overflow a mean accumulator.
 func sampleSet(seed int64, n int) []float64 {
 	src := randx.New(seed)
 	out := make([]float64, n)
@@ -28,17 +28,9 @@ func sampleSet(seed int64, n int) []float64 {
 	return out
 }
 
-// stdDev is the sample standard deviation that m's running m2 carries.
-func (m Moments) stdDev() float64 {
-	if m.n < 2 {
-		return 0
-	}
-	return math.Sqrt(m.m2 / float64(m.n-1))
-}
-
 func TestMomentsEmpty(t *testing.T) {
 	var m Moments
-	if m.N() != 0 || m.Mean() != 0 || m.m2 != 0 {
+	if m.N() != 0 || m.Mean() != 0 || m.Min() != 0 || m.Max() != 0 {
 		t.Fatalf("zero Moments not empty: %+v", m)
 	}
 	var other Moments
@@ -140,9 +132,7 @@ func TestMomentsShardedMergeMatchesTwoPass(t *testing.T) {
 		}
 		const rel = 1e-9
 		meanTol := rel * (math.Abs(ref.Mean) + 1)
-		sdTol := rel * (ref.StdDev + 1)
-		return math.Abs(total.Mean()-ref.Mean) <= meanTol &&
-			math.Abs(total.stdDev()-ref.StdDev) <= sdTol
+		return math.Abs(total.Mean()-ref.Mean) <= meanTol
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)

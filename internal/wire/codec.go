@@ -38,21 +38,19 @@ type Frame struct {
 	// Type is the message type; 0 (invalid) for a frame that holds none.
 	Type Type
 
-	Hello         Hello
-	Heartbeat     HeartbeatObserved
-	Cargo         CargoArrival
-	Decision      Decision
-	Ack           Ack
-	Stats         StatsSnapshot
-	Resume        Resume
-	ResumeOK      ResumeOK
-	ShardHello    ShardHello
-	ShardBeat     ShardBeat
-	ShardStats    ShardStats
-	RouteTable    RouteTable
-	Busy          Busy
-	Redirect      Redirect
-	ShardOverload ShardOverload
+	Hello      Hello
+	Heartbeat  HeartbeatObserved
+	Cargo      CargoArrival
+	Decision   Decision
+	Ack        Ack
+	Stats      StatsSnapshot
+	Resume     Resume
+	ResumeOK   ResumeOK
+	ShardHello ShardHello
+	ShardStats ShardStats
+	RouteTable RouteTable
+	Busy       Busy
+	Redirect   Redirect
 }
 
 // set stores m in f, reporting false for a message type the codec does
@@ -77,8 +75,6 @@ func (f *Frame) set(m Message) bool {
 		f.ResumeOK = v
 	case ShardHello:
 		f.ShardHello = v
-	case ShardBeat:
-		f.ShardBeat = v
 	case ShardStats:
 		f.ShardStats = v
 	case RouteTable:
@@ -87,8 +83,6 @@ func (f *Frame) set(m Message) bool {
 		f.Busy = v
 	case Redirect:
 		f.Redirect = v
-	case ShardOverload:
-		f.ShardOverload = v
 	default:
 		return false
 	}
@@ -117,8 +111,6 @@ func (f *Frame) message() Message {
 		return f.ResumeOK
 	case TypeShardHello:
 		return f.ShardHello
-	case TypeShardBeat:
-		return f.ShardBeat
 	case TypeShardStats:
 		return f.ShardStats
 	case TypeRouteTable:
@@ -127,8 +119,6 @@ func (f *Frame) message() Message {
 		return f.Busy
 	case TypeRedirect:
 		return f.Redirect
-	case TypeShardOverload:
-		return f.ShardOverload
 	default:
 		return nil
 	}
@@ -217,13 +207,10 @@ func (f *Frame) Append(dst []byte) ([]byte, error) {
 		if dst, err = appendString(dst, v.Addr); err != nil {
 			return nil, err
 		}
-	case TypeShardBeat:
-		v := &f.ShardBeat
-		dst = appendU64(dst, v.ShardID)
-		dst = appendU64(dst, v.Seq)
 	case TypeShardStats:
 		v := &f.ShardStats
 		dst = appendU64(dst, v.ShardID)
+		dst = appendU64(dst, v.Seq)
 		dst = appendU64(dst, v.Accepted)
 		dst = appendU64(dst, v.Rejected)
 		dst = appendU64(dst, v.Active)
@@ -238,6 +225,9 @@ func (f *Frame) Append(dst []byte) ([]byte, error) {
 		dst = appendU64(dst, v.FramesIn)
 		dst = appendU64(dst, v.FramesOut)
 		dst = appendU64(dst, v.Decisions)
+		dst = appendU64(dst, v.Refused)
+		dst = appendU64(dst, v.Shed)
+		dst = appendU64(dst, v.BusySent)
 	case TypeRouteTable:
 		v := &f.RouteTable
 		if len(v.Shards) > maxRouteEntries {
@@ -260,12 +250,6 @@ func (f *Frame) Append(dst []byte) ([]byte, error) {
 		if dst, err = appendString(dst, f.Redirect.Addr); err != nil {
 			return nil, err
 		}
-	case TypeShardOverload:
-		v := &f.ShardOverload
-		dst = appendU64(dst, v.ShardID)
-		dst = appendU64(dst, v.Refused)
-		dst = appendU64(dst, v.Shed)
-		dst = appendU64(dst, v.BusySent)
 	default:
 		return nil, fmt.Errorf("wire: cannot encode message type %d", uint8(f.Type))
 	}
@@ -275,11 +259,6 @@ func (f *Frame) Append(dst []byte) ([]byte, error) {
 	}
 	binary.BigEndian.PutUint32(dst[frameFrom:], uint32(payload))
 	return dst, nil
-}
-
-// Encode encodes m as one self-contained frame.
-func Encode(m Message) ([]byte, error) {
-	return Append(nil, m)
 }
 
 // Decode decodes the first frame of b, returning the message and the
@@ -393,11 +372,10 @@ func (f *Frame) decodeBody(typ Type, body []byte) error {
 		}
 	case TypeShardHello:
 		f.ShardHello = ShardHello{ShardID: d.u64(), Addr: d.str()}
-	case TypeShardBeat:
-		f.ShardBeat = ShardBeat{ShardID: d.u64(), Seq: d.u64()}
 	case TypeShardStats:
 		f.ShardStats = ShardStats{
 			ShardID:      d.u64(),
+			Seq:          d.u64(),
 			Accepted:     d.u64(),
 			Rejected:     d.u64(),
 			Active:       d.u64(),
@@ -412,6 +390,9 @@ func (f *Frame) decodeBody(typ Type, body []byte) error {
 			FramesIn:     d.u64(),
 			FramesOut:    d.u64(),
 			Decisions:    d.u64(),
+			Refused:      d.u64(),
+			Shed:         d.u64(),
+			BusySent:     d.u64(),
 		}
 	case TypeRouteTable:
 		v := &f.RouteTable
@@ -431,13 +412,6 @@ func (f *Frame) decodeBody(typ Type, body []byte) error {
 		f.Busy = Busy{RetryAfter: d.dur(), Reason: BusyReason(d.u8())}
 	case TypeRedirect:
 		f.Redirect = Redirect{Addr: d.str()}
-	case TypeShardOverload:
-		f.ShardOverload = ShardOverload{
-			ShardID:  d.u64(),
-			Refused:  d.u64(),
-			Shed:     d.u64(),
-			BusySent: d.u64(),
-		}
 	default:
 		return fmt.Errorf("wire: unknown message type %d", uint8(typ))
 	}

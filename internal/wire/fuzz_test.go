@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"encoding/hex"
 	"reflect"
 	"testing"
 	"time"
@@ -30,12 +31,20 @@ func staleFrame() *Frame {
 // same message, into a fresh frame and into one that held longer
 // messages alike — a Decision or RouteTable decoded there carries no
 // stale entries — and encoding the frame must reproduce the consumed
-// bytes. Seeds beyond the f.Add calls — one valid frame per message type
-// plus near-miss corruptions — are checked in under
+// bytes. The seeds include a frame of each retired type, which every
+// decoder must reject. Seeds beyond the f.Add calls — one valid frame per
+// message type plus near-miss corruptions — are checked in under
 // testdata/fuzz/FuzzDecodeFrame.
 func FuzzDecodeFrame(f *testing.F) {
 	for _, tc := range goldenFrames {
-		b, err := Encode(tc.msg)
+		b, err := Append(nil, tc.msg)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(b)
+	}
+	for _, rf := range retiredFrames {
+		b, err := hex.DecodeString(rf.hex)
 		if err != nil {
 			f.Fatal(err)
 		}
@@ -71,7 +80,7 @@ func FuzzDecodeFrame(f *testing.F) {
 		}
 		// Canonical encoding: re-encoding the decoded message must
 		// reproduce the consumed bytes exactly.
-		re, eerr := Encode(m)
+		re, eerr := Append(nil, m)
 		if eerr != nil {
 			t.Fatalf("accepted frame does not re-encode: %v", eerr)
 		}
@@ -82,7 +91,7 @@ func FuzzDecodeFrame(f *testing.F) {
 		if rerr != nil {
 			t.Fatalf("Decode accepted but Reader rejected %x: %v", input[:n], rerr)
 		}
-		rb, err := Encode(rm)
+		rb, err := Append(nil, rm)
 		if err != nil || !bytes.Equal(rb, re) {
 			t.Fatalf("Reader decoded %#v, Decode decoded %#v", rm, m)
 		}
@@ -97,7 +106,7 @@ func FuzzDecodeFrame(f *testing.F) {
 		}
 		// Same message, compared by encoding: NaN fields are unequal to
 		// themselves but encode to the same bits.
-		if fb, err := Encode(fresh.message()); err != nil || reflect.TypeOf(fresh.message()) != reflect.TypeOf(m) || !bytes.Equal(fb, re) {
+		if fb, err := Append(nil, fresh.message()); err != nil || reflect.TypeOf(fresh.message()) != reflect.TypeOf(m) || !bytes.Equal(fb, re) {
 			t.Fatalf("Frame.Decode holds %#v, Decode decoded %#v", fresh.message(), m)
 		}
 		for _, fr := range []*Frame{&fresh, stale, read} {

@@ -64,9 +64,9 @@
 //
 // The same codec carries the control plane of a sharded cluster
 // (DESIGN.md §13). A shard's control connection to the controller opens
-// with ShardHello and then streams periodic ShardBeat and ShardStats
-// frames; the controller pushes a RouteTable after registration and again
-// on every epoch change. A client (load generator or admin tool) opens a
+// with ShardHello and then streams one ShardStats frame per beat; the
+// controller pushes a RouteTable after registration and again on every
+// epoch change. A client (load generator or admin tool) opens a
 // watch connection with Ack{Seq: epoch} — the epoch of the newest table it
 // already holds, 0 for none — and receives the current RouteTable plus a
 // push on every subsequent change. Control connections carry no session
@@ -90,7 +90,10 @@ const MaxPayload = 1 << 20
 // Type identifies a message. The zero value is invalid.
 type Type uint8
 
-// Message types.
+// Message types. Types 10 and 15 are retired: they carried a shard's
+// beat and its overload counters, which now ride on ShardStats. They are
+// not reused, so every other type keeps its byte and the decoder rejects
+// both as unknown.
 const (
 	TypeHello Type = iota + 1
 	TypeHeartbeatObserved
@@ -101,12 +104,11 @@ const (
 	TypeResume
 	TypeResumeOK
 	TypeShardHello
-	TypeShardBeat
+	_ // 10: retired
 	TypeShardStats
 	TypeRouteTable
 	TypeBusy
 	TypeRedirect
-	TypeShardOverload
 )
 
 // String returns the type's protocol name.
@@ -130,8 +132,6 @@ func (t Type) String() string {
 		return "resume_ok"
 	case TypeShardHello:
 		return "shard_hello"
-	case TypeShardBeat:
-		return "shard_beat"
 	case TypeShardStats:
 		return "shard_stats"
 	case TypeRouteTable:
@@ -140,8 +140,6 @@ func (t Type) String() string {
 		return "busy"
 	case TypeRedirect:
 		return "redirect"
-	case TypeShardOverload:
-		return "shard_overload"
 	default:
 		return "invalid"
 	}
@@ -314,27 +312,20 @@ type ShardHello struct {
 // MsgType implements Message.
 func (ShardHello) MsgType() Type { return TypeShardHello }
 
-// ShardBeat is a shard's periodic liveness heartbeat on its control
-// connection — the cluster borrowing the paper's own trick of keeping a
-// channel warm with small periodic messages.
-type ShardBeat struct {
-	// ShardID echoes the registration.
-	ShardID uint64
-	// Seq is the shard's monotone beat counter, so the controller can see
-	// gaps (a shard that restarted re-registers and restarts the count).
-	Seq uint64
-}
-
-// MsgType implements Message.
-func (ShardBeat) MsgType() Type { return TypeShardBeat }
-
-// ShardStats is a shard's periodic counter snapshot, field for field the
-// server.Counters vocabulary. The shard snapshots its counters under one
-// lock (server.Stats), so a ShardStats frame is never torn: its fields
-// are one consistent instant of the shard's accounting.
+// ShardStats is a shard's beat on its control connection — the cluster
+// borrowing the paper's own trick of keeping a channel warm with small
+// periodic messages — and the beat carries the shard's counters as its
+// cargo, field for field the server.Counters vocabulary. The shard
+// snapshots its counters under one lock (server.Stats), so a ShardStats
+// frame is never torn: its counters are one consistent instant of the
+// shard's accounting, and Accepted == Active + Completed + Errored +
+// Parked + Refused holds in every frame.
 type ShardStats struct {
 	// ShardID echoes the registration.
 	ShardID uint64
+	// Seq is the shard's monotone beat counter, so the controller can see
+	// gaps; it keeps rising across the agent's redials.
+	Seq uint64
 
 	Accepted     uint64 // connections admitted into sessions
 	Rejected     uint64 // connections refused (limit reached or draining)
@@ -350,6 +341,9 @@ type ShardStats struct {
 	FramesIn     uint64 // frames decoded from clients
 	FramesOut    uint64 // frames written to clients
 	Decisions    uint64 // Decision frames among FramesOut
+	Refused      uint64 // Hellos refused by the admission policy
+	Shed         uint64 // cargo frames shed under queue pressure
+	BusySent     uint64 // Busy frames written to clients
 }
 
 // MsgType implements Message.
@@ -446,23 +440,6 @@ type Redirect struct {
 
 // MsgType implements Message.
 func (Redirect) MsgType() Type { return TypeRedirect }
-
-// ShardOverload is a shard's periodic overload-counter snapshot on its
-// control connection, sent after ShardStats when the shard runs an
-// admission policy. Like ShardStats it is snapshotted under one lock, so
-// its fields are one consistent instant of the shard's overload
-// accounting.
-type ShardOverload struct {
-	// ShardID echoes the registration.
-	ShardID uint64
-
-	Refused  uint64 // Hellos refused by the admission policy
-	Shed     uint64 // cargo event frames shed under queue pressure
-	BusySent uint64 // Busy frames written to clients
-}
-
-// MsgType implements Message.
-func (ShardOverload) MsgType() Type { return TypeShardOverload }
 
 // SessionToken derives the resume token of a session from its Hello: an
 // FNV-1a hash of the Hello's canonical frame encoding. Both ends compute

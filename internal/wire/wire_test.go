@@ -70,16 +70,11 @@ var goldenFrames = []struct {
 		hex:  "0000001a01090000000000000002000e3132372e302e302e313a34383130",
 	},
 	{
-		name: "shard_beat",
-		msg:  ShardBeat{ShardID: 2, Seq: 17},
-		hex:  "00000012010a00000000000000020000000000000011",
-	},
-	{
 		name: "shard_stats",
-		msg: ShardStats{ShardID: 2, Accepted: 5, Rejected: 1, Active: 2, Completed: 3,
+		msg: ShardStats{ShardID: 2, Seq: 17, Accepted: 14, Rejected: 1, Active: 2, Completed: 3,
 			Parked: 4, Resumed: 3, ResumeMisses: 1, Discarded: 1, Detached: 1,
-			FramesIn: 100, FramesOut: 90, Decisions: 40},
-		hex: "0000007a010b0000000000000002000000000000000500000000000000010000000000000002000000000000000300000000000000000000000000000000000000000000000400000000000000030000000000000001000000000000000100000000000000010000000000000064000000000000005a0000000000000028",
+			FramesIn: 100, FramesOut: 90, Decisions: 40, Refused: 5, Shed: 3, BusySent: 7},
+		hex: "0000009a010b00000000000000020000000000000011000000000000000e00000000000000010000000000000002000000000000000300000000000000000000000000000000000000000000000400000000000000030000000000000001000000000000000100000000000000010000000000000064000000000000005a0000000000000028000000000000000500000000000000030000000000000007",
 	},
 	{
 		name: "route_table",
@@ -96,19 +91,14 @@ var goldenFrames = []struct {
 		msg:  Redirect{Addr: "127.0.0.1:9300"},
 		hex:  "00000012010e000e3132372e302e302e313a39333030",
 	},
-	{
-		name: "shard_overload",
-		msg:  ShardOverload{ShardID: 2, Refused: 5, Shed: 3, BusySent: 7},
-		hex:  "00000022010f0000000000000002000000000000000500000000000000030000000000000007",
-	},
 }
 
 func TestGoldenEncoding(t *testing.T) {
 	for _, tc := range goldenFrames {
 		t.Run(tc.name, func(t *testing.T) {
-			b, err := Encode(tc.msg)
+			b, err := Append(nil, tc.msg)
 			if err != nil {
-				t.Fatalf("Encode: %v", err)
+				t.Fatalf("Append: %v", err)
 			}
 			if got := hex.EncodeToString(b); got != tc.hex {
 				t.Errorf("encoding drifted:\n got %s\nwant %s", got, tc.hex)
@@ -124,6 +114,38 @@ func TestGoldenEncoding(t *testing.T) {
 				t.Errorf("round trip: got %#v, want %#v", m, tc.msg)
 			}
 		})
+	}
+}
+
+// retiredFrames are well-formed frames of the retired types 10 (a
+// shard's beat: shard 2, seq 17) and 15 (its overload counters: shard 2,
+// refused 5, shed 3, busy-sent 7), as earlier agents sent them.
+var retiredFrames = []struct {
+	typ Type
+	hex string
+}{
+	{10, "00000012010a00000000000000020000000000000011"},
+	{15, "00000022010f0000000000000002000000000000000500000000000000030000000000000007"},
+}
+
+// TestRetiredTypesRejected: frames of a retired type are unknown to every
+// decoder, and the type bytes name nothing.
+func TestRetiredTypesRejected(t *testing.T) {
+	for _, rf := range retiredFrames {
+		typ := rf.typ
+		b, err := hex.DecodeString(rf.hex)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := Decode(b); err == nil || !strings.Contains(err.Error(), "unknown message type") {
+			t.Errorf("Decode of a type %d frame: got %v, want an unknown-type error", typ, err)
+		}
+		if _, err := NewReader(bytes.NewReader(b)).Next(); err == nil || !strings.Contains(err.Error(), "unknown message type") {
+			t.Errorf("Reader of a type %d frame: got %v, want an unknown-type error", typ, err)
+		}
+		if got := typ.String(); got != "invalid" {
+			t.Errorf("Type(%d).String() = %q, want invalid", typ, got)
+		}
 	}
 }
 
@@ -145,9 +167,8 @@ func roundTripMessages() []Message {
 		StatsSnapshot{EnergyJ: -0.0, AvgDelayS: 1e300},
 		ShardHello{},
 		ShardHello{ShardID: ^uint64(0), Addr: "[::1]:4810"},
-		ShardBeat{ShardID: 1, Seq: ^uint64(0)},
 		ShardStats{},
-		ShardStats{ShardID: ^uint64(0), FramesIn: ^uint64(0), Decisions: 1},
+		ShardStats{ShardID: ^uint64(0), Seq: ^uint64(0), FramesIn: ^uint64(0), Decisions: 1, BusySent: ^uint64(0)},
 		RouteTable{},
 		RouteTable{Epoch: ^uint64(0), Seed: -1, Vnodes: ^uint32(0),
 			Shards: []RouteEntry{{ShardID: 9, Addr: ""}, {ShardID: 8, Addr: "host.example:1"}}},
@@ -156,16 +177,14 @@ func roundTripMessages() []Message {
 		Busy{RetryAfter: 1<<62 - 1, Reason: ReasonLameDuck},
 		Redirect{},
 		Redirect{Addr: "[::1]:4810"},
-		ShardOverload{},
-		ShardOverload{ShardID: ^uint64(0), Refused: ^uint64(0), Shed: 1, BusySent: ^uint64(0)},
 	}
 }
 
 func TestRoundTrip(t *testing.T) {
 	for _, msg := range roundTripMessages() {
-		b, err := Encode(msg)
+		b, err := Append(nil, msg)
 		if err != nil {
-			t.Fatalf("Encode(%#v): %v", msg, err)
+			t.Fatalf("Append(%#v): %v", msg, err)
 		}
 		got, n, err := Decode(b)
 		if err != nil {
@@ -210,16 +229,16 @@ func TestAppendExtends(t *testing.T) {
 }
 
 func TestEncodeErrors(t *testing.T) {
-	if _, err := Encode(Decision{Entries: make([]DecisionEntry, maxEntries+1)}); err == nil {
+	if _, err := Append(nil, Decision{Entries: make([]DecisionEntry, maxEntries+1)}); err == nil {
 		t.Error("oversized decision: want error")
 	}
-	if _, err := Encode(HeartbeatObserved{App: strings.Repeat("x", 1<<16)}); err == nil {
+	if _, err := Append(nil, HeartbeatObserved{App: strings.Repeat("x", 1<<16)}); err == nil {
 		t.Error("overlong string: want error")
 	}
 }
 
 func TestDecodeErrors(t *testing.T) {
-	valid, err := Encode(Ack{Seq: 9})
+	valid, err := Append(nil, Ack{Seq: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,7 +269,7 @@ func TestDecodeErrors(t *testing.T) {
 	}
 
 	// A Decision flush byte other than 0/1 is non-canonical.
-	dec, err := Encode(Decision{Slot: time.Second, Flush: true})
+	dec, err := Append(nil, Decision{Slot: time.Second, Flush: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,7 +280,7 @@ func TestDecodeErrors(t *testing.T) {
 
 	// A Decision entry count larger than the remaining body must be
 	// rejected before allocation.
-	dec2, err := Encode(Decision{Slot: time.Second})
+	dec2, err := Append(nil, Decision{Slot: time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -301,7 +320,7 @@ func TestReaderWriter(t *testing.T) {
 // while the zero-length prefix is a clean io.EOF boundary.
 func TestReaderPartialFrame(t *testing.T) {
 	for _, tc := range goldenFrames {
-		b, err := Encode(tc.msg)
+		b, err := Append(nil, tc.msg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -432,7 +451,7 @@ func TestWriterReset(t *testing.T) {
 	if err := w.Write(Ack{Seq: 2}); err != nil {
 		t.Fatal(err)
 	}
-	want, err := Encode(Ack{Seq: 2})
+	want, err := Append(nil, Ack{Seq: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -454,14 +473,14 @@ func TestWriterZeroProgress(t *testing.T) {
 }
 
 // TestSessionToken pins the resume token to its definition, FNV-1a of
-// the Hello's canonical frame (Encode), over 10,000 seeded Hellos and the
+// the Hello's canonical frame (Append), over 10,000 seeded Hellos and the
 // edge values — zero and maximum fields, a negative seed, and NaN, ±Inf
 // and −0 bits for Θ — and to the literal values earlier releases
 // computed, so no token can change. It also checks the token is a pure
 // function of its Hello that allocates nothing.
 func TestSessionToken(t *testing.T) {
 	fnv1a := func(h Hello) uint64 {
-		b, err := Encode(h)
+		b, err := Append(nil, h)
 		if err != nil {
 			t.Fatal(err)
 		}

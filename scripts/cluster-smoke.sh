@@ -22,10 +22,6 @@ DEVICES=${DEVICES:-200}
 HORIZON=${HORIZON:-2m}
 CONTROL=127.0.0.1:14800
 OPS=127.0.0.1:14801
-# The cluster run's etrain-load -json report (throughput, reroutes,
-# failover-recovery percentiles); `make bench-cluster` points this at a
-# path etrain-benchjson folds into BENCH_cluster.json.
-CLUSTER_JSON=${CLUSTER_JSON:-}
 
 WORK=$(mktemp -d)
 PIDS=()
@@ -61,7 +57,7 @@ grep '^fleet' "$WORK/single.txt" >"$WORK/single-fleet.txt"
 # The cluster run, with shard 2 SIGKILLed once it is serving real
 # sessions (the accepted total is fed by each shard's stats beat).
 "$WORK/etrain-load" -cluster "$CONTROL" -devices "$DEVICES" -conns 8 \
-    -horizon "$HORIZON" -quiet ${CLUSTER_JSON:+-json "$CLUSTER_JSON"} \
+    -horizon "$HORIZON" -quiet \
     >"$WORK/cluster.txt" &
 LOAD=$!
 PIDS+=($LOAD)

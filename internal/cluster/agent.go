@@ -41,10 +41,10 @@ type AgentConfig struct {
 
 // RunAgent registers the shard with the controller and keeps it
 // registered until ctx is done: ShardHello on connect, then one
-// ShardStats beat every BeatEvery. A lost
-// control connection is redialed with the same cadence — the controller
-// treats the gap as a death and the re-registration as a join, which is
-// exactly right: routing moved away and comes back.
+// ShardStats beat every BeatEvery. A lost control connection is redialed
+// with the same cadence — the controller treats the gap as a death and
+// the re-registration as a join, which is exactly right: routing moved
+// away and comes back.
 //
 // The route-table reader goroutine spawned per connection is joined
 // before the next redial and before RunAgent returns.

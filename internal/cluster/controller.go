@@ -3,13 +3,13 @@
 // health through periodic ShardStats beats that carry each shard's
 // counters as cargo — the cluster borrowing the paper's
 // heartbeat-piggybacking premise for its own liveness channel — and
-// publishes a RouteTable whose consistent-hash
-// ring (Ring) routes every device to a shard as a pure function of the
-// member set. Shard death or drain bumps the route epoch; in-flight
-// sessions recover through the token-authenticated Resume path (or a
-// full Hello replay on the new owner), so decisions are never lost: the
-// session stream is deterministic, and the replacement shard regenerates
-// exactly the frames the dead one would have sent (DESIGN.md §13).
+// publishes a RouteTable whose consistent-hash ring (Ring) routes every
+// device to a shard as a pure function of the member set. Shard death or
+// drain bumps the route epoch; in-flight sessions recover through the
+// token-authenticated Resume path (or a full Hello replay on the new
+// owner), so decisions are never lost: the session stream is
+// deterministic, and the replacement shard regenerates exactly the frames
+// the dead one would have sent (DESIGN.md §13).
 //
 // The package follows the service layer's clock discipline: nothing here
 // reads wall time. Health timeouts and beat cadence take effect only

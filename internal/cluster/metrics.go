@@ -73,9 +73,9 @@ func (c *Controller) Status() Status {
 }
 
 // Totals sums the latest counter snapshot of every registered shard
-// (ShardID and Seq 0 mark the aggregate). A killed shard's counters leave the
-// sum when its registration drops — Totals is "what the live fleet
-// reports", not a historical ledger.
+// (ShardID and Seq 0 mark the aggregate). A killed shard's counters
+// leave the sum when its registration drops — Totals is "what the live
+// fleet reports", not a historical ledger.
 func (c *Controller) Totals() wire.ShardStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -90,10 +90,9 @@ const MaxPayload = 1 << 20
 // Type identifies a message. The zero value is invalid.
 type Type uint8
 
-// Message types. Types 10 and 15 are retired: they carried a shard's
-// beat and its overload counters, which now ride on ShardStats. They are
-// not reused, so every other type keeps its byte and the decoder rejects
-// both as unknown.
+// Message types. Types 10 and 15 are retired and must not be reused:
+// the decoder rejects both as unknown, and every other type keeps its
+// byte.
 const (
 	TypeHello Type = iota + 1
 	TypeHeartbeatObserved

@@ -121,31 +121,33 @@ func TestGoldenEncoding(t *testing.T) {
 // shard's beat: shard 2, seq 17) and 15 (its overload counters: shard 2,
 // refused 5, shed 3, busy-sent 7), as earlier agents sent them.
 var retiredFrames = []struct {
-	typ Type
-	hex string
+	name string
+	typ  Type
+	hex  string
 }{
-	{10, "00000012010a00000000000000020000000000000011"},
-	{15, "00000022010f0000000000000002000000000000000500000000000000030000000000000007"},
+	{"shard_beat", 10, "00000012010a00000000000000020000000000000011"},
+	{"shard_overload", 15, "00000022010f0000000000000002000000000000000500000000000000030000000000000007"},
 }
 
 // TestRetiredTypesRejected: frames of a retired type are unknown to every
 // decoder, and the type bytes name nothing.
 func TestRetiredTypesRejected(t *testing.T) {
 	for _, rf := range retiredFrames {
-		typ := rf.typ
-		b, err := hex.DecodeString(rf.hex)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, _, err := Decode(b); err == nil || !strings.Contains(err.Error(), "unknown message type") {
-			t.Errorf("Decode of a type %d frame: got %v, want an unknown-type error", typ, err)
-		}
-		if _, err := NewReader(bytes.NewReader(b)).Next(); err == nil || !strings.Contains(err.Error(), "unknown message type") {
-			t.Errorf("Reader of a type %d frame: got %v, want an unknown-type error", typ, err)
-		}
-		if got := typ.String(); got != "invalid" {
-			t.Errorf("Type(%d).String() = %q, want invalid", typ, got)
-		}
+		t.Run(rf.name, func(t *testing.T) {
+			b, err := hex.DecodeString(rf.hex)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, _, err := Decode(b); err == nil || !strings.Contains(err.Error(), "unknown message type") {
+				t.Errorf("Decode: got %v, want an unknown-type error", err)
+			}
+			if _, err := NewReader(bytes.NewReader(b)).Next(); err == nil || !strings.Contains(err.Error(), "unknown message type") {
+				t.Errorf("Reader: got %v, want an unknown-type error", err)
+			}
+			if got := rf.typ.String(); got != "invalid" {
+				t.Errorf("Type(%d).String() = %q, want invalid", rf.typ, got)
+			}
+		})
 	}
 }
 

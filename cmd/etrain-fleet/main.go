@@ -40,7 +40,7 @@ import (
 
 func main() {
 	devices := flag.Int("devices", 10000, "population size")
-	workers := flag.Int("workers", 1, "concurrent shard workers (negative: one per CPU)")
+	workers := flag.Int("workers", 1, "concurrent device simulations (negative: one per CPU)")
 	seed := flag.Int64("seed", 42, "base seed; every device derives from (seed, index)")
 	shardSize := flag.Int("shard-size", 0, "devices per shard (0: default 256)")
 	horizon := flag.Duration("horizon", 0, "per-device simulated span (0: the 10-minute session)")

@@ -120,7 +120,11 @@ func (s *ShardAggregate) add(o DeviceOutcome) {
 	s.Classes[o.ClassIndex].Add(o)
 }
 
-// validateShape checks a deserialized aggregate against the run's layout.
+// validateShape checks a deserialized aggregate against the run's layout
+// and its counts against each other: the classes' devices sum to the
+// shard's, and every moment and sketch of a class counts that class's
+// devices. A checkpoint is input from outside the program, and a shard
+// whose counts disagree would resume to a report about another fleet.
 func (s *ShardAggregate) validateShape(cfg *Config) error {
 	if s.Shard < 0 || s.Shard >= cfg.shardCount() {
 		return fmt.Errorf("fleet: shard index %d outside [0, %d)", s.Shard, cfg.shardCount())
@@ -132,9 +136,49 @@ func (s *ShardAggregate) validateShape(cfg *Config) error {
 	if s.Devices != hi-lo {
 		return fmt.Errorf("fleet: shard %d has %d devices, config expects %d", s.Shard, s.Devices, hi-lo)
 	}
+	sum := 0
 	for c := range s.Classes {
-		if s.Classes[c].SavedSketch == nil || s.Classes[c].SavingSketch == nil || s.Classes[c].DelaySketch == nil {
-			return fmt.Errorf("fleet: shard %d class %d is missing sketches", s.Shard, c)
+		if err := s.Classes[c].checkCounts(); err != nil {
+			return fmt.Errorf("fleet: shard %d class %d: %w", s.Shard, c, err)
+		}
+		sum += s.Classes[c].Devices
+	}
+	if sum != s.Devices {
+		return fmt.Errorf("fleet: shard %d classes hold %d devices, the shard %d", s.Shard, sum, s.Devices)
+	}
+	return nil
+}
+
+// checkCounts reports an error unless a's six moments and three sketches
+// each count a.Devices samples.
+func (a *ClassAggregate) checkCounts() error {
+	if a.Devices < 0 {
+		return fmt.Errorf("negative device count %d", a.Devices)
+	}
+	moments := [...]struct {
+		name string
+		m    *stats.Moments
+	}{
+		{"without_j", &a.WithoutJ}, {"with_j", &a.WithJ}, {"saved_j", &a.SavedJ},
+		{"saving", &a.Saving}, {"delay_s", &a.DelayS}, {"violation", &a.Violation},
+	}
+	for _, m := range moments {
+		if m.m.N() != int64(a.Devices) {
+			return fmt.Errorf("%s counts %d samples, the class %d devices", m.name, m.m.N(), a.Devices)
+		}
+	}
+	sketches := [...]struct {
+		name string
+		s    *stats.Sketch
+	}{
+		{"saved_sketch", a.SavedSketch}, {"saving_sketch", a.SavingSketch}, {"delay_sketch", a.DelaySketch},
+	}
+	for _, sk := range sketches {
+		if sk.s == nil {
+			return fmt.Errorf("%s is missing", sk.name)
+		}
+		if sk.s.Count() != uint64(a.Devices) {
+			return fmt.Errorf("%s counts %d samples, the class %d devices", sk.name, sk.s.Count(), a.Devices)
 		}
 	}
 	return nil

@@ -7,6 +7,7 @@ package fleet
 
 import (
 	"testing"
+	"time"
 
 	"etrain/internal/diurnal"
 )
@@ -48,5 +49,64 @@ func TestDevicePairAllocatesNothing(t *testing.T) {
 		if allocs != 0 {
 			t.Errorf("diurnal %v: %v allocations per device pair, want 0", cfg.Diurnal != nil, allocs)
 		}
+	}
+}
+
+// TestOneShardRunAllocatesPerShard pins the scheduler's cost per device:
+// none. A warmed one-shard Run at 4 workers, whose devices all spread over
+// the workers, must allocate no more for 512 devices than for 256 once the
+// shard's fold is set aside: its aggregate, the sketches' widening as
+// samples arrive, and the report merged from it, measured by folding the
+// same outcomes alone.
+func TestOneShardRunAllocatesPerShard(t *testing.T) {
+	// minAllocs discounts a pooled scratch that a garbage collection
+	// dropped, whose regrowth is the collector's cost, not the run's.
+	minAllocs := func(f func()) float64 {
+		least := testing.AllocsPerRun(1, f)
+		for range 4 {
+			least = min(least, testing.AllocsPerRun(1, f))
+		}
+		return least
+	}
+	overhead := func(devices int) float64 {
+		cfg := Config{Devices: devices, ShardSize: devices, Workers: 4, Seed: 1, Horizon: 2 * time.Minute, Theta: 4, K: 20}
+		runAllocs := minAllocs(func() {
+			if _, err := Run(cfg); err != nil {
+				t.Fatal(err)
+			}
+		})
+		norm, pop, err := cfg.normalize()
+		if err != nil {
+			t.Fatal(err)
+		}
+		hash := norm.hash()
+		sc, err := getScratch(&norm)
+		if err != nil {
+			t.Fatal(err)
+		}
+		outs := make([]DeviceOutcome, devices)
+		for i := range outs {
+			if outs[i], err = sc.runDevice(&norm, pop, i); err != nil {
+				t.Fatal(err)
+			}
+		}
+		scratchPool.Put(sc)
+		foldAllocs := minAllocs(func() {
+			agg, err := newShardAggregate(0, len(norm.Mix), norm.SketchAlpha)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, o := range outs {
+				agg.add(o)
+			}
+			if _, err := buildReport(&norm, hash, []*ShardAggregate{agg}); err != nil {
+				t.Fatal(err)
+			}
+		})
+		t.Logf("%d devices: %v allocations per run, %v of them the fold", devices, runAllocs, foldAllocs)
+		return runAllocs - foldAllocs
+	}
+	if at256, at512 := overhead(256), overhead(512); at512 > at256 {
+		t.Errorf("a one-shard run allocates %v beyond its fold at 512 devices, %v at 256", at512, at256)
 	}
 }

@@ -131,9 +131,9 @@ func RunPair(base sim.Config, theta float64, k int) (DeviceOutcome, error) {
 }
 
 // scratch is everything one device's synthesis and run pair fill, kept
-// for the next device: a shard's devices share one, and shards take it
-// from a pool, so the device loop allocates nothing once its buffers have
-// grown. A device synthesized into a scratch is valid until the scratch
+// for the next device: each device job takes one from a pool and puts it
+// back, so a device allocates nothing once the buffers have grown. A
+// device synthesized into a scratch is valid until the scratch
 // synthesizes the next one. The zero value can synthesize and run a pair;
 // runDevice also needs the eTrain strategy getScratch sets. A scratch is
 // not safe for concurrent use.
@@ -157,12 +157,13 @@ type scratch struct {
 	etrain    *core.ETrain
 }
 
-// scratchPool holds the scratches of finished shards.
+// scratchPool holds the scratches between device jobs: about one per
+// worker.
 var scratchPool = sync.Pool{New: func() any { return &scratch{etrain: new(core.ETrain)} }}
 
 // getScratch takes a scratch from the pool and re-options its eTrain
 // strategy for cfg's Θ and k. Every device overwrites what it uses of the
-// rest, so a scratch carries nothing from one shard or fleet to the next
+// rest, so a scratch carries nothing from one device or fleet to the next
 // but buffer capacity.
 func getScratch(cfg *Config) (*scratch, error) {
 	sc := scratchPool.Get().(*scratch)

@@ -9,21 +9,29 @@
 // population-scale distributions: per-class energy-saving and delay
 // quantiles over 100k+ simulated devices.
 //
+// Devices are the unit of parallelism: the workers take devices in index
+// order, so even a one-shard fleet runs on every worker. Shards are the
+// unit of aggregation and checkpointing.
+//
 // Determinism contract (DESIGN.md §9): a device's entire behavior is a
 // pure function of (fleet seed, device index); devices are partitioned
-// into fixed-size shards independent of the worker count; each shard
-// folds its devices in index order into mergeable aggregates
-// (stats.Moments, stats.Sketch); and shard aggregates merge in
-// shard-index order. Worker count and scheduling order are therefore
-// invisible: the final report is byte-identical at 1 and N workers, and a
-// run resumed from a shard-boundary checkpoint reproduces the byte-exact
-// report of an uninterrupted run.
+// into fixed-size shards independent of the worker count; each shard,
+// once its last device finishes, folds its devices' outcomes in index
+// order into mergeable aggregates (stats.Moments, stats.Sketch); and
+// shard aggregates merge in shard-index order. Worker count and
+// scheduling order are therefore invisible: the final report is
+// byte-identical at 1 and N workers, and a run resumed from a
+// shard-boundary checkpoint reproduces the byte-exact report of an
+// uninterrupted run.
 package fleet
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
+	"sync"
 	"time"
 
 	"etrain/internal/diurnal"
@@ -35,9 +43,9 @@ import (
 )
 
 // DefaultShardSize is the default number of devices per shard. Shards are
-// the unit of parallelism, aggregation and checkpointing; the default
-// keeps shard counts (and hence resident aggregate memory) small while
-// leaving plenty of shards to spread across workers.
+// the unit of aggregation and checkpointing, not of parallelism: the
+// default keeps shard counts (and hence resident aggregate memory) small,
+// and a shard's devices spread over every worker whatever its size.
 const DefaultShardSize = 256
 
 // DefaultK is the per-heartbeat batch bound handed to each device's
@@ -59,7 +67,7 @@ type Config struct {
 	// it is independent of Workers, and changing it changes the
 	// config hash.
 	ShardSize int
-	// Workers bounds concurrent shard simulations: n > 0 verbatim, 0
+	// Workers bounds concurrent device simulations: n > 0 verbatim, 0
 	// sequential, negative one per CPU. The report is byte-identical at
 	// every setting.
 	Workers int
@@ -110,8 +118,11 @@ type Config struct {
 	// engine itself never reads the wall clock — rate/ETA math belongs to
 	// the caller (see cmd/etrain-fleet).
 	Progress func(done, total int)
-	// Halt, when non-nil, is polled before each shard starts; returning
-	// true stops the run at the next shard boundary with ErrHalted.
+	// Halt, when non-nil, is polled once per shard that is not restored,
+	// in shard order, when the shard's first device is taken. Calls are
+	// serialized. Returning true stops that shard and every later one;
+	// the shards admitted before it complete (and are checkpointed), and
+	// Run returns ErrHalted.
 	Halt func() bool
 }
 
@@ -231,110 +242,168 @@ func Run(cfg Config) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	hash := norm.hash()
-	shards := norm.shardCount()
-	aggs := make([]*ShardAggregate, shards)
-	completed := make([]bool, shards)
-	done := 0
+	r := &run{
+		cfg:       &norm,
+		pop:       pop,
+		hash:      norm.hash(),
+		aggs:      make([]*ShardAggregate, norm.shardCount()),
+		completed: make([]bool, norm.shardCount()),
+		open:      make([]*shardOutcomes, norm.shardCount()),
+	}
 	if norm.Resume {
-		done, err = loadCheckpoint(norm.CheckpointPath, hash, aggs, completed, &norm)
+		r.done, err = loadCheckpoint(norm.CheckpointPath, r.hash, r.aggs, r.completed, &norm)
 		if err != nil {
 			return nil, err
 		}
 	}
+	r.restored = slices.Clone(r.completed)
 	if norm.Progress != nil {
-		norm.Progress(done, shards)
+		norm.Progress(r.done, len(r.aggs))
 	}
-
-	var ckptErr error
-	runErr := parallel.ForEachStatus(parallel.NewLimit(norm.Workers), shards, func(s int) error {
-		if completed[s] {
-			return nil
-		}
-		if norm.Halt != nil && norm.Halt() {
-			return ErrHalted
-		}
-		agg, err := runShard(&norm, pop, s)
-		if err != nil {
-			return fmt.Errorf("shard %d: %w", s, err)
-		}
-		aggs[s] = agg
-		return nil
-	}, func(s int, err error) {
-		// Serialized by ForEachStatus: safe to count progress and to
-		// snapshot every shard this hook has been told about.
-		if err != nil || completed[s] {
-			return
-		}
-		completed[s] = true
-		done++
-		if norm.Progress != nil {
-			norm.Progress(done, shards)
-		}
-		if norm.CheckpointPath != "" && norm.CheckpointEvery > 0 && done%norm.CheckpointEvery == 0 {
-			if werr := writeCheckpoint(norm.CheckpointPath, hash, aggs, completed); werr != nil && ckptErr == nil {
-				ckptErr = werr
-			}
-		}
-	})
-	if runErr != nil {
-		if !haltOnly(runErr) {
-			return nil, runErr
-		}
-		if norm.CheckpointPath != "" {
-			if err := writeCheckpoint(norm.CheckpointPath, hash, aggs, completed); err != nil {
-				return nil, err
-			}
-		}
-		return nil, ErrHalted
+	if err := parallel.ForEachStatus(parallel.NewLimit(norm.Workers), norm.Devices, r.device, r.finish); err != nil {
+		return nil, err
 	}
-	if ckptErr != nil {
-		return nil, ckptErr
+	if r.err != nil {
+		return nil, r.err
 	}
 	if norm.CheckpointPath != "" {
-		if err := writeCheckpoint(norm.CheckpointPath, hash, aggs, completed); err != nil {
+		if err := writeCheckpoint(norm.CheckpointPath, r.hash, r.aggs, r.completed); err != nil {
 			return nil, err
 		}
 	}
-	return buildReport(&norm, hash, aggs)
+	if r.halted {
+		return nil, ErrHalted
+	}
+	return buildReport(&norm, r.hash, r.aggs)
 }
 
-// haltOnly reports whether every failure in a fan-out error is ErrHalted.
-func haltOnly(err error) bool {
-	var errs parallel.Errors
-	if !errors.As(err, &errs) {
-		return errors.Is(err, ErrHalted)
-	}
-	for _, e := range errs {
-		if !errors.Is(e.Err, ErrHalted) {
-			return false
+// run is one Run's state. Devices are its jobs, so a shard's devices
+// spread over every worker; shards are how their outcomes fold and
+// checkpoint.
+type run struct {
+	cfg  *Config
+	pop  *workload.Population
+	hash string
+	// restored marks the shards loaded from the checkpoint; their devices
+	// are no-ops. It is read-only once the devices start.
+	restored []bool
+
+	// mu guards the admission state: polled, halted and the writes to
+	// open.
+	mu sync.Mutex
+	// polled counts the shards, in shard order, that were restored or
+	// polled and admitted; halted is set when Halt stopped shard polled.
+	polled int
+	halted bool
+	// open holds each admitted shard's outcomes until its fold.
+	open []*shardOutcomes
+
+	// The rest belongs to the completion hook, which ForEachStatus
+	// serializes.
+	aggs      []*ShardAggregate
+	completed []bool
+	done      int
+	// err is the first fold or checkpoint failure.
+	err error
+}
+
+// shardOutcomes collects one running shard's device outcomes, slotted by
+// device offset, until its last device finishes.
+type shardOutcomes struct {
+	outs     []DeviceOutcome
+	finished int
+}
+
+// outcomesPool holds the outcome buffers of folded shards, so a run
+// allocates nothing per device once the pool holds a buffer per running
+// shard.
+var outcomesPool = sync.Pool{New: func() any { return new(shardOutcomes) }}
+
+// admit returns the outcome buffer of shard s, or nil when the device
+// jobs of s are no-ops: the shard was restored, or Halt stopped it or an
+// earlier shard. The first device of a shard to get here polls Halt for
+// every shard up to s not yet polled, in shard order, so Halt is polled
+// exactly once per shard that is not restored until it returns true, and
+// every shard admitted before that completes.
+func (r *run) admit(s int) *shardOutcomes {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for ; r.polled <= s && !r.halted; r.polled++ {
+		if r.restored[r.polled] {
+			continue
 		}
+		if r.cfg.Halt != nil && r.cfg.Halt() {
+			r.halted = true
+			break
+		}
+		so := outcomesPool.Get().(*shardOutcomes)
+		lo, hi := r.cfg.shardRange(r.polled)
+		so.outs = slices.Grow(so.outs[:0], hi-lo)[:hi-lo]
+		so.finished = 0
+		r.open[r.polled] = so
 	}
-	return len(errs) > 0
+	if s >= r.polled {
+		return nil
+	}
+	return r.open[s]
 }
 
-// runShard simulates the devices of shard s and folds their outcomes, in
-// device-index order, into one aggregate. The devices share one pooled
-// scratch, which goes back to the pool when the shard ends.
+// device is the job of device i: it runs the device's pair on a pooled
+// scratch and slots the outcome into its shard's buffer.
 //
 //etrain:hotpath
-func runShard(cfg *Config, pop *workload.Population, s int) (*ShardAggregate, error) {
-	agg, err := newShardAggregate(s, len(cfg.Mix), cfg.SketchAlpha)
-	if err != nil {
-		return nil, err
+func (r *run) device(i int) error {
+	s := i / r.cfg.ShardSize
+	so := r.admit(s)
+	if so == nil {
+		return nil
 	}
-	sc, err := getScratch(cfg)
+	sc, err := getScratch(r.cfg)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	defer scratchPool.Put(sc)
-	lo, hi := cfg.shardRange(s)
-	for i := lo; i < hi; i++ {
-		out, err := sc.runDevice(cfg, pop, i)
-		if err != nil {
-			return nil, fmt.Errorf("device %d: %w", i, err)
+	out, err := sc.runDevice(r.cfg, r.pop, i)
+	scratchPool.Put(sc)
+	if err != nil {
+		return fmt.Errorf("shard %d: device %d: %w", s, i, err)
+	}
+	so.outs[i-s*r.cfg.ShardSize] = out
+	return nil
+}
+
+// finish is the completion hook of device i. It counts the finished
+// devices of i's shard; on the last one it folds the shard's outcomes in
+// device-index order, releases the buffer, and reports progress and
+// writes the checkpoint when one is due. Device i's admission wrote
+// open[s] before its job ran, so the hook reads it without r.mu.
+func (r *run) finish(i int, err error) {
+	s := i / r.cfg.ShardSize
+	so := r.open[s]
+	if err != nil || so == nil {
+		return
+	}
+	if so.finished++; so.finished < len(so.outs) {
+		return
+	}
+	r.open[s] = nil
+	agg, ferr := newShardAggregate(s, len(r.cfg.Mix), r.cfg.SketchAlpha)
+	if ferr != nil {
+		r.err = cmp.Or(r.err, ferr)
+		return
+	}
+	for _, o := range so.outs {
+		agg.add(o)
+	}
+	outcomesPool.Put(so)
+	r.aggs[s] = agg
+	r.completed[s] = true
+	r.done++
+	if r.cfg.Progress != nil {
+		r.cfg.Progress(r.done, len(r.aggs))
+	}
+	if r.cfg.CheckpointPath != "" && r.cfg.CheckpointEvery > 0 && r.done%r.cfg.CheckpointEvery == 0 {
+		if werr := writeCheckpoint(r.cfg.CheckpointPath, r.hash, r.aggs, r.completed); werr != nil {
+			r.err = cmp.Or(r.err, werr)
 		}
-		agg.add(out)
 	}
-	return agg, nil
 }

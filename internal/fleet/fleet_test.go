@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -15,8 +16,8 @@ import (
 	"etrain/internal/workload"
 )
 
-// testConfig is a small population that still exercises multiple shards,
-// a ragged final shard and every activeness class.
+// testConfig is a small population that still exercises multiple shards
+// and every activeness class.
 func testConfig() Config {
 	return Config{
 		Devices:   40,
@@ -47,17 +48,84 @@ func renderReport(t *testing.T, rep *Report) string {
 }
 
 // TestRunDeterministicAcrossWorkers pins the headline contract: the
-// rendered report is byte-identical at 1, 4 and 8 workers.
+// rendered report, and the aggregates behind it in full precision, are
+// byte-identical at 1, 3, 4 and 8 workers, for shards that each fit a
+// worker, for one shard split over every worker, and for a ragged last
+// shard.
 func TestRunDeterministicAcrossWorkers(t *testing.T) {
-	base := testConfig()
-	base.Workers = 1
-	want := renderReport(t, mustRun(t, base))
-	for _, workers := range []int{4, 8} {
-		cfg := testConfig()
-		cfg.Workers = workers
-		if got := renderReport(t, mustRun(t, cfg)); got != want {
-			t.Errorf("report at %d workers differs from 1 worker:\n%s\nvs\n%s", workers, got, want)
-		}
+	for name, layout := range map[string]func(*Config){
+		"five_shards": func(*Config) {},
+		"one_shard":   func(c *Config) { c.ShardSize = 64 },
+		"ragged":      func(c *Config) { c.ShardSize = 12 },
+	} {
+		t.Run(name, func(t *testing.T) {
+			base := testConfig()
+			layout(&base)
+			base.Workers = 1
+			rep := mustRun(t, base)
+			want, wantAggs := renderReport(t, rep), string(goldenLines(t, rep))
+			for _, workers := range []int{3, 4, 8} {
+				cfg := base
+				cfg.Workers = workers
+				rep := mustRun(t, cfg)
+				if got := renderReport(t, rep); got != want {
+					t.Errorf("report at %d workers differs from 1 worker:\n%s\nvs\n%s", workers, got, want)
+				}
+				if got := string(goldenLines(t, rep)); got != wantAggs {
+					t.Errorf("aggregates at %d workers differ from 1 worker:\n%s\nvs\n%s", workers, got, wantAggs)
+				}
+			}
+		})
+	}
+}
+
+// TestHaltPolledOncePerShard pins the halt rule at 1 and 8 workers: Halt
+// is polled once per shard that is not restored, in shard order, until it
+// returns true; the shard it stops and every later one are not run, and
+// every earlier one completes and is checkpointed.
+func TestHaltPolledOncePerShard(t *testing.T) {
+	for _, workers := range []int{1, 8} {
+		t.Run(fmt.Sprintf("workers_%d", workers), func(t *testing.T) {
+			cfg := testConfig()
+			cfg.ShardSize = 12 // shards of 12, 12, 12 and 4 devices
+			cfg.Workers = workers
+			var polls atomic.Int64
+			cfg.Halt = func() bool { polls.Add(1); return false }
+			mustRun(t, cfg)
+			if polls.Load() != 4 {
+				t.Errorf("a full run polled Halt %d times, want once per shard (4)", polls.Load())
+			}
+
+			path := filepath.Join(t.TempDir(), "fleet.ckpt")
+			halted := cfg
+			halted.CheckpointPath = path
+			polls.Store(0)
+			halted.Halt = func() bool { return polls.Add(1) > 2 }
+			if _, err := Run(halted); !errors.Is(err, ErrHalted) {
+				t.Fatalf("halted run returned %v, want ErrHalted", err)
+			}
+			if polls.Load() != 3 {
+				t.Errorf("a run halted at shard 2 polled Halt %d times, want 3", polls.Load())
+			}
+
+			resumed := cfg
+			resumed.CheckpointPath = path
+			resumed.Resume = true
+			polls.Store(0)
+			restored := -1
+			resumed.Progress = func(done, total int) {
+				if restored == -1 {
+					restored = done
+				}
+			}
+			mustRun(t, resumed)
+			if restored != 2 {
+				t.Errorf("the halted run checkpointed %d shards, want the 2 before the halt", restored)
+			}
+			if polls.Load() != 2 {
+				t.Errorf("resuming with 2 of 4 shards restored polled Halt %d times, want 2", polls.Load())
+			}
+		})
 	}
 }
 
@@ -273,6 +341,76 @@ func TestResumeFromHandEditedSketches(t *testing.T) {
 		delete(sk, "neg")
 	}); err == nil {
 		t.Error("checkpoint sketch with alpha 1e-12 accepted")
+	}
+}
+
+// TestResumeRejectsDisagreeingCounts resumes from checkpoints whose
+// shard 0 was edited so its counts disagree: the classes' devices no
+// longer sum to the shard's, or one of a class's six moments or three
+// sketches no longer counts the class's devices. Each sketch edit keeps
+// the sketch itself consistent (its zero bucket and count move together),
+// so only the cross-check can refuse it. Every edit must be refused.
+func TestResumeRejectsDisagreeingCounts(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "fleet.ckpt")
+	full := testConfig()
+	full.CheckpointPath = path
+	mustRun(t, full)
+	orig, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bump := func(m map[string]any, key string, by int64) {
+		n, err := m[key].(json.Number).Int64()
+		if err != nil {
+			t.Fatal(err)
+		}
+		m[key] = n + by
+	}
+	edits := map[string]func(classes []map[string]any){
+		"class_devices_plus_5": func(cl []map[string]any) { bump(cl[0], "devices", 5) },
+		"class_devices_moved": func(cl []map[string]any) {
+			from := slices.IndexFunc(cl, func(c map[string]any) bool { return c["devices"].(json.Number).String() != "0" })
+			bump(cl[from], "devices", -1)
+			bump(cl[(from+1)%len(cl)], "devices", 1)
+		},
+	}
+	for _, m := range []string{"without_j", "with_j", "saved_j", "saving", "delay_s", "violation"} {
+		edits[m+"_n"] = func(cl []map[string]any) { bump(cl[0][m].(map[string]any), "n", 1) }
+	}
+	for _, sk := range []string{"saved_sketch", "saving_sketch", "delay_sketch"} {
+		edits[sk+"_count"] = func(cl []map[string]any) {
+			bump(cl[0][sk].(map[string]any), "zero", 1)
+			bump(cl[0][sk].(map[string]any), "count", 1)
+		}
+	}
+	for name, edit := range edits {
+		t.Run(name, func(t *testing.T) {
+			var ck map[string]any
+			dec := json.NewDecoder(bytes.NewReader(orig))
+			dec.UseNumber()
+			if err := dec.Decode(&ck); err != nil {
+				t.Fatal(err)
+			}
+			var classes []map[string]any
+			for _, c := range ck["shards"].([]any)[0].(map[string]any)["classes"].([]any) {
+				classes = append(classes, c.(map[string]any))
+			}
+			edit(classes)
+			data, err := json.Marshal(ck)
+			if err != nil {
+				t.Fatal(err)
+			}
+			edited := filepath.Join(t.TempDir(), "edited.ckpt")
+			if err := os.WriteFile(edited, data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			cfg := testConfig()
+			cfg.CheckpointPath = edited
+			cfg.Resume = true
+			if rep, err := Run(cfg); err == nil {
+				t.Errorf("edited checkpoint accepted; the report counts %d devices", rep.Total.Devices)
+			}
+		})
 	}
 }
 

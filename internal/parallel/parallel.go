@@ -14,6 +14,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 )
 
 // Workers resolves a requested worker count: values above zero are taken
@@ -26,7 +27,8 @@ func Workers(n int) int {
 }
 
 // Limit is a counting semaphore shared by the call sites scheduling onto
-// one pool. A Limit is not reentrant: a job must not schedule nested work
+// one pool. A fan-out holds each slot it takes until its jobs run out. A
+// Limit is not reentrant: a job must not schedule nested work
 // onto the limit whose slot it is holding (two layers each waiting for the
 // other's slots can deadlock) — give each fan-out layer its own pool.
 type Limit chan struct{}
@@ -98,10 +100,15 @@ func ForEach(limit Limit, n int, fn func(i int) error) error {
 // Calls to done are serialized under one internal mutex and happen after
 // the job's own writes, so a hook may safely read what job i produced,
 // maintain shared progress state, or snapshot the results of every job it
-// has been told about — that is what the fleet engine's progress reporting
-// and shard-boundary checkpoints hang off. Completion order is whatever
-// the scheduler produced; anything that must be deterministic belongs in
-// an index-ordered pass after ForEachStatus returns.
+// has been told about — that is what the fleet engine's shard folds,
+// progress reporting and checkpoints hang off. Completion order is
+// whatever the scheduler produced; anything that must be deterministic
+// belongs in an index-ordered pass after ForEachStatus returns, or in a
+// hook that waits for a fixed set of jobs.
+//
+// Jobs are taken in index order: min(limit.Cap(), n) goroutines each hold
+// one slot of limit and take the next index until none is left, so a
+// fan-out costs O(workers) allocations however many jobs it runs.
 func ForEachStatus(limit Limit, n int, fn func(i int) error, done func(i int, err error)) error {
 	if n <= 0 {
 		return nil
@@ -110,7 +117,6 @@ func ForEachStatus(limit Limit, n int, fn func(i int) error, done func(i int, er
 		limit = NewLimit(0)
 	}
 	var (
-		wg   sync.WaitGroup
 		mu   sync.Mutex
 		errs Errors
 	)
@@ -135,14 +141,21 @@ func ForEachStatus(limit Limit, n int, fn func(i int) error, done func(i int, er
 		}
 		return nil
 	}
-	for i := 0; i < n; i++ {
-		wg.Add(1)
+	var (
+		wg   sync.WaitGroup
+		next atomic.Int64
+	)
+	workers := min(limit.Cap(), n)
+	wg.Add(workers)
+	for w := 0; w < workers; w++ {
 		limit.Acquire()
-		go func(i int) {
+		go func() {
 			defer wg.Done()
 			defer limit.Release()
-			finish(i, fn(i))
-		}(i)
+			for i := int(next.Add(1) - 1); i < n; i = int(next.Add(1) - 1) {
+				finish(i, fn(i))
+			}
+		}()
 	}
 	wg.Wait()
 	if len(errs) > 0 {

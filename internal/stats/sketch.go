@@ -37,18 +37,20 @@ const sketchZeroThreshold = 1e-9
 // within relative error Alpha of the exact nearest-rank quantile (within
 // the zero threshold for near-zero values).
 //
-// Memory: each sign stores its counts densely, one uint64 per bucket index
-// over a span that covers its occupied buckets, so a sketch costs 8 bytes
+// Memory: each sign stores its counts densely, one uint32 per bucket index
+// over a span that covers its occupied buckets, so a sketch costs 4 bytes
 // per index its samples span — independent of how many samples are added,
-// but inversely proportional to alpha. Add leaves headroom when it widens
-// a span (at most doubling it); Merge and UnmarshalJSON widen to the exact
-// occupied range. The grid's index range bounds every span: from the
-// bucket just above the zero threshold to the bucket of math.MaxFloat64,
-// about 730/ln γ ≈ 365/α indices per sign — [−1036, 35488], at most
-// 292 KB per sign, at α = 0.01, and 2.9 MB per sign at MinSketchAlpha,
-// below which NewSketch and UnmarshalJSON refuse an alpha. A NaN sample
-// counts in the lowest negative bucket and ±Inf in the outermost bucket of
-// its sign, so no sample can leave that range.
+// but inversely proportional to alpha. A second uint32 per index, the
+// counts' high words, is allocated only when a count first passes
+// 2³²−1, so counts stay exact to 2⁶⁴−1. Add leaves headroom when it
+// widens a span (at most doubling it); Merge and UnmarshalJSON widen to
+// the exact occupied range. The grid's index range bounds every span:
+// from the bucket just above the zero threshold to the bucket of
+// math.MaxFloat64, about 730/ln γ ≈ 365/α indices per sign — [−1036,
+// 35488], at most 146 KB per sign, at α = 0.01, and 1.46 MB per sign at
+// MinSketchAlpha, below which NewSketch and UnmarshalJSON refuse an
+// alpha. A NaN sample counts in the lowest negative bucket and ±Inf in the
+// outermost bucket of its sign, so no sample can leave that range.
 type Sketch struct {
 	alpha    float64
 	gamma    float64
@@ -62,18 +64,49 @@ type Sketch struct {
 	neg      buckets
 }
 
-// buckets holds one sign's counts densely: counts[j] is the count of
-// bucket lo+j.
+// buckets holds one sign's counts densely: the count of bucket lo+j is
+// counts[j], plus high[j]<<32 once high exists. A count rarely passes
+// 2³²−1, so the high words are allocated only when one first carries;
+// every count up to 2⁶⁴−1 stays exact, and one past it wraps as a uint64
+// would.
 type buckets struct {
 	lo     int
-	counts []uint64
+	counts []uint32
+	high   []uint32
+}
+
+// at returns the count of the bucket at offset j.
+func (b *buckets) at(j int) uint64 {
+	c := uint64(b.counts[j])
+	if b.high != nil {
+		c |= uint64(b.high[j]) << 32
+	}
+	return c
+}
+
+// addAt adds c to the count of the bucket at offset j.
+func (b *buckets) addAt(j int, c uint64) {
+	sum := uint64(b.counts[j]) + c&math.MaxUint32
+	b.counts[j] = uint32(sum)
+	if carry := sum>>32 + c>>32; carry != 0 {
+		b.carry(j, carry)
+	}
+}
+
+// carry adds c to the high word at offset j, allocating the high words on
+// the first carry.
+func (b *buckets) carry(j int, c uint64) {
+	if b.high == nil {
+		b.high = make([]uint32, len(b.counts))
+	}
+	b.high[j] += uint32(c)
 }
 
 // widen extends the range to cover [lo, hi], reallocating once to exactly
 // the union of the old range and the new one.
 func (b *buckets) widen(lo, hi int) {
 	if len(b.counts) == 0 {
-		b.lo, b.counts = lo, make([]uint64, hi-lo+1)
+		b.lo, b.counts = lo, make([]uint32, hi-lo+1)
 		return
 	}
 	oldHi := b.lo + len(b.counts) - 1
@@ -81,9 +114,18 @@ func (b *buckets) widen(lo, hi int) {
 		return
 	}
 	lo, hi = min(lo, b.lo), max(hi, oldHi)
-	grown := make([]uint64, hi-lo+1)
-	copy(grown[b.lo-lo:], b.counts)
-	b.lo, b.counts = lo, grown
+	b.counts = regrow(b.counts, b.lo-lo, hi-lo+1)
+	if b.high != nil {
+		b.high = regrow(b.high, b.lo-lo, hi-lo+1)
+	}
+	b.lo = lo
+}
+
+// regrow returns s copied at offset off into a new slice of length n.
+func regrow(s []uint32, off, n int) []uint32 {
+	grown := make([]uint32, n)
+	copy(grown[off:], s)
+	return grown
 }
 
 // merge adds o's counts to b's, widening b to the exact union with o's
@@ -91,8 +133,8 @@ func (b *buckets) widen(lo, hi int) {
 // of the headroom Add leaves.
 func (b *buckets) merge(o *buckets) {
 	first, last := -1, -1
-	for j, c := range o.counts {
-		if c != 0 {
+	for j := range o.counts {
+		if o.at(j) != 0 {
 			if first < 0 {
 				first = j
 			}
@@ -104,7 +146,7 @@ func (b *buckets) merge(o *buckets) {
 	}
 	b.widen(o.lo+first, o.lo+last)
 	for j := first; j <= last; j++ {
-		b.counts[o.lo+j-b.lo] += o.counts[j]
+		b.addAt(o.lo+j-b.lo, o.at(j))
 	}
 }
 
@@ -176,7 +218,10 @@ func (s *Sketch) addTo(b *buckets, i int) {
 	case i >= b.lo+n:
 		b.widen(b.lo, min(i+n, s.maxIndex))
 	}
-	b.counts[i-b.lo]++
+	j := i - b.lo
+	if b.counts[j]++; b.counts[j] == 0 {
+		b.carry(j, 1)
+	}
 }
 
 // representative returns the mid-bucket value 2γ^i/(γ+1), which is within
@@ -199,6 +244,9 @@ func (s *Sketch) Add(v float64) {
 		s.addTo(&s.neg, s.clampedIndex(-v))
 	}
 }
+
+// Count returns the number of samples the sketch holds.
+func (s *Sketch) Count() uint64 { return s.count }
 
 // Merge folds other into s by adding bucket counts. Both sketches must
 // share the same alpha (the same grid).
@@ -243,7 +291,7 @@ func (s *Sketch) Quantile(p float64) (float64, error) {
 	// lifts cum to rank first, so the bucket returned holds a sample.
 	cum := uint64(0)
 	for j := len(s.neg.counts) - 1; j >= 0; j-- {
-		cum += s.neg.counts[j]
+		cum += s.neg.at(j)
 		if cum >= rank {
 			return -s.representative(s.neg.lo + j), nil
 		}
@@ -252,8 +300,8 @@ func (s *Sketch) Quantile(p float64) (float64, error) {
 	if cum >= rank {
 		return 0, nil
 	}
-	for j, c := range s.pos.counts {
-		cum += c
+	for j := range s.pos.counts {
+		cum += s.pos.at(j)
 		if cum >= rank {
 			return s.representative(s.pos.lo + j), nil
 		}
@@ -282,8 +330,8 @@ type sketchJSON struct {
 // bucketsJSON lists the occupied buckets in ascending index order.
 func bucketsJSON(b *buckets) []sketchBucketJSON {
 	var out []sketchBucketJSON
-	for j, c := range b.counts {
-		if c != 0 {
+	for j := range b.counts {
+		if c := b.at(j); c != 0 {
 			out = append(out, sketchBucketJSON{Index: b.lo + j, Count: c})
 		}
 	}
@@ -325,7 +373,7 @@ func (s *Sketch) restoreBuckets(dst *buckets, src []sketchBucketJSON) (uint64, e
 	total := uint64(0)
 	for _, b := range src {
 		if b.Count != 0 {
-			dst.counts[b.Index-lo] += b.Count
+			dst.addAt(b.Index-lo, b.Count)
 			total += b.Count
 		}
 	}

@@ -373,3 +373,77 @@ func TestSketchMergeDropsAddHeadroom(t *testing.T) {
 		t.Fatalf("headroom leaked into JSON:\n%s\n%s", a, b)
 	}
 }
+
+// TestSketchCountsPastTwoTo32 carries bucket counts past 2³²−1, where a
+// count's high word takes over, through each path that adds to one: Add
+// onto a restored count of 2³²−1, UnmarshalJSON of 2³³+7, and Merge, in
+// both directions and into a bucket at 2³²−1. Counts, quantiles and the
+// JSON round trip must stay exact.
+func TestSketchCountsPastTwoTo32(t *testing.T) {
+	restore := func(js string) *Sketch {
+		t.Helper()
+		var s Sketch
+		if err := json.Unmarshal([]byte(js), &s); err != nil {
+			t.Fatal(err)
+		}
+		return &s
+	}
+	// a: a restored 2³²−1 in bucket 5, then three Adds there.
+	a := restore(`{"alpha":0.01,"count":4294967296,"zero":0,"pos":[{"i":3,"c":1},{"i":5,"c":4294967295}]}`)
+	for range 3 {
+		a.Add(a.representative(5))
+	}
+	if got, want := sketchBytes(t, a), `{"alpha":0.01,"count":4294967299,"zero":0,"pos":[{"i":3,"c":1},{"i":5,"c":4294967298}]}`; got != want {
+		t.Fatalf("Add past 2^32-1: %s, want %s", got, want)
+	}
+	// b: a restored 2³³+7 in bucket 7, outside a's span.
+	const bJSON = `{"alpha":0.01,"count":8589934600,"zero":1,"pos":[{"i":7,"c":8589934599}]}`
+	b := restore(bJSON)
+	if got := sketchBytes(t, b); got != bJSON {
+		t.Fatalf("restored 2^33+7: %s", got)
+	}
+	const merged = `{"alpha":0.01,"count":12884901899,"zero":1,"pos":[{"i":3,"c":1},{"i":5,"c":4294967298},{"i":7,"c":8589934599}]}`
+	ab, ba := restore(sketchBytes(t, a)), restore(bJSON)
+	if err := ab.Merge(b); err != nil {
+		t.Fatal(err)
+	}
+	if err := ba.Merge(a); err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range []*Sketch{ab, ba, restore(merged)} {
+		if got := sketchBytes(t, s); got != merged {
+			t.Fatalf("merged %s, want %s", got, merged)
+		}
+		if s.Count() != 12884901899 {
+			t.Fatalf("Count() = %d", s.Count())
+		}
+		occupied := []struct {
+			v float64
+			c uint64
+		}{{0, 1}, {s.representative(3), 1}, {s.representative(5), 4294967298}, {s.representative(7), 8589934599}}
+		for _, p := range []float64{0, 1e-9, 1e-8, 10, 33.3, 33.34, 50, 99.99999999, 100} {
+			rank := uint64(math.Max(1, math.Ceil(p/100*float64(s.Count()))))
+			want, cum := 0.0, uint64(0)
+			for _, o := range occupied {
+				if cum += o.c; cum >= rank {
+					want = o.v
+					break
+				}
+			}
+			got, err := s.Quantile(p)
+			if err != nil || got != want {
+				t.Fatalf("Quantile(%v) = %v, %v; want %v", p, got, err, want)
+			}
+		}
+	}
+	// A merge whose low words overflow: 2³²−1 plus one sample.
+	c := restore(`{"alpha":0.01,"count":4294967295,"zero":0,"pos":[{"i":5,"c":4294967295}]}`)
+	one := newTestSketch(t, DefaultSketchAlpha)
+	one.Add(one.representative(5))
+	if err := c.Merge(one); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := sketchBytes(t, c), `{"alpha":0.01,"count":4294967296,"zero":0,"pos":[{"i":5,"c":4294967296}]}`; got != want {
+		t.Fatalf("merge into 2^32-1: %s, want %s", got, want)
+	}
+}

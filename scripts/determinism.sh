@@ -17,6 +17,9 @@ cd "$(dirname "$0")/.."
 ROWS=(
 	"ablations|etrain-experiments -ablations -parallel %d"
 	"fleet-2k|etrain-fleet -devices 2000 -quiet -workers %d"
+	# One 200-device shard: its devices spread over all eight workers, and
+	# the shard folds only when the last of them finishes.
+	"fleet-1shard|etrain-fleet -devices 200 -quiet -workers %d"
 	"fleet-diurnal-lte-drx|etrain-fleet -devices 2000 -quiet -diurnal week -time-scale 1008 -radio lte-drx -workers %d"
 	"scenario-diurnal-week|etrain-sim run -workers %d scenarios/diurnal-week.yaml"
 	"scenario-fault-burst|etrain-sim run -workers %d scenarios/fault-burst.yaml"

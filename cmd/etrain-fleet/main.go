@@ -49,7 +49,7 @@ func main() {
 	mixFlag := flag.String("mix", "", `activeness mix as "active=0.2,moderate=0.3,inactive=0.5" (empty: default mix)`)
 	alpha := flag.Float64("alpha", 0, "quantile-sketch relative accuracy in [0.001, 1) (0: default 0.01)")
 	checkpoint := flag.String("checkpoint", "", "checkpoint file for shard-boundary snapshots")
-	every := flag.Int("checkpoint-every", 8, "snapshot after every n completed shards (with -checkpoint)")
+	every := flag.Int("checkpoint-every", 8, "snapshot after every n completed shards (with -checkpoint); a snapshot's size does not grow with -devices")
 	resume := flag.Bool("resume", false, "resume from -checkpoint instead of starting fresh")
 	quiet := flag.Bool("quiet", false, "suppress progress output")
 	diurnalFlag := flag.String("diurnal", "", "diurnal activity profile: "+strings.Join(diurnal.PresetNames(), ", ")+" (empty: none)")

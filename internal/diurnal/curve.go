@@ -18,6 +18,7 @@ import (
 	"math"
 	"sort"
 	"strings"
+	"sync"
 	"time"
 )
 
@@ -47,6 +48,11 @@ type Curve struct {
 	segEnd []float64
 	total  float64
 	max    float64
+	// text is the curve's canonical rendering for hashing. A curve never
+	// changes after NewCurve, so the first hash renders it for every later
+	// one; building a curve renders nothing.
+	text     string
+	textOnce sync.Once
 }
 
 // NewCurve validates the knots and returns the curve. Knots must be
@@ -185,15 +191,24 @@ func (c *Curve) inverseCum(area float64) time.Duration {
 	return time.Duration(whole*float64(c.period)) + c.knots[i].Offset + within
 }
 
-// canonical renders the curve for hashing: period plus every knot.
-func (c *Curve) canonical(b *strings.Builder) {
-	fmt.Fprintf(b, "period=%s knots=", c.period)
+// canonical returns the curve's canonical text, period plus every knot,
+// rendering it on the first call.
+func (c *Curve) canonical() string {
+	c.textOnce.Do(func() { c.text = c.render() })
+	return c.text
+}
+
+// render renders the canonical text.
+func (c *Curve) render() string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "period=%s knots=", c.period)
 	for i, k := range c.knots {
 		if i > 0 {
 			b.WriteByte(',')
 		}
-		fmt.Fprintf(b, "%s:%g", k.Offset, k.Level)
+		fmt.Fprintf(&b, "%s:%g", k.Offset, k.Level)
 	}
+	return b.String()
 }
 
 // hourly builds a daily curve from 24 per-hour levels.

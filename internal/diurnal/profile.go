@@ -185,13 +185,9 @@ func (p *Profile) WithEvents(events ...Event) *Profile {
 func (p *Profile) canonical() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "diurnal/v1 name=%s scale=%g jitter=%s start=%s", p.Name, p.normalizedScale(), p.PhaseJitter, p.Start)
-	fmt.Fprintf(&b, " default=[")
-	p.Default.canonical(&b)
-	b.WriteByte(']')
+	fmt.Fprintf(&b, " default=[%s]", p.Default.canonical())
 	for _, cc := range p.Classes {
-		fmt.Fprintf(&b, " class=%s:[", cc.Class)
-		cc.Curve.canonical(&b)
-		b.WriteByte(']')
+		fmt.Fprintf(&b, " class=%s:[%s]", cc.Class, cc.Curve.canonical())
 	}
 	for _, e := range p.Events {
 		fmt.Fprintf(&b, " event=%s@%s+%s cargo=%g beat=%g every=%s", e.Name, e.At, e.Duration, e.CargoFactor, e.BeatFactor, e.Every)

@@ -11,10 +11,17 @@ import (
 // never the per-device samples. The sketches' bits depend only on the
 // device multiset, but the moments' do not: the same devices folded or
 // merged in another grouping can differ in the last bits. Reports are
-// worker-count-independent because the shard layout and the merge order
-// are fixed (devices in index order, shards in shard order), not because
-// grouping is invisible.
+// worker-count-independent because the shard layout and the moments'
+// merge order are fixed (devices in index order, shards in shard order),
+// not because grouping is invisible.
 type ClassAggregate struct {
+	ClassMoments
+	ClassSketches
+}
+
+// ClassMoments is the part of a class's summary whose bits depend on the
+// fold order: its device count and six moments.
+type ClassMoments struct {
 	// Devices counts the devices folded in.
 	Devices int `json:"devices"`
 	// WithoutJ and WithJ summarize per-device total energy in joules
@@ -28,8 +35,12 @@ type ClassAggregate struct {
 	// and deadline-violation ratio.
 	DelayS    stats.Moments `json:"delay_s"`
 	Violation stats.Moments `json:"violation"`
+}
 
-	// Quantile sketches over the same per-device values.
+// ClassSketches are a class's quantile sketches over the per-device saved
+// energy, fractional saving and delay. Sketch merges are exact in any
+// grouping, so they need no fold order.
+type ClassSketches struct {
 	SavedSketch  *stats.Sketch `json:"saved_sketch"`
 	SavingSketch *stats.Sketch `json:"saving_sketch"`
 	DelaySketch  *stats.Sketch `json:"delay_sketch"`
@@ -38,148 +49,162 @@ type ClassAggregate struct {
 // NewClassAggregate returns an empty aggregate with sketches at the given
 // relative accuracy.
 func NewClassAggregate(alpha float64) (ClassAggregate, error) {
-	var a ClassAggregate
+	k, err := newClassSketches(alpha)
+	return ClassAggregate{ClassSketches: k}, err
+}
+
+// newClassSketches returns three empty sketches at the given relative
+// accuracy.
+func newClassSketches(alpha float64) (ClassSketches, error) {
+	var k ClassSketches
 	var err error
-	if a.SavedSketch, err = stats.NewSketch(alpha); err != nil {
-		return a, err
+	if k.SavedSketch, err = stats.NewSketch(alpha); err != nil {
+		return k, err
 	}
-	if a.SavingSketch, err = stats.NewSketch(alpha); err != nil {
-		return a, err
+	if k.SavingSketch, err = stats.NewSketch(alpha); err != nil {
+		return k, err
 	}
-	if a.DelaySketch, err = stats.NewSketch(alpha); err != nil {
-		return a, err
-	}
-	return a, nil
+	k.DelaySketch, err = stats.NewSketch(alpha)
+	return k, err
 }
 
 // Add folds one device outcome in; its ClassIndex is not read.
 func (a *ClassAggregate) Add(o DeviceOutcome) {
-	saved := o.WithoutJ - o.WithJ
-	saving := 0.0
+	saved, saving := a.ClassMoments.add(o)
+	a.ClassSketches.add(saved, saving, o.DelayS)
+}
+
+// add folds one device outcome into the moments and returns the device's
+// saved energy and fractional saving, the values its sketches count.
+func (m *ClassMoments) add(o DeviceOutcome) (saved, saving float64) {
+	saved = o.WithoutJ - o.WithJ
 	if o.WithoutJ > 0 {
 		saving = saved / o.WithoutJ
 	}
-	a.Devices++
-	a.WithoutJ.Add(o.WithoutJ)
-	a.WithJ.Add(o.WithJ)
-	a.SavedJ.Add(saved)
-	a.Saving.Add(saving)
-	a.DelayS.Add(o.DelayS)
-	a.Violation.Add(o.Violation)
-	a.SavedSketch.Add(saved)
-	a.SavingSketch.Add(saving)
-	a.DelaySketch.Add(o.DelayS)
+	m.Devices++
+	m.WithoutJ.Add(o.WithoutJ)
+	m.WithJ.Add(o.WithJ)
+	m.SavedJ.Add(saved)
+	m.Saving.Add(saving)
+	m.DelayS.Add(o.DelayS)
+	m.Violation.Add(o.Violation)
+	return saved, saving
 }
 
-// merge folds another aggregate of the same class in.
-func (a *ClassAggregate) merge(o *ClassAggregate) error {
-	a.Devices += o.Devices
-	a.WithoutJ.Merge(o.WithoutJ)
-	a.WithJ.Merge(o.WithJ)
-	a.SavedJ.Merge(o.SavedJ)
-	a.Saving.Merge(o.Saving)
-	a.DelayS.Merge(o.DelayS)
-	a.Violation.Merge(o.Violation)
-	if err := a.SavedSketch.Merge(o.SavedSketch); err != nil {
+// add counts one device's values.
+func (k *ClassSketches) add(saved, saving, delay float64) {
+	k.SavedSketch.Add(saved)
+	k.SavingSketch.Add(saving)
+	k.DelaySketch.Add(delay)
+}
+
+// merge folds another class's moments in.
+func (m *ClassMoments) merge(o *ClassMoments) {
+	m.Devices += o.Devices
+	m.WithoutJ.Merge(o.WithoutJ)
+	m.WithJ.Merge(o.WithJ)
+	m.SavedJ.Merge(o.SavedJ)
+	m.Saving.Merge(o.Saving)
+	m.DelayS.Merge(o.DelayS)
+	m.Violation.Merge(o.Violation)
+}
+
+// merge adds another class's sketch counts.
+func (k *ClassSketches) merge(o *ClassSketches) error {
+	if err := k.SavedSketch.Merge(o.SavedSketch); err != nil {
 		return err
 	}
-	if err := a.SavingSketch.Merge(o.SavingSketch); err != nil {
+	if err := k.SavingSketch.Merge(o.SavingSketch); err != nil {
 		return err
 	}
-	return a.DelaySketch.Merge(o.DelaySketch)
+	return k.DelaySketch.Merge(o.DelaySketch)
 }
 
-// ShardAggregate is one shard's complete summary: a ClassAggregate per mix
-// entry, in mix order. It is the unit of checkpointing — a completed
-// shard's aggregate fully replaces re-simulating its devices.
-type ShardAggregate struct {
-	// Shard is the shard index.
-	Shard int `json:"shard"`
-	// Devices counts the shard's devices.
-	Devices int `json:"devices"`
-	// Classes holds one aggregate per mix entry, in mix order.
-	Classes []ClassAggregate `json:"classes"`
+// reset empties the sketches, keeping their spans.
+func (k *ClassSketches) reset() {
+	k.SavedSketch.Reset()
+	k.SavingSketch.Reset()
+	k.DelaySketch.Reset()
 }
 
-// newShardAggregate returns an empty aggregate for shard s over a mix of
-// the given size.
-func newShardAggregate(s, classes int, alpha float64) (*ShardAggregate, error) {
-	agg := &ShardAggregate{Shard: s, Classes: make([]ClassAggregate, classes)}
-	for c := range agg.Classes {
-		var err error
-		if agg.Classes[c], err = NewClassAggregate(alpha); err != nil {
-			return nil, err
-		}
-	}
-	return agg, nil
-}
-
-// add folds one device outcome into its class.
-func (s *ShardAggregate) add(o DeviceOutcome) {
-	s.Devices++
-	s.Classes[o.ClassIndex].Add(o)
-}
-
-// validateShape checks a deserialized aggregate against the run's layout
-// and its counts against each other: the classes' devices sum to the
-// shard's, and every moment and sketch of a class counts that class's
-// devices. A checkpoint is input from outside the program, and a shard
-// whose counts disagree would resume to a report about another fleet.
-func (s *ShardAggregate) validateShape(cfg *Config) error {
-	if s.Shard < 0 || s.Shard >= cfg.shardCount() {
-		return fmt.Errorf("fleet: shard index %d outside [0, %d)", s.Shard, cfg.shardCount())
-	}
-	if len(s.Classes) != len(cfg.Mix) {
-		return fmt.Errorf("fleet: shard %d has %d classes, config has %d", s.Shard, len(s.Classes), len(cfg.Mix))
-	}
-	lo, hi := cfg.shardRange(s.Shard)
-	if s.Devices != hi-lo {
-		return fmt.Errorf("fleet: shard %d has %d devices, config expects %d", s.Shard, s.Devices, hi-lo)
-	}
-	sum := 0
-	for c := range s.Classes {
-		if err := s.Classes[c].checkCounts(); err != nil {
-			return fmt.Errorf("fleet: shard %d class %d: %w", s.Shard, c, err)
-		}
-		sum += s.Classes[c].Devices
-	}
-	if sum != s.Devices {
-		return fmt.Errorf("fleet: shard %d classes hold %d devices, the shard %d", s.Shard, sum, s.Devices)
-	}
-	return nil
-}
-
-// checkCounts reports an error unless a's six moments and three sketches
-// each count a.Devices samples.
-func (a *ClassAggregate) checkCounts() error {
-	if a.Devices < 0 {
-		return fmt.Errorf("negative device count %d", a.Devices)
+// checkCounts reports an error unless m's six moments each count
+// m.Devices samples.
+func (m *ClassMoments) checkCounts() error {
+	if m.Devices < 0 {
+		return fmt.Errorf("negative device count %d", m.Devices)
 	}
 	moments := [...]struct {
 		name string
 		m    *stats.Moments
 	}{
-		{"without_j", &a.WithoutJ}, {"with_j", &a.WithJ}, {"saved_j", &a.SavedJ},
-		{"saving", &a.Saving}, {"delay_s", &a.DelayS}, {"violation", &a.Violation},
+		{"without_j", &m.WithoutJ}, {"with_j", &m.WithJ}, {"saved_j", &m.SavedJ},
+		{"saving", &m.Saving}, {"delay_s", &m.DelayS}, {"violation", &m.Violation},
 	}
-	for _, m := range moments {
-		if m.m.N() != int64(a.Devices) {
-			return fmt.Errorf("%s counts %d samples, the class %d devices", m.name, m.m.N(), a.Devices)
+	for _, mm := range moments {
+		if mm.m.N() != int64(m.Devices) {
+			return fmt.Errorf("%s counts %d samples, the class %d devices", mm.name, mm.m.N(), m.Devices)
 		}
 	}
+	return nil
+}
+
+// checkCounts reports an error unless each of k's sketches is present and
+// counts n samples.
+func (k *ClassSketches) checkCounts(n int) error {
 	sketches := [...]struct {
 		name string
 		s    *stats.Sketch
 	}{
-		{"saved_sketch", a.SavedSketch}, {"saving_sketch", a.SavingSketch}, {"delay_sketch", a.DelaySketch},
+		{"saved_sketch", k.SavedSketch}, {"saving_sketch", k.SavingSketch}, {"delay_sketch", k.DelaySketch},
 	}
 	for _, sk := range sketches {
 		if sk.s == nil {
 			return fmt.Errorf("%s is missing", sk.name)
 		}
-		if sk.s.Count() != uint64(a.Devices) {
-			return fmt.Errorf("%s counts %d samples, the class %d devices", sk.name, sk.s.Count(), a.Devices)
+		if sk.s.Count() != uint64(n) {
+			return fmt.Errorf("%s counts %d samples, want %d devices", sk.name, sk.s.Count(), n)
 		}
+	}
+	return nil
+}
+
+// shardMoments is a finished shard's share of the report that must merge
+// in shard order: per mix entry, its devices' count and moments. Its
+// devices' sketch samples are in the run's sketches already.
+type shardMoments struct {
+	// Shard is the shard index.
+	Shard int `json:"shard"`
+	// Devices counts the shard's devices.
+	Devices int `json:"devices"`
+	// Classes holds one entry per mix entry, in mix order.
+	Classes []ClassMoments `json:"classes"`
+}
+
+// validate checks a deserialized shard against the run's layout and its
+// counts against each other: the classes' devices sum to the shard's, and
+// every moment of a class counts that class's devices. A checkpoint is
+// input from outside the program, and a shard whose counts disagree would
+// resume to a report about another fleet.
+func (s *shardMoments) validate(cfg *Config) error {
+	if s.Shard < 0 || s.Shard >= cfg.shardCount() {
+		return fmt.Errorf("shard index %d outside [0, %d)", s.Shard, cfg.shardCount())
+	}
+	if len(s.Classes) != len(cfg.Mix) {
+		return fmt.Errorf("shard %d has %d classes, config has %d", s.Shard, len(s.Classes), len(cfg.Mix))
+	}
+	lo, hi := cfg.shardRange(s.Shard)
+	if s.Devices != hi-lo {
+		return fmt.Errorf("shard %d has %d devices, config expects %d", s.Shard, s.Devices, hi-lo)
+	}
+	sum := 0
+	for c := range s.Classes {
+		if err := s.Classes[c].checkCounts(); err != nil {
+			return fmt.Errorf("shard %d class %d: %w", s.Shard, c, err)
+		}
+		sum += s.Classes[c].Devices
+	}
+	if sum != s.Devices {
+		return fmt.Errorf("shard %d classes hold %d devices, the shard %d", s.Shard, sum, s.Devices)
 	}
 	return nil
 }

@@ -6,6 +6,8 @@
 package fleet
 
 import (
+	"math"
+	"runtime"
 	"testing"
 	"time"
 
@@ -92,21 +94,53 @@ func TestOneShardRunAllocatesPerShard(t *testing.T) {
 		}
 		scratchPool.Put(sc)
 		foldAllocs := minAllocs(func() {
-			agg, err := newShardAggregate(0, len(norm.Mix), norm.SketchAlpha)
+			f, err := getFold(&norm)
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, o := range outs {
-				agg.add(o)
-			}
-			if _, err := buildReport(&norm, hash, []*ShardAggregate{agg}); err != nil {
+			f.addShard(0, outs)
+			if _, err := f.report(&norm, hash); err != nil {
 				t.Fatal(err)
 			}
+			f.release()
 		})
 		t.Logf("%d devices: %v allocations per run, %v of them the fold", devices, runAllocs, foldAllocs)
 		return runAllocs - foldAllocs
 	}
 	if at256, at512 := overhead(256), overhead(512); at512 > at256 {
 		t.Errorf("a one-shard run allocates %v beyond its fold at 512 devices, %v at 256", at512, at256)
+	}
+}
+
+// TestRunAllocatesUnder1KBPerShard pins the fold's memory per shard: a
+// warmed Run of 256 devices in 16 shards must allocate less than 1 KB per
+// extra shard over the same devices in 4 shards. The devices, and so the
+// report, are the same in both runs; what differs is the shards. A
+// finished shard keeps only its class moments until the prefix reaches
+// it, and its record and the run's sketches are reused. When every shard
+// folded into an aggregate of its own, with nine sketches, each extra
+// shard cost about 16 KB.
+func TestRunAllocatesUnder1KBPerShard(t *testing.T) {
+	// bytesOf reads the least of six runs, discounting a pooled scratch
+	// that a garbage collection dropped.
+	bytesOf := func(shards int) uint64 {
+		cfg := Config{Devices: 256, ShardSize: 256 / shards, Workers: 4, Seed: 1, Horizon: 2 * time.Minute, Theta: 4, K: 20}
+		least := uint64(math.MaxUint64)
+		for range 6 {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			if _, err := Run(cfg); err != nil {
+				t.Fatal(err)
+			}
+			runtime.ReadMemStats(&after)
+			least = min(least, after.TotalAlloc-before.TotalAlloc)
+		}
+		return least
+	}
+	at4, at16 := bytesOf(4), bytesOf(16)
+	perShard := (float64(at16) - float64(at4)) / 12
+	t.Logf("%d B in 4 shards, %d B in 16: %.0f B per extra shard", at4, at16, perShard)
+	if perShard >= 1024 {
+		t.Errorf("each shard past the fourth allocates %.0f B, want under 1 KB", perShard)
 	}
 }

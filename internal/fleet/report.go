@@ -13,7 +13,7 @@ import (
 type ClassRow struct {
 	// Label is the activeness-class name of the mix entry.
 	Label string
-	// Agg is the class's aggregate over every shard.
+	// Agg is the class's aggregate over every device of the class.
 	Agg ClassAggregate
 }
 
@@ -42,57 +42,6 @@ type Report struct {
 	Classes []ClassRow
 	// Total aggregates every device regardless of class.
 	Total ClassAggregate
-}
-
-// buildReport merges shard aggregates — strictly in shard-index order, the
-// determinism keystone — into the final per-class and total aggregates.
-func buildReport(cfg *Config, hash string, aggs []*ShardAggregate) (*Report, error) {
-	r := &Report{
-		Devices:     cfg.Devices,
-		Shards:      len(aggs),
-		ShardSize:   cfg.ShardSize,
-		Horizon:     cfg.Horizon,
-		Theta:       cfg.Theta,
-		K:           cfg.K,
-		Seed:        cfg.Seed,
-		SketchAlpha: cfg.SketchAlpha,
-		Radio:       cfg.Radio,
-		ConfigHash:  hash,
-	}
-	if cfg.Diurnal != nil {
-		r.Diurnal = cfg.Diurnal.Name
-	}
-	var err error
-	if r.Total, err = NewClassAggregate(cfg.SketchAlpha); err != nil {
-		return nil, err
-	}
-	r.Classes = make([]ClassRow, len(cfg.Mix))
-	for c, share := range cfg.Mix {
-		r.Classes[c].Label = share.Class.String()
-		if r.Classes[c].Agg, err = NewClassAggregate(cfg.SketchAlpha); err != nil {
-			return nil, err
-		}
-	}
-	for s, agg := range aggs {
-		if agg == nil {
-			return nil, fmt.Errorf("fleet: shard %d has no aggregate", s)
-		}
-		if agg.Shard != s {
-			return nil, fmt.Errorf("fleet: aggregate at position %d claims shard %d", s, agg.Shard)
-		}
-		if len(agg.Classes) != len(r.Classes) {
-			return nil, fmt.Errorf("fleet: shard %d has %d classes, want %d", s, len(agg.Classes), len(r.Classes))
-		}
-		for c := range agg.Classes {
-			if err := r.Classes[c].Agg.merge(&agg.Classes[c]); err != nil {
-				return nil, fmt.Errorf("fleet: shard %d class %d: %w", s, c, err)
-			}
-			if err := r.Total.merge(&agg.Classes[c]); err != nil {
-				return nil, fmt.Errorf("fleet: shard %d class %d: %w", s, c, err)
-			}
-		}
-	}
-	return r, nil
 }
 
 // Fprint renders the report as a deterministic aligned-text table.

@@ -41,16 +41,17 @@ const sketchZeroThreshold = 1e-9
 // over a span that covers its occupied buckets, so a sketch costs 4 bytes
 // per index its samples span — independent of how many samples are added,
 // but inversely proportional to alpha. A second uint32 per index, the
-// counts' high words, is allocated only when a count first passes
-// 2³²−1, so counts stay exact to 2⁶⁴−1. Add leaves headroom when it
-// widens a span (at most doubling it); Merge and UnmarshalJSON widen to
-// the exact occupied range. The grid's index range bounds every span:
-// from the bucket just above the zero threshold to the bucket of
-// math.MaxFloat64, about 730/ln γ ≈ 365/α indices per sign — [−1036,
-// 35488], at most 146 KB per sign, at α = 0.01, and 1.46 MB per sign at
-// MinSketchAlpha, below which NewSketch and UnmarshalJSON refuse an
-// alpha. A NaN sample counts in the lowest negative bucket and ±Inf in the
-// outermost bucket of its sign, so no sample can leave that range.
+// counts' high words, is allocated only when a count of that sign first
+// passes 2³²−1, so counts stay exact to 2⁶⁴−1; both signs' high words
+// hang off one pointer, which keeps the struct at 128 bytes. Add leaves
+// headroom when it widens a span (at most doubling it); Merge and
+// UnmarshalJSON widen to the exact occupied range. The grid's index range
+// bounds every span: from the bucket just above the zero threshold to the
+// bucket of math.MaxFloat64, about 730/ln γ ≈ 365/α indices per sign —
+// [−1036, 35488], at most 146 KB per sign, at α = 0.01, and 1.46 MB per
+// sign at MinSketchAlpha, below which NewSketch and UnmarshalJSON refuse
+// an alpha. A NaN sample counts in the lowest negative bucket and ±Inf in
+// the outermost bucket of its sign, so no sample can leave that range.
 type Sketch struct {
 	alpha    float64
 	gamma    float64
@@ -62,49 +63,80 @@ type Sketch struct {
 	zero     uint64
 	pos      buckets
 	neg      buckets
+	// high holds the counts' high words of both signs. A count rarely
+	// passes 2³²−1, so the table is allocated on the first carry, and each
+	// sign's words on that sign's first carry.
+	high *highWords
 }
 
 // buckets holds one sign's counts densely: the count of bucket lo+j is
-// counts[j], plus high[j]<<32 once high exists. A count rarely passes
-// 2³²−1, so the high words are allocated only when one first carries;
-// every count up to 2⁶⁴−1 stays exact, and one past it wraps as a uint64
-// would.
+// counts[j], plus the sign's high word j shifted left by 32 once that
+// sign has high words. Every count up to 2⁶⁴−1 stays exact, and one past
+// it wraps as a uint64 would.
 type buckets struct {
 	lo     int
 	counts []uint32
-	high   []uint32
 }
 
-// at returns the count of the bucket at offset j.
-func (b *buckets) at(j int) uint64 {
+// highWords is a sketch's side table of high words, each sign's parallel
+// to that sign's counts and nil until one of them carries.
+type highWords struct {
+	pos, neg []uint32
+}
+
+// at returns the count of the bucket at offset j, given the sign's high
+// words h (nil when it has none).
+func (b *buckets) at(h []uint32, j int) uint64 {
 	c := uint64(b.counts[j])
-	if b.high != nil {
-		c |= uint64(b.high[j]) << 32
+	if h != nil {
+		c |= uint64(h[j]) << 32
 	}
 	return c
 }
 
-// addAt adds c to the count of the bucket at offset j.
-func (b *buckets) addAt(j int, c uint64) {
+// highSlot returns where b's high words live in the side table,
+// allocating the table; b is &s.pos or &s.neg.
+func (s *Sketch) highSlot(b *buckets) *[]uint32 {
+	if s.high == nil {
+		s.high = new(highWords)
+	}
+	if b == &s.neg {
+		return &s.high.neg
+	}
+	return &s.high.pos
+}
+
+// highOf returns b's high words, nil while none of its counts has
+// carried.
+func (s *Sketch) highOf(b *buckets) []uint32 {
+	if s.high == nil {
+		return nil
+	}
+	return *s.highSlot(b)
+}
+
+// addAt adds c to the count of b's bucket at offset j.
+func (s *Sketch) addAt(b *buckets, j int, c uint64) {
 	sum := uint64(b.counts[j]) + c&math.MaxUint32
 	b.counts[j] = uint32(sum)
 	if carry := sum>>32 + c>>32; carry != 0 {
-		b.carry(j, carry)
+		s.carry(b, j, carry)
 	}
 }
 
-// carry adds c to the high word at offset j, allocating the high words on
-// the first carry.
-func (b *buckets) carry(j int, c uint64) {
-	if b.high == nil {
-		b.high = make([]uint32, len(b.counts))
+// carry adds c to b's high word at offset j, allocating the table and the
+// sign's words on their first carry.
+func (s *Sketch) carry(b *buckets, j int, c uint64) {
+	h := s.highSlot(b)
+	if *h == nil {
+		*h = make([]uint32, len(b.counts))
 	}
-	b.high[j] += uint32(c)
+	(*h)[j] += uint32(c)
 }
 
-// widen extends the range to cover [lo, hi], reallocating once to exactly
+// widen extends b's range to cover [lo, hi], reallocating once to exactly
 // the union of the old range and the new one.
-func (b *buckets) widen(lo, hi int) {
+func (s *Sketch) widen(b *buckets, lo, hi int) {
 	if len(b.counts) == 0 {
 		b.lo, b.counts = lo, make([]uint32, hi-lo+1)
 		return
@@ -115,8 +147,8 @@ func (b *buckets) widen(lo, hi int) {
 	}
 	lo, hi = min(lo, b.lo), max(hi, oldHi)
 	b.counts = regrow(b.counts, b.lo-lo, hi-lo+1)
-	if b.high != nil {
-		b.high = regrow(b.high, b.lo-lo, hi-lo+1)
+	if h := s.highOf(b); h != nil {
+		*s.highSlot(b) = regrow(h, b.lo-lo, hi-lo+1)
 	}
 	b.lo = lo
 }
@@ -128,13 +160,14 @@ func regrow(s []uint32, off, n int) []uint32 {
 	return grown
 }
 
-// merge adds o's counts to b's, widening b to the exact union with o's
-// occupied buckets: a merged sketch, like a fleet report's, carries none
-// of the headroom Add leaves.
-func (b *buckets) merge(o *buckets) {
+// merge adds the counts of other's sign o to s's sign b, widening b to
+// the exact union with o's occupied buckets: a merged sketch, like a fleet
+// report's, carries none of the headroom Add leaves.
+func (s *Sketch) merge(b *buckets, other *Sketch, o *buckets) {
+	oh := other.highOf(o)
 	first, last := -1, -1
 	for j := range o.counts {
-		if o.at(j) != 0 {
+		if o.at(oh, j) != 0 {
 			if first < 0 {
 				first = j
 			}
@@ -144,9 +177,9 @@ func (b *buckets) merge(o *buckets) {
 	if first < 0 {
 		return
 	}
-	b.widen(o.lo+first, o.lo+last)
+	s.widen(b, o.lo+first, o.lo+last)
 	for j := first; j <= last; j++ {
-		b.addAt(o.lo+j-b.lo, o.at(j))
+		s.addAt(b, o.lo+j-b.lo, o.at(oh, j))
 	}
 }
 
@@ -212,15 +245,15 @@ func (s *Sketch) clampedIndex(v float64) int {
 func (s *Sketch) addTo(b *buckets, i int) {
 	switch n := len(b.counts); {
 	case n == 0:
-		b.widen(i, i)
+		s.widen(b, i, i)
 	case i < b.lo:
-		b.widen(max(i-n, s.minIndex), b.lo)
+		s.widen(b, max(i-n, s.minIndex), b.lo)
 	case i >= b.lo+n:
-		b.widen(b.lo, min(i+n, s.maxIndex))
+		s.widen(b, b.lo, min(i+n, s.maxIndex))
 	}
 	j := i - b.lo
 	if b.counts[j]++; b.counts[j] == 0 {
-		b.carry(j, 1)
+		s.carry(b, j, 1)
 	}
 }
 
@@ -259,9 +292,18 @@ func (s *Sketch) Merge(other *Sketch) error {
 	}
 	s.count += other.count
 	s.zero += other.zero
-	s.pos.merge(&other.pos)
-	s.neg.merge(&other.neg)
+	s.merge(&s.pos, other, &other.pos)
+	s.merge(&s.neg, other, &other.neg)
 	return nil
+}
+
+// Reset empties the sketch and keeps its grid and its spans' memory, so a
+// reused sketch counts the samples of another run without growing again.
+func (s *Sketch) Reset() {
+	s.count, s.zero = 0, 0
+	clear(s.pos.counts)
+	clear(s.neg.counts)
+	s.high = nil
 }
 
 // Quantile returns the p-th percentile (0–100) under the same
@@ -290,8 +332,9 @@ func (s *Sketch) Quantile(p float64) (float64, error) {
 	// magnitude down, then zero, then positives up. An empty bucket never
 	// lifts cum to rank first, so the bucket returned holds a sample.
 	cum := uint64(0)
+	nh, ph := s.highOf(&s.neg), s.highOf(&s.pos)
 	for j := len(s.neg.counts) - 1; j >= 0; j-- {
-		cum += s.neg.at(j)
+		cum += s.neg.at(nh, j)
 		if cum >= rank {
 			return -s.representative(s.neg.lo + j), nil
 		}
@@ -301,7 +344,7 @@ func (s *Sketch) Quantile(p float64) (float64, error) {
 		return 0, nil
 	}
 	for j := range s.pos.counts {
-		cum += s.pos.at(j)
+		cum += s.pos.at(ph, j)
 		if cum >= rank {
 			return s.representative(s.pos.lo + j), nil
 		}
@@ -327,11 +370,12 @@ type sketchJSON struct {
 	Neg   []sketchBucketJSON `json:"neg,omitempty"`
 }
 
-// bucketsJSON lists the occupied buckets in ascending index order.
-func bucketsJSON(b *buckets) []sketchBucketJSON {
+// bucketsJSON lists b's occupied buckets in ascending index order.
+func (s *Sketch) bucketsJSON(b *buckets) []sketchBucketJSON {
 	var out []sketchBucketJSON
+	h := s.highOf(b)
 	for j := range b.counts {
-		if c := b.at(j); c != 0 {
+		if c := b.at(h, j); c != 0 {
 			out = append(out, sketchBucketJSON{Index: b.lo + j, Count: c})
 		}
 	}
@@ -345,8 +389,8 @@ func (s *Sketch) MarshalJSON() ([]byte, error) {
 		Alpha: s.alpha,
 		Count: s.count,
 		Zero:  s.zero,
-		Pos:   bucketsJSON(&s.pos),
-		Neg:   bucketsJSON(&s.neg),
+		Pos:   s.bucketsJSON(&s.pos),
+		Neg:   s.bucketsJSON(&s.neg),
 	})
 }
 
@@ -369,11 +413,11 @@ func (s *Sketch) restoreBuckets(dst *buckets, src []sketchBucketJSON) (uint64, e
 	if lo > hi {
 		return 0, nil
 	}
-	dst.widen(lo, hi)
+	s.widen(dst, lo, hi)
 	total := uint64(0)
 	for _, b := range src {
 		if b.Count != 0 {
-			dst.addAt(b.Index-lo, b.Count)
+			s.addAt(dst, b.Index-lo, b.Count)
 			total += b.Count
 		}
 	}

@@ -6,6 +6,7 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"etrain/internal/randx"
 )
@@ -445,5 +446,82 @@ func TestSketchCountsPastTwoTo32(t *testing.T) {
 	}
 	if got, want := sketchBytes(t, c), `{"alpha":0.01,"count":4294967296,"zero":0,"pos":[{"i":5,"c":4294967296}]}`; got != want {
 		t.Fatalf("merge into 2^32-1: %s, want %s", got, want)
+	}
+}
+
+// TestSketchFitsIn128Bytes pins the struct's size class: both signs' high
+// words hang off one pointer, since almost no sketch ever allocates them.
+// A fleet report holds 12 sketches and a run 9 more.
+func TestSketchFitsIn128Bytes(t *testing.T) {
+	if n := unsafe.Sizeof(Sketch{}); n > 128 {
+		t.Fatalf("Sketch is %d bytes, want at most 128", n)
+	}
+}
+
+// TestSketchHighWordsPerSign carries a count past 2³²−1 in each sign,
+// through Add and through Merge: each sign's high words must stay its
+// own, whichever sign carried first.
+func TestSketchHighWordsPerSign(t *testing.T) {
+	const (
+		negOnly = `{"alpha":0.01,"count":4294967295,"zero":0,"neg":[{"i":4,"c":4294967295}]}`
+		posOnly = `{"alpha":0.01,"count":4294967296,"zero":0,"pos":[{"i":2,"c":1},{"i":9,"c":4294967295}]}`
+	)
+	var n, p Sketch
+	if err := json.Unmarshal([]byte(negOnly), &n); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal([]byte(posOnly), &p); err != nil {
+		t.Fatal(err)
+	}
+	n.Add(-n.representative(4)) // the negative sign carries first
+	if err := n.Merge(&p); err != nil {
+		t.Fatal(err)
+	}
+	n.Add(n.representative(9))
+	const want = `{"alpha":0.01,"count":8589934593,"zero":0,"pos":[{"i":2,"c":1},{"i":9,"c":4294967296}],"neg":[{"i":4,"c":4294967296}]}`
+	if got := sketchBytes(t, &n); got != want {
+		t.Fatalf("got %s, want %s", got, want)
+	}
+	// The median's rank is 2³²+1: one past the negative bucket's count.
+	if q, err := n.Quantile(50); err != nil || q != n.representative(2) {
+		t.Fatalf("Quantile(50) = %v, %v; want %v", q, err, n.representative(2))
+	}
+}
+
+// TestSketchReset empties a sketch: it must then serialize, count and
+// answer quantiles as a new one does, and counting the same samples again
+// must allocate nothing, since Reset keeps the spans.
+func TestSketchReset(t *testing.T) {
+	r := randx.New(5)
+	samples := make([]float64, 2000)
+	for i := range samples {
+		samples[i] = (r.Float64() - 0.3) * 1e3
+	}
+	s := sketchOf(samples)
+	var carried Sketch
+	if err := json.Unmarshal([]byte(`{"alpha":0.01,"count":4294967295,"zero":0,"pos":[{"i":5,"c":4294967295}]}`), &carried); err != nil {
+		t.Fatal(err)
+	}
+	carried.Add(carried.representative(5))
+	for _, sk := range []*Sketch{s, &carried} {
+		sk.Reset()
+		if got, want := sketchBytes(t, sk), sketchBytes(t, newSketch(DefaultSketchAlpha)); got != want {
+			t.Fatalf("reset sketch %s, want %s", got, want)
+		}
+		if _, err := sk.Quantile(50); !errors.Is(err, ErrEmpty) {
+			t.Fatalf("reset sketch Quantile err = %v, want ErrEmpty", err)
+		}
+	}
+	refill := func() {
+		s.Reset()
+		for _, v := range samples {
+			s.Add(v)
+		}
+	}
+	if allocs := testing.AllocsPerRun(10, refill); allocs != 0 {
+		t.Errorf("refilling a reset sketch allocated %v times, want 0", allocs)
+	}
+	if got, want := sketchBytes(t, s), sketchBytes(t, sketchOf(samples)); got != want {
+		t.Fatalf("refilled sketch %s, want %s", got, want)
 	}
 }

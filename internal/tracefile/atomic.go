@@ -8,17 +8,21 @@ import (
 )
 
 // WriteJSONAtomic publishes v as indented JSON, newline-terminated, at
-// path: marshal, write to a temp file in the same directory, fsync, close,
-// rename over path, then fsync the directory so the rename itself is
-// durable. A crash mid-write leaves either the old file or the new one,
-// never a torn one. The fleet checkpoint and the controller snapshot are
-// written through it.
+// path (WriteFileAtomic). The controller snapshot is written through it.
 func WriteJSONAtomic(path string, v any) error {
 	data, err := json.MarshalIndent(v, "", "  ")
 	if err != nil {
 		return fmt.Errorf("tracefile: marshal %s: %w", path, err)
 	}
-	data = append(data, '\n')
+	return WriteFileAtomic(path, append(data, '\n'))
+}
+
+// WriteFileAtomic publishes data at path: write to a temp file in the
+// same directory, fsync, close, rename over path, then fsync the
+// directory so the rename itself is durable. A crash mid-write leaves
+// either the old file or the new one, never a torn one. The fleet
+// checkpoint is written through it as compact JSON.
+func WriteFileAtomic(path string, data []byte) error {
 	dir := filepath.Dir(path)
 	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp-*")
 	if err != nil {

@@ -1,9 +1,9 @@
 // Package tracefile reads and writes the trace formats of the
 // reproduction: user behavior traces in the paper's four-element format
 // (User ID, Behavior type, Time, Packet Size), bandwidth traces (one
-// bytes/second sample per second), and transmission logs. WriteJSONAtomic
-// publishes the JSON state files (fleet checkpoints, controller
-// snapshots) crash-safely.
+// bytes/second sample per second), and transmission logs. WriteFileAtomic
+// and WriteJSONAtomic publish the JSON state files (fleet checkpoints,
+// controller snapshots) crash-safely.
 package tracefile
 
 import (

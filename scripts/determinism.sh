@@ -20,6 +20,9 @@ ROWS=(
 	# One 200-device shard: its devices spread over all eight workers, and
 	# the shard folds only when the last of them finishes.
 	"fleet-1shard|etrain-fleet -devices 200 -quiet -workers %d"
+	# 286 shards of 7 devices: at eight workers they finish out of shard
+	# order, and each waits for the shards before it to fold.
+	"fleet-small-shards|etrain-fleet -devices 2000 -shard-size 7 -quiet -workers %d"
 	"fleet-diurnal-lte-drx|etrain-fleet -devices 2000 -quiet -diurnal week -time-scale 1008 -radio lte-drx -workers %d"
 	"scenario-diurnal-week|etrain-sim run -workers %d scenarios/diurnal-week.yaml"
 	"scenario-fault-burst|etrain-sim run -workers %d scenarios/fault-burst.yaml"

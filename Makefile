@@ -116,10 +116,8 @@ gate:
 		| $(GO) run ./cmd/etrain-benchjson -gate BENCH_fleet.json -tolerance $(GATETOL)
 
 # End-to-end determinism check (CI's determinism job): every row of
-# scripts/determinism.sh — the registry with ablations, the 2k-device
-# fleet, the diurnal LTE-DRX fleet, the diurnal-week and fault-burst
-# scenarios and etrain-load's fleet block — rendered at 1 and 8 workers
-# (connections for etrain-load) and byte-compared.
+# scripts/determinism.sh, each rendered at 1 and 8 workers (connections
+# for etrain-load) and byte-compared.
 determinism:
 	bash scripts/determinism.sh
 

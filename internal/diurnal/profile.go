@@ -2,12 +2,12 @@ package diurnal
 
 import (
 	"fmt"
+	"hash/fnv"
+	"io"
 	"math"
 	"sort"
 	"strings"
 	"time"
-
-	"etrain/internal/randx"
 )
 
 // Profile bounds. Scenario documents and CLI flags are clamped against
@@ -181,25 +181,28 @@ func (p *Profile) WithEvents(events ...Event) *Profile {
 	return &out
 }
 
-// canonical renders the profile deterministically for hashing.
-func (p *Profile) canonical() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "diurnal/v1 name=%s scale=%g jitter=%s start=%s", p.Name, p.normalizedScale(), p.PhaseJitter, p.Start)
-	fmt.Fprintf(&b, " default=[%s]", p.Default.canonical())
+// writeCanonical writes the profile's canonical text, which Hash digests,
+// to w: a header, each curve's cached text and the events.
+func (p *Profile) writeCanonical(w io.Writer) {
+	fmt.Fprintf(w, "diurnal/v1 name=%s scale=%g jitter=%s start=%s", p.Name, p.normalizedScale(), p.PhaseJitter, p.Start)
+	fmt.Fprintf(w, " default=[%s]", p.Default.canonical())
 	for _, cc := range p.Classes {
-		fmt.Fprintf(&b, " class=%s:[%s]", cc.Class, cc.Curve.canonical())
+		fmt.Fprintf(w, " class=%s:[%s]", cc.Class, cc.Curve.canonical())
 	}
 	for _, e := range p.Events {
-		fmt.Fprintf(&b, " event=%s@%s+%s cargo=%g beat=%g every=%s", e.Name, e.At, e.Duration, e.CargoFactor, e.BeatFactor, e.Every)
+		fmt.Fprintf(w, " event=%s@%s+%s cargo=%g beat=%g every=%s", e.Name, e.At, e.Duration, e.CargoFactor, e.BeatFactor, e.Every)
 	}
-	return b.String()
 }
 
 // Hash returns a 16-hex-digit digest of the profile's full configuration,
 // folded into fleet config hashes so a checkpoint taken under one profile
-// never resumes under another.
+// never resumes under another. It streams the canonical text through
+// FNV-1a, the hash randx.DeriveString computes, so it never holds the
+// whole text (9.5 KB for the week profile).
 func (p *Profile) Hash() string {
-	return fmt.Sprintf("%016x", uint64(randx.DeriveString(p.canonical())))
+	h := fnv.New64a()
+	p.writeCanonical(h)
+	return fmt.Sprintf("%016x", h.Sum64())
 }
 
 // weekdayLevels shapes a working day: a deep night trough, a morning

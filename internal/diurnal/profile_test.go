@@ -93,6 +93,13 @@ func TestProfileHash(t *testing.T) {
 	}
 }
 
+// canonical renders the text Hash digests.
+func (p *Profile) canonical() string {
+	var b strings.Builder
+	p.writeCanonical(&b)
+	return b.String()
+}
+
 // refCurveCanonical and refProfileCanonical are the renderings Hash used
 // before a curve rendered its text once, on its first hash, kept verbatim
 // as the reference: every fleet and scenario config hash folds them in.

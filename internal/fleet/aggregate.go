@@ -167,44 +167,3 @@ func (k *ClassSketches) checkCounts(n int) error {
 	}
 	return nil
 }
-
-// shardMoments is a finished shard's share of the report that must merge
-// in shard order: per mix entry, its devices' count and moments. Its
-// devices' sketch samples are in the run's sketches already.
-type shardMoments struct {
-	// Shard is the shard index.
-	Shard int `json:"shard"`
-	// Devices counts the shard's devices.
-	Devices int `json:"devices"`
-	// Classes holds one entry per mix entry, in mix order.
-	Classes []ClassMoments `json:"classes"`
-}
-
-// validate checks a deserialized shard against the run's layout and its
-// counts against each other: the classes' devices sum to the shard's, and
-// every moment of a class counts that class's devices. A checkpoint is
-// input from outside the program, and a shard whose counts disagree would
-// resume to a report about another fleet.
-func (s *shardMoments) validate(cfg *Config) error {
-	if s.Shard < 0 || s.Shard >= cfg.shardCount() {
-		return fmt.Errorf("shard index %d outside [0, %d)", s.Shard, cfg.shardCount())
-	}
-	if len(s.Classes) != len(cfg.Mix) {
-		return fmt.Errorf("shard %d has %d classes, config has %d", s.Shard, len(s.Classes), len(cfg.Mix))
-	}
-	lo, hi := cfg.shardRange(s.Shard)
-	if s.Devices != hi-lo {
-		return fmt.Errorf("shard %d has %d devices, config expects %d", s.Shard, s.Devices, hi-lo)
-	}
-	sum := 0
-	for c := range s.Classes {
-		if err := s.Classes[c].checkCounts(); err != nil {
-			return fmt.Errorf("shard %d class %d: %w", s.Shard, c, err)
-		}
-		sum += s.Classes[c].Devices
-	}
-	if sum != s.Devices {
-		return fmt.Errorf("shard %d classes hold %d devices, the shard %d", s.Shard, sum, s.Devices)
-	}
-	return nil
-}

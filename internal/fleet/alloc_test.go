@@ -8,6 +8,7 @@ package fleet
 import (
 	"math"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -57,9 +58,9 @@ func TestDevicePairAllocatesNothing(t *testing.T) {
 // TestOneShardRunAllocatesPerShard pins the scheduler's cost per device:
 // none. A warmed one-shard Run at 4 workers, whose devices all spread over
 // the workers, must allocate no more for 512 devices than for 256 once the
-// shard's fold is set aside: its aggregate, the sketches' widening as
-// samples arrive, and the report merged from it, measured by folding the
-// same outcomes alone.
+// shard's fold is set aside: the sketches' widening as samples arrive and
+// the report merged from them, measured by folding a copy of the same
+// outcomes alone.
 func TestOneShardRunAllocatesPerShard(t *testing.T) {
 	// minAllocs discounts a pooled scratch that a garbage collection
 	// dropped, whose regrowth is the collector's cost, not the run's.
@@ -98,7 +99,9 @@ func TestOneShardRunAllocatesPerShard(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			f.addShard(0, outs)
+			// addShard puts the buffer it folds into outcomesPool, where a
+			// later Run writes into it, so it folds a copy.
+			f.addShard(0, &shardOutcomes{outs: slices.Clone(outs)})
 			if _, err := f.report(&norm, hash); err != nil {
 				t.Fatal(err)
 			}
@@ -116,10 +119,11 @@ func TestOneShardRunAllocatesPerShard(t *testing.T) {
 // warmed Run of 256 devices in 16 shards must allocate less than 1 KB per
 // extra shard over the same devices in 4 shards. The devices, and so the
 // report, are the same in both runs; what differs is the shards. A
-// finished shard keeps only its class moments until the prefix reaches
-// it, and its record and the run's sketches are reused. When every shard
-// folded into an aggregate of its own, with nine sketches, each extra
-// shard cost about 16 KB.
+// shard's moments fold through the fold's reused scratch, its devices'
+// values go into the run's reused sketches, and its outcome buffer goes
+// back to the pool, so what an extra shard adds is its admission pointer.
+// When every shard folded into an aggregate of its own, with nine
+// sketches, each extra shard cost about 16 KB.
 func TestRunAllocatesUnder1KBPerShard(t *testing.T) {
 	// bytesOf reads the least of six runs, discounting a pooled scratch
 	// that a garbage collection dropped.

@@ -15,16 +15,16 @@
 //
 // Determinism contract (DESIGN.md §9): a device's entire behavior is a
 // pure function of (fleet seed, device index); devices are partitioned
-// into fixed-size shards independent of the worker count; each shard,
-// once its last device finishes, folds its devices' outcomes in index
-// order into per-class stats.Moments and counts their values in the run's
-// per-class stats.Sketch; and shards' moments merge into the report in
-// shard-index order, each as soon as every shard before it has finished.
-// A sketch's state depends only on the samples it counts, so only the
-// moments need that order. Worker count and scheduling order are
-// therefore invisible: the final report is byte-identical at 1 and N
-// workers, and a run resumed from a shard-boundary checkpoint reproduces
-// the byte-exact report of an uninterrupted run.
+// into fixed-size shards independent of the worker count; and each shard,
+// as soon as it and every shard before it have finished, folds its
+// devices' outcomes in index order into per-class stats.Moments, which
+// merge into the report in shard-index order, and counts their values in
+// the run's per-class stats.Sketch. A sketch's state depends only on the
+// samples it counts, so only the moments need that order. Worker count
+// and scheduling order are therefore invisible: the final report is
+// byte-identical at 1 and N workers, and a run resumed from a
+// shard-boundary checkpoint reproduces the byte-exact report of an
+// uninterrupted run.
 package fleet
 
 import (
@@ -46,8 +46,8 @@ import (
 
 // DefaultShardSize is the default number of devices per shard. Shards are
 // the unit of aggregation and checkpointing, not of parallelism: a
-// shard's devices spread over every worker whatever its size, and each
-// finished shard costs the run one small fold of its class moments.
+// shard's devices spread over every worker whatever its size, and a shard
+// that finishes before an earlier one keeps its outcomes until it folds.
 const DefaultShardSize = 256
 
 // DefaultK is the per-heartbeat batch bound handed to each device's
@@ -108,12 +108,12 @@ type Config struct {
 	// snapshot is written on success and on halt.
 	CheckpointPath string
 	// CheckpointEvery takes a snapshot after every n-th completed shard;
-	// 0 snapshots only on halt and at the end. A snapshot holds the run's
-	// fold (the shard-order prefix's moments, the class sketches and the
-	// finished shards beyond the prefix), so it costs the same at any
-	// device count.
+	// 0 snapshots only on halt and at the end. A snapshot holds the folded
+	// shard-order prefix (its moments and class sketches), so it costs the
+	// same at any device count; a resume runs again the shards that had
+	// finished beyond the prefix.
 	CheckpointEvery int
-	// Resume loads CheckpointPath before running and skips the shards it
+	// Resume loads CheckpointPath before running and skips the prefix it
 	// holds. The checkpoint's config hash must match this config.
 	Resume bool
 
@@ -123,11 +123,11 @@ type Config struct {
 	// engine itself never reads the wall clock — rate/ETA math belongs to
 	// the caller (see cmd/etrain-fleet).
 	Progress func(done, total int)
-	// Halt, when non-nil, is polled once per shard that is not restored,
-	// in shard order, when the shard's first device is taken. Calls are
-	// serialized. Returning true stops that shard and every later one;
-	// the shards admitted before it complete (and are checkpointed), and
-	// Run returns ErrHalted.
+	// Halt, when non-nil, is polled once per shard beyond the restored
+	// prefix, in shard order, when the shard's first device is taken.
+	// Calls are serialized. Returning true stops that shard and every
+	// later one; the shards admitted before it complete (and are
+	// checkpointed), and Run returns ErrHalted.
 	Halt func() bool
 }
 
@@ -253,21 +253,17 @@ func Run(cfg Config) (*Report, error) {
 	}
 	defer f.release()
 	r := &run{
-		cfg:      &norm,
-		pop:      pop,
-		hash:     norm.hash(),
-		restored: make([]bool, norm.shardCount()),
-		open:     make([]*shardOutcomes, norm.shardCount()),
-		fold:     f,
+		cfg:  &norm,
+		pop:  pop,
+		hash: norm.hash(),
+		open: make([]*shardOutcomes, norm.shardCount()),
+		fold: f,
 	}
 	if norm.Resume {
 		if err := loadCheckpoint(norm.CheckpointPath, r.hash, &norm, f); err != nil {
 			return nil, err
 		}
 		r.polled = f.folded
-		for s := range f.pending {
-			r.restored[s] = true
-		}
 	}
 	if norm.Progress != nil {
 		norm.Progress(f.finished(), norm.shardCount())
@@ -296,10 +292,6 @@ type run struct {
 	cfg  *Config
 	pop  *workload.Population
 	hash string
-	// restored marks the shards loaded from the checkpoint beyond its
-	// folded prefix, where polled starts. Their devices, and the prefix's,
-	// are no-ops. It is read-only once the devices start.
-	restored []bool
 
 	// mu guards the admission state: polled, halted and the writes to
 	// open.
@@ -308,7 +300,7 @@ type run struct {
 	// polled and admitted; halted is set when Halt stopped shard polled.
 	polled int
 	halted bool
-	// open holds each admitted shard's outcomes until its fold.
+	// open holds each admitted shard's outcomes until it finishes.
 	open []*shardOutcomes
 
 	// The rest belongs to the completion hook, which ForEachStatus
@@ -318,16 +310,16 @@ type run struct {
 	err error
 }
 
-// shardOutcomes collects one running shard's device outcomes, slotted by
-// device offset, until its last device finishes.
+// shardOutcomes collects one shard's device outcomes, slotted by device
+// offset, from its admission until it folds.
 type shardOutcomes struct {
 	outs     []DeviceOutcome
 	finished int
 }
 
 // outcomesPool holds the outcome buffers of folded shards, so a run
-// allocates nothing per device once the pool holds a buffer per running
-// shard.
+// allocates nothing per device once the pool holds a buffer per running or
+// pending shard.
 var outcomesPool = sync.Pool{New: func() any { return new(shardOutcomes) }}
 
 // admit returns the outcome buffer of shard s, or nil when the device
@@ -340,9 +332,6 @@ func (r *run) admit(s int) *shardOutcomes {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	for ; r.polled <= s && !r.halted; r.polled++ {
-		if r.restored[r.polled] {
-			continue
-		}
 		if r.cfg.Halt != nil && r.cfg.Halt() {
 			r.halted = true
 			break
@@ -383,8 +372,8 @@ func (r *run) device(i int) error {
 }
 
 // finish is the completion hook of device i. It counts the finished
-// devices of i's shard; on the last one it folds the shard's outcomes in
-// device-index order into the run's fold, releases the buffer, and
+// devices of i's shard; on the last one it hands the shard's buffer to the
+// run's fold, which folds every shard that continues the prefix, and
 // reports progress and writes the checkpoint when one is due. Device i's
 // admission wrote open[s] before its job ran, so the hook reads it
 // without r.mu.
@@ -398,8 +387,7 @@ func (r *run) finish(i int, err error) {
 		return
 	}
 	r.open[s] = nil
-	r.fold.addShard(s, so.outs)
-	outcomesPool.Put(so)
+	r.fold.addShard(s, so)
 	done := r.fold.finished()
 	if r.cfg.Progress != nil {
 		r.cfg.Progress(done, r.cfg.shardCount())

@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -362,67 +363,39 @@ func TestResumeFromHandEditedSketches(t *testing.T) {
 	}
 }
 
-// v1Config is the fleet testdata/v1-3000-cut.ckpt was written for: the
-// etrain-fleet defaults at 3000 devices, 12 shards of up to 256. The file
-// is a version-1 checkpoint of that fleet, written by the engine before
-// version 2 and cut to shards 0, 1, 5 and 9; testdata/default-3000.report
-// is the same engine's uninterrupted report.
-func v1Config() Config {
-	return Config{Devices: 3000, Seed: 42, Theta: 4}
-}
-
-// v2Checkpoint returns a version-2 checkpoint of v1Config's fleet with a
-// folded prefix (shards 0 and 1) and two pending shards (5 and 9): the
-// version-1 file resumed and halted before its first shard runs.
-func v2Checkpoint(t *testing.T) []byte {
-	t.Helper()
-	path := filepath.Join(t.TempDir(), "fleet.ckpt")
-	v1, err := os.ReadFile(filepath.Join("testdata", "v1-3000-cut.ckpt"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, v1, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	cfg := v1Config()
-	cfg.CheckpointPath = path
-	cfg.Resume = true
-	cfg.Halt = func() bool { return true }
-	if _, err := Run(cfg); !errors.Is(err, ErrHalted) {
-		t.Fatalf("halted resume returned %v, want ErrHalted", err)
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return data
-}
-
-// TestResumeRejectsDisagreeingCounts resumes from checkpoints edited so
-// their counts disagree, and every edit must be refused.
+// TestResumeRejectsDisagreeingCounts resumes from the snapshot of a
+// default3000 run halted after its first two shards, edited so that it
+// claims another schema version or its counts disagree, and every edit
+// must be refused:
 //
-// The unprefixed cases edit shard 0 of a version-1 checkpoint: the
-// classes' devices no longer sum to the shard's, or one of a class's six
-// moments or three sketches no longer counts the class's devices.
+//   - version_1 and version_2 claim an earlier schema, whose snapshots do
+//     not resume (ErrCheckpointMismatch);
+//   - the prefix's class devices no longer sum to its shards', or its
+//     total's;
+//   - a moment of the prefix or the total no longer counts the devices it
+//     claims;
+//   - a run sketch no longer counts its class's prefix devices.
 //
-// The v2_ cases edit a version-2 checkpoint with a folded prefix and two
-// pending shards: the prefix's class devices no longer sum to its
-// shards', or its total's; a moment of the prefix, the total or a pending
-// shard no longer counts the devices it claims; a run sketch no longer
-// counts the prefix's and pending shards' devices; a pending shard lies
-// inside the prefix, repeats another, or lies past the last shard.
-//
-// Each v2 edit keeps what the other rules check consistent, so only the
-// rule under test can refuse it: a sketch edit moves its zero bucket and
-// its count together, the devices added to the prefix or the total are
-// added to their moments (and the prefix's to its class's sketches), and
-// the repeat keeps every class count.
+// Each count edit but the moved device and the extra folded shard keeps
+// what the other rules check consistent, so only the rule under test can
+// refuse it: a sketch edit moves its zero bucket and its count together,
+// and the devices added to the prefix or the total are added to their
+// moments (and the prefix's to its class's sketches).
+// The count edits' v2_ prefix names the schema that introduced the prefix,
+// total and sketches.
 func TestResumeRejectsDisagreeingCounts(t *testing.T) {
-	v1, err := os.ReadFile(filepath.Join("testdata", "v1-3000-cut.ckpt"))
+	path := filepath.Join(t.TempDir(), "fleet.ckpt")
+	halted := default3000()
+	halted.CheckpointPath = path
+	var polls atomic.Int64
+	halted.Halt = func() bool { return polls.Add(1) > 2 }
+	if _, err := Run(halted); !errors.Is(err, ErrHalted) {
+		t.Fatalf("halted run returned %v, want ErrHalted", err)
+	}
+	snapshot, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	v2 := v2Checkpoint(t)
 	bump := func(m map[string]any, key string, by int64) {
 		n, err := m[key].(json.Number).Int64()
 		if err != nil {
@@ -430,14 +403,8 @@ func TestResumeRejectsDisagreeingCounts(t *testing.T) {
 		}
 		m[key] = n + by
 	}
-	moveDevice := func(cl []any) {
-		from := slices.IndexFunc(cl, func(c any) bool { return c.(map[string]any)["devices"].(json.Number).String() != "0" })
-		bump(cl[from].(map[string]any), "devices", -1)
-		bump(cl[(from+1)%len(cl)].(map[string]any), "devices", 1)
-	}
-	// first walks path from the checkpoint's root, taking the first
-	// element of every list on the way: shard 0, class 0, the first
-	// pending shard.
+	// first walks path from the snapshot's root, taking the first element
+	// of every list on the way: class 0.
 	first := func(ck map[string]any, path ...string) map[string]any {
 		var v any = ck
 		for _, key := range path {
@@ -458,58 +425,44 @@ func TestResumeRejectsDisagreeingCounts(t *testing.T) {
 			bump(class[m].(map[string]any), "n", n)
 		}
 	}
-	type edit struct {
-		file []byte
-		edit func(ck map[string]any)
-	}
-	edits := map[string]edit{
-		"class_devices_plus_5": {v1, func(ck map[string]any) { bump(first(ck, "shards", "classes"), "devices", 5) }},
-		"class_devices_moved": {v1, func(ck map[string]any) {
-			moveDevice(ck["shards"].([]any)[0].(map[string]any)["classes"].([]any))
-		}},
-		"v2_prefix_devices_plus_5": {v2, func(ck map[string]any) {
+	edits := map[string]func(ck map[string]any){
+		"version_1": func(ck map[string]any) { ck["version"] = 1 },
+		"version_2": func(ck map[string]any) { ck["version"] = 2 },
+		"v2_prefix_devices_plus_5": func(ck map[string]any) {
 			addDevices(first(ck, "prefix"), 5)
 			for _, sk := range sketches {
 				bump(first(ck, "sketches", sk), "zero", 5)
 				bump(first(ck, "sketches", sk), "count", 5)
 			}
-		}},
-		"v2_prefix_devices_moved": {v2, func(ck map[string]any) { moveDevice(ck["prefix"].([]any)) }},
-		"v2_folded_plus_1":        {v2, func(ck map[string]any) { bump(ck, "folded", 1) }},
-		"v2_total_devices_plus_5": {v2, func(ck map[string]any) { addDevices(first(ck, "total"), 5) }},
-		"v2_pending_devices_moved": {v2, func(ck map[string]any) {
-			moveDevice(ck["pending"].([]any)[0].(map[string]any)["classes"].([]any))
-		}},
-		"v2_pending_inside_prefix": {v2, func(ck map[string]any) { first(ck, "pending")["shard"] = 1 }},
-		"v2_pending_repeated": {v2, func(ck map[string]any) {
-			pending := ck["pending"].([]any)
-			pending[1].(map[string]any)["shard"] = pending[0].(map[string]any)["shard"]
-		}},
-		"v2_pending_past_last_shard": {v2, func(ck map[string]any) { first(ck, "pending")["shard"] = 12 }},
+		},
+		"v2_prefix_devices_moved": func(ck map[string]any) {
+			classes := ck["prefix"].([]any)
+			from := slices.IndexFunc(classes, func(c any) bool { return c.(map[string]any)["devices"].(json.Number).String() != "0" })
+			bump(classes[from].(map[string]any), "devices", -1)
+			bump(classes[(from+1)%len(classes)].(map[string]any), "devices", 1)
+		},
+		"v2_folded_plus_1":        func(ck map[string]any) { bump(ck, "folded", 1) },
+		"v2_total_devices_plus_5": func(ck map[string]any) { addDevices(first(ck, "total"), 5) },
 	}
 	for _, m := range moments {
-		edits[m+"_n"] = edit{v1, func(ck map[string]any) { bump(first(ck, "shards", "classes", m), "n", 1) }}
-		edits["v2_prefix_"+m+"_n"] = edit{v2, func(ck map[string]any) { bump(first(ck, "prefix", m), "n", 1) }}
-		edits["v2_total_"+m+"_n"] = edit{v2, func(ck map[string]any) { bump(first(ck, "total", m), "n", 1) }}
-		edits["v2_pending_"+m+"_n"] = edit{v2, func(ck map[string]any) { bump(first(ck, "pending", "classes", m), "n", 1) }}
+		edits["v2_prefix_"+m+"_n"] = func(ck map[string]any) { bump(first(ck, "prefix", m), "n", 1) }
+		edits["v2_total_"+m+"_n"] = func(ck map[string]any) { bump(first(ck, "total", m), "n", 1) }
 	}
 	for _, sk := range sketches {
-		miscount := func(sketch map[string]any) {
-			bump(sketch, "zero", 1)
-			bump(sketch, "count", 1)
+		edits["v2_"+sk+"_count"] = func(ck map[string]any) {
+			bump(first(ck, "sketches", sk), "zero", 1)
+			bump(first(ck, "sketches", sk), "count", 1)
 		}
-		edits[sk+"_count"] = edit{v1, func(ck map[string]any) { miscount(first(ck, "shards", "classes", sk)) }}
-		edits["v2_"+sk+"_count"] = edit{v2, func(ck map[string]any) { miscount(first(ck, "sketches", sk)) }}
 	}
-	for name, e := range edits {
+	for name, edit := range edits {
 		t.Run(name, func(t *testing.T) {
 			var ck map[string]any
-			dec := json.NewDecoder(bytes.NewReader(e.file))
+			dec := json.NewDecoder(bytes.NewReader(snapshot))
 			dec.UseNumber()
 			if err := dec.Decode(&ck); err != nil {
 				t.Fatal(err)
 			}
-			e.edit(ck)
+			edit(ck)
 			data, err := json.Marshal(ck)
 			if err != nil {
 				t.Fatal(err)
@@ -518,7 +471,7 @@ func TestResumeRejectsDisagreeingCounts(t *testing.T) {
 			if err := os.WriteFile(edited, data, 0o644); err != nil {
 				t.Fatal(err)
 			}
-			cfg := v1Config()
+			cfg := default3000()
 			cfg.CheckpointPath = edited
 			cfg.Resume = true
 			// An edit that is accepted must not run the fleet to show it.
@@ -527,72 +480,10 @@ func TestResumeRejectsDisagreeingCounts(t *testing.T) {
 			if errors.Is(err, ErrHalted) {
 				t.Fatal("edited checkpoint accepted")
 			}
+			if strings.HasPrefix(name, "version_") && !errors.Is(err, ErrCheckpointMismatch) {
+				t.Errorf("resume returned %v, want ErrCheckpointMismatch", err)
+			}
 			t.Log(err)
-		})
-	}
-}
-
-// TestResumeFromVersion1Checkpoint resumes testdata/v1-3000-cut.ckpt, a
-// version-1 checkpoint holding shards 0, 1, 5 and 9 of 12, and the
-// version-2 checkpoint it becomes, at 1 and 8 workers. Shards 0 and 1 fold
-// as the prefix and 5 and 9 wait for it; the report must equal the
-// uninterrupted report the version-1 engine printed
-// (testdata/default-3000.report) byte for byte, and the aggregates must
-// equal an uninterrupted run's in full precision. The final checkpoint is
-// a version-2 one.
-func TestResumeFromVersion1Checkpoint(t *testing.T) {
-	want, err := os.ReadFile(filepath.Join("testdata", "default-3000.report"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	v1, err := os.ReadFile(filepath.Join("testdata", "v1-3000-cut.ckpt"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	full := v1Config()
-	full.Workers = 8
-	wantAggs := goldenLines(t, mustRun(t, full))
-	// The version-1 file resumed and halted at once: a version-2 file with
-	// shards 0 and 1 folded and 5 and 9 pending.
-	v2 := v2Checkpoint(t)
-	for _, tc := range []struct {
-		from    string
-		file    []byte
-		workers int
-	}{{"v1", v1, 1}, {"v1", v1, 8}, {"v2", v2, 1}, {"v2", v2, 8}} {
-		t.Run(fmt.Sprintf("%s_workers_%d", tc.from, tc.workers), func(t *testing.T) {
-			path := filepath.Join(t.TempDir(), "fleet.ckpt")
-			if err := os.WriteFile(path, tc.file, 0o644); err != nil {
-				t.Fatal(err)
-			}
-			cfg := v1Config()
-			cfg.Workers = tc.workers
-			cfg.CheckpointPath = path
-			cfg.Resume = true
-			restored := -1
-			cfg.Progress = func(done, total int) {
-				if restored == -1 {
-					restored = done
-				}
-			}
-			rep := mustRun(t, cfg)
-			if restored != 4 {
-				t.Errorf("resume restored %d shards, want 4", restored)
-			}
-			if got := renderReport(t, rep); got != string(want) {
-				t.Errorf("resumed report differs from the version-1 engine's:\n%s\nvs\n%s", got, want)
-			}
-			if got := goldenLines(t, rep); !bytes.Equal(got, wantAggs) {
-				t.Errorf("resumed aggregates differ from an uninterrupted run's:\n%s\nvs\n%s", got, wantAggs)
-			}
-			var h checkpointHeader
-			data, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := json.Unmarshal(data, &h); err != nil || h.Version != checkpointVersion {
-				t.Errorf("final checkpoint version %d (%v), want %d", h.Version, err, checkpointVersion)
-			}
 		})
 	}
 }
@@ -600,9 +491,10 @@ func TestResumeFromVersion1Checkpoint(t *testing.T) {
 // TestResumeAfterRandomHalt is the resume contract as a property: at 1
 // and 8 workers and shard sizes 1, 7 and 64, runs halted after a random
 // number of shards, and snapshots copied at a random completion while
-// later shards still run (which hold pending shards when shards finish
-// out of order), each resume, at a random worker count, to the
-// uninterrupted report in full precision.
+// later shards still run (when shards finish out of order, some of them
+// wait beyond the prefix, and a resume runs them again), each resume, at
+// a random worker count, to the uninterrupted report in full precision.
+// Every snapshot is a version-3 file of exactly the prefix's six members.
 func TestResumeAfterRandomHalt(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	for _, workers := range []int{1, 8} {
@@ -638,8 +530,21 @@ func TestResumeAfterRandomHalt(t *testing.T) {
 						t.Fatalf("interrupted run returned %v, want ErrHalted", err)
 					}
 					for _, from := range []string{path, snapshot} {
-						if _, err := os.Stat(from); err != nil {
+						data, err := os.ReadFile(from)
+						if err != nil {
 							continue // no snapshot was taken before copyAt
+						}
+						var members map[string]json.RawMessage
+						if err := json.Unmarshal(data, &members); err != nil {
+							t.Fatal(err)
+						}
+						var keys []string
+						for k := range members {
+							keys = append(keys, k)
+						}
+						slices.Sort(keys)
+						if string(members["version"]) != "3" || !slices.Equal(keys, []string{"config_hash", "folded", "prefix", "sketches", "total", "version"}) {
+							t.Errorf("%s: version %s with members %v, want version 3 with exactly the prefix's six members", filepath.Base(from), members["version"], keys)
 						}
 						resumed := base
 						resumed.Workers = resumeWorkers

@@ -5,32 +5,39 @@ import (
 	"sync"
 )
 
-// fold is a run's report as it grows, in memory that depends on the mix
-// and the sketches' spans but not on the device or shard count:
+// fold is a run's report as it grows:
 //
 //   - the folded prefix: the shards [0, folded), whose class moments have
 //     merged into prefix and total strictly in shard order, as the report
-//     needs them;
+//     needs them, and whose devices' values are counted in the run's class
+//     sketches;
 //   - the pending shards: finished shards beyond the prefix, each keeping
-//     only its class moments until every shard before it has finished;
-//   - the run's class sketches, which count the samples of every finished
-//     shard, folded or pending, since sketch merges are exact in any
-//     grouping.
+//     its outcome buffer until every shard before it has finished.
+//
+// Its memory depends on the mix, the sketches' spans and the pending
+// shards, not on the device count. A shard waits only while a device of an
+// earlier shard still runs, so the pending shards are a reorder window:
+// each holds ShardSize × 40 B of outcomes, and how many wait at once grows
+// with how far the other workers get ahead of the slowest running device.
+// In 100k-device runs of 256-device shards on a 2-vCPU host, no shard
+// waited at 2 workers, and at 8 the most that waited at once was 17 and
+// 19 in two runs; at 1 worker none can.
 //
 // A fold belongs to the hook that finishes shards, which ForEachStatus
 // serializes. Folds are pooled across runs, so a run counts its samples in
-// spans an earlier run grew and reuses its pending records.
+// spans an earlier run grew.
 type fold struct {
 	alpha  float64
 	folded int
 	prefix []ClassMoments
 	total  ClassMoments
 	// pending holds the finished shards beyond the prefix by index.
-	pending map[int]*shardMoments
+	pending map[int]*shardOutcomes
 	// sketches holds one entry per mix entry.
 	sketches []ClassSketches
-	// free holds records already merged into the prefix, for reuse.
-	free []*shardMoments
+	// shard is the scratch each folding shard's class moments fill before
+	// they merge into prefix and total.
+	shard []ClassMoments
 }
 
 // foldPool holds the folds of finished runs.
@@ -40,67 +47,58 @@ var foldPool sync.Pool
 func getFold(cfg *Config) (*fold, error) {
 	classes := len(cfg.Mix)
 	f, _ := foldPool.Get().(*fold)
-	if f == nil || f.alpha != cfg.SketchAlpha || len(f.sketches) != classes {
-		f = &fold{alpha: cfg.SketchAlpha, pending: make(map[int]*shardMoments), sketches: make([]ClassSketches, classes)}
-		var err error
-		for c := range f.sketches {
-			if f.sketches[c], err = newClassSketches(cfg.SketchAlpha); err != nil {
-				return nil, err
-			}
-		}
-	} else {
+	if f != nil && f.alpha == cfg.SketchAlpha && len(f.sketches) == classes {
 		for c := range f.sketches {
 			f.sketches[c].reset()
 		}
+		f.folded = 0
+		clear(f.prefix)
+		f.total = ClassMoments{}
+		return f, nil
 	}
-	f.folded = 0
-	f.prefix = append(f.prefix[:0], make([]ClassMoments, classes)...)
-	f.total = ClassMoments{}
+	f = &fold{
+		alpha:    cfg.SketchAlpha,
+		prefix:   make([]ClassMoments, classes),
+		pending:  make(map[int]*shardOutcomes),
+		sketches: make([]ClassSketches, classes),
+		shard:    make([]ClassMoments, classes),
+	}
+	for c := range f.sketches {
+		var err error
+		if f.sketches[c], err = newClassSketches(cfg.SketchAlpha); err != nil {
+			return nil, err
+		}
+	}
 	return f, nil
 }
 
-// release returns f to the pool; f must not be used after. A halted run
-// leaves pending shards, whose records are dropped.
+// release returns f to the pool; f must not be used after. A run that
+// failed can leave pending shards, whose buffers are dropped.
 func (f *fold) release() {
 	clear(f.pending)
 	foldPool.Put(f)
 }
 
-// addShard folds shard s's device outcomes, in device-index order: their
-// moments into a record that waits until the prefix reaches s, their
-// values into the run's sketches. The prefix then merges every pending
-// shard it reaches.
-func (f *fold) addShard(s int, outs []DeviceOutcome) {
-	var sm *shardMoments
-	if n := len(f.free); n > 0 {
-		sm, f.free = f.free[n-1], f.free[:n-1]
-	} else {
-		sm = new(shardMoments)
-	}
-	*sm = shardMoments{Shard: s, Classes: append(sm.Classes[:0], make([]ClassMoments, len(f.sketches))...)}
-	for _, o := range outs {
-		sm.Devices++
-		saved, saving := sm.Classes[o.ClassIndex].add(o)
-		f.sketches[o.ClassIndex].add(saved, saving, o.DelayS)
-	}
-	f.pending[s] = sm
-	f.advance()
-}
-
-// advance merges the pending shards that continue the prefix, in shard
-// order, and frees their records.
-func (f *fold) advance() {
-	for {
-		sm, ok := f.pending[f.folded]
-		if !ok {
-			return
-		}
-		for c := range sm.Classes {
-			f.prefix[c].merge(&sm.Classes[c])
-			f.total.merge(&sm.Classes[c])
-		}
+// addShard takes the outcome buffer of finished shard s and folds every
+// shard that continues the prefix, in shard order: its devices' moments,
+// in index order, into the shard scratch, which merges into the prefix's
+// class and total moments, and their values into the run's sketches. A
+// folded shard's buffer goes back to outcomesPool; a shard beyond the
+// prefix waits in pending.
+func (f *fold) addShard(s int, so *shardOutcomes) {
+	f.pending[s] = so
+	for next, ok := f.pending[f.folded]; ok; next, ok = f.pending[f.folded] {
 		delete(f.pending, f.folded)
-		f.free = append(f.free, sm)
+		clear(f.shard)
+		for _, o := range next.outs {
+			saved, saving := f.shard[o.ClassIndex].add(o)
+			f.sketches[o.ClassIndex].add(saved, saving, o.DelayS)
+		}
+		for c := range f.shard {
+			f.prefix[c].merge(&f.shard[c])
+			f.total.merge(&f.shard[c])
+		}
+		outcomesPool.Put(next)
 		f.folded++
 	}
 }
@@ -112,8 +110,8 @@ func (f *fold) finished() int { return f.folded + len(f.pending) }
 // sketches are copies spanning exactly their occupied buckets, so a kept
 // report holds no headroom and shares nothing with the pooled fold.
 func (f *fold) report(cfg *Config, hash string) (*Report, error) {
-	if f.folded != cfg.shardCount() || len(f.pending) != 0 {
-		return nil, fmt.Errorf("fleet: %d of %d shards folded, %d pending", f.folded, cfg.shardCount(), len(f.pending))
+	if f.folded != cfg.shardCount() {
+		return nil, fmt.Errorf("fleet: %d of %d shards folded", f.folded, cfg.shardCount())
 	}
 	r := &Report{
 		Devices:     cfg.Devices,

@@ -36,6 +36,12 @@ var goldenFleets = []goldenFleet{
 	}},
 }
 
+// default3000 is the fleet of testdata/default-3000.report: the
+// etrain-fleet defaults at 3000 devices, 12 shards of up to 256.
+func default3000() Config {
+	return Config{Devices: 3000, Seed: 42, Theta: 4}
+}
+
 // goldenLines renders what TestGoldenAggregates pins: the config hash,
 // then one line per class row and the total, each aggregate in its
 // checkpoint JSON, which carries every moment and sketch bin in full
@@ -107,5 +113,24 @@ func TestGoldenAfterOtherFleet(t *testing.T) {
 	}
 	if !bytes.Equal(got, want) {
 		t.Errorf("%s after a Θ=0, k=1, lte-drx fleet drifted from its golden file:\n--- want ---\n%s--- got ---\n%s", g.name, want, got)
+	}
+}
+
+// TestGoldenReport pins the rendered report of the default3000 fleet at 1
+// and 8 workers to testdata/default-3000.report, which is what
+// `etrain-fleet -devices 3000 -quiet` prints.
+func TestGoldenReport(t *testing.T) {
+	want, err := os.ReadFile(filepath.Join("testdata", "default-3000.report"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{1, 8} {
+		t.Run(fmt.Sprintf("workers_%d", workers), func(t *testing.T) {
+			cfg := default3000()
+			cfg.Workers = workers
+			if got := renderReport(t, mustRun(t, cfg)); got != string(want) {
+				t.Errorf("report drifted from testdata/default-3000.report:\n--- want ---\n%s--- got ---\n%s", want, got)
+			}
+		})
 	}
 }

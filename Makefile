@@ -107,9 +107,10 @@ overload:
 # Benchmark regression gate: one fresh run of every benchmark, each
 # gated once against the checked-in BENCH_fleet.json baseline through
 # cmd/etrain-benchjson -gate. allocs/op and B/op more than GATETOL above
-# baseline fail the build; ns/op is reported but never gated (too
-# machine-dependent). Regenerate the baseline with `make bench-json`
-# after an intentional allocation change.
+# baseline fail the build, and so do values more than twice GATETOL
+# below it, a baseline too stale to see a regression; ns/op is reported
+# but never gated (too machine-dependent). Regenerate the baseline with
+# `make bench-json` after an intentional allocation change.
 GATETOL ?= 0.10
 gate:
 	$(GO) test -run '^$$' -bench . -benchmem -benchtime $(BENCHTIME) -count 5 ./... \

@@ -23,11 +23,14 @@
 // gate: instead of emitting JSON it compares the fresh run on stdin
 // against the checked-in baseline FILE, a map of the shape above, and
 // exits non-zero if any benchmark's allocs/op or B/op regressed beyond
-// -tolerance (a fraction; default 0.10). Wall-clock ns/op is reported for context but never
-// gated — it is too machine-dependent — while allocation counts are
-// deterministic and gate exactly. Benchmarks present on only one side are
-// reported but do not fail the gate, so adding a benchmark does not
-// require touching the baseline in the same change.
+// -tolerance (a fraction; default 0.10), or fell below its baseline by
+// more than twice the tolerance. A baseline that far above the code can
+// no longer see a regression back to it, so the gate asks for a
+// re-record. Wall-clock ns/op is reported for context but never gated —
+// it is too machine-dependent — while allocation counts are deterministic
+// and gate exactly. Benchmarks present on only one side are reported but
+// do not fail the gate, so adding a benchmark does not require touching
+// the baseline in the same change.
 package main
 
 import (
@@ -172,7 +175,7 @@ func readBaseline(path string) (map[string]benchResult, error) {
 
 // gate compares fresh results against the baseline and writes a verdict
 // line per benchmark. It returns false if any allocs/op or B/op value
-// regressed beyond the tolerance fraction.
+// regressed beyond the tolerance fraction or improved beyond twice it.
 func gate(w io.Writer, baseline, fresh map[string]benchResult, tolerance float64) bool {
 	keys := make([]string, 0, len(baseline))
 	for k := range baseline {
@@ -189,16 +192,29 @@ func gate(w io.Writer, baseline, fresh map[string]benchResult, tolerance float64
 			continue
 		}
 		matched++
-		allocsOK := withinGate(base.AllocsPerOp, got.AllocsPerOp, tolerance)
-		bytesOK := withinGate(base.BytesPerOp, got.BytesPerOp, tolerance)
+		var why []string
+		for _, f := range [...]struct {
+			name      string
+			base, got float64
+		}{{"allocs/op", base.AllocsPerOp, got.AllocsPerOp}, {"B/op", base.BytesPerOp, got.BytesPerOp}} {
+			switch {
+			case f.got > f.base*(1+tolerance):
+				why = append(why, fmt.Sprintf("%s regressed more than %.0f%%", f.name, 100*tolerance))
+			case f.got < f.base*(1-2*tolerance):
+				why = append(why, fmt.Sprintf("%s fell more than %.0f%% below the baseline, re-record it (make bench-json)", f.name, 200*tolerance))
+			}
+		}
 		verdict := "ok  "
-		if !allocsOK || !bytesOK {
+		if len(why) > 0 {
 			verdict = "FAIL"
 			ok = false
 		}
 		fmt.Fprintf(w, "%s %s: allocs/op %.0f -> %.0f, B/op %.0f -> %.0f, ns/op %.0f -> %.0f (not gated)\n",
 			verdict, k, base.AllocsPerOp, got.AllocsPerOp,
 			base.BytesPerOp, got.BytesPerOp, base.NsPerOp, got.NsPerOp)
+		for _, reason := range why {
+			fmt.Fprintf(w, "     %s: %s\n", k, reason)
+		}
 	}
 	news := make([]string, 0, len(fresh))
 	for k := range fresh {
@@ -215,12 +231,6 @@ func gate(w io.Writer, baseline, fresh map[string]benchResult, tolerance float64
 		return false
 	}
 	return ok
-}
-
-// withinGate reports whether got is no worse than base by more than the
-// tolerance fraction. Improvements always pass.
-func withinGate(base, got, tolerance float64) bool {
-	return got <= base*(1+tolerance)
 }
 
 // benchKey joins the package path and the benchmark name, dropping the

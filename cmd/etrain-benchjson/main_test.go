@@ -182,3 +182,40 @@ BenchmarkB-2 	 100	 20 ns/op	 16 B/op	 1 allocs/op
 		t.Errorf("BenchmarkB = %+v, want each field's median of two", b)
 	}
 }
+
+// TestGateFailsBothWaysOnDoctoredBaselines gates one fresh run against a
+// baseline doctored 30% high and one doctored 30% low. Both fail: the low
+// one as a regression, the high one as a baseline too stale to see one,
+// with a request to re-record it. Improvements within twice the
+// tolerance pass.
+func TestGateFailsBothWaysOnDoctoredBaselines(t *testing.T) {
+	fresh := map[string]benchResult{"p.BenchmarkA": {NsPerOp: 100, BytesPerOp: 1000, AllocsPerOp: 100}}
+	scaled := func(f float64) map[string]benchResult {
+		return map[string]benchResult{"p.BenchmarkA": {NsPerOp: 100, BytesPerOp: 1000 * f, AllocsPerOp: 100 * f}}
+	}
+	for _, tc := range []struct {
+		name   string
+		factor float64
+		pass   bool
+		want   string
+	}{
+		{"30% high", 1.3, false, "re-record"},
+		{"30% low", 0.7, false, "regressed"},
+		{"20% high", 1.2, true, "ok   p.BenchmarkA"},
+		{"unchanged", 1, true, "ok   p.BenchmarkA"},
+	} {
+		var out strings.Builder
+		if got := gate(&out, scaled(tc.factor), fresh, 0.10); got != tc.pass {
+			t.Errorf("%s: gate = %v, want %v:\n%s", tc.name, got, tc.pass, out.String())
+		}
+		if !strings.Contains(out.String(), tc.want) {
+			t.Errorf("%s: output lacks %q:\n%s", tc.name, tc.want, out.String())
+		}
+	}
+	// A zero baseline has no floor below it.
+	var out strings.Builder
+	zero := map[string]benchResult{"p.BenchmarkZ": {}}
+	if !gate(&out, zero, map[string]benchResult{"p.BenchmarkZ": {}}, 0.10) {
+		t.Errorf("gate failed a zero baseline at zero:\n%s", out.String())
+	}
+}

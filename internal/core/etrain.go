@@ -335,8 +335,8 @@ func (e *ETrain) greedySelect(q *sched.Queues, nextSlot time.Duration, limit int
 		e.pbar = append(e.pbar, total)
 		e.ends = append(e.ends, len(e.phi))
 	}
-	e.taken = append(e.taken[:0], make([]bool, n)...)
-	e.claimed = append(e.claimed[:0], make([]float64, len(apps))...)
+	e.taken = cleared(e.taken, n)
+	e.claimed = cleared(e.claimed, len(apps))
 
 	sel := e.sel[:0]
 	for len(sel) < limit && len(sel) < n {
@@ -375,4 +375,16 @@ func (e *ETrain) greedySelect(q *sched.Queues, nextSlot time.Duration, limit int
 		}
 	}
 	return sel
+}
+
+// cleared returns s resized to n zero values. It reallocates, as append
+// grows, only when the capacity is short: under -race the compiler keeps
+// the allocation of append(s[:0], make([]T, n)...) even when it fits.
+func cleared[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return append(s[:0], make([]T, n)...)
+	}
+	s = s[:n]
+	clear(s)
+	return s
 }

@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"fmt"
+	"strconv"
 
 	"etrain/internal/stats"
 )
@@ -9,11 +10,8 @@ import (
 // ClassAggregate is the streaming summary of every simulated device of one
 // activeness class: constant-size mergeable moments plus quantile sketches,
 // never the per-device samples. The sketches' bits depend only on the
-// device multiset, but the moments' do not: the same devices folded or
-// merged in another grouping can differ in the last bits. Reports are
-// worker-count-independent because the shard layout and the moments'
-// merge order are fixed (devices in index order, shards in shard order),
-// not because grouping is invisible.
+// device multiset, the moments' also on the grouping, which the fixed
+// shard layout and merge order keep the same at any worker count.
 type ClassAggregate struct {
 	ClassMoments
 	ClassSketches
@@ -38,8 +36,7 @@ type ClassMoments struct {
 }
 
 // ClassSketches are a class's quantile sketches over the per-device saved
-// energy, fractional saving and delay. Sketch merges are exact in any
-// grouping, so they need no fold order.
+// energy, fractional saving and delay, whose merges need no order.
 type ClassSketches struct {
 	SavedSketch  *stats.Sketch `json:"saved_sketch"`
 	SavingSketch *stats.Sketch `json:"saving_sketch"`
@@ -55,16 +52,12 @@ func NewClassAggregate(alpha float64) (ClassAggregate, error) {
 
 // newClassSketches returns three empty sketches at the given relative
 // accuracy.
-func newClassSketches(alpha float64) (ClassSketches, error) {
-	var k ClassSketches
-	var err error
-	if k.SavedSketch, err = stats.NewSketch(alpha); err != nil {
-		return k, err
+func newClassSketches(alpha float64) (k ClassSketches, err error) {
+	for _, s := range [...]**stats.Sketch{&k.SavedSketch, &k.SavingSketch, &k.DelaySketch} {
+		if *s, err = stats.NewSketch(alpha); err != nil {
+			break
+		}
 	}
-	if k.SavingSketch, err = stats.NewSketch(alpha); err != nil {
-		return k, err
-	}
-	k.DelaySketch, err = stats.NewSketch(alpha)
 	return k, err
 }
 
@@ -101,30 +94,47 @@ func (k *ClassSketches) add(saved, saving, delay float64) {
 // merge folds another class's moments in.
 func (m *ClassMoments) merge(o *ClassMoments) {
 	m.Devices += o.Devices
-	m.WithoutJ.Merge(o.WithoutJ)
-	m.WithJ.Merge(o.WithJ)
-	m.SavedJ.Merge(o.SavedJ)
-	m.Saving.Merge(o.Saving)
-	m.DelayS.Merge(o.DelayS)
-	m.Violation.Merge(o.Violation)
+	for j, om := range o.all() {
+		m.all()[j].Merge(*om)
+	}
 }
 
-// merge adds another class's sketch counts.
-func (k *ClassSketches) merge(o *ClassSketches) error {
-	if err := k.SavedSketch.Merge(o.SavedSketch); err != nil {
-		return err
+// merge adds the sketch counts of every class in ks. Each of k's
+// sketches widens once, to the union of its span and theirs.
+func (k *ClassSketches) merge(ks []ClassSketches) error {
+	for j, dst := range k.all() {
+		srcs := make([]*stats.Sketch, 0, 8)
+		for c := range ks {
+			srcs = append(srcs, ks[c].all()[j])
+		}
+		if err := dst.Merge(srcs...); err != nil {
+			return err
+		}
 	}
-	if err := k.SavingSketch.Merge(o.SavingSketch); err != nil {
-		return err
-	}
-	return k.DelaySketch.Merge(o.DelaySketch)
+	return nil
 }
+
+// all returns k's sketches in field order, the order of sketchNames.
+func (k *ClassSketches) all() [3]*stats.Sketch {
+	return [...]*stats.Sketch{k.SavedSketch, k.SavingSketch, k.DelaySketch}
+}
+
+// sketchNames are the JSON names of ClassSketches' fields.
+var sketchNames = [...]string{"saved_sketch", "saving_sketch", "delay_sketch"}
+
+// all returns m's moments in field order, the order of momentNames.
+func (m *ClassMoments) all() [6]*stats.Moments {
+	return [...]*stats.Moments{&m.WithoutJ, &m.WithJ, &m.SavedJ, &m.Saving, &m.DelayS, &m.Violation}
+}
+
+// momentNames are the JSON names of ClassMoments' moments.
+var momentNames = [...]string{"without_j", "with_j", "saved_j", "saving", "delay_s", "violation"}
 
 // reset empties the sketches, keeping their spans.
 func (k *ClassSketches) reset() {
-	k.SavedSketch.Reset()
-	k.SavingSketch.Reset()
-	k.DelaySketch.Reset()
+	for _, s := range k.all() {
+		s.Reset()
+	}
 }
 
 // checkCounts reports an error unless m's six moments each count
@@ -133,16 +143,9 @@ func (m *ClassMoments) checkCounts() error {
 	if m.Devices < 0 {
 		return fmt.Errorf("negative device count %d", m.Devices)
 	}
-	moments := [...]struct {
-		name string
-		m    *stats.Moments
-	}{
-		{"without_j", &m.WithoutJ}, {"with_j", &m.WithJ}, {"saved_j", &m.SavedJ},
-		{"saving", &m.Saving}, {"delay_s", &m.DelayS}, {"violation", &m.Violation},
-	}
-	for _, mm := range moments {
-		if mm.m.N() != int64(m.Devices) {
-			return fmt.Errorf("%s counts %d samples, the class %d devices", mm.name, mm.m.N(), m.Devices)
+	for j, mm := range m.all() {
+		if mm.N() != int64(m.Devices) {
+			return fmt.Errorf("%s counts %d samples, the class %d devices", momentNames[j], mm.N(), m.Devices)
 		}
 	}
 	return nil
@@ -151,19 +154,40 @@ func (m *ClassMoments) checkCounts() error {
 // checkCounts reports an error unless each of k's sketches is present and
 // counts n samples.
 func (k *ClassSketches) checkCounts(n int) error {
-	sketches := [...]struct {
-		name string
-		s    *stats.Sketch
-	}{
-		{"saved_sketch", k.SavedSketch}, {"saving_sketch", k.SavingSketch}, {"delay_sketch", k.DelaySketch},
-	}
-	for _, sk := range sketches {
-		if sk.s == nil {
-			return fmt.Errorf("%s is missing", sk.name)
+	for j, s := range k.all() {
+		if s == nil {
+			return fmt.Errorf("%s is missing", sketchNames[j])
 		}
-		if sk.s.Count() != uint64(n) {
-			return fmt.Errorf("%s counts %d samples, want %d devices", sk.name, sk.s.Count(), n)
+		if s.Count() != uint64(n) {
+			return fmt.Errorf("%s counts %d samples, want %d devices", sketchNames[j], s.Count(), n)
 		}
 	}
 	return nil
+}
+
+// appendJSON appends m's JSON, as encoding/json writes it, to b.
+func (m *ClassMoments) appendJSON(b []byte) (_ []byte, err error) {
+	b = strconv.AppendInt(append(b, `{"devices":`...), int64(m.Devices), 10)
+	for j, mm := range m.all() {
+		if b, err = mm.AppendJSON(appendKey(b, ',', momentNames[j])); err != nil {
+			return b, fmt.Errorf("%s: %w", momentNames[j], err)
+		}
+	}
+	return append(b, '}'), nil
+}
+
+// appendJSON appends k's JSON, as encoding/json writes it, to b.
+func (k *ClassSketches) appendJSON(b []byte) []byte {
+	sep := byte('{')
+	for j, s := range k.all() {
+		b, sep = s.AppendJSON(appendKey(b, sep, sketchNames[j])), ','
+	}
+	return append(b, '}')
+}
+
+// appendKey appends sep and name as a JSON object key.
+func appendKey(b []byte, sep byte, name string) []byte {
+	b = append(b, sep, '"')
+	b = append(b, name...)
+	return append(b, '"', ':')
 }

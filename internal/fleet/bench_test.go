@@ -1,7 +1,6 @@
 package fleet
 
 import (
-	"runtime"
 	"testing"
 	"time"
 )
@@ -10,21 +9,15 @@ import (
 // the fleet engine's unit of work — in steady state: one scratch, grown by
 // a shard's worth of devices, runs them again in turn. A fresh device
 // every op would add the growth of whichever device outgrew the buffers
-// so far, a figure that depends on b.N. Like testing.AllocsPerRun, it
-// runs on one P: sync.Pool caches per P, so a goroutine that moves to
-// another P can miss its pooled randx.Source (about 5 KB), and B/op would
-// depend on scheduling.
+// so far, a figure that depends on b.N. The scratch owns its random
+// streams, so nothing depends on which P runs the benchmark.
 func BenchmarkDevicePair(b *testing.B) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	cfg := Config{Devices: 1, Seed: 1, Theta: 4.0, K: 20}
 	norm, pop, err := cfg.normalize()
 	if err != nil {
 		b.Fatal(err)
 	}
-	sc, err := getScratch(&norm)
-	if err != nil {
-		b.Fatal(err)
-	}
+	sc := scratchFor(b, &norm)
 	for i := 0; i < DefaultShardSize; i++ {
 		if _, err := sc.runDevice(&norm, pop, i); err != nil {
 			b.Fatal(err)
@@ -41,7 +34,10 @@ func BenchmarkDevicePair(b *testing.B) {
 
 // BenchmarkFleet10k runs a 10k-device population end to end (one CPU per
 // worker, 2-minute sessions) — the guardrail number for population-scale
-// throughput and aggregate memory.
+// throughput and aggregate memory. Untimed runs first warm the run free
+// list, whose worker scratches and outcome buffers the first run grows
+// from nothing, and the runtime, which starts an OS thread for each P on
+// the P's first busy spells; so every count measures a warmed run.
 func BenchmarkFleet10k(b *testing.B) {
 	cfg := Config{
 		Devices: 10000,
@@ -51,7 +47,13 @@ func BenchmarkFleet10k(b *testing.B) {
 		Theta:   4.0,
 		K:       20,
 	}
+	for range 3 {
+		if _, err := Run(cfg); err != nil {
+			b.Fatal(err)
+		}
+	}
 	b.ReportAllocs()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := Run(cfg); err != nil {
 			b.Fatal(err)

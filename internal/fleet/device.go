@@ -3,7 +3,6 @@ package fleet
 import (
 	"fmt"
 	"slices"
-	"sync"
 	"time"
 
 	"etrain/internal/bandwidth"
@@ -85,14 +84,16 @@ func SynthesizeDevice(fleetSeed int64, pop *workload.Population, index int, hori
 	return SynthesizeDeviceOpts(fleetSeed, pop, index, horizon, DeviceOptions{})
 }
 
-// SynthesizeDeviceOpts is SynthesizeDevice with options. Without a
-// diurnal profile it is draw-for-draw identical to the legacy path; with
-// one, the same streams feed the diurnal samplers (the per-device phase
-// comes from randx.Derive and consumes no stream state), so attaching a
-// profile never perturbs any other device. The device's slices are the
-// caller's own.
+// SynthesizeDeviceOpts is SynthesizeDevice with options. A diurnal
+// profile feeds the same streams to its samplers (the per-device phase
+// comes from randx.Derive), so attaching one never perturbs any other
+// device. The device's slices are the caller's own.
 func SynthesizeDeviceOpts(fleetSeed int64, pop *workload.Population, index int, horizon time.Duration, opts DeviceOptions) (Device, error) {
-	return new(scratch).synthesize(fleetSeed, pop, index, horizon, opts)
+	s := &scratch{root: randx.Acquire(0), child: randx.Acquire(0), app: randx.Acquire(0)}
+	defer s.root.Release()
+	defer s.child.Release()
+	defer s.app.Release()
+	return s.synthesize(fleetSeed, pop, index, horizon, opts)
 }
 
 // SimConfig returns the device's base simulation config (no strategy set),
@@ -131,12 +132,9 @@ func RunPair(base sim.Config, theta float64, k int) (DeviceOutcome, error) {
 }
 
 // scratch is everything one device's synthesis and run pair fill, kept
-// for the next device: each device job takes one from a pool and puts it
-// back, so a device allocates nothing once the buffers have grown. A
-// device synthesized into a scratch is valid until the scratch
-// synthesizes the next one. The zero value can synthesize and run a pair;
-// runDevice also needs the eTrain strategy getScratch sets. A scratch is
-// not safe for concurrent use.
+// for the next device; a device synthesized into it is valid until the
+// next. The zero value can run a pair; synthesize needs newScratch's
+// streams, and runDevice its eTrain strategy, Reset to the fleet's Θ, k.
 type scratch struct {
 	trains  []heartbeat.TrainApp
 	records []workload.BehaviorRecord
@@ -148,7 +146,11 @@ type scratch struct {
 	merger  heartbeat.Merger
 	beats   []heartbeat.Beat
 	sampler diurnal.Sampler
-	trace   bandwidth.Trace
+	// root, child and app are the device's streams, reseeded in place:
+	// root from the device seed, then the bandwidth seed; child split off
+	// root for the session, then the background; app off child per app.
+	root, child, app *randx.Source
+	trace            bandwidth.Trace
 	// engine runs both halves of every pair. The strategies keep nothing
 	// between runs but their scratch, so they serve every device as they
 	// are.
@@ -157,20 +159,11 @@ type scratch struct {
 	etrain    *core.ETrain
 }
 
-// scratchPool holds the scratches between device jobs: about one per
-// worker.
-var scratchPool = sync.Pool{New: func() any { return &scratch{etrain: new(core.ETrain)} }}
-
-// getScratch takes a scratch from the pool and re-options its eTrain
-// strategy for cfg's Θ and k. Every device overwrites what it uses of the
-// rest, so a scratch carries nothing from one device or fleet to the next
-// but buffer capacity.
-func getScratch(cfg *Config) (*scratch, error) {
-	sc := scratchPool.Get().(*scratch)
-	if err := sc.etrain.Reset(core.Options{Theta: cfg.Theta, K: cfg.K}); err != nil {
-		return nil, err
-	}
-	return sc, nil
+// newScratch returns a scratch with its own streams and an eTrain
+// strategy. Every device overwrites what it uses, so a scratch carries
+// nothing from one device or fleet to the next but buffer capacity.
+func newScratch() *scratch {
+	return &scratch{root: randx.New(0), child: randx.New(0), app: randx.New(0), etrain: new(core.ETrain)}
 }
 
 // synthesize is SynthesizeDeviceOpts into s's buffers.
@@ -178,11 +171,10 @@ func getScratch(cfg *Config) (*scratch, error) {
 //etrain:hotpath
 func (s *scratch) synthesize(fleetSeed int64, pop *workload.Population, index int, horizon time.Duration, opts DeviceOptions) (Device, error) {
 	seed := randx.Derive(fleetSeed, deviceNamespace, uint64(index))
-	// Synthesis streams are short-lived and fully consumed here, so they
-	// come from the source pool: same bits as New/Split, no per-device
-	// generator-table allocations in the shard loop.
-	src := randx.Acquire(seed)
-	defer src.Release()
+	// Each stream is drained before its Source is reseeded: the bits of
+	// New and Split, without their per-device generator tables.
+	src := s.root
+	src.Reseed(seed)
 	classIndex, class := pop.Pick(src.Float64())
 	var sampler *diurnal.Sampler
 	if opts.Diurnal != nil {
@@ -190,15 +182,11 @@ func (s *scratch) synthesize(fleetSeed int64, pop *workload.Population, index in
 		opts.Diurnal.ForDeviceInto(sampler, class.String(), seed)
 	}
 	s.trains = appendTrains(s.trains[:0], src)
-	sessSrc := src.SplitPooled()
 	// No consumer reads a session record's user ID, so it stays empty.
-	s.records = workload.AppendSession(s.records[:0], sessSrc, "", class, horizon, sampler)
-	sessSrc.Release()
+	s.records = workload.AppendSession(s.records[:0], src.SplitInto(s.child), "", class, horizon, sampler)
 	s.cargo = workload.AppendPacketsFromTrace(s.cargo[:0], s.records, sessionProfile)
-	genSrc := src.SplitPooled()
 	var err error
-	s.cargo, err = s.gen.Append(s.cargo, genSrc, backgroundByClass[class], horizon, sampler)
-	genSrc.Release()
+	s.cargo, err = s.gen.Append(s.cargo, src.SplitInto(s.child), s.app, backgroundByClass[class], horizon, sampler)
 	if err != nil {
 		return Device{}, err
 	}
@@ -221,9 +209,8 @@ func (s *scratch) synthesize(fleetSeed int64, pop *workload.Population, index in
 	}, nil
 }
 
-// runDevice synthesizes device i into s and measures its run pair.
-// Everything is derived from (cfg.Seed, i) in a fixed draw order, so the
-// outcome is a pure function of the device's identity.
+// runDevice synthesizes device i into s and measures its run pair, a pure
+// function of (cfg.Seed, i).
 //
 //etrain:hotpath
 func (s *scratch) runDevice(cfg *Config, pop *workload.Population, i int) (DeviceOutcome, error) {
@@ -231,7 +218,9 @@ func (s *scratch) runDevice(cfg *Config, pop *workload.Population, i int) (Devic
 	if err != nil {
 		return DeviceOutcome{}, err
 	}
-	if err := bandwidth.FromSeedInto(&s.trace, dev.BandwidthSeed, dev.Horizon, nil); err != nil {
+	// bandwidth.FromSeedInto on the scratch's root stream.
+	s.root.Reseed(dev.BandwidthSeed)
+	if err := bandwidth.SynthesizeInto(&s.trace, s.root, dev.Horizon, nil); err != nil {
 		return DeviceOutcome{}, err
 	}
 	base := dev.simConfig(&s.trace)
@@ -294,39 +283,22 @@ func appendTrains(dst []heartbeat.TrainApp, src *randx.Source) []heartbeat.Train
 // Profiles are read-only, so all devices share one.
 var sessionProfile = profile.Weibo(sessionDeadline)
 
-// backgroundByClass holds each activeness class's backgroundSpecs, built
-// once: specs and their profiles are read-only, so a class's devices share
-// them.
+// backgroundByClass holds each activeness class's background cargo, mail
+// and cloud sync, at arrival rates scaled by the class. Specs and their
+// profiles are read-only, so a class's devices share them.
 var backgroundByClass = func() (m [workload.ClassActive + 1][]workload.CargoSpec) {
-	for _, c := range []workload.ActivenessClass{workload.ClassInactive, workload.ClassModerate, workload.ClassActive} {
-		m[c] = backgroundSpecs(c)
+	for _, cf := range []struct {
+		class  workload.ActivenessClass
+		factor float64
+	}{{workload.ClassInactive, 0.5}, {workload.ClassModerate, 1}, {workload.ClassActive, 1.5}} {
+		specs := []workload.CargoSpec{workload.MailSpec(), workload.CloudSpec()}
+		for i := range specs {
+			specs[i].MeanInterArrival = time.Duration(float64(specs[i].MeanInterArrival) / cf.factor)
+		}
+		m[cf.class] = specs
 	}
 	return m
 }()
-
-// backgroundSpecs returns the device's delay-tolerant background cargo
-// (mail + cloud sync), with arrival rates scaled by the activeness class:
-// active users generate more background traffic, inactive users less.
-func backgroundSpecs(class workload.ActivenessClass) []workload.CargoSpec {
-	factor := activityFactor(class)
-	specs := []workload.CargoSpec{workload.MailSpec(), workload.CloudSpec()}
-	for i := range specs {
-		specs[i].MeanInterArrival = time.Duration(float64(specs[i].MeanInterArrival) / factor)
-	}
-	return specs
-}
-
-// activityFactor is the background-rate multiplier per activeness class.
-func activityFactor(class workload.ActivenessClass) float64 {
-	switch class {
-	case workload.ClassActive:
-		return 1.5
-	case workload.ClassModerate:
-		return 1.0
-	default:
-		return 0.5
-	}
-}
 
 // mergePackets appends to dst the session replay and the background cargo,
 // laid end to end in cargo, interleaved by arrival time (the session's

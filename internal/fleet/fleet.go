@@ -1,30 +1,20 @@
 // Package fleet simulates an entire device population — each device a
 // full eTrain system with its own heartbeat trains, cargo mix and
-// user-activeness class — and aggregates per-device outcomes into
-// streaming, mergeable statistics as each shard finishes, so a run's
-// memory and each checkpoint's size stay flat as the fleet grows.
+// user-activeness class — and folds per-device outcomes into streaming,
+// mergeable statistics as each shard finishes, so a run's memory and each
+// checkpoint's size stay flat as the fleet grows. It generalizes the
+// paper's Fig. 11 deployment (100+ users grouped by activeness) to
+// per-class saving and delay quantiles over 100k+ simulated devices.
 //
-// The engine generalizes the paper's Fig. 11 deployment (100+ real users
-// grouped by activeness, single-number savings per group) to
-// population-scale distributions: per-class energy-saving and delay
-// quantiles over 100k+ simulated devices.
-//
-// Devices are the unit of parallelism: the workers take devices in index
-// order, so even a one-shard fleet runs on every worker. Shards are the
-// unit of aggregation and checkpointing.
-//
-// Determinism contract (DESIGN.md §9): a device's entire behavior is a
-// pure function of (fleet seed, device index); devices are partitioned
-// into fixed-size shards independent of the worker count; and each shard,
-// as soon as it and every shard before it have finished, folds its
-// devices' outcomes in index order into per-class stats.Moments, which
-// merge into the report in shard-index order, and counts their values in
-// the run's per-class stats.Sketch. A sketch's state depends only on the
-// samples it counts, so only the moments need that order. Worker count
-// and scheduling order are therefore invisible: the final report is
-// byte-identical at 1 and N workers, and a run resumed from a
-// shard-boundary checkpoint reproduces the byte-exact report of an
-// uninterrupted run.
+// Devices are the unit of parallelism, shards of aggregation and
+// checkpointing. Determinism contract (DESIGN.md §9): a device is a pure
+// function of (fleet seed, device index); the shard layout ignores the
+// worker count; and each shard, once it and every shard before it have
+// finished, folds its devices in index order into per-class
+// stats.Moments, which merge in shard order, and counts their values in
+// the run's stats.Sketch, whose state depends only on the samples. So the
+// report is byte-identical at any worker count and across a resume from a
+// shard-boundary checkpoint.
 package fleet
 
 import (
@@ -32,10 +22,11 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"strings"
+	"strconv"
 	"sync"
 	"time"
 
+	"etrain/internal/core"
 	"etrain/internal/diurnal"
 	"etrain/internal/parallel"
 	"etrain/internal/radio"
@@ -44,10 +35,7 @@ import (
 	"etrain/internal/workload"
 )
 
-// DefaultShardSize is the default number of devices per shard. Shards are
-// the unit of aggregation and checkpointing, not of parallelism: a
-// shard's devices spread over every worker whatever its size, and a shard
-// that finishes before an earlier one keeps its outcomes until it folds.
+// DefaultShardSize is the default number of devices per shard.
 const DefaultShardSize = 256
 
 // DefaultK is the per-heartbeat batch bound handed to each device's
@@ -55,9 +43,8 @@ const DefaultShardSize = 256
 const DefaultK = 20
 
 // ErrHalted reports that Config.Halt stopped the run at a shard boundary.
-// When a checkpoint path is configured, the completed shards were
-// snapshotted before returning; resuming later reproduces the
-// uninterrupted run's report byte for byte.
+// With a checkpoint path, the completed shards were snapshotted first, so
+// a resume reproduces the uninterrupted run's report byte for byte.
 var ErrHalted = errors.New("fleet: run halted at shard boundary")
 
 // Config describes one population run.
@@ -65,9 +52,8 @@ type Config struct {
 	// Devices is the population size. Required.
 	Devices int
 	// ShardSize is the number of devices per shard (default
-	// DefaultShardSize). The shard layout is part of the run's identity:
-	// it is independent of Workers, and changing it changes the
-	// config hash.
+	// DefaultShardSize). The shard layout is part of the run's identity,
+	// independent of Workers.
 	ShardSize int
 	// Workers bounds concurrent device simulations: n > 0 verbatim, 0
 	// sequential, negative one per CPU. The report is byte-identical at
@@ -90,14 +76,12 @@ type Config struct {
 	// (default stats.DefaultSketchAlpha), at least stats.MinSketchAlpha.
 	SketchAlpha float64
 	// Diurnal, when non-nil, shapes every device's cargo and heartbeat
-	// cadence by the profile's activity curves and scheduled events. It is
-	// part of the run's identity (the profile hash enters the config hash),
-	// and a nil profile reproduces the legacy fleet byte for byte.
+	// cadence by the profile's activity curves and scheduled events; its
+	// hash enters the config hash. Nil reproduces the legacy fleet.
 	Diurnal *diurnal.Profile
 	// Radio, when non-empty, names the radio generation every device's
-	// energy is accounted under (radio.ModelByName: "3g", "lte-drx",
-	// "nr-drx", ...). Empty keeps the legacy 3G RRC power model and the
-	// legacy config hash.
+	// energy is accounted under (radio.ModelByName: "3g", "lte-drx", ...).
+	// Empty keeps the legacy 3G RRC power model and config hash.
 	Radio string
 
 	// radioModel is Radio resolved by normalize.
@@ -109,9 +93,7 @@ type Config struct {
 	CheckpointPath string
 	// CheckpointEvery takes a snapshot after every n-th completed shard;
 	// 0 snapshots only on halt and at the end. A snapshot holds the folded
-	// shard-order prefix (its moments and class sketches), so it costs the
-	// same at any device count; a resume runs again the shards that had
-	// finished beyond the prefix.
+	// shard-order prefix, so it costs the same at any device count.
 	CheckpointEvery int
 	// Resume loads CheckpointPath before running and skips the prefix it
 	// holds. The checkpoint's config hash must match this config.
@@ -119,9 +101,8 @@ type Config struct {
 
 	// Progress, when non-nil, is invoked after every completed shard with
 	// (completed, total). Calls are serialized; completion order is
-	// scheduler-dependent even though the results are not. The fleet
-	// engine itself never reads the wall clock — rate/ETA math belongs to
-	// the caller (see cmd/etrain-fleet).
+	// scheduler-dependent. The engine never reads the wall clock: rate/ETA
+	// math belongs to the caller (see cmd/etrain-fleet).
 	Progress func(done, total int)
 	// Halt, when non-nil, is polled once per shard beyond the restored
 	// prefix, in shard order, when the shard's first device is taken.
@@ -140,9 +121,7 @@ func (c Config) normalize() (Config, *workload.Population, error) {
 	if c.ShardSize < 0 {
 		return c, nil, fmt.Errorf("fleet: negative shard size %d", c.ShardSize)
 	}
-	if c.ShardSize == 0 {
-		c.ShardSize = DefaultShardSize
-	}
+	c.ShardSize = cmp.Or(c.ShardSize, DefaultShardSize)
 	switch {
 	case c.Workers == 0:
 		c.Workers = 1
@@ -152,21 +131,15 @@ func (c Config) normalize() (Config, *workload.Population, error) {
 	if c.Horizon < 0 {
 		return c, nil, fmt.Errorf("fleet: negative horizon %v", c.Horizon)
 	}
-	if c.Horizon == 0 {
-		c.Horizon = workload.SessionLength
-	}
+	c.Horizon = cmp.Or(c.Horizon, workload.SessionLength)
 	if c.Theta < 0 {
 		return c, nil, fmt.Errorf("fleet: negative theta %v", c.Theta)
 	}
 	if c.K < 0 {
 		return c, nil, fmt.Errorf("fleet: negative k %d", c.K)
 	}
-	if c.K == 0 {
-		c.K = DefaultK
-	}
-	if c.SketchAlpha == 0 {
-		c.SketchAlpha = stats.DefaultSketchAlpha
-	}
+	c.K = cmp.Or(c.K, DefaultK)
+	c.SketchAlpha = cmp.Or(c.SketchAlpha, stats.DefaultSketchAlpha)
 	if err := stats.CheckSketchAlpha(c.SketchAlpha); err != nil {
 		return c, nil, fmt.Errorf("fleet: %w", err)
 	}
@@ -206,37 +179,46 @@ func (c Config) shardCount() int {
 // shardRange returns the device index range [lo, hi) of shard s.
 func (c Config) shardRange(s int) (lo, hi int) {
 	lo = s * c.ShardSize
-	hi = lo + c.ShardSize
-	if hi > c.Devices {
-		hi = c.Devices
-	}
-	return lo, hi
+	return lo, min(lo+c.ShardSize, c.Devices)
 }
 
-// hash names the run's simulation identity: everything that shapes the
-// per-device results and the aggregate layout, and nothing that does not
-// (worker count, checkpoint cadence and callbacks are excluded — a
-// checkpoint taken at one worker count resumes at any other).
+// hash names the run's simulation identity: what shapes the results and
+// the aggregate layout, not worker count, checkpoint cadence or
+// callbacks. Its canonical text streams through FNV-1a a field at a time
+// from a stack buffer, so it allocates only the string it returns.
 func (c Config) hash() string {
-	var mix strings.Builder
+	var buf [64]byte
+	h := uint64(randx.FNVOffset)
+	put := func(piece []byte) { h = randx.FNV1a(h, piece) }
+	put(strconv.AppendInt(append(buf[:0], hashToken+" devices="...), int64(c.Devices), 10))
+	put(strconv.AppendInt(append(buf[:0], " shard_size="...), int64(c.ShardSize), 10))
+	put(strconv.AppendInt(append(buf[:0], " seed="...), c.Seed, 10))
+	put(append(append(buf[:0], " horizon="...), c.Horizon.String()...))
+	put(strconv.AppendFloat(append(buf[:0], " theta="...), c.Theta, 'g', -1, 64))
+	put(strconv.AppendInt(append(buf[:0], " k="...), int64(c.K), 10))
+	put(strconv.AppendFloat(append(buf[:0], " alpha="...), c.SketchAlpha, 'g', -1, 64))
+	put(append(buf[:0], " mix="...))
 	for i, s := range c.Mix {
+		b := buf[:0]
 		if i > 0 {
-			mix.WriteByte(',')
+			b = append(b, ',')
 		}
-		fmt.Fprintf(&mix, "%s:%g", s.Class, s.Weight)
+		put(strconv.AppendFloat(append(append(b, s.Class.String()...), ':'), s.Weight, 'g', -1, 64))
 	}
-	canonical := fmt.Sprintf(
-		"%s devices=%d shard_size=%d seed=%d horizon=%s theta=%g k=%d alpha=%g mix=%s",
-		hashToken, c.Devices, c.ShardSize, c.Seed, c.Horizon, c.Theta, c.K, c.SketchAlpha, mix.String())
 	// Diurnal and radio tokens appear only when set, so legacy configs keep
 	// their hashes and old checkpoints stay resumable.
 	if c.Radio != "" {
-		canonical += fmt.Sprintf(" radio=%s", c.Radio)
+		put(append(append(buf[:0], " radio="...), c.Radio...))
 	}
 	if c.Diurnal != nil {
-		canonical += fmt.Sprintf(" diurnal=%s", c.Diurnal.Hash())
+		put(append(append(buf[:0], " diurnal="...), c.Diurnal.Hash()...))
 	}
-	return fmt.Sprintf("%016x", randx.DeriveString(canonical))
+	const digits = "0123456789abcdef"
+	for i := 15; i >= 0; i-- {
+		buf[i] = digits[h&15]
+		h >>= 4
+	}
+	return string(buf[:16])
 }
 
 // Run simulates the population and returns its report. With Resume set it
@@ -247,100 +229,151 @@ func Run(cfg Config) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	f, err := getFold(&norm)
+	r, err := takeRun(&norm, pop)
 	if err != nil {
 		return nil, err
 	}
-	defer f.release()
-	r := &run{
-		cfg:  &norm,
-		pop:  pop,
-		hash: norm.hash(),
-		open: make([]*shardOutcomes, norm.shardCount()),
-		fold: f,
-	}
+	defer r.release()
 	if norm.Resume {
-		if err := loadCheckpoint(norm.CheckpointPath, r.hash, &norm, f); err != nil {
+		if err := loadCheckpoint(norm.CheckpointPath, r.hash, &norm, &r.fold); err != nil {
 			return nil, err
 		}
-		r.polled = f.folded
+		r.polled, r.done = r.fold.folded, r.fold.folded
 	}
 	if norm.Progress != nil {
-		norm.Progress(f.finished(), norm.shardCount())
+		norm.Progress(r.done, norm.shardCount())
 	}
 	if err := parallel.ForEachStatus(parallel.NewLimit(norm.Workers), norm.Devices, r.device, r.finish); err != nil {
 		return nil, err
 	}
+	if r.err == nil && norm.CheckpointPath != "" {
+		r.err = r.writeCheckpoint()
+	}
 	if r.err != nil {
 		return nil, r.err
-	}
-	if norm.CheckpointPath != "" {
-		if err := writeCheckpoint(norm.CheckpointPath, r.hash, f); err != nil {
-			return nil, err
-		}
 	}
 	if r.halted {
 		return nil, ErrHalted
 	}
-	return f.report(&norm, r.hash)
+	return r.fold.report(&norm, r.hash)
 }
 
-// run is one Run's state. Devices are its jobs, so a shard's devices
-// spread over every worker; shards are how their outcomes fold and
-// checkpoint.
+// run is one Run's state. A finished run goes on the runs free list with
+// what it grew, so a warmed Run allocates its report, not its scheduling.
 type run struct {
-	cfg  *Config
+	cfg  Config
 	pop  *workload.Population
 	hash string
 
-	// mu guards the admission state: polled, halted and the writes to
-	// open.
-	mu sync.Mutex
+	// mu guards polled, halted, free and writes to open; room wakes
+	// admissions waiting for a buffer.
+	mu   sync.Mutex
+	room sync.Cond
 	// polled counts the shards, in shard order, that were restored or
-	// polled and admitted; halted is set when Halt stopped shard polled.
+	// polled and admitted. halted is set when Halt stopped shard polled or
+	// a device failed; no later shard is admitted.
 	polled int
 	halted bool
-	// open holds each admitted shard's outcomes until it finishes.
+	// open holds each admitted shard's outcomes until it folds.
 	open []*shardOutcomes
+	// free holds the outcome buffers no shard holds: at least Workers+2,
+	// or one per shard, each sized for a shard. Every buffer comes back,
+	// and a shard admitted when none is free waits for a fold, which
+	// bounds how far fast workers run ahead of a slow one.
+	free []*shardOutcomes
+	// scratches holds one scratch per worker slot.
+	scratches []*scratch
 
 	// The rest belongs to the completion hook, which ForEachStatus
-	// serializes.
-	fold *fold
-	// err is the first checkpoint failure.
-	err error
+	// serializes: the fold, the count of finished shards, the buffer
+	// snapshots are written from, and the first checkpoint failure.
+	fold     fold
+	done     int
+	snapshot []byte
+	err      error
+}
+
+// runs is the free list of finished runs. Unlike a sync.Pool, it keeps
+// its runs through garbage collections, which would make every scratch
+// and span grow again. Its 16 slots bound what it keeps for runs that ran
+// at once; a run released to a full list is left to the collector.
+var runs = make(chan *run, 16)
+
+// takeRun takes a run off the free list, or builds one, and readies it
+// for cfg.
+func takeRun(cfg *Config, pop *workload.Population) (*run, error) {
+	var r *run
+	select {
+	case r = <-runs:
+	default:
+		r = new(run)
+		r.room.L = &r.mu
+	}
+	r.cfg, r.pop, r.hash = *cfg, pop, cfg.hash()
+	r.polled, r.halted, r.done, r.err = 0, false, 0, nil
+	r.open = slices.Grow(r.open[:0], cfg.shardCount())[:cfg.shardCount()]
+	for len(r.free) < min(cfg.Workers+2, cfg.shardCount()) {
+		r.free = append(r.free, new(shardOutcomes))
+	}
+	for _, so := range r.free {
+		so.outs = slices.Grow(so.outs[:0], cfg.ShardSize)
+	}
+	for w := range min(cfg.Workers, cfg.Devices) {
+		if w == len(r.scratches) {
+			r.scratches = append(r.scratches, newScratch())
+		}
+		if err := r.scratches[w].etrain.Reset(core.Options{Theta: cfg.Theta, K: cfg.K}); err != nil {
+			return nil, err
+		}
+	}
+	return r, r.fold.reset(cfg)
+}
+
+// release puts r back on the free list, unless it is full. The buffers
+// of shards a failed run left open are dropped, as is what r holds of the
+// caller's config.
+func (r *run) release() {
+	clear(r.open)
+	r.cfg, r.pop = Config{}, nil
+	select {
+	case runs <- r:
+	default:
+	}
 }
 
 // shardOutcomes collects one shard's device outcomes, slotted by device
-// offset, from its admission until it folds.
+// offset, and counts the finished ones.
 type shardOutcomes struct {
 	outs     []DeviceOutcome
 	finished int
 }
 
-// outcomesPool holds the outcome buffers of folded shards, so a run
-// allocates nothing per device once the pool holds a buffer per running or
-// pending shard.
-var outcomesPool = sync.Pool{New: func() any { return new(shardOutcomes) }}
-
 // admit returns the outcome buffer of shard s, or nil when the device
-// jobs of s are no-ops: the shard was restored, or Halt stopped it or an
-// earlier shard. The first device of a shard to get here polls Halt for
-// every shard up to s not yet polled, in shard order, so Halt is polled
-// exactly once per shard that is not restored until it returns true, and
-// every shard admitted before that completes.
+// jobs of s are no-ops: the shard was restored, or the run halted at it or
+// an earlier shard. The first device of a shard to get here polls Halt
+// for every shard up to s not yet polled, in shard order, so Halt is
+// polled once per unrestored shard until it returns true. An admission
+// may wait for a free buffer, which cannot deadlock: the devices of every
+// admitted shard were handed out before s's, to jobs that do not wait.
 func (r *run) admit(s int) *shardOutcomes {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	for ; r.polled <= s && !r.halted; r.polled++ {
+	for r.polled <= s && !r.halted {
+		n := len(r.free)
+		if n == 0 {
+			r.room.Wait()
+			continue
+		}
 		if r.cfg.Halt != nil && r.cfg.Halt() {
 			r.halted = true
 			break
 		}
-		so := outcomesPool.Get().(*shardOutcomes)
+		so := r.free[n-1]
+		r.free = r.free[:n-1]
 		lo, hi := r.cfg.shardRange(r.polled)
-		so.outs = slices.Grow(so.outs[:0], hi-lo)[:hi-lo]
-		so.finished = 0
+		so.outs, so.finished = so.outs[:hi-lo], 0
 		r.open[r.polled] = so
+		r.polled++
 	}
 	if s >= r.polled {
 		return nil
@@ -348,22 +381,17 @@ func (r *run) admit(s int) *shardOutcomes {
 	return r.open[s]
 }
 
-// device is the job of device i: it runs the device's pair on a pooled
-// scratch and slots the outcome into its shard's buffer.
+// device is the job of device i in worker slot w: it runs the device's
+// pair on the slot's scratch and slots the outcome into its shard.
 //
 //etrain:hotpath
-func (r *run) device(i int) error {
+func (r *run) device(w, i int) error {
 	s := i / r.cfg.ShardSize
 	so := r.admit(s)
 	if so == nil {
 		return nil
 	}
-	sc, err := getScratch(r.cfg)
-	if err != nil {
-		return err
-	}
-	out, err := sc.runDevice(r.cfg, r.pop, i)
-	scratchPool.Put(sc)
+	out, err := r.scratches[w].runDevice(&r.cfg, r.pop, i)
 	if err != nil {
 		return fmt.Errorf("shard %d: device %d: %w", s, i, err)
 	}
@@ -371,29 +399,47 @@ func (r *run) device(i int) error {
 	return nil
 }
 
-// finish is the completion hook of device i. It counts the finished
-// devices of i's shard; on the last one it hands the shard's buffer to the
-// run's fold, which folds every shard that continues the prefix, and
-// reports progress and writes the checkpoint when one is due. Device i's
-// admission wrote open[s] before its job ran, so the hook reads it
-// without r.mu.
+// finish is the completion hook of device i. On the last device of a
+// shard it folds every finished shard that continues the prefix, frees
+// their buffers, and reports progress and writes the checkpoint when due.
+// Device i's admission wrote open[s] before its job ran, so the hook reads
+// it without r.mu. A failed device halts admission, since its shard can
+// never fold to free a buffer.
 func (r *run) finish(i int, err error) {
 	s := i / r.cfg.ShardSize
 	so := r.open[s]
-	if err != nil || so == nil {
+	if err != nil {
+		r.mu.Lock()
+		r.halted = true
+		r.mu.Unlock()
+		r.room.Broadcast()
+		return
+	}
+	if so == nil {
 		return
 	}
 	if so.finished++; so.finished < len(so.outs) {
 		return
 	}
-	r.open[s] = nil
-	r.fold.addShard(s, so)
-	done := r.fold.finished()
-	if r.cfg.Progress != nil {
-		r.cfg.Progress(done, r.cfg.shardCount())
+	r.done++
+	// Only admitted slots are read: admit may be writing the next one.
+	r.mu.Lock()
+	admitted := r.polled
+	r.mu.Unlock()
+	for f := &r.fold; f.folded < admitted && r.open[f.folded].finished == len(r.open[f.folded].outs); {
+		next := r.open[f.folded]
+		r.open[f.folded] = nil
+		f.addShard(next.outs)
+		r.mu.Lock()
+		r.free = append(r.free, next)
+		r.mu.Unlock()
+		r.room.Broadcast()
 	}
-	if r.cfg.CheckpointPath != "" && r.cfg.CheckpointEvery > 0 && done%r.cfg.CheckpointEvery == 0 {
-		if werr := writeCheckpoint(r.cfg.CheckpointPath, r.hash, r.fold); werr != nil {
+	if r.cfg.Progress != nil {
+		r.cfg.Progress(r.done, r.cfg.shardCount())
+	}
+	if r.cfg.CheckpointPath != "" && r.cfg.CheckpointEvery > 0 && r.done%r.cfg.CheckpointEvery == 0 {
+		if werr := r.writeCheckpoint(); werr != nil {
 			r.err = cmp.Or(r.err, werr)
 		}
 	}

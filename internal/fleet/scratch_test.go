@@ -63,10 +63,7 @@ func TestScratchMatchesFreshRunPair(t *testing.T) {
 		t.Fatal(err)
 	}
 	week.TimeScale = 1008
-	sc, err := getScratch(&Config{Theta: 3, K: 12})
-	if err != nil {
-		t.Fatal(err)
-	}
+	sc := scratchFor(t, &Config{Theta: 3, K: 12})
 	classes := map[workload.ActivenessClass]int{}
 	for _, radioName := range []string{"", "3g", "lte-drx"} {
 		for _, prof := range []*diurnal.Profile{nil, week} {

@@ -92,10 +92,13 @@ func (e Errors) Unwrap() []error {
 // into a pre-sized slice at index i), which keeps output independent of
 // scheduling order.
 func ForEach(limit Limit, n int, fn func(i int) error) error {
-	return ForEachStatus(limit, n, fn, nil)
+	return ForEachStatus(limit, n, func(_, i int) error { return fn(i) }, nil)
 }
 
-// ForEachStatus is ForEach with a completion hook: after each job
+// ForEachStatus is ForEach with worker slots and a completion hook. Job i
+// runs as fn(w, i), where w is the slot of the worker running it: below
+// min(limit.Cap(), n), 0 on the inline path, and never held by two jobs
+// at once, so a caller can keep one scratch per slot. After each job
 // finishes, done(i, err) is invoked with the job's index and outcome.
 // Calls to done are serialized under one internal mutex and happen after
 // the job's own writes, so a hook may safely read what job i produced,
@@ -106,10 +109,12 @@ func ForEach(limit Limit, n int, fn func(i int) error) error {
 // belongs in an index-ordered pass after ForEachStatus returns, or in a
 // hook that waits for a fixed set of jobs.
 //
-// Jobs are taken in index order: min(limit.Cap(), n) goroutines each hold
-// one slot of limit and take the next index until none is left, so a
-// fan-out costs O(workers) allocations however many jobs it runs.
-func ForEachStatus(limit Limit, n int, fn func(i int) error, done func(i int, err error)) error {
+// Jobs are taken in index order: min(limit.Cap(), n) worker loops each
+// hold one slot of limit and take the next index until none is left. Each
+// loop runs on a parked goroutine an earlier fan-out left (see parked),
+// or on a new one when none waits, so a warmed fan-out allocates a small
+// constant however many jobs and workers it runs.
+func ForEachStatus(limit Limit, n int, fn func(w, i int) error, done func(i int, err error)) error {
 	if n <= 0 {
 		return nil
 	}
@@ -134,7 +139,7 @@ func ForEachStatus(limit Limit, n int, fn func(i int) error, done func(i int, er
 	// running inline keeps stack traces and profiles readable.
 	if limit.Cap() == 1 || n == 1 {
 		for i := 0; i < n; i++ {
-			finish(i, fn(i))
+			finish(i, fn(0, i))
 		}
 		if len(errs) > 0 {
 			return errs
@@ -145,17 +150,18 @@ func ForEachStatus(limit Limit, n int, fn func(i int) error, done func(i int, er
 		wg   sync.WaitGroup
 		next atomic.Int64
 	)
+	loop := func(w int) {
+		defer wg.Done()
+		defer limit.Release()
+		for i := int(next.Add(1) - 1); i < n; i = int(next.Add(1) - 1) {
+			finish(i, fn(w, i))
+		}
+	}
 	workers := min(limit.Cap(), n)
 	wg.Add(workers)
 	for w := 0; w < workers; w++ {
 		limit.Acquire()
-		go func() {
-			defer wg.Done()
-			defer limit.Release()
-			for i := int(next.Add(1) - 1); i < n; i = int(next.Add(1) - 1) {
-				finish(i, fn(i))
-			}
-		}()
+		start(workerLoop{loop, w})
 	}
 	wg.Wait()
 	if len(errs) > 0 {
@@ -163,6 +169,36 @@ func ForEachStatus(limit Limit, n int, fn func(i int) error, done func(i int, er
 		return errs
 	}
 	return nil
+}
+
+// workerLoop is one worker slot's loop of a fan-out.
+type workerLoop struct {
+	run  func(w int)
+	slot int
+}
+
+// parked hands worker loops to goroutines whose earlier loop has returned
+// and that wait for another. Such a goroutine never exits, so there are at
+// most as many as the most loops that ever ran at once, and a process that
+// fans out again and again, like a fleet run after run, stops creating
+// goroutines once it has made enough.
+var parked = make(chan workerLoop)
+
+// start runs l on a parked goroutine, or on a new one when none waits.
+func start(l workerLoop) {
+	select {
+	case parked <- l:
+	default:
+		go work(l)
+	}
+}
+
+// work is a worker goroutine: it runs l, then every loop parked hands it.
+func work(l workerLoop) {
+	for {
+		l.run(l.slot)
+		l = <-parked
+	}
 }
 
 // Map runs fn over [0, n) on the pool bounded by limit and returns the

@@ -146,7 +146,7 @@ func TestForEachStatusSerializedHook(t *testing.T) {
 		calls    = make([]int, n)
 		observed atomic.Int32
 	)
-	err := ForEachStatus(NewLimit(8), n, func(i int) error {
+	err := ForEachStatus(NewLimit(8), n, func(_, i int) error {
 		results[i] = i * i
 		if i%5 == 0 {
 			return fmt.Errorf("job %d boom", i)
@@ -187,7 +187,7 @@ func TestForEachStatusSerializedHook(t *testing.T) {
 // hooks fire in index order when the budget is one worker.
 func TestForEachStatusSequentialInline(t *testing.T) {
 	var order []int
-	err := ForEachStatus(NewLimit(1), 5, func(i int) error {
+	err := ForEachStatus(NewLimit(1), 5, func(_, i int) error {
 		return nil
 	}, func(i int, err error) {
 		order = append(order, i)
@@ -208,7 +208,7 @@ func TestForEachStatusSequentialInline(t *testing.T) {
 // TestForEachStatusNilHook: ForEach is ForEachStatus with a nil hook.
 func TestForEachStatusNilHook(t *testing.T) {
 	var ran atomic.Int32
-	if err := ForEachStatus(NewLimit(4), 16, func(i int) error {
+	if err := ForEachStatus(NewLimit(4), 16, func(_, i int) error {
 		ran.Add(1)
 		return nil
 	}, nil); err != nil {
@@ -216,5 +216,28 @@ func TestForEachStatusNilHook(t *testing.T) {
 	}
 	if ran.Load() != 16 {
 		t.Fatalf("ran %d jobs, want 16", ran.Load())
+	}
+}
+
+// TestForEachStatusWorkerSlots checks the slot contract: every job's slot
+// is below the fan-out's worker count, no two jobs hold one slot at once,
+// and the inline path runs every job in slot 0.
+func TestForEachStatusWorkerSlots(t *testing.T) {
+	for _, tc := range []struct{ cap, n, workers int }{{1, 9, 1}, {4, 1, 1}, {3, 40, 3}, {8, 5, 5}} {
+		busy := make([]atomic.Int32, tc.workers)
+		err := ForEachStatus(NewLimit(tc.cap), tc.n, func(w, i int) error {
+			if w < 0 || w >= tc.workers {
+				return fmt.Errorf("slot %d outside [0, %d)", w, tc.workers)
+			}
+			if busy[w].Add(1) != 1 {
+				return fmt.Errorf("slot %d held by two jobs", w)
+			}
+			time.Sleep(time.Microsecond)
+			busy[w].Add(-1)
+			return nil
+		}, nil)
+		if err != nil {
+			t.Errorf("cap %d, %d jobs: %v", tc.cap, tc.n, err)
+		}
 	}
 }

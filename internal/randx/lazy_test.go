@@ -75,7 +75,7 @@ func TestLazySourceMatchesMathRand(t *testing.T) {
 		// advanced, and none of it may leak into the new stream.
 		prev := New(seeds[(k+1)%len(seeds)])
 		drawMixed(prev.rng, k%700)
-		prev.rng.Seed(seed)
+		prev.Reseed(seed)
 		assertSameDraws(t, "reseeded", seed, drawMixed(prev.rng, draws), want)
 
 		pooled := Acquire(seeds[(k+2)%len(seeds)])

@@ -45,7 +45,7 @@ var sourcePool = sync.Pool{New: func() any { return New(0) }}
 // produces. Release it when the stream is fully consumed.
 func Acquire(seed int64) *Source {
 	s := sourcePool.Get().(*Source)
-	s.rng.Seed(seed)
+	s.Reseed(seed)
 	return s
 }
 
@@ -55,11 +55,17 @@ func (s *Source) Release() {
 	sourcePool.Put(s)
 }
 
-// SplitPooled is Split drawing the child from the source pool: the child
-// stream is bit-identical to Split's, but its state is recycled via
-// Release instead of garbage-collected.
-func (s *Source) SplitPooled() *Source {
-	return Acquire(s.rng.Int63())
+// Reseed resets s in place to the exact stream New(seed) produces, so an
+// owner that consumes one stream after another keeps a single Source.
+func (s *Source) Reseed(seed int64) {
+	s.rng.Seed(seed)
+}
+
+// SplitInto is Split drawing the child into child, reseeded in place: the
+// child stream is bit-identical to Split's. It returns child.
+func (s *Source) SplitInto(child *Source) *Source {
+	child.Reseed(s.rng.Int63())
+	return child
 }
 
 // Derive mixes the given parts into seed with a splitmix64-style finalizer
@@ -78,15 +84,25 @@ func Derive(seed int64, parts ...uint64) int64 {
 	return int64(h >> 1)
 }
 
+// FNVOffset is the initial state of FNV-1a, the hash DeriveString takes.
+const FNVOffset = 14695981039346656037
+
 // DeriveString hashes s into a part usable with Derive (FNV-1a).
 func DeriveString(s string) uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
+	return fnv1a(FNVOffset, s)
+}
+
+// FNV1a continues FNV-1a state h over p. Folding the pieces of a text in
+// order, from FNVOffset, gives DeriveString of the whole text, so a caller
+// can hash text it never holds at once.
+func FNV1a(h uint64, p []byte) uint64 {
+	return fnv1a(h, p)
+}
+
+func fnv1a[T string | []byte](h uint64, p T) uint64 {
+	const prime64 = 1099511628211
+	for i := 0; i < len(p); i++ {
+		h ^= uint64(p[i])
 		h *= prime64
 	}
 	return h

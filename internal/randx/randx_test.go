@@ -45,6 +45,26 @@ func TestSplitIndependence(t *testing.T) {
 	}
 }
 
+// TestSplitIntoMatchesSplit reuses one child for two splits in turn, as a
+// device's synthesis does: each child stream, and the parent's after it,
+// must equal Split's.
+func TestSplitIntoMatchesSplit(t *testing.T) {
+	parent, ref := New(7), New(7)
+	child := New(0)
+	for k := 0; k < 2; k++ {
+		parent.SplitInto(child)
+		want := ref.Split()
+		for i := 0; i < 50; i++ {
+			if got, w := child.Float64(), want.Float64(); got != w {
+				t.Fatalf("split %d: draw %d = %v, Split's %v", k, i, got, w)
+			}
+		}
+	}
+	if parent.Int63() != ref.Int63() {
+		t.Fatal("SplitInto and Split left the parent in different states")
+	}
+}
+
 func TestDerivePureFunction(t *testing.T) {
 	a := Derive(42, 7, 9)
 	b := Derive(42, 7, 9)

@@ -3,6 +3,8 @@ package stats
 import (
 	"encoding/json"
 	"fmt"
+	"math"
+	"strconv"
 )
 
 // Moments is a streaming, mergeable accumulator for count, mean and
@@ -91,7 +93,43 @@ type momentsJSON struct {
 
 // MarshalJSON implements json.Marshaler.
 func (m Moments) MarshalJSON() ([]byte, error) {
-	return json.Marshal(momentsJSON{N: m.n, Mean: m.mean, Min: m.min, Max: m.max})
+	return m.AppendJSON(nil)
+}
+
+// AppendJSON appends m's JSON, the bytes encoding/json writes for
+// momentsJSON, to b. Like encoding/json it refuses a NaN or infinite
+// float, returning b as given.
+func (m Moments) AppendJSON(b []byte) ([]byte, error) {
+	for _, f := range [...]float64{m.mean, m.min, m.max} {
+		if math.IsNaN(f) || math.IsInf(f, 0) {
+			return b, fmt.Errorf("stats: moments: unsupported value %v", f)
+		}
+	}
+	b = append(b, `{"n":`...)
+	b = strconv.AppendInt(b, m.n, 10)
+	b = append(b, `,"mean":`...)
+	b = appendJSONFloat(b, m.mean)
+	b = append(b, `,"min":`...)
+	b = appendJSONFloat(b, m.min)
+	b = append(b, `,"max":`...)
+	b = appendJSONFloat(b, m.max)
+	return append(b, '}'), nil
+}
+
+// appendJSONFloat appends finite f as encoding/json writes a float64:
+// shortest decimal, in exponent form below 1e-6 and from 1e21, with the
+// exponent's leading zero dropped.
+func appendJSONFloat(b []byte, f float64) []byte {
+	format := byte('f')
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	b = strconv.AppendFloat(b, f, format, -1, 64)
+	if n := len(b); format == 'e' && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
+		b[n-2] = b[n-1]
+		b = b[:n-1]
+	}
+	return b
 }
 
 // UnmarshalJSON implements json.Unmarshaler.

@@ -168,3 +168,34 @@ func TestMomentsUnmarshalRejectsNegativeCount(t *testing.T) {
 		t.Fatal("negative count accepted")
 	}
 }
+
+// TestMomentsAppendJSONMatchesEncodingJSON pins the append encoder, which
+// MarshalJSON and fleet snapshots use, to encoding/json's bytes for the
+// wire struct: floats of every magnitude, both exponent cutoffs, signed
+// zeros and integers. A non-finite float is refused, as encoding/json
+// refuses it, and leaves the buffer as given.
+func TestMomentsAppendJSONMatchesEncodingJSON(t *testing.T) {
+	floats := []float64{0, math.Copysign(0, -1), 1, -1, 0.1, 1e-6, 9.99e-7, -1e-7, 1e-300, 5e-324,
+		1e20, 1e21, -1.5e21, 123456789.125, math.MaxFloat64, 2.5e-9}
+	floats = append(floats, sampleSet(7, 200)...)
+	buf := []byte("prefix")
+	for i, f := range floats {
+		m := Moments{n: int64(i) - 3, mean: f, min: -f / 3, max: f / 7}
+		want, err := json.Marshal(momentsJSON{N: m.n, Mean: m.mean, Min: m.min, Max: m.max})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := m.AppendJSON(buf)
+		if err != nil || string(got[len(buf):]) != string(want) || string(got[:len(buf)]) != "prefix" {
+			t.Fatalf("AppendJSON(%v) = %q, %v; want %q", f, got, err, want)
+		}
+		if marshaled, err := json.Marshal(m); err != nil || string(marshaled) != string(want) {
+			t.Fatalf("json.Marshal(%v) = %q, %v; want %q", f, marshaled, err, want)
+		}
+	}
+	for _, f := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if got, err := (Moments{n: 1, mean: 0, min: 0, max: f}).AppendJSON(buf); err == nil || string(got) != "prefix" {
+			t.Errorf("AppendJSON with %v = %q, %v; want an error and the buffer as given", f, got, err)
+		}
+	}
+}

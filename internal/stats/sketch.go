@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"strconv"
 )
 
 // DefaultSketchAlpha is the default relative accuracy of a quantile
@@ -160,26 +161,62 @@ func regrow(s []uint32, off, n int) []uint32 {
 	return grown
 }
 
-// merge adds the counts of other's sign o to s's sign b, widening b to
-// the exact union with o's occupied buckets: a merged sketch, like a fleet
-// report's, carries none of the headroom Add leaves.
-func (s *Sketch) merge(b *buckets, other *Sketch, o *buckets) {
-	oh := other.highOf(o)
-	first, last := -1, -1
-	for j := range o.counts {
-		if o.at(oh, j) != 0 {
+// occupied returns the offsets of the first and last non-zero counts of
+// b, whose high words are h, and ok false when every count is zero.
+func (b *buckets) occupied(h []uint32) (first, last int, ok bool) {
+	first, last = -1, -1
+	for j := range b.counts {
+		if b.at(h, j) != 0 {
 			if first < 0 {
 				first = j
 			}
 			last = j
 		}
 	}
-	if first < 0 {
+	return first, last, first >= 0
+}
+
+// sign returns s's negative counts when neg is set, else its positive
+// ones.
+func (s *Sketch) sign(neg bool) *buckets {
+	if neg {
+		return &s.neg
+	}
+	return &s.pos
+}
+
+// merge adds the counts of one sign (neg picks it) of every non-nil
+// sketch in others to s's. It widens s's sign once, to the exact union
+// with their occupied buckets: a merged sketch, like a fleet report's,
+// carries none of the headroom Add leaves, and merging several sketches
+// at once reallocates the sign at most once.
+func (s *Sketch) merge(neg bool, others []*Sketch) {
+	b := s.sign(neg)
+	lo, hi := s.maxIndex+1, s.minIndex-1
+	for _, other := range others {
+		if other == nil {
+			continue
+		}
+		o := other.sign(neg)
+		if first, last, ok := o.occupied(other.highOf(o)); ok {
+			lo, hi = min(lo, o.lo+first), max(hi, o.lo+last)
+		}
+	}
+	if lo > hi {
 		return
 	}
-	s.widen(b, o.lo+first, o.lo+last)
-	for j := first; j <= last; j++ {
-		s.addAt(b, o.lo+j-b.lo, o.at(oh, j))
+	s.widen(b, lo, hi)
+	for _, other := range others {
+		if other == nil {
+			continue
+		}
+		o := other.sign(neg)
+		oh := other.highOf(o)
+		if first, last, ok := o.occupied(oh); ok {
+			for j := first; j <= last; j++ {
+				s.addAt(b, o.lo+j-b.lo, o.at(oh, j))
+			}
+		}
 	}
 }
 
@@ -281,19 +318,25 @@ func (s *Sketch) Add(v float64) {
 // Count returns the number of samples the sketch holds.
 func (s *Sketch) Count() uint64 { return s.count }
 
-// Merge folds other into s by adding bucket counts. Both sketches must
-// share the same alpha (the same grid).
-func (s *Sketch) Merge(other *Sketch) error {
-	if other == nil || other.count == 0 {
-		return nil
+// Merge folds others into s by adding bucket counts; nil sketches are
+// skipped. Every sketch must share s's alpha (the same grid), or s is
+// left unchanged. Each of s's signs widens once, to the union of its span
+// and the others' occupied buckets, before any count is added, so merging
+// several sketches at once allocates no more than merging their union.
+func (s *Sketch) Merge(others ...*Sketch) error {
+	for _, other := range others {
+		if other != nil && other.count != 0 && other.alpha != s.alpha {
+			return fmt.Errorf("stats: merging sketches with different alphas %v and %v", s.alpha, other.alpha)
+		}
 	}
-	if s.alpha != other.alpha {
-		return fmt.Errorf("stats: merging sketches with different alphas %v and %v", s.alpha, other.alpha)
+	for _, other := range others {
+		if other != nil {
+			s.count += other.count
+			s.zero += other.zero
+		}
 	}
-	s.count += other.count
-	s.zero += other.zero
-	s.merge(&s.pos, other, &other.pos)
-	s.merge(&s.neg, other, &other.neg)
+	s.merge(false, others)
+	s.merge(true, others)
 	return nil
 }
 
@@ -370,28 +413,57 @@ type sketchJSON struct {
 	Neg   []sketchBucketJSON `json:"neg,omitempty"`
 }
 
-// bucketsJSON lists b's occupied buckets in ascending index order.
-func (s *Sketch) bucketsJSON(b *buckets) []sketchBucketJSON {
-	var out []sketchBucketJSON
-	h := s.highOf(b)
-	for j := range b.counts {
-		if c := b.at(h, j); c != 0 {
-			out = append(out, sketchBucketJSON{Index: b.lo + j, Count: c})
-		}
-	}
-	return out
-}
-
 // MarshalJSON implements json.Marshaler with buckets in ascending index
 // order, so equal sketch states serialize to equal bytes.
 func (s *Sketch) MarshalJSON() ([]byte, error) {
-	return json.Marshal(sketchJSON{
-		Alpha: s.alpha,
-		Count: s.count,
-		Zero:  s.zero,
-		Pos:   s.bucketsJSON(&s.pos),
-		Neg:   s.bucketsJSON(&s.neg),
-	})
+	return s.AppendJSON(nil), nil
+}
+
+// AppendJSON appends s's JSON, the bytes encoding/json writes for
+// sketchJSON, to b: the occupied buckets of each sign in ascending index
+// order, and a sign with none left out. A nil sketch appends null, as
+// encoding/json writes a nil pointer.
+func (s *Sketch) AppendJSON(b []byte) []byte {
+	if s == nil {
+		return append(b, "null"...)
+	}
+	b = append(b, `{"alpha":`...)
+	b = appendJSONFloat(b, s.alpha)
+	b = append(b, `,"count":`...)
+	b = strconv.AppendUint(b, s.count, 10)
+	b = append(b, `,"zero":`...)
+	b = strconv.AppendUint(b, s.zero, 10)
+	b = s.appendBuckets(b, `,"pos":[`, &s.pos)
+	b = s.appendBuckets(b, `,"neg":[`, &s.neg)
+	return append(b, '}')
+}
+
+// appendBuckets appends b's occupied buckets as {"i","c"} objects after
+// open, which opens their list, or nothing when b has none.
+func (s *Sketch) appendBuckets(dst []byte, open string, b *buckets) []byte {
+	h := s.highOf(b)
+	listed := false
+	for j := range b.counts {
+		c := b.at(h, j)
+		if c == 0 {
+			continue
+		}
+		if listed {
+			dst = append(dst, ',')
+		} else {
+			dst = append(dst, open...)
+			listed = true
+		}
+		dst = append(dst, `{"i":`...)
+		dst = strconv.AppendInt(dst, int64(b.lo+j), 10)
+		dst = append(dst, `,"c":`...)
+		dst = strconv.AppendUint(dst, c, 10)
+		dst = append(dst, '}')
+	}
+	if listed {
+		dst = append(dst, ']')
+	}
+	return dst
 }
 
 // restoreBuckets rebuilds one sign's counts from its serialized form,

@@ -525,3 +525,101 @@ func TestSketchReset(t *testing.T) {
 		t.Fatalf("refilled sketch %s, want %s", got, want)
 	}
 }
+
+// referenceSketchJSON is the encoding MarshalJSON had before AppendJSON:
+// encoding/json over sketchJSON, with a bucket slice per sign.
+func referenceSketchJSON(t *testing.T, s *Sketch) string {
+	t.Helper()
+	list := func(b *buckets) []sketchBucketJSON {
+		var out []sketchBucketJSON
+		h := s.highOf(b)
+		for j := range b.counts {
+			if c := b.at(h, j); c != 0 {
+				out = append(out, sketchBucketJSON{Index: b.lo + j, Count: c})
+			}
+		}
+		return out
+	}
+	data, err := json.Marshal(sketchJSON{Alpha: s.alpha, Count: s.count, Zero: s.zero, Pos: list(&s.pos), Neg: list(&s.neg)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(data)
+}
+
+// TestSketchAppendJSONMatchesReference pins the append encoder to the
+// struct encoding it replaced, on sketches with negative buckets, spans
+// with zero-count buckets (a reset sketch counting again, and gaps
+// between samples), carried high words, one sign only, and none.
+func TestSketchAppendJSONMatchesReference(t *testing.T) {
+	var carried Sketch
+	if err := json.Unmarshal([]byte(`{"alpha":0.01,"count":8589934601,"zero":1,"pos":[{"i":7,"c":8589934599}],"neg":[{"i":-3,"c":1}]}`), &carried); err != nil {
+		t.Fatal(err)
+	}
+	carried.Add(-carried.representative(40))
+	reset := sketchOf(sampleSet(3, 500))
+	reset.Reset()
+	reset.Add(12)
+	reset.Add(-0.5)
+	cases := map[string]*Sketch{
+		"mixed":    sketchOf(sampleSet(1, 1000)),
+		"gaps":     sketchOf([]float64{1e-6, 3, 1e9, -2, -7e5, 0}),
+		"reset":    reset,
+		"carried":  &carried,
+		"positive": sketchOf([]float64{1, 2, 3}),
+		"negative": sketchOf([]float64{-1, -2e-8}),
+		"zero":     sketchOf([]float64{0, 1e-10}),
+		"empty":    newSketch(0.003),
+	}
+	for name, s := range cases {
+		want := referenceSketchJSON(t, s)
+		if got := string(s.AppendJSON([]byte("x"))); got != "x"+want {
+			t.Errorf("%s: AppendJSON = %s, want x%s", name, got, want)
+		}
+		if got := sketchBytes(t, s); got != want {
+			t.Errorf("%s: json.Marshal = %s, want %s", name, got, want)
+		}
+	}
+}
+
+// TestSketchMultiMergeMatchesPairwise merges several sketches at once
+// into an empty sketch and into one with a span of its own, and compares
+// each with the same merges made one source at a time: the JSON must be
+// equal, and the merge into an empty sketch must allocate one span per
+// sign, where pairwise merges regrow a sign per source that widens it.
+func TestSketchMultiMergeMatchesPairwise(t *testing.T) {
+	srcs := []*Sketch{
+		sketchOf(sampleSet(11, 300)),
+		nil,
+		sketchOf([]float64{1e9, -1e9, 0}),
+		sketchOf([]float64{1e-7, 5e-7}),
+		newSketch(DefaultSketchAlpha),
+		sketchOf(sampleSet(12, 40)),
+	}
+	for _, base := range [][]float64{nil, {0.5, -3}} {
+		multi, pairwise := sketchOf(base), sketchOf(base)
+		if err := multi.Merge(srcs...); err != nil {
+			t.Fatal(err)
+		}
+		for _, s := range srcs {
+			if err := pairwise.Merge(s); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got, want := sketchBytes(t, multi), sketchBytes(t, pairwise); got != want {
+			t.Fatalf("base %v: multi-source merge %s, pairwise %s", base, got, want)
+		}
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		if err := newSketch(DefaultSketchAlpha).Merge(srcs...); err != nil {
+			t.Fatal(err)
+		}
+	})
+	// The sketch itself, then one span per sign.
+	if allocs != 3 {
+		t.Errorf("a multi-source merge into a new sketch allocates %v times, want 3", allocs)
+	}
+	if err := newSketch(0.02).Merge(srcs[0], newSketch(0.02)); err == nil {
+		t.Error("a merge across alphas was accepted")
+	}
+}

@@ -20,7 +20,7 @@ func refGenerate(src *randx.Source, specs []CargoSpec, horizon time.Duration, sa
 		if err := spec.Validate(); err != nil {
 			return nil, err
 		}
-		appSrc := src.SplitPooled()
+		appSrc := src.Split()
 		var arrivals []time.Duration
 		if sam == nil {
 			arrivals = randx.NewPoissonProcess(appSrc, spec.MeanInterArrival).AppendArrivalsUntil(nil, horizon)
@@ -36,7 +36,6 @@ func refGenerate(src *randx.Source, specs []CargoSpec, horizon time.Duration, sa
 				Profile:   spec.Profile,
 			})
 		}
-		appSrc.Release()
 	}
 	sort.SliceStable(all, func(i, j int) bool { return all[i].ArrivedAt < all[j].ArrivedAt })
 	for i := range all {
@@ -114,6 +113,8 @@ func TestGenerateMatchesSortReference(t *testing.T) {
 	}
 	samplers := testSamplers(t)
 	var g Generator
+	// One app stream serves every case, as a fleet scratch's does.
+	app := randx.New(0)
 	prefix := []Packet{{ID: 7, App: "prefix", ArrivedAt: time.Hour, Size: 1}}
 	var sameApp, crossApp int // adjacent equal instants in the references
 	for c := 0; c < 600; c++ {
@@ -159,7 +160,7 @@ func TestGenerateMatchesSortReference(t *testing.T) {
 		if diff := samePackets(got, want); diff != "" {
 			t.Fatalf("case %d: Generate: %s", c, diff)
 		}
-		appended, err := g.Append(append([]Packet(nil), prefix...), randx.New(seed), specs, horizon, sam)
+		appended, err := g.Append(append([]Packet(nil), prefix...), randx.New(seed), app, specs, horizon, sam)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -173,10 +173,12 @@ func (s CargoSpec) WithDeadline(deadline time.Duration) CargoSpec {
 // assigned in arrival order. Each app's arrivals are a homogeneous Poisson
 // process; a diurnal sampler replaces it with a thinned non-homogeneous
 // one whose rate follows the sampler's cargo factor (activity curve ×
-// scheduled events). Either way each app draws from its own pooled child
-// stream, all arrivals before all sizes.
+// scheduled events). Either way each app draws from its own child stream
+// split off src, all arrivals before all sizes.
 func Generate(src *randx.Source, specs []CargoSpec, horizon time.Duration, sam *diurnal.Sampler) ([]Packet, error) {
-	return new(Generator).Append(nil, src, specs, horizon, sam)
+	app := randx.Acquire(0)
+	defer app.Release()
+	return new(Generator).Append(nil, src, app, specs, horizon, sam)
 }
 
 // Generator holds Generate's scratch, each app's arrival instants and
@@ -201,19 +203,19 @@ func arrivalAt(a *arrival) time.Duration { return a.at }
 
 // Append appends to dst the packets Generate returns, their IDs counted
 // from 0 at the first appended packet. On an error it returns dst as
-// given. Each app draws its arrivals in time order, so one stable merge of
-// the apps' draws orders the packets.
+// given. Each app's child stream is split off src into app, reseeded in
+// place, since an app drains it before the next app splits. Each app draws
+// its arrivals in time order, so one stable merge of the apps' draws
+// orders the packets.
 //
 //etrain:hotpath
-func (g *Generator) Append(dst []Packet, src *randx.Source, specs []CargoSpec, horizon time.Duration, sam *diurnal.Sampler) ([]Packet, error) {
+func (g *Generator) Append(dst []Packet, src, app *randx.Source, specs []CargoSpec, horizon time.Duration, sam *diurnal.Sampler) ([]Packet, error) {
 	g.arrivals = g.arrivals[:0]
 	for i, spec := range specs {
 		if err := spec.Validate(); err != nil {
 			return dst, err
 		}
-		// appSrc (and the process retaining it) is fully drained within
-		// this iteration, so it comes from the source pool.
-		appSrc := src.SplitPooled()
+		appSrc := src.SplitInto(app)
 		if sam == nil {
 			g.times = randx.NewPoissonProcess(appSrc, spec.MeanInterArrival).AppendArrivalsUntil(g.times[:0], horizon)
 		} else {
@@ -223,7 +225,6 @@ func (g *Generator) Append(dst []Packet, src *randx.Source, specs []CargoSpec, h
 			size := int64(appSrc.TruncatedNormal(spec.SizeMean, spec.SizeStdDev, spec.SizeMin))
 			g.arrivals = append(g.arrivals, arrival{at: at, size: size, spec: i})
 		}
-		appSrc.Release()
 	}
 	dst = slices.Grow(dst, len(g.arrivals))
 	first := len(dst)

@@ -10,8 +10,11 @@ import (
 // ClassAggregate is the streaming summary of every simulated device of one
 // activeness class: constant-size mergeable moments plus quantile sketches,
 // never the per-device samples. The sketches' bits depend only on the
-// device multiset, the moments' also on the grouping, which the fixed
-// shard layout and merge order keep the same at any worker count.
+// device multiset, but the moments' do not: the same devices folded or
+// merged in another grouping can differ in the last bits. Reports are
+// worker-count-independent because the shard layout and the moments'
+// merge order are fixed (devices in index order, shards in shard order),
+// not because grouping is invisible.
 type ClassAggregate struct {
 	ClassMoments
 	ClassSketches
@@ -36,7 +39,8 @@ type ClassMoments struct {
 }
 
 // ClassSketches are a class's quantile sketches over the per-device saved
-// energy, fractional saving and delay, whose merges need no order.
+// energy, fractional saving and delay. Sketch merges are exact in any
+// grouping, so they need no fold order.
 type ClassSketches struct {
 	SavedSketch  *stats.Sketch `json:"saved_sketch"`
 	SavingSketch *stats.Sketch `json:"saving_sketch"`
@@ -52,12 +56,16 @@ func NewClassAggregate(alpha float64) (ClassAggregate, error) {
 
 // newClassSketches returns three empty sketches at the given relative
 // accuracy.
-func newClassSketches(alpha float64) (k ClassSketches, err error) {
-	for _, s := range [...]**stats.Sketch{&k.SavedSketch, &k.SavingSketch, &k.DelaySketch} {
-		if *s, err = stats.NewSketch(alpha); err != nil {
-			break
-		}
+func newClassSketches(alpha float64) (ClassSketches, error) {
+	var k ClassSketches
+	var err error
+	if k.SavedSketch, err = stats.NewSketch(alpha); err != nil {
+		return k, err
 	}
+	if k.SavingSketch, err = stats.NewSketch(alpha); err != nil {
+		return k, err
+	}
+	k.DelaySketch, err = stats.NewSketch(alpha)
 	return k, err
 }
 
@@ -94,9 +102,12 @@ func (k *ClassSketches) add(saved, saving, delay float64) {
 // merge folds another class's moments in.
 func (m *ClassMoments) merge(o *ClassMoments) {
 	m.Devices += o.Devices
-	for j, om := range o.all() {
-		m.all()[j].Merge(*om)
-	}
+	m.WithoutJ.Merge(o.WithoutJ)
+	m.WithJ.Merge(o.WithJ)
+	m.SavedJ.Merge(o.SavedJ)
+	m.Saving.Merge(o.Saving)
+	m.DelayS.Merge(o.DelayS)
+	m.Violation.Merge(o.Violation)
 }
 
 // merge adds the sketch counts of every class in ks. Each of k's
@@ -132,9 +143,9 @@ var momentNames = [...]string{"without_j", "with_j", "saved_j", "saving", "delay
 
 // reset empties the sketches, keeping their spans.
 func (k *ClassSketches) reset() {
-	for _, s := range k.all() {
-		s.Reset()
-	}
+	k.SavedSketch.Reset()
+	k.SavingSketch.Reset()
+	k.DelaySketch.Reset()
 }
 
 // checkCounts reports an error unless m's six moments each count

@@ -2,7 +2,7 @@ package fleet
 
 import (
 	"runtime"
-	"runtime/pprof"
+	"sync"
 	"testing"
 	"time"
 
@@ -51,29 +51,51 @@ func warm(t *testing.T, cfg Config) {
 	}
 }
 
-// runAllocs warms cfg, collects garbage, and returns the allocations and
-// bytes of one more run. A collection cannot empty the run free list, so
-// nothing the warm-up grew is lost to it. A run during which the runtime
-// started an OS thread, which allocates the thread's own structures, is
-// measured again, up to four times: the thread is the runtime's, and
-// stays.
-func runAllocs(t *testing.T, cfg Config) (allocs, bytes uint64) {
+// startThreads has the runtime start n OS threads, which it keeps idle
+// for later use: n goroutines each lock a thread and wait until all n hold
+// one, then unlock it and end. A warmed run at GOMAXPROCS 8 on fewer CPUs
+// otherwise now and then finds no idle thread for a P it wakes and starts
+// one, allocating the thread's records (about 5 KB) in whichever run
+// needed it.
+func startThreads(n int) {
+	var locked, ended sync.WaitGroup
+	release := make(chan struct{})
+	locked.Add(n)
+	ended.Add(n)
+	for range n {
+		go func() {
+			defer ended.Done()
+			runtime.LockOSThread()
+			defer runtime.UnlockOSThread()
+			locked.Done()
+			<-release
+		}()
+	}
+	locked.Wait()
+	close(release)
+	ended.Wait()
+}
+
+// runBytes warms cfg and the runtime's threads, collects garbage, runs
+// cfg once more unmeasured, and returns the bytes of the run after that.
+// A collection cannot empty the run free list, so nothing the warm-up
+// grew is lost to it; the unmeasured run refills what it does empty of
+// the runtime's own caches.
+func runBytes(t *testing.T, cfg Config) uint64 {
 	t.Helper()
 	warm(t, cfg)
-	threads := pprof.Lookup("threadcreate")
-	for attempt := 0; ; attempt++ {
-		runtime.GC()
-		var before, after runtime.MemStats
-		started := threads.Count()
-		runtime.ReadMemStats(&before)
-		if _, err := Run(cfg); err != nil {
-			t.Fatal(err)
-		}
-		runtime.ReadMemStats(&after)
-		if threads.Count() == started || attempt == 4 {
-			return after.Mallocs - before.Mallocs, after.TotalAlloc - before.TotalAlloc
-		}
+	startThreads(2*runtime.GOMAXPROCS(0) + 2)
+	runtime.GC()
+	if _, err := Run(cfg); err != nil {
+		t.Fatal(err)
 	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := Run(cfg); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
 }
 
 // TestDevicePairAllocatesNothing pins the steady state of a worker's
@@ -117,16 +139,22 @@ func TestDevicePairAllocatesNothing(t *testing.T) {
 // none. A warmed one-shard Run at 4 workers, whose devices all spread over
 // the workers, must allocate no more for 512 devices than for 256 once the
 // fold is set aside: the report built from it, measured by folding the
-// same outcomes into a warmed fold of its own. The collection before each
-// measured run empties the runtime's central cache of wait records
-// (sudogs), so a run's first waits on its mutexes and wait group can
-// allocate a few records, and under -race a timer-heap entry; those vary
-// by up to about 3 from run to run. The check allows 8, where any cost
-// per device would add 256.
+// same outcomes into a warmed fold of its own. The run is measured as
+// testing.AllocsPerRun measures, once after an unmeasured run, at
+// GOMAXPROCS 1: the workers' goroutines then wait and wake on one P,
+// whose cache of wait records a warmed run leaves as full as it found
+// it. Across Ps the records drift from P to P, and a run that finds its
+// P's cache empty allocates one.
 func TestOneShardRunAllocatesPerShard(t *testing.T) {
-	overhead := func(devices int) uint64 {
+	overhead := func(devices int) float64 {
 		cfg := Config{Devices: devices, ShardSize: devices, Workers: 4, Seed: 1, Horizon: 2 * time.Minute, Theta: 4, K: 20}
-		runAllocs, _ := runAllocs(t, cfg)
+		warm(t, cfg)
+		runtime.GC()
+		runAllocs := testing.AllocsPerRun(1, func() {
+			if _, err := Run(cfg); err != nil {
+				t.Fatal(err)
+			}
+		})
 		norm, pop, err := cfg.normalize()
 		if err != nil {
 			t.Fatal(err)
@@ -149,11 +177,11 @@ func TestOneShardRunAllocatesPerShard(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
-		t.Logf("%d devices: %d allocations per run, %v of them the fold", devices, runAllocs, foldAllocs)
-		return runAllocs - uint64(foldAllocs)
+		t.Logf("%d devices: %v allocations per run, %v of them the fold", devices, runAllocs, foldAllocs)
+		return runAllocs - foldAllocs
 	}
-	if at256, at512 := overhead(256), overhead(512); at512 > at256+8 {
-		t.Errorf("a one-shard run allocates %d beyond its fold at 512 devices, %d at 256", at512, at256)
+	if at256, at512 := overhead(256), overhead(512); at512 > at256 {
+		t.Errorf("a one-shard run allocates %v beyond its fold at 512 devices, %v at 256", at512, at256)
 	}
 }
 
@@ -167,8 +195,7 @@ func TestOneShardRunAllocatesPerShard(t *testing.T) {
 // of its own, with nine sketches, each extra shard cost about 16 KB.
 func TestRunAllocatesUnder1KBPerShard(t *testing.T) {
 	bytesOf := func(shards int) uint64 {
-		_, bytes := runAllocs(t, Config{Devices: 256, ShardSize: 256 / shards, Workers: 4, Seed: 1, Horizon: 2 * time.Minute, Theta: 4, K: 20})
-		return bytes
+		return runBytes(t, Config{Devices: 256, ShardSize: 256 / shards, Workers: 4, Seed: 1, Horizon: 2 * time.Minute, Theta: 4, K: 20})
 	}
 	at4, at16 := bytesOf(4), bytesOf(16)
 	perShard := (float64(at16) - float64(at4)) / 12
@@ -182,8 +209,8 @@ func TestRunAllocatesUnder1KBPerShard(t *testing.T) {
 // GOMAXPROCS 2 and 8, one worker per P, and requires every run's bytes to
 // be within 5% of every other's. A run keeps one scratch per worker slot,
 // whichever P runs the slot's goroutine, and a fixed set of outcome
-// buffers, and its worker loops run on parked goroutines. So what a run
-// allocates is its report, not where the scheduler put its workers.
+// buffers, and its worker loops run on its crew's goroutines. So what a
+// run allocates is its report, not where the scheduler put its workers.
 func TestRunBytesIndependentOfScheduling(t *testing.T) {
 	cfg := Config{Devices: 1024, Workers: -1, Seed: 42, Horizon: 2 * time.Minute, Theta: 4, K: 20}
 	for _, procs := range []int{2, 8} {
@@ -191,7 +218,7 @@ func TestRunBytesIndependentOfScheduling(t *testing.T) {
 			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 			least, most := ^uint64(0), uint64(0)
 			for range 10 {
-				_, bytes := runAllocs(t, cfg)
+				bytes := runBytes(t, cfg)
 				least, most = min(least, bytes), max(most, bytes)
 			}
 			t.Logf("GOMAXPROCS %d: %d to %d B per run", procs, least, most)
@@ -199,5 +226,44 @@ func TestRunBytesIndependentOfScheduling(t *testing.T) {
 				t.Errorf("GOMAXPROCS %d: runs allocated %d to %d B, more than 5%% apart", procs, least, most)
 			}
 		}()
+	}
+}
+
+// TestRunBuffersFollowTheFleet pins what a run grows for outcomes: no
+// more buffers than it can fill at once, none past its longest shard. A
+// run of 64 devices in shards of 1<<20, after a run of 16 shards at 8
+// workers left ten buffers, holds one and allocates under 1 MB; grown to
+// ShardSize, each buffer would take 40 MB.
+func TestRunBuffersFollowTheFleet(t *testing.T) {
+	many := Config{Devices: 4096, ShardSize: 256, Workers: 8, Seed: 1, Horizon: 2 * time.Minute, Theta: 4, K: 20}
+	few := Config{Devices: 64, ShardSize: 1 << 20, Workers: 2, Seed: 1, Horizon: 2 * time.Minute, Theta: 4, K: 20}
+	if _, err := Run(many); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := Run(few); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	if bytes := after.TotalAlloc - before.TotalAlloc; bytes >= 1<<20 {
+		t.Errorf("a run of 64 devices in shards of 1<<20 allocated %d B, want under 1 MB", bytes)
+	}
+	norm, pop, err := few.normalize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := takeRun(&norm, pop)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.release()
+	if len(r.free) != 1 {
+		t.Errorf("a one-shard run holds %d outcome buffers, want 1", len(r.free))
+	}
+	for _, so := range r.buffers {
+		if cap(so.outs) >= few.ShardSize {
+			t.Errorf("a 64-device run left an outcome buffer of %d slots, want fewer than ShardSize", cap(so.outs))
+		}
 	}
 }

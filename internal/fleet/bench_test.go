@@ -34,10 +34,7 @@ func BenchmarkDevicePair(b *testing.B) {
 
 // BenchmarkFleet10k runs a 10k-device population end to end (one CPU per
 // worker, 2-minute sessions) — the guardrail number for population-scale
-// throughput and aggregate memory. Untimed runs first warm the run free
-// list, whose worker scratches and outcome buffers the first run grows
-// from nothing, and the runtime, which starts an OS thread for each P on
-// the P's first busy spells; so every count measures a warmed run.
+// throughput and aggregate memory.
 func BenchmarkFleet10k(b *testing.B) {
 	cfg := Config{
 		Devices: 10000,
@@ -47,13 +44,7 @@ func BenchmarkFleet10k(b *testing.B) {
 		Theta:   4.0,
 		K:       20,
 	}
-	for range 3 {
-		if _, err := Run(cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
 	b.ReportAllocs()
-	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := Run(cfg); err != nil {
 			b.Fatal(err)

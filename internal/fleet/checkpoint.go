@@ -11,21 +11,25 @@ import (
 )
 
 // checkpointVersion names the snapshot schema, the only one a run writes
-// and resumes: the folded prefix alone.
+// and resumes. Version 3 holds the folded prefix alone; files of earlier
+// versions are refused.
 const checkpointVersion = 3
 
 // hashToken opens Config.hash's canonical text. It once was the checkpoint
-// schema's number too; every report prints the hash, so the token stays.
+// schema's number too; the schema moved on without changing what a run
+// simulates, and every report prints the hash, so the token stays.
 const hashToken = "fleet/v1"
 
 // ErrCheckpointMismatch reports a checkpoint written by a different
-// configuration or schema version, whose resume would change results.
+// configuration (or schema version) than the one trying to resume from it.
+// Resuming such a snapshot would silently change results, so it is refused.
 var ErrCheckpointMismatch = errors.New("fleet: checkpoint does not match this configuration")
 
-// checkpointFile is a snapshot: the run's identity and its folded prefix,
-// whose size does not depend on the device count. A resume runs again the
-// shards finished beyond the prefix. Moments and sketches round-trip
-// bit-exactly through JSON (shortest-representation floats), so a resumed
+// checkpointFile is a snapshot: the run's identity and its folded prefix.
+// Its size depends on the mix and the sketches' occupied buckets, not on
+// the device count. Shards finished beyond the prefix are not in it; a
+// resume runs them again. Moments and sketches round-trip bit-exactly
+// through JSON (shortest-representation float encoding), so a resumed
 // run's report is byte-identical to an uninterrupted one's.
 type checkpointFile struct {
 	Version    int    `json:"version"`
@@ -39,7 +43,8 @@ type checkpointFile struct {
 	Sketches []ClassSketches `json:"sketches"`
 }
 
-// writeCheckpoint atomically snapshots the fold's prefix in compact JSON,
+// writeCheckpoint atomically snapshots the fold's prefix in compact JSON
+// (most of a snapshot is sketch buckets, which indentation would triple),
 // appended into the run's reused buffer; a crash mid-write leaves the
 // previous snapshot intact.
 func (r *run) writeCheckpoint() error {
@@ -78,8 +83,9 @@ func (f *fold) appendSnapshot(b []byte, hash string) ([]byte, error) {
 
 // loadCheckpoint reads a snapshot into the empty fold f, after checking it
 // was written by this exact configuration and schema and that its counts
-// agree with the layout and with each other: a checkpoint is input from
-// outside the program.
+// agree with the layout and with each other. A checkpoint is input from
+// outside the program, and a prefix whose counts disagree would resume to
+// a report about another fleet.
 func loadCheckpoint(path, hash string, cfg *Config, f *fold) error {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -101,9 +107,11 @@ func loadCheckpoint(path, hash string, cfg *Config, f *fold) error {
 	return nil
 }
 
-// restore loads ck's prefix into the empty fold f once the prefix's class
-// devices, and its total's, sum to its shards' devices, and each moment
-// and sketch counts the devices its class or the total claims.
+// restore loads ck's prefix into the empty fold f once its counts agree
+// with the layout and with each other: the prefix's class devices, and its
+// total's, sum to its shards' devices; each moment counts the devices its
+// class or the total claims; and each class's sketches count that class's
+// devices.
 func (f *fold) restore(ck *checkpointFile, cfg *Config) error {
 	if ck.Folded < 0 || ck.Folded > cfg.shardCount() {
 		return fmt.Errorf("folded prefix of %d shards outside [0, %d]", ck.Folded, cfg.shardCount())

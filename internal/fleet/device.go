@@ -84,10 +84,12 @@ func SynthesizeDevice(fleetSeed int64, pop *workload.Population, index int, hori
 	return SynthesizeDeviceOpts(fleetSeed, pop, index, horizon, DeviceOptions{})
 }
 
-// SynthesizeDeviceOpts is SynthesizeDevice with options. A diurnal
-// profile feeds the same streams to its samplers (the per-device phase
-// comes from randx.Derive), so attaching one never perturbs any other
-// device. The device's slices are the caller's own.
+// SynthesizeDeviceOpts is SynthesizeDevice with options. Without a
+// diurnal profile it is draw-for-draw identical to the legacy path; with
+// one, the same streams feed the diurnal samplers (the per-device phase
+// comes from randx.Derive and consumes no stream state), so attaching a
+// profile never perturbs any other device. The device's slices are the
+// caller's own.
 func SynthesizeDeviceOpts(fleetSeed int64, pop *workload.Population, index int, horizon time.Duration, opts DeviceOptions) (Device, error) {
 	s := &scratch{root: randx.Acquire(0), child: randx.Acquire(0), app: randx.Acquire(0)}
 	defer s.root.Release()
@@ -132,9 +134,12 @@ func RunPair(base sim.Config, theta float64, k int) (DeviceOutcome, error) {
 }
 
 // scratch is everything one device's synthesis and run pair fill, kept
-// for the next device; a device synthesized into it is valid until the
-// next. The zero value can run a pair; synthesize needs newScratch's
-// streams, and runDevice its eTrain strategy, Reset to the fleet's Θ, k.
+// for the next device: each worker slot of a run owns one, so a device
+// allocates nothing once the buffers have grown. A device synthesized
+// into a scratch is valid until the scratch synthesizes the next one. The
+// zero value can run a pair; synthesize also needs newScratch's streams,
+// and runDevice its eTrain strategy Reset to the fleet's Θ and k. A
+// scratch is not safe for concurrent use.
 type scratch struct {
 	trains  []heartbeat.TrainApp
 	records []workload.BehaviorRecord
@@ -209,8 +214,9 @@ func (s *scratch) synthesize(fleetSeed int64, pop *workload.Population, index in
 	}, nil
 }
 
-// runDevice synthesizes device i into s and measures its run pair, a pure
-// function of (cfg.Seed, i).
+// runDevice synthesizes device i into s and measures its run pair.
+// Everything is derived from (cfg.Seed, i) in a fixed draw order, so the
+// outcome is a pure function of the device's identity.
 //
 //etrain:hotpath
 func (s *scratch) runDevice(cfg *Config, pop *workload.Population, i int) (DeviceOutcome, error) {
@@ -283,22 +289,39 @@ func appendTrains(dst []heartbeat.TrainApp, src *randx.Source) []heartbeat.Train
 // Profiles are read-only, so all devices share one.
 var sessionProfile = profile.Weibo(sessionDeadline)
 
-// backgroundByClass holds each activeness class's background cargo, mail
-// and cloud sync, at arrival rates scaled by the class. Specs and their
-// profiles are read-only, so a class's devices share them.
+// backgroundByClass holds each activeness class's backgroundSpecs, built
+// once: specs and their profiles are read-only, so a class's devices share
+// them.
 var backgroundByClass = func() (m [workload.ClassActive + 1][]workload.CargoSpec) {
-	for _, cf := range []struct {
-		class  workload.ActivenessClass
-		factor float64
-	}{{workload.ClassInactive, 0.5}, {workload.ClassModerate, 1}, {workload.ClassActive, 1.5}} {
-		specs := []workload.CargoSpec{workload.MailSpec(), workload.CloudSpec()}
-		for i := range specs {
-			specs[i].MeanInterArrival = time.Duration(float64(specs[i].MeanInterArrival) / cf.factor)
-		}
-		m[cf.class] = specs
+	for _, c := range []workload.ActivenessClass{workload.ClassInactive, workload.ClassModerate, workload.ClassActive} {
+		m[c] = backgroundSpecs(c)
 	}
 	return m
 }()
+
+// backgroundSpecs returns the device's delay-tolerant background cargo
+// (mail + cloud sync), with arrival rates scaled by the activeness class:
+// active users generate more background traffic, inactive users less.
+func backgroundSpecs(class workload.ActivenessClass) []workload.CargoSpec {
+	factor := activityFactor(class)
+	specs := []workload.CargoSpec{workload.MailSpec(), workload.CloudSpec()}
+	for i := range specs {
+		specs[i].MeanInterArrival = time.Duration(float64(specs[i].MeanInterArrival) / factor)
+	}
+	return specs
+}
+
+// activityFactor is the background-rate multiplier per activeness class.
+func activityFactor(class workload.ActivenessClass) float64 {
+	switch class {
+	case workload.ClassActive:
+		return 1.5
+	case workload.ClassModerate:
+		return 1.0
+	default:
+		return 0.5
+	}
+}
 
 // mergePackets appends to dst the session replay and the background cargo,
 // laid end to end in cargo, interleaved by arrival time (the session's

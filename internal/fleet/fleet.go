@@ -1,20 +1,30 @@
 // Package fleet simulates an entire device population — each device a
 // full eTrain system with its own heartbeat trains, cargo mix and
-// user-activeness class — and folds per-device outcomes into streaming,
-// mergeable statistics as each shard finishes, so a run's memory and each
-// checkpoint's size stay flat as the fleet grows. It generalizes the
-// paper's Fig. 11 deployment (100+ users grouped by activeness) to
-// per-class saving and delay quantiles over 100k+ simulated devices.
+// user-activeness class — and aggregates per-device outcomes into
+// streaming, mergeable statistics as each shard finishes, so a run's
+// memory and each checkpoint's size stay flat as the fleet grows.
 //
-// Devices are the unit of parallelism, shards of aggregation and
-// checkpointing. Determinism contract (DESIGN.md §9): a device is a pure
-// function of (fleet seed, device index); the shard layout ignores the
-// worker count; and each shard, once it and every shard before it have
-// finished, folds its devices in index order into per-class
-// stats.Moments, which merge in shard order, and counts their values in
-// the run's stats.Sketch, whose state depends only on the samples. So the
-// report is byte-identical at any worker count and across a resume from a
-// shard-boundary checkpoint.
+// The engine generalizes the paper's Fig. 11 deployment (100+ real users
+// grouped by activeness, single-number savings per group) to
+// population-scale distributions: per-class energy-saving and delay
+// quantiles over 100k+ simulated devices.
+//
+// Devices are the unit of parallelism: the workers take devices in index
+// order, so even a one-shard fleet runs on every worker. Shards are the
+// unit of aggregation and checkpointing.
+//
+// Determinism contract (DESIGN.md §9): a device's entire behavior is a
+// pure function of (fleet seed, device index); devices are partitioned
+// into fixed-size shards independent of the worker count; and each shard,
+// as soon as it and every shard before it have finished, folds its
+// devices' outcomes in index order into per-class stats.Moments, which
+// merge into the report in shard-index order, and counts their values in
+// the run's per-class stats.Sketch. A sketch's state depends only on the
+// samples it counts, so only the moments need that order. Worker count
+// and scheduling order are therefore invisible: the final report is
+// byte-identical at 1 and N workers, and a run resumed from a
+// shard-boundary checkpoint reproduces the byte-exact report of an
+// uninterrupted run.
 package fleet
 
 import (
@@ -35,7 +45,10 @@ import (
 	"etrain/internal/workload"
 )
 
-// DefaultShardSize is the default number of devices per shard.
+// DefaultShardSize is the default number of devices per shard. Shards are
+// the unit of aggregation and checkpointing, not of parallelism: a
+// shard's devices spread over every worker whatever its size, and a shard
+// that finishes before an earlier one keeps its outcomes until it folds.
 const DefaultShardSize = 256
 
 // DefaultK is the per-heartbeat batch bound handed to each device's
@@ -43,8 +56,9 @@ const DefaultShardSize = 256
 const DefaultK = 20
 
 // ErrHalted reports that Config.Halt stopped the run at a shard boundary.
-// With a checkpoint path, the completed shards were snapshotted first, so
-// a resume reproduces the uninterrupted run's report byte for byte.
+// When a checkpoint path is configured, the completed shards were
+// snapshotted before returning; resuming later reproduces the
+// uninterrupted run's report byte for byte.
 var ErrHalted = errors.New("fleet: run halted at shard boundary")
 
 // Config describes one population run.
@@ -52,8 +66,9 @@ type Config struct {
 	// Devices is the population size. Required.
 	Devices int
 	// ShardSize is the number of devices per shard (default
-	// DefaultShardSize). The shard layout is part of the run's identity,
-	// independent of Workers.
+	// DefaultShardSize). The shard layout is part of the run's identity:
+	// it is independent of Workers, and changing it changes the
+	// config hash.
 	ShardSize int
 	// Workers bounds concurrent device simulations: n > 0 verbatim, 0
 	// sequential, negative one per CPU. The report is byte-identical at
@@ -76,12 +91,14 @@ type Config struct {
 	// (default stats.DefaultSketchAlpha), at least stats.MinSketchAlpha.
 	SketchAlpha float64
 	// Diurnal, when non-nil, shapes every device's cargo and heartbeat
-	// cadence by the profile's activity curves and scheduled events; its
-	// hash enters the config hash. Nil reproduces the legacy fleet.
+	// cadence by the profile's activity curves and scheduled events. It is
+	// part of the run's identity (the profile hash enters the config hash),
+	// and a nil profile reproduces the legacy fleet byte for byte.
 	Diurnal *diurnal.Profile
 	// Radio, when non-empty, names the radio generation every device's
-	// energy is accounted under (radio.ModelByName: "3g", "lte-drx", ...).
-	// Empty keeps the legacy 3G RRC power model and config hash.
+	// energy is accounted under (radio.ModelByName: "3g", "lte-drx",
+	// "nr-drx", ...). Empty keeps the legacy 3G RRC power model and the
+	// legacy config hash.
 	Radio string
 
 	// radioModel is Radio resolved by normalize.
@@ -93,7 +110,9 @@ type Config struct {
 	CheckpointPath string
 	// CheckpointEvery takes a snapshot after every n-th completed shard;
 	// 0 snapshots only on halt and at the end. A snapshot holds the folded
-	// shard-order prefix, so it costs the same at any device count.
+	// shard-order prefix (its moments and class sketches), so it costs the
+	// same at any device count; a resume runs again the shards that had
+	// finished beyond the prefix.
 	CheckpointEvery int
 	// Resume loads CheckpointPath before running and skips the prefix it
 	// holds. The checkpoint's config hash must match this config.
@@ -101,8 +120,9 @@ type Config struct {
 
 	// Progress, when non-nil, is invoked after every completed shard with
 	// (completed, total). Calls are serialized; completion order is
-	// scheduler-dependent. The engine never reads the wall clock: rate/ETA
-	// math belongs to the caller (see cmd/etrain-fleet).
+	// scheduler-dependent even though the results are not. The fleet
+	// engine itself never reads the wall clock — rate/ETA math belongs to
+	// the caller (see cmd/etrain-fleet).
 	Progress func(done, total int)
 	// Halt, when non-nil, is polled once per shard beyond the restored
 	// prefix, in shard order, when the shard's first device is taken.
@@ -121,7 +141,9 @@ func (c Config) normalize() (Config, *workload.Population, error) {
 	if c.ShardSize < 0 {
 		return c, nil, fmt.Errorf("fleet: negative shard size %d", c.ShardSize)
 	}
-	c.ShardSize = cmp.Or(c.ShardSize, DefaultShardSize)
+	if c.ShardSize == 0 {
+		c.ShardSize = DefaultShardSize
+	}
 	switch {
 	case c.Workers == 0:
 		c.Workers = 1
@@ -131,15 +153,21 @@ func (c Config) normalize() (Config, *workload.Population, error) {
 	if c.Horizon < 0 {
 		return c, nil, fmt.Errorf("fleet: negative horizon %v", c.Horizon)
 	}
-	c.Horizon = cmp.Or(c.Horizon, workload.SessionLength)
+	if c.Horizon == 0 {
+		c.Horizon = workload.SessionLength
+	}
 	if c.Theta < 0 {
 		return c, nil, fmt.Errorf("fleet: negative theta %v", c.Theta)
 	}
 	if c.K < 0 {
 		return c, nil, fmt.Errorf("fleet: negative k %d", c.K)
 	}
-	c.K = cmp.Or(c.K, DefaultK)
-	c.SketchAlpha = cmp.Or(c.SketchAlpha, stats.DefaultSketchAlpha)
+	if c.K == 0 {
+		c.K = DefaultK
+	}
+	if c.SketchAlpha == 0 {
+		c.SketchAlpha = stats.DefaultSketchAlpha
+	}
 	if err := stats.CheckSketchAlpha(c.SketchAlpha); err != nil {
 		return c, nil, fmt.Errorf("fleet: %w", err)
 	}
@@ -179,13 +207,19 @@ func (c Config) shardCount() int {
 // shardRange returns the device index range [lo, hi) of shard s.
 func (c Config) shardRange(s int) (lo, hi int) {
 	lo = s * c.ShardSize
-	return lo, min(lo+c.ShardSize, c.Devices)
+	hi = lo + c.ShardSize
+	if hi > c.Devices {
+		hi = c.Devices
+	}
+	return lo, hi
 }
 
-// hash names the run's simulation identity: what shapes the results and
-// the aggregate layout, not worker count, checkpoint cadence or
-// callbacks. Its canonical text streams through FNV-1a a field at a time
-// from a stack buffer, so it allocates only the string it returns.
+// hash names the run's simulation identity: everything that shapes the
+// per-device results and the aggregate layout, and nothing that does not
+// (worker count, checkpoint cadence and callbacks are excluded — a
+// checkpoint taken at one worker count resumes at any other). Its
+// canonical text streams through FNV-1a a field at a time from a stack
+// buffer, so it allocates only the string it returns.
 func (c Config) hash() string {
 	var buf [64]byte
 	h := uint64(randx.FNVOffset)
@@ -243,7 +277,7 @@ func Run(cfg Config) (*Report, error) {
 	if norm.Progress != nil {
 		norm.Progress(r.done, norm.shardCount())
 	}
-	if err := parallel.ForEachStatus(parallel.NewLimit(norm.Workers), norm.Devices, r.device, r.finish); err != nil {
+	if err := r.crew.ForEachStatus(parallel.NewLimit(norm.Workers), norm.Devices, r.device, r.finish); err != nil {
 		return nil, err
 	}
 	if r.err == nil && norm.CheckpointPath != "" {
@@ -276,13 +310,18 @@ type run struct {
 	halted bool
 	// open holds each admitted shard's outcomes until it folds.
 	open []*shardOutcomes
-	// free holds the outcome buffers no shard holds: at least Workers+2,
-	// or one per shard, each sized for a shard. Every buffer comes back,
-	// and a shard admitted when none is free waits for a fold, which
-	// bounds how far fast workers run ahead of a slow one.
+	// free holds the outcome buffers no shard holds: Workers+2, or one
+	// per shard if fewer, each sized for the longest shard. Every buffer
+	// comes back, and a shard admitted when none is free waits for a fold,
+	// which bounds how far fast workers run ahead of a slow one.
 	free []*shardOutcomes
-	// scratches holds one scratch per worker slot.
+	// buffers holds every outcome buffer the run has grown, the most any
+	// run on it held at once; free starts as a prefix of it.
+	buffers []*shardOutcomes
+	// scratches holds one scratch per worker slot, and crew the worker
+	// goroutines that run the slots.
 	scratches []*scratch
+	crew      parallel.Crew
 
 	// The rest belongs to the completion hook, which ForEachStatus
 	// serializes: the fold, the count of finished shards, the buffer
@@ -312,32 +351,43 @@ func takeRun(cfg *Config, pop *workload.Population) (*run, error) {
 	r.cfg, r.pop, r.hash = *cfg, pop, cfg.hash()
 	r.polled, r.halted, r.done, r.err = 0, false, 0, nil
 	r.open = slices.Grow(r.open[:0], cfg.shardCount())[:cfg.shardCount()]
-	for len(r.free) < min(cfg.Workers+2, cfg.shardCount()) {
-		r.free = append(r.free, new(shardOutcomes))
+	// Buffers beyond the run's, left by a run with more workers or
+	// shards, are kept as they are. The run's are grown to its first
+	// shard, the longest, which is shorter than ShardSize when the fleet
+	// is.
+	held := min(cfg.Workers+2, cfg.shardCount())
+	for len(r.buffers) < held {
+		r.buffers = append(r.buffers, new(shardOutcomes))
 	}
+	r.free = append(r.free[:0], r.buffers[:held]...)
 	for _, so := range r.free {
-		so.outs = slices.Grow(so.outs[:0], cfg.ShardSize)
+		so.outs = slices.Grow(so.outs[:0], min(cfg.ShardSize, cfg.Devices))
 	}
 	for w := range min(cfg.Workers, cfg.Devices) {
 		if w == len(r.scratches) {
 			r.scratches = append(r.scratches, newScratch())
 		}
 		if err := r.scratches[w].etrain.Reset(core.Options{Theta: cfg.Theta, K: cfg.K}); err != nil {
+			r.release()
 			return nil, err
 		}
 	}
-	return r, r.fold.reset(cfg)
+	if err := r.fold.reset(cfg); err != nil {
+		r.release()
+		return nil, err
+	}
+	return r, nil
 }
 
-// release puts r back on the free list, unless it is full. The buffers
-// of shards a failed run left open are dropped, as is what r holds of the
-// caller's config.
+// release puts r back on the free list, unless it is full, when r's
+// worker goroutines end. What r holds of the caller's config is dropped.
 func (r *run) release() {
 	clear(r.open)
 	r.cfg, r.pop = Config{}, nil
 	select {
 	case runs <- r:
 	default:
+		r.crew.Close()
 	}
 }
 

@@ -3,11 +3,15 @@ package fleet
 import "fmt"
 
 // fold is a run's report as it grows: the folded prefix, the shards
-// [0, folded), whose class moments have merged into prefix and total in
-// shard order and whose devices' values are counted in the class
-// sketches. Its memory depends on the mix and the sketches' spans, not on
-// the device count, and a reused run counts its samples in spans an
-// earlier run grew.
+// [0, folded), whose class moments have merged into prefix and total
+// strictly in shard order, as the report needs them, and whose devices'
+// values are counted in the run's class sketches. Its memory depends on
+// the mix and the sketches' spans, not on the device count. Finished
+// shards beyond the prefix wait in the run's outcome buffers, not here.
+//
+// A fold belongs to the hook that finishes shards, which ForEachStatus
+// serializes. A run keeps its fold when it goes back on the free list, so
+// a run counts its samples in spans an earlier run grew.
 type fold struct {
 	alpha  float64
 	folded int

@@ -19,7 +19,8 @@ type ClassRow struct {
 
 // Report is the population summary: per-class and total aggregates, plus
 // the identity the run was produced under. Its rendering is a pure
-// function of its fields.
+// function of its fields — byte-identical at any worker count and across
+// checkpoint/resume.
 type Report struct {
 	// Devices, Shards and ShardSize describe the population layout.
 	Devices   int

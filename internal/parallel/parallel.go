@@ -109,12 +109,22 @@ func ForEach(limit Limit, n int, fn func(i int) error) error {
 // belongs in an index-ordered pass after ForEachStatus returns, or in a
 // hook that waits for a fixed set of jobs.
 //
-// Jobs are taken in index order: min(limit.Cap(), n) worker loops each
-// hold one slot of limit and take the next index until none is left. Each
-// loop runs on a parked goroutine an earlier fan-out left (see parked),
-// or on a new one when none waits, so a warmed fan-out allocates a small
-// constant however many jobs and workers it runs.
+// Jobs are taken in index order: min(limit.Cap(), n) goroutines each hold
+// one slot of limit and take the next index until none is left, so a
+// fan-out costs O(workers) allocations however many jobs it runs.
 func ForEachStatus(limit Limit, n int, fn func(w, i int) error, done func(i int, err error)) error {
+	return forEachStatus(nil, limit, n, fn, done)
+}
+
+// ForEachStatus is the package's ForEachStatus with its worker loops on
+// c's goroutines.
+func (c *Crew) ForEachStatus(limit Limit, n int, fn func(w, i int) error, done func(i int, err error)) error {
+	return forEachStatus(c, limit, n, fn, done)
+}
+
+// forEachStatus is ForEachStatus with its worker loops on crew's
+// goroutines, or on new ones when crew is nil.
+func forEachStatus(crew *Crew, limit Limit, n int, fn func(w, i int) error, done func(i int, err error)) error {
 	if n <= 0 {
 		return nil
 	}
@@ -150,18 +160,22 @@ func ForEachStatus(limit Limit, n int, fn func(w, i int) error, done func(i int,
 		wg   sync.WaitGroup
 		next atomic.Int64
 	)
-	loop := func(w int) {
-		defer wg.Done()
-		defer limit.Release()
-		for i := int(next.Add(1) - 1); i < n; i = int(next.Add(1) - 1) {
-			finish(i, fn(w, i))
-		}
-	}
 	workers := min(limit.Cap(), n)
 	wg.Add(workers)
 	for w := 0; w < workers; w++ {
 		limit.Acquire()
-		start(workerLoop{loop, w})
+		loop := func() {
+			defer wg.Done()
+			defer limit.Release()
+			for i := int(next.Add(1) - 1); i < n; i = int(next.Add(1) - 1) {
+				finish(i, fn(w, i))
+			}
+		}
+		if crew == nil {
+			go loop()
+		} else {
+			crew.start(w, loop)
+		}
 	}
 	wg.Wait()
 	if len(errs) > 0 {
@@ -171,34 +185,43 @@ func ForEachStatus(limit Limit, n int, fn func(w, i int) error, done func(i int,
 	return nil
 }
 
-// workerLoop is one worker slot's loop of a fan-out.
-type workerLoop struct {
-	run  func(w int)
-	slot int
+// Crew keeps the worker goroutines of one caller's fan-outs between them:
+// the loop of worker slot w runs on the crew's goroutine for slot w, which
+// the first fan-out that needed the slot started, and which waits for the
+// next loop when its loop ends. The runtime keeps a finished goroutine's
+// record on the free list of the P it exits on, not of the P that starts
+// the next one, so a caller that fans out again and again on fresh
+// goroutines has the runtime allocate new records in a share of its
+// fan-outs until every P's list fills; a crew starts no goroutine after
+// its widest fan-out. A crew runs one fan-out at a time. The zero Crew
+// has no goroutines; close a crew that is no longer needed, or its
+// goroutines stay.
+type Crew struct {
+	slots []chan func()
 }
 
-// parked hands worker loops to goroutines whose earlier loop has returned
-// and that wait for another. Such a goroutine never exits, so there are at
-// most as many as the most loops that ever ran at once, and a process that
-// fans out again and again, like a fleet run after run, stops creating
-// goroutines once it has made enough.
-var parked = make(chan workerLoop)
-
-// start runs l on a parked goroutine, or on a new one when none waits.
-func start(l workerLoop) {
-	select {
-	case parked <- l:
-	default:
-		go work(l)
+// Close ends c's goroutines once their loops end; c must not run another
+// fan-out.
+func (c *Crew) Close() {
+	for _, next := range c.slots {
+		close(next)
 	}
 }
 
-// work is a worker goroutine: it runs l, then every loop parked hands it.
-func work(l workerLoop) {
-	for {
-		l.run(l.slot)
-		l = <-parked
+// start runs loop on slot w's goroutine, starting it if w is new. The
+// slot's previous loop has returned from its work, so the one-loop buffer
+// is free even if the goroutine has not come back for it yet.
+func (c *Crew) start(w int, loop func()) {
+	if w == len(c.slots) {
+		next := make(chan func(), 1)
+		c.slots = append(c.slots, next)
+		go func() {
+			for loop, ok := <-next; ok; loop, ok = <-next {
+				loop()
+			}
+		}()
 	}
+	c.slots[w] <- loop
 }
 
 // Map runs fn over [0, n) on the pool bounded by limit and returns the

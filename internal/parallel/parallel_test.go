@@ -3,6 +3,8 @@ package parallel
 import (
 	"errors"
 	"fmt"
+	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -238,6 +240,40 @@ func TestForEachStatusWorkerSlots(t *testing.T) {
 		}, nil)
 		if err != nil {
 			t.Errorf("cap %d, %d jobs: %v", tc.cap, tc.n, err)
+		}
+	}
+}
+
+// TestCrewRunsEachSlotOnOneGoroutine runs ten fan-outs on one crew: every
+// job of a slot, in every fan-out, runs on the same goroutine, and Close
+// ends the crew's goroutines.
+func TestCrewRunsEachSlotOnOneGoroutine(t *testing.T) {
+	goroutine := func() string {
+		var buf [64]byte
+		return strings.Fields(string(buf[:runtime.Stack(buf[:], false)]))[1]
+	}
+	before := runtime.NumGoroutine()
+	c := new(Crew)
+	ran := make([]string, 4)
+	for range 10 {
+		err := c.ForEachStatus(NewLimit(4), 64, func(w, i int) error {
+			switch g := goroutine(); ran[w] {
+			case "":
+				ran[w] = g
+			case g:
+			default:
+				return fmt.Errorf("slot %d ran on goroutines %s and %s", w, ran[w], g)
+			}
+			return nil
+		}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	c.Close()
+	for deadline := time.Now().Add(10 * time.Second); runtime.NumGoroutine() > before; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines an interval after Close, %d before the crew", runtime.NumGoroutine(), before)
 		}
 	}
 }

@@ -38,7 +38,7 @@ func goldenOptions() Options {
 func TestGoldenTables(t *testing.T) {
 	opts := goldenOptions()
 	ids := []string{
-		"fig1a", "fig7a", "fig8a", "fig11pop", "fig-diurnal",
+		"fig1a", "fig7a", "fig8a", "fig8b", "fig11pop", "fig-diurnal",
 		"abl-greedy-policy", "abl-channel-oracle", "abl-predictive-monitor", "abl-offline-gap",
 	}
 	for _, id := range ids {

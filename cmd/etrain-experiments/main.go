@@ -18,7 +18,6 @@ import (
 
 	"etrain/internal/experiments"
 	"etrain/internal/parallel"
-	"etrain/internal/sim"
 )
 
 func main() {
@@ -56,13 +55,7 @@ func run() error {
 	}
 
 	w := parallel.Workers(*workers)
-	opts := experiments.Options{
-		Seed:    *seed,
-		Workers: w,
-		// One shared runner: every experiment draws on the same worker
-		// budget and result cache (overlapping grids run once).
-		Runner: sim.NewRunner(w),
-	}
+	opts := experiments.Options{Seed: *seed, Workers: w}
 	var entries []experiments.Entry
 	if *id == "all" {
 		entries = experiments.All()

@@ -44,9 +44,10 @@ var fanOutPackages = []string{
 //     per-iteration variables, but the explicit-argument form is the
 //     project style and keeps the dependency visible);
 //   - every goroutine must have a join or cancellation path: a
-//     WaitGroup.Done / Limit.Release call, a channel operation or select,
-//     or a context reference. A fire-and-forget goroutine can outlive the
-//     sweep that spawned it and race the next one's result slots.
+//     WaitGroup.Done / Limit.Release call, a channel operation (a range
+//     over a channel included) or select, or a context reference. A
+//     fire-and-forget goroutine can outlive the sweep that spawned it and
+//     race the next one's result slots.
 var CtxLoop = &Analyzer{
 	Name: "ctxloop",
 	Doc: "flag goroutines in internal/parallel and internal/sim that " +
@@ -183,6 +184,13 @@ func hasJoinOrCancel(pass *Pass, lit *ast.FuncLit) bool {
 		case *ast.UnaryExpr:
 			if v.Op == token.ARROW {
 				found = true
+			}
+		case *ast.RangeStmt:
+			// Ranging over a channel receives until it closes.
+			if t := pass.TypesInfo.TypeOf(v.X); t != nil {
+				if _, ok := t.Underlying().(*types.Chan); ok {
+					found = true
+				}
 			}
 		case *ast.CallExpr:
 			if sel, ok := v.Fun.(*ast.SelectorExpr); ok && joinMethods[sel.Sel.Name] {

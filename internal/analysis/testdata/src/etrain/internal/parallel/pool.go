@@ -47,4 +47,23 @@ func channelJoined(jobs []int) {
 	<-done
 }
 
+// rangeJoined receives until its channel closes: ranging over a channel
+// is a receive, so the goroutine has a join path.
+func rangeJoined(next chan func()) {
+	go func() {
+		for loop := range next {
+			loop()
+		}
+	}()
+}
+
+// rangeOverSlice ranges over a slice, which joins nothing.
+func rangeOverSlice(jobs []int) {
+	go func() { // want `goroutine has no join or cancellation path`
+		for _, j := range jobs {
+			process(j)
+		}
+	}()
+}
+
 func process(int) {}

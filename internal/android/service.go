@@ -169,14 +169,9 @@ func (s *Service) schedule(now time.Duration, heartbeatNow bool) {
 
 func (s *Service) flushAll() {
 	byApp := make(map[string][]int)
-	for _, app := range s.queues.Apps() {
-		for {
-			p, ok := s.queues.PopHead(app)
-			if !ok {
-				break
-			}
-			byApp[p.App] = append(byApp[p.App], p.ID)
-		}
+	for s.queues.Len() > 0 {
+		p := s.queues.PopOldest()
+		byApp[p.App] = append(byApp[p.App], p.ID)
 	}
 	if len(byApp) > 0 {
 		s.dispatch(byApp)

@@ -17,7 +17,8 @@ import (
 // selection to the cellular interface, as we do here.
 type ETime struct {
 	// v is the fixed energy/performance tradeoff parameter V.
-	v float64
+	v   float64
+	sel []workload.Packet // the last selection, reused by the next Schedule
 }
 
 var _ sched.Strategy = (*ETime)(nil)
@@ -39,7 +40,8 @@ func (*ETime) SlotLength() time.Duration { return 60 * time.Second }
 // Schedule implements sched.Strategy: drain everything when the V-weighted
 // backlog clears the channel-quality bar, otherwise hold. Backlog pressure
 // grows every slot, so the queue always drains eventually (Lyapunov
-// stability), but without deadline guarantees.
+// stability), but without deadline guarantees. The result is valid until
+// the next Schedule call.
 func (e *ETime) Schedule(ctx *sched.SlotContext) []workload.Packet {
 	q := ctx.Queues
 	if q.Len() == 0 {
@@ -57,7 +59,8 @@ func (e *ETime) Schedule(ctx *sched.SlotContext) []workload.Packet {
 		pressure += 1 + waited
 	})
 	if pressure*quality >= e.v {
-		return DrainAll(q)
+		e.sel = drain(e.sel[:0], q)
+		return e.sel
 	}
 	return nil
 }

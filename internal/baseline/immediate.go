@@ -61,29 +61,13 @@ func (*Immediate) NextWake(q *sched.Queues, now, stop, _ time.Duration) time.Dur
 	return stop
 }
 
-// DrainAll removes and returns every queued packet, ordered by arrival time
-// across apps. It returns nil when nothing is queued.
-func DrainAll(q *sched.Queues) []workload.Packet {
-	if q.Len() == 0 {
-		return nil
-	}
-	return drain(make([]workload.Packet, 0, q.Len()), q)
-}
-
 // drain appends every queued packet to out, removing it from q, ordered by
 // arrival time across apps (ties in the queues' iteration order).
 //
 //etrain:hotpath
 func drain(out []workload.Packet, q *sched.Queues) []workload.Packet {
-	for {
-		oldest, ok := q.Oldest()
-		if !ok {
-			return out
-		}
-		p, ok := q.PopByID(oldest.App, oldest.ID)
-		if !ok {
-			return out
-		}
-		out = append(out, p)
+	for q.Len() > 0 {
+		out = append(out, q.PopOldest())
 	}
+	return out
 }

@@ -28,6 +28,7 @@ type PerES struct {
 	// emaCost is the exponential moving average of the instantaneous cost,
 	// the signal V converges against.
 	emaCost float64
+	sel     []workload.Packet // the last selection, reused by the next Schedule
 }
 
 var _ sched.Strategy = (*PerES)(nil)
@@ -57,7 +58,8 @@ func (*PerES) Name() string { return "peres" }
 // SlotLength implements sched.Strategy.
 func (*PerES) SlotLength() time.Duration { return time.Second }
 
-// Schedule implements sched.Strategy.
+// Schedule implements sched.Strategy. The result is valid until the next
+// Schedule call.
 func (p *PerES) Schedule(ctx *sched.SlotContext) []workload.Packet {
 	q := ctx.Queues
 	cost := q.CostAt(ctx.Now)
@@ -83,13 +85,13 @@ func (p *PerES) Schedule(ctx *sched.SlotContext) []workload.Packet {
 
 	// Deadline-awareness: anything violating its deadline by the next slot
 	// is transmitted unconditionally.
-	var selected []workload.Packet
-	for _, app := range q.Apps() {
-		for _, pkt := range q.Packets(app) {
-			if pkt.DeadlineViolated(ctx.Now + ctx.SlotLength) {
-				if popped, ok := q.PopByID(app, pkt.ID); ok {
-					selected = append(selected, popped)
-				}
+	sel := p.sel[:0]
+	for a := range q.AppsView() {
+		for j := 0; j < len(q.ViewAt(a)); {
+			if q.ViewAt(a)[j].DeadlineViolated(ctx.Now + ctx.SlotLength) {
+				sel = append(sel, q.PopAt(a, j))
+			} else {
+				j++
 			}
 		}
 	}
@@ -102,7 +104,11 @@ func (p *PerES) Schedule(ctx *sched.SlotContext) []workload.Packet {
 	}
 	backlog := q.CostAt(ctx.Now + ctx.SlotLength)
 	if backlog*quality >= p.v {
-		selected = append(selected, DrainAll(q)...)
+		sel = drain(sel, q)
 	}
-	return selected
+	p.sel = sel
+	if len(sel) == 0 {
+		return nil
+	}
+	return sel
 }

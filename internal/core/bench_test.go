@@ -101,9 +101,9 @@ func BenchmarkScheduleManyApps(b *testing.B) {
 			for a := 0; a < apps; a++ {
 				name := fmt.Sprintf("app%05d", a)
 				q.Add(workload.Packet{ID: -1 - a, App: name, Profile: prof})
-				q.PopHead(name)
+				q.PopOldest()
 			}
-			busy := q.Apps()[apps-3:]
+			busy := q.AppsView()[apps-3:]
 			ctx := &sched.SlotContext{
 				Now: 200 * time.Second, SlotLength: time.Second,
 				HeartbeatNow: true, Queues: q,

@@ -263,16 +263,8 @@ func (e *ETrain) NextWake(q *sched.Queues, now, stop, slot time.Duration) time.D
 
 // fifoSelect appends to sel up to limit packets in global arrival order.
 func fifoSelect(sel []workload.Packet, q *sched.Queues, limit int) []workload.Packet {
-	for len(sel) < limit {
-		oldest, ok := q.Oldest()
-		if !ok {
-			break
-		}
-		p, ok := q.PopByID(oldest.App, oldest.ID)
-		if !ok {
-			break
-		}
-		sel = append(sel, p)
+	for len(sel) < limit && q.Len() > 0 {
+		sel = append(sel, q.PopOldest())
 	}
 	return sel
 }
@@ -282,25 +274,19 @@ func fifoSelect(sel []workload.Packet, q *sched.Queues, limit int) []workload.Pa
 func cheapestSelect(sel []workload.Packet, q *sched.Queues, nextSlot time.Duration, limit int) []workload.Packet {
 	for len(sel) < limit && q.Len() > 0 {
 		bestPhi := math.Inf(1)
-		found := false
-		var best workload.Packet
+		bestApp, best := -1, 0
 		for a := range q.AppsView() {
-			for _, p := range q.ViewAt(a) {
+			for j, p := range q.ViewAt(a) {
 				if phi := p.Cost(nextSlot); phi < bestPhi {
 					bestPhi = phi
-					best = p
-					found = true
+					bestApp, best = a, j
 				}
 			}
 		}
-		if !found {
+		if bestApp < 0 {
 			break
 		}
-		p, ok := q.PopByID(best.App, best.ID)
-		if !ok {
-			break
-		}
-		sel = append(sel, p)
+		sel = append(sel, q.PopAt(bestApp, best))
 	}
 	return sel
 }

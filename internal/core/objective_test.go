@@ -31,7 +31,7 @@ func bruteForceBest(q *sched.Queues, nextSlot time.Duration, limit int) float64 
 	var all []workload.Packet
 	q.Each(func(p workload.Packet) { all = append(all, p) })
 	pbar := make(map[string]float64)
-	for _, app := range q.Apps() {
+	for _, app := range q.AppsView() {
 		pbar[app] = q.SpeculativeAppCostAt(app, nextSlot)
 	}
 	best := 0.0
@@ -88,7 +88,7 @@ func TestGreedyNearOptimalDrift(t *testing.T) {
 		limit := 1 + src.Intn(3)
 
 		pbar := make(map[string]float64)
-		for _, app := range q.Apps() {
+		for _, app := range q.AppsView() {
 			pbar[app] = q.SpeculativeAppCostAt(app, nextSlot)
 		}
 		optimum := bruteForceBest(q, nextSlot, limit)

@@ -14,9 +14,8 @@ import (
 )
 
 // refGreedySelect is the Eq. 9 greedy that re-evaluated φ for every queued
-// packet on every pick, kept verbatim as the reference the once-per-slot
-// greedy must reproduce. It treats an app named "" as "nothing found", so
-// the differential test below never uses that name.
+// packet on every pick, kept as the reference the once-per-slot greedy
+// must reproduce; it pops each pick at once, by its index.
 func refGreedySelect(q *sched.Queues, nextSlot time.Duration, limit int) []workload.Packet {
 	apps := q.AppsView()
 
@@ -29,30 +28,24 @@ func refGreedySelect(q *sched.Queues, nextSlot time.Duration, limit int) []workl
 	var selected []workload.Packet
 	for len(selected) < limit && q.Len() > 0 {
 		bestGain := math.Inf(-1)
-		bestApp := ""
-		bestID := 0
+		bestApp, best := -1, 0
 		bestPhi := 0.0
-		for _, app := range apps {
-			for _, p := range q.View(app) {
+		for a, app := range apps {
+			for j, p := range q.View(app) {
 				phi := p.Cost(nextSlot)
 				gain := (pbar[app]-claimed[app])*phi - phi*phi/2
 				if gain > bestGain {
 					bestGain = gain
-					bestApp = app
-					bestID = p.ID
+					bestApp, best = a, j
 					bestPhi = phi
 				}
 			}
 		}
-		if bestApp == "" {
+		if bestApp < 0 {
 			break
 		}
-		p, ok := q.PopByID(bestApp, bestID)
-		if !ok {
-			break
-		}
-		claimed[bestApp] += bestPhi
-		selected = append(selected, p)
+		claimed[apps[bestApp]] += bestPhi
+		selected = append(selected, q.PopAt(bestApp, best))
 	}
 	return selected
 }

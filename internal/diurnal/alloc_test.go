@@ -12,8 +12,10 @@ import (
 
 // TestWeekHashAllocatesUnder1KB pins the cost of a diurnal fleet's config
 // hash: once the week profile's curves have rendered their text, Hash
-// streams it into the digest and allocates under 1 KB per call, where
-// building the 9.5 KB canonical string allocated about 21.6 KB.
+// streams it into the digest and allocates only its 16-digit result, one
+// allocation per call, where building the 9.5 KB canonical string
+// allocated about 21.6 KB and printing each field into hash/fnv 12
+// allocations.
 func TestWeekHashAllocatesUnder1KB(t *testing.T) {
 	p := Week()
 	want := p.Hash()
@@ -30,5 +32,8 @@ func TestWeekHashAllocatesUnder1KB(t *testing.T) {
 	t.Logf("%d B per warmed week-profile Hash", per)
 	if per >= 1024 {
 		t.Errorf("a warmed week-profile Hash allocates %d B, want under 1 KB", per)
+	}
+	if n := testing.AllocsPerRun(calls, func() { p.Hash() }); n > 1 {
+		t.Errorf("a warmed week-profile Hash makes %v allocations, want 1", n)
 	}
 }

@@ -2,12 +2,13 @@ package diurnal
 
 import (
 	"fmt"
-	"hash/fnv"
-	"io"
 	"math"
 	"sort"
+	"strconv"
 	"strings"
 	"time"
+
+	"etrain/internal/randx"
 )
 
 // Profile bounds. Scenario documents and CLI flags are clamped against
@@ -181,28 +182,36 @@ func (p *Profile) WithEvents(events ...Event) *Profile {
 	return &out
 }
 
-// writeCanonical writes the profile's canonical text, which Hash digests,
-// to w: a header, each curve's cached text and the events.
-func (p *Profile) writeCanonical(w io.Writer) {
-	fmt.Fprintf(w, "diurnal/v1 name=%s scale=%g jitter=%s start=%s", p.Name, p.normalizedScale(), p.PhaseJitter, p.Start)
-	fmt.Fprintf(w, " default=[%s]", p.Default.canonical())
-	for _, cc := range p.Classes {
-		fmt.Fprintf(w, " class=%s:[%s]", cc.Class, cc.Curve.canonical())
-	}
-	for _, e := range p.Events {
-		fmt.Fprintf(w, " event=%s@%s+%s cargo=%g beat=%g every=%s", e.Name, e.At, e.Duration, e.CargoFactor, e.BeatFactor, e.Every)
-	}
-}
-
 // Hash returns a 16-hex-digit digest of the profile's full configuration,
 // folded into fleet config hashes so a checkpoint taken under one profile
-// never resumes under another. It streams the canonical text through
-// FNV-1a, the hash randx.DeriveString computes, so it never holds the
-// whole text (9.5 KB for the week profile).
+// never resumes under another. It streams the canonical text — a header,
+// each curve's cached text and the events — through randx.FNV1a, the hash
+// randx.DeriveString computes, so it never holds the whole text (9.5 KB
+// for the week profile).
 func (p *Profile) Hash() string {
-	h := fnv.New64a()
-	p.writeCanonical(h)
-	return fmt.Sprintf("%016x", h.Sum64())
+	var buf [32]byte
+	h := uint64(randx.FNVOffset)
+	put := func(pieces ...string) {
+		for _, s := range pieces {
+			h = randx.FNV1a(h, s)
+		}
+	}
+	num := func(f float64) { h = randx.FNV1a(h, strconv.AppendFloat(buf[:0], f, 'g', -1, 64)) }
+	put("diurnal/v1 name=", p.Name, " scale=")
+	num(p.normalizedScale())
+	put(" jitter=", p.PhaseJitter.String(), " start=", p.Start.String())
+	put(" default=[", p.Default.canonical(), "]")
+	for _, cc := range p.Classes {
+		put(" class=", cc.Class, ":[", cc.Curve.canonical(), "]")
+	}
+	for _, e := range p.Events {
+		put(" event=", e.Name, "@", e.At.String(), "+", e.Duration.String(), " cargo=")
+		num(e.CargoFactor)
+		put(" beat=")
+		num(e.BeatFactor)
+		put(" every=", e.Every.String())
+	}
+	return randx.Hex(h)
 }
 
 // weekdayLevels shapes a working day: a deep night trough, a morning

@@ -93,11 +93,35 @@ func TestProfileHash(t *testing.T) {
 	}
 }
 
-// canonical renders the text Hash digests.
-func (p *Profile) canonical() string {
-	var b strings.Builder
-	p.writeCanonical(&b)
-	return b.String()
+// TestProfileHashPinned pins the digest of each preset and of a profile
+// with every part the canonical text renders: class curves whose levels
+// need 17 significant digits, a time scale, a phase span, a start and two
+// events, one of them repeating. Fleet config hashes fold these digests
+// in, so a change here would refuse every diurnal checkpoint.
+func TestProfileHashPinned(t *testing.T) {
+	storms := Weekday()
+	storms.Name = "storms"
+	storms.TimeScale = 1008
+	storms.PhaseJitter = 90 * time.Minute
+	storms.Start = 34*time.Hour + 30*time.Minute
+	storms.Events = []Event{
+		{Name: "push-storm", At: 122 * time.Hour, Duration: 15 * time.Minute, CargoFactor: 2.5, BeatFactor: 1.75},
+		{Name: "nightly", At: 3 * time.Hour, Duration: 1500 * time.Millisecond, BeatFactor: 0.1, Every: Day},
+	}
+	for _, tc := range []struct {
+		p    *Profile
+		want string
+	}{
+		{Flat(), "821c633b014e8419"},
+		{Week(), "d5403c3fa7333184"},
+		{Weekday(), "3d71ea461a35aa29"},
+		{Weekend(), "c2f6bd7bcc04e70a"},
+		{storms, "235d7104411322b5"},
+	} {
+		if got := tc.p.Hash(); got != tc.want {
+			t.Errorf("%s: Hash() = %s, want %s", tc.p.Name, got, tc.want)
+		}
+	}
 }
 
 // refCurveCanonical and refProfileCanonical are the renderings Hash used
@@ -130,9 +154,9 @@ func refProfileCanonical(p *Profile) string {
 	return b.String()
 }
 
-// TestCanonicalMatchesReference pins every preset's canonical text, and
-// so its hash, to the per-call rendering it replaced, with a time scale
-// and an event layered on as the fleet and scenarios do.
+// TestCanonicalMatchesReference pins every preset's hash to the FNV-1a of
+// the per-call rendering it replaced, with a time scale and an event
+// layered on as the fleet and scenarios do.
 func TestCanonicalMatchesReference(t *testing.T) {
 	for _, name := range PresetNames() {
 		base, err := ByName(name)
@@ -142,11 +166,7 @@ func TestCanonicalMatchesReference(t *testing.T) {
 		scaled := *base
 		scaled.TimeScale = 1008
 		for _, p := range []*Profile{base, &scaled, scaled.WithEvents(Event{Name: "storm", At: time.Hour, Duration: time.Hour, CargoFactor: 3})} {
-			want := refProfileCanonical(p)
-			if got := p.canonical(); got != want {
-				t.Fatalf("%s: canonical text\n%s\nwant\n%s", name, got, want)
-			}
-			if got, want := p.Hash(), fmt.Sprintf("%016x", uint64(randx.DeriveString(want))); got != want {
+			if got, want := p.Hash(), fmt.Sprintf("%016x", randx.DeriveString(refProfileCanonical(p))); got != want {
 				t.Fatalf("%s: hash %s, want %s", name, got, want)
 			}
 		}

@@ -28,7 +28,8 @@ func goldenOptions() Options {
 
 // TestGoldenTables locks the exact rendered text of representative tables:
 // a measurement experiment (fig1a), a single-strategy sweep (fig7a), the
-// comparative E-D panel (fig8a), the two fleet-engine experiments
+// comparative E-D panel (fig8a), the λ sweep that calibrates eTrain,
+// PerES and eTime to one delay (fig8b), the two fleet-engine experiments
 // (fig11pop, fig-diurnal) and the ablations that exercise every selection
 // policy, the channel gate, the predictive monitor and the offline
 // optimum. The fleet tables pin fleet output across commits, which the

@@ -56,10 +56,9 @@ type Result struct {
 // RunAll executes the given experiments across the options' worker budget
 // and returns one result per entry, in input order regardless of
 // scheduling. All entries share one runner (opts.Runner, or a fresh one
-// sized by opts.Workers), so overlapping sweep grids and repeated
-// calibration probes are computed once across the whole batch. Failures
-// are aggregated per entry: one failed experiment reports its error
-// without killing the rest.
+// sized by opts.Workers), so the whole batch keeps within one worker
+// budget. Failures are aggregated per entry: one failed experiment reports
+// its error without killing the rest.
 func RunAll(entries []Entry, opts Options) []Result {
 	if opts.Runner == nil {
 		opts.Runner = sim.NewRunner(opts.workersOr1())

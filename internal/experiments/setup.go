@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"fmt"
 	"time"
 
 	"etrain/internal/bandwidth"
@@ -49,9 +48,8 @@ type Options struct {
 	Workers int
 	// Runner, when non-nil, executes this experiment's sweeps and
 	// calibrations; sharing one Runner across experiments shares its
-	// worker budget and its result cache (overlapping grids are computed
-	// once). When nil, each experiment builds a private runner from
-	// Workers.
+	// worker budget. When nil, each experiment builds a private runner
+	// from Workers.
 	Runner *sim.Runner
 }
 
@@ -124,9 +122,6 @@ func buildSimConfig(opts Options, lambda float64) (sim.Config, error) {
 		Bandwidth: bw,
 		Power:     radio.GalaxyS43G(),
 		Seed:      opts.Seed,
-		// The key names everything above: trace, workload, power and span
-		// are all pure functions of (seed, horizon, lambda).
-		CacheKey: fmt.Sprintf("default-sim/seed=%d/horizon=%s/lambda=%g", opts.Seed, horizon, lambda),
 	}
 	cfg.Estimator = bandwidth.NewEstimator(bw, src.Split(), time.Second, estimatorNoise)
 	return cfg, nil

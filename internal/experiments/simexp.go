@@ -31,9 +31,8 @@ func etimeFactory() sim.KeyedFactory {
 	})
 }
 
-// baselineFactory wraps transmit-on-arrival as a control-less sweep point
-// so baseline runs share the runner's cache (fig8a and fig8b evaluate the
-// same baseline configs).
+// baselineFactory wraps transmit-on-arrival as a control-less sweep point,
+// so a baseline run goes through the runner like every other strategy.
 func baselineFactory() sim.KeyedFactory {
 	return sim.Keyed("baseline", func(float64) (sched.Strategy, error) {
 		return baseline.NewImmediate(), nil
@@ -207,8 +206,8 @@ const fig8bDelayTarget = 65 * time.Second
 // Fig8b reproduces the λ sweep: total energy and deadline violation ratio
 // of every strategy, each calibrated to the same normalized delay, for λ
 // in {0.04 .. 0.12}. The λ rows are independent, so they fan out across
-// the experiment's worker budget while each row's calibrations share the
-// runner's point cache.
+// the experiment's worker budget, each row's calibrations running on the
+// shared runner.
 func Fig8b(opts Options) (*Table, error) {
 	tbl := &Table{
 		ID:    "fig8b",

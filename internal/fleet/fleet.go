@@ -247,12 +247,7 @@ func (c Config) hash() string {
 	if c.Diurnal != nil {
 		put(append(append(buf[:0], " diurnal="...), c.Diurnal.Hash()...))
 	}
-	const digits = "0123456789abcdef"
-	for i := 15; i >= 0; i-- {
-		buf[i] = digits[h&15]
-		h >>= 4
-	}
-	return string(buf[:16])
+	return randx.Hex(h)
 }
 
 // Run simulates the population and returns its report. With Resume set it

@@ -216,7 +216,7 @@ func (c *Crew) start(w int, loop func()) {
 		next := make(chan func(), 1)
 		c.slots = append(c.slots, next)
 		go func() {
-			for loop, ok := <-next; ok; loop, ok = <-next {
+			for loop := range next {
 				loop()
 			}
 		}()

@@ -89,23 +89,30 @@ const FNVOffset = 14695981039346656037
 
 // DeriveString hashes s into a part usable with Derive (FNV-1a).
 func DeriveString(s string) uint64 {
-	return fnv1a(FNVOffset, s)
+	return FNV1a(FNVOffset, s)
 }
 
 // FNV1a continues FNV-1a state h over p. Folding the pieces of a text in
 // order, from FNVOffset, gives DeriveString of the whole text, so a caller
 // can hash text it never holds at once.
-func FNV1a(h uint64, p []byte) uint64 {
-	return fnv1a(h, p)
-}
-
-func fnv1a[T string | []byte](h uint64, p T) uint64 {
+func FNV1a[T string | []byte](h uint64, p T) uint64 {
 	const prime64 = 1099511628211
 	for i := 0; i < len(p); i++ {
 		h ^= uint64(p[i])
 		h *= prime64
 	}
 	return h
+}
+
+// Hex renders h as 16 lower-case hex digits, as fmt's %016x does.
+func Hex(h uint64) string {
+	const digits = "0123456789abcdef"
+	var buf [16]byte
+	for i := len(buf) - 1; i >= 0; i-- {
+		buf[i] = digits[h&15]
+		h >>= 4
+	}
+	return string(buf[:])
 }
 
 // mix64 is the splitmix64 finalizer: a bijective avalanche over 64 bits.

@@ -14,7 +14,9 @@ import (
 )
 
 // refQueues is the map-backed queue set Queues replaced, kept verbatim as
-// the reference the slice layout must reproduce operation for operation.
+// the reference the slice layout must reproduce operation for operation:
+// its Oldest followed by PopByID, and its PopHead, are the by-name pops
+// that PopOldest and PopAt replaced.
 type refQueues struct {
 	order []string
 	byApp map[string][]workload.Packet
@@ -31,12 +33,6 @@ func (q *refQueues) Add(p workload.Packet) {
 	q.byApp[p.App] = append(q.byApp[p.App], p)
 }
 
-func (q *refQueues) Apps() []string {
-	out := make([]string, len(q.order))
-	copy(out, q.order)
-	return out
-}
-
 func (q *refQueues) Len() int {
 	n := 0
 	for _, pkts := range q.byApp {
@@ -46,13 +42,6 @@ func (q *refQueues) Len() int {
 }
 
 func (q *refQueues) AppLen(app string) int { return len(q.byApp[app]) }
-
-func (q *refQueues) Packets(app string) []workload.Packet {
-	src := q.byApp[app]
-	out := make([]workload.Packet, len(src))
-	copy(out, src)
-	return out
-}
 
 func (q *refQueues) Each(fn func(p workload.Packet)) {
 	for _, app := range q.order {
@@ -127,11 +116,15 @@ func sameFloat(a, b float64) bool { return math.Float64bits(a) == math.Float64bi
 // TestQueuesMatchMapReference drives the slice-backed Queues and the
 // map-backed reference with the same random operations — adds over one to
 // six apps (an empty name among them), and over 9 and 40 apps so the name
-// lookup switches from a scan to its map, pops by ID that hit and miss,
-// head pops, bulk removals and every query — and requires equal answers,
-// with every cost sum bit-identical. One Queues serves every round, Reset
-// between rounds against a fresh reference, the last round returning from
-// 40 apps to 3.
+// lookup switches from a scan to its map, index pops of the packet with a
+// given ID (hits and misses), head pops, bulk removals, oldest pops and
+// every query — and requires equal answers, with every cost sum
+// bit-identical. Half the adds arrive at the instant of the add before
+// them, so equal arrivals meet across apps, and IDs count per app, so the
+// same ID is queued in several apps at once. One Queues serves every
+// round, Reset between rounds against a fresh reference, the last round
+// returning from 40 apps to 3; each round ends by draining both sets
+// oldest first.
 func TestQueuesMatchMapReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(18))
 	names := []string{"weibo", "", "mail", "cloud", "x", "weibo2"}
@@ -149,38 +142,52 @@ func TestQueuesMatchMapReference(t *testing.T) {
 		q.Reset()
 		ref := newRefQueues()
 		apps := names[:count]
-		nextID := 0
+		issued := make(map[string]int) // the next ID of each app
 		var now time.Duration
 		for op := 0; op < 2000; op++ {
 			app := apps[rng.Intn(len(apps))]
+			a := slices.Index(q.AppsView(), app)
 			switch k := rng.Intn(12); {
 			case k < 4:
-				now += time.Duration(rng.Intn(3000)) * time.Millisecond
+				if rng.Intn(2) == 0 {
+					now += time.Duration(1+rng.Intn(3000)) * time.Millisecond
+				}
 				p := workload.Packet{
-					ID: nextID, App: app, ArrivedAt: now, Size: int64(rng.Intn(5000)),
+					ID: issued[app], App: app, ArrivedAt: now, Size: int64(rng.Intn(5000)),
 					Profile: profiles[rng.Intn(len(profiles))],
 				}
-				nextID++
+				issued[app]++
 				q.Add(p)
 				ref.Add(p)
 			case k < 6:
-				// Any issued ID — queued in this app, another app or
-				// already popped — or one never issued: hits and misses.
-				id := rng.Intn(nextID + 3)
-				got, gotOK := q.PopByID(app, id)
+				// Any ID issued to this app — queued or already popped —
+				// or one never issued: hits and misses.
+				id := rng.Intn(issued[app] + 3)
 				want, wantOK := ref.PopByID(app, id)
-				if gotOK != wantOK || !reflect.DeepEqual(got, want) {
-					t.Fatalf("round %d op %d: PopByID(%q, %d) = %v %v, want %v %v", round, op, app, id, got, gotOK, want, wantOK)
+				j := -1
+				if a >= 0 {
+					j = slices.IndexFunc(q.ViewAt(a), func(p workload.Packet) bool { return p.ID == id })
+				}
+				if (j >= 0) != wantOK {
+					t.Fatalf("round %d op %d: %q queues ID %d at index %d, reference found it %v", round, op, app, id, j, wantOK)
+				}
+				if j >= 0 {
+					if got := q.PopAt(a, j); !reflect.DeepEqual(got, want) {
+						t.Fatalf("round %d op %d: PopAt(%d, %d) = %v, want %v", round, op, a, j, got, want)
+					}
 				}
 			case k < 7:
-				got, gotOK := q.PopHead(app)
 				want, wantOK := ref.PopHead(app)
-				if gotOK != wantOK || !reflect.DeepEqual(got, want) {
-					t.Fatalf("round %d op %d: PopHead(%q) = %v %v, want %v %v", round, op, app, got, gotOK, want, wantOK)
+				if ok := a >= 0 && len(q.ViewAt(a)) > 0; ok != wantOK {
+					t.Fatalf("round %d op %d: %q has a head %v, reference %v", round, op, app, ok, wantOK)
+				}
+				if wantOK {
+					if got := q.PopAt(a, 0); !reflect.DeepEqual(got, want) {
+						t.Fatalf("round %d op %d: PopAt(%d, 0) = %v, want %v", round, op, a, got, want)
+					}
 				}
 			case k < 8:
 				// RemoveAt ≡ popping the flagged packets one by one.
-				a := slices.Index(q.AppsView(), app)
 				if a < 0 {
 					break
 				}
@@ -196,11 +203,7 @@ func TestQueuesMatchMapReference(t *testing.T) {
 				}
 				q.RemoveAt(a, drop)
 			case k < 9:
-				got, gotOK := q.Oldest()
-				want, wantOK := ref.Oldest()
-				if gotOK != wantOK || !reflect.DeepEqual(got, want) {
-					t.Fatalf("round %d op %d: Oldest = %v %v, want %v %v", round, op, got, gotOK, want, wantOK)
-				}
+				popOldest(t, q, ref, fmt.Sprintf("round %d op %d", round, op))
 			default:
 				at := now + time.Duration(rng.Int63n(int64(90*time.Second)))
 				if got, want := q.CostAt(at), ref.CostAt(at); !sameFloat(got, want) {
@@ -219,11 +222,11 @@ func TestQueuesMatchMapReference(t *testing.T) {
 			if got, want := q.AppLen(app), ref.AppLen(app); got != want {
 				t.Fatalf("round %d op %d: AppLen(%q) = %d, want %d", round, op, app, got, want)
 			}
-			if !reflect.DeepEqual(q.Apps(), ref.Apps()) {
-				t.Fatalf("round %d op %d: Apps = %q, want %q", round, op, q.Apps(), ref.Apps())
+			if !slices.Equal(q.AppsView(), ref.order) {
+				t.Fatalf("round %d op %d: AppsView = %q, want %q", round, op, q.AppsView(), ref.order)
 			}
-			if !reflect.DeepEqual(q.Packets(app), ref.Packets(app)) {
-				t.Fatalf("round %d op %d: Packets(%q) differ", round, op, app)
+			if !slices.Equal(q.View(app), ref.byApp[app]) {
+				t.Fatalf("round %d op %d: View(%q) differs", round, op, app)
 			}
 			if a := slices.Index(q.AppsView(), app); a >= 0 && !slices.Equal(q.ViewAt(a), ref.byApp[app]) {
 				t.Fatalf("round %d op %d: ViewAt(%d) differs from %q's queue", round, op, a, app)
@@ -235,5 +238,30 @@ func TestQueuesMatchMapReference(t *testing.T) {
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("round %d: Each order differs", round)
 		}
+		for n := 0; q.Len() > 0; n++ {
+			popOldest(t, q, ref, fmt.Sprintf("round %d drain pop %d", round, n))
+		}
+		if ref.Len() != 0 {
+			t.Fatalf("round %d: reference holds %d packets after the drain", round, ref.Len())
+		}
+	}
+}
+
+// popOldest pops q's oldest packet and requires it to be the packet the
+// reference's Oldest names, which the reference then pops by ID.
+func popOldest(t *testing.T, q *Queues, ref *refQueues, at string) {
+	t.Helper()
+	want, wantOK := ref.Oldest()
+	if (q.Len() > 0) != wantOK {
+		t.Fatalf("%s: Len %d, reference Oldest found %v", at, q.Len(), wantOK)
+	}
+	if !wantOK {
+		return
+	}
+	if _, ok := ref.PopByID(want.App, want.ID); !ok {
+		t.Fatalf("%s: reference cannot pop its oldest %v", at, want)
+	}
+	if got := q.PopOldest(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("%s: PopOldest = %v, want %v", at, got, want)
 	}
 }

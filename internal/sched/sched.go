@@ -19,8 +19,8 @@ import (
 // Len O(1). A device has a handful of cargo apps, found by a scan of their
 // names; past scanApps names a map takes over the lookup, so a session
 // with many apps pays O(1) per name, not one scan each. Scheduling loops
-// walk the apps by registration index (ViewAt, RemoveAt) and look up no
-// name at all.
+// walk the apps by registration index (ViewAt) and remove by index
+// (PopAt, RemoveAt, PopOldest): they copy no queue and look up no name.
 type Queues struct {
 	order  []string
 	q      [][]workload.Packet // q[i] is order[i]'s queue
@@ -103,33 +103,18 @@ func (q *Queues) Add(p workload.Packet) {
 	q.n++
 }
 
-// Apps returns the registered app names in registration order.
-func (q *Queues) Apps() []string {
-	out := make([]string, len(q.order))
-	copy(out, q.order)
-	return out
-}
-
 // AppsView returns the registered app names in registration order without
-// copying. Read-only, valid until the next Add that registers a new app —
-// the allocation-free variant of Apps for per-slot scheduling loops.
+// copying: index i of it is the app ViewAt(i) and PopAt(i, j) address.
+// Read-only, valid until the next Add that registers a new app.
 func (q *Queues) AppsView() []string { return q.order }
 
 // Len returns the total number of queued packets.
 func (q *Queues) Len() int { return q.n }
 
-// Packets returns a copy of app's queue in arrival order.
-func (q *Queues) Packets(app string) []workload.Packet {
-	src := q.View(app)
-	out := make([]workload.Packet, len(src))
-	copy(out, src)
-	return out
-}
-
 // View returns app's queue in arrival order without copying. The returned
 // slice is read-only and valid only until the next mutation of the queue
-// set — it is the allocation-free variant of Packets for per-slot
-// scheduling loops.
+// set. It looks app up by name, for tests and the per-app cost oracle;
+// scheduling loops read ViewAt.
 func (q *Queues) View(app string) []workload.Packet {
 	if i := q.index(app); i >= 0 {
 		return q.q[i]
@@ -152,38 +137,12 @@ func (q *Queues) Each(fn func(p workload.Packet)) {
 	}
 }
 
-// PopByID removes and returns the packet with the given ID from app's
-// queue. ok is false if no such packet is queued. Removal compacts the
-// queue in place, reusing its backing array — Packets hands out copies,
-// so no caller observes the shift.
+// PopAt removes and returns ViewAt(i)[j], packet j of the queue of the
+// app at registration index i. The packets behind it shift down in place,
+// so the queue keeps its arrival order and its backing array.
 //
 //etrain:hotpath
-func (q *Queues) PopByID(app string, id int) (workload.Packet, bool) {
-	if i := q.index(app); i >= 0 {
-		for j, p := range q.q[i] {
-			if p.ID == id {
-				return q.pop(i, j), true
-			}
-		}
-	}
-	return workload.Packet{}, false
-}
-
-// PopHead removes and returns the head-of-line packet of app, compacting
-// in place like PopByID so the queue's capacity is reused.
-//
-//etrain:hotpath
-func (q *Queues) PopHead(app string) (workload.Packet, bool) {
-	i := q.index(app)
-	if i < 0 || len(q.q[i]) == 0 {
-		return workload.Packet{}, false
-	}
-	return q.pop(i, 0), true
-}
-
-// pop removes and returns packet j of the queue of the app at
-// registration index i, shifting the rest down in place.
-func (q *Queues) pop(i, j int) workload.Packet {
+func (q *Queues) PopAt(i, j int) workload.Packet {
 	pkts := q.q[i]
 	p := pkts[j]
 	copy(pkts[j:], pkts[j+1:])
@@ -193,11 +152,29 @@ func (q *Queues) pop(i, j int) workload.Packet {
 	return p
 }
 
+// PopOldest removes and returns the earliest-arrived packet across all
+// queues: the first in iteration order among those that arrived earliest.
+// Popping until Len is 0 drains the queues in arrival order. The queues
+// must not be empty.
+//
+//etrain:hotpath
+func (q *Queues) PopOldest() workload.Packet {
+	oi, oj := -1, 0
+	var at time.Duration
+	for i, pkts := range q.q {
+		for j, p := range pkts {
+			if oi < 0 || p.ArrivedAt < at {
+				oi, oj, at = i, j, p.ArrivedAt
+			}
+		}
+	}
+	return q.PopAt(oi, oj)
+}
+
 // RemoveAt deletes from the queue of the app at registration index i
 // every packet whose flag in drop is set; drop is indexed like ViewAt(i).
 // The remaining packets keep their arrival order, compacted in place in
-// one pass, so removing a whole selection costs what a single PopByID
-// does.
+// one pass, so removing a whole selection costs what a single PopAt does.
 //
 //etrain:hotpath
 func (q *Queues) RemoveAt(i int, drop []bool) {
@@ -242,24 +219,6 @@ func (q *Queues) AppCostAt(app string, now time.Duration) float64 {
 // cost Σ φ_u(t) of the paper's drift objective.
 func (q *Queues) SpeculativeAppCostAt(app string, nextSlot time.Duration) float64 {
 	return q.AppCostAt(app, nextSlot)
-}
-
-// Oldest returns the earliest-arrived packet across all queues: the first
-// in iteration order among those that arrived earliest.
-//
-//etrain:hotpath
-func (q *Queues) Oldest() (workload.Packet, bool) {
-	var oldest workload.Packet
-	found := false
-	for _, pkts := range q.q {
-		for _, p := range pkts {
-			if !found || p.ArrivedAt < oldest.ArrivedAt {
-				oldest = p
-				found = true
-			}
-		}
-	}
-	return oldest, found
 }
 
 // SlotContext is everything a strategy may observe when deciding slot t.

@@ -41,9 +41,9 @@ func TestAppsRegistrationOrder(t *testing.T) {
 	q.Add(pkt(1, "zeta", 0))
 	q.Add(pkt(2, "alpha", 0))
 	q.Add(pkt(3, "zeta", 0))
-	apps := q.Apps()
+	apps := q.AppsView()
 	if len(apps) != 2 || apps[0] != "zeta" || apps[1] != "alpha" {
-		t.Fatalf("Apps = %v, want [zeta alpha] (registration order)", apps)
+		t.Fatalf("AppsView = %v, want [zeta alpha] (registration order)", apps)
 	}
 }
 
@@ -62,51 +62,38 @@ func TestEachDeterministicOrder(t *testing.T) {
 	}
 }
 
-func TestPopByID(t *testing.T) {
+func TestPopAt(t *testing.T) {
 	q := NewQueues()
+	q.Add(pkt(1, "b", 0))
 	q.Add(pkt(1, "a", 0))
 	q.Add(pkt(2, "a", time.Second))
 	q.Add(pkt(3, "a", 2*time.Second))
-	p, ok := q.PopByID("a", 2)
-	if !ok || p.ID != 2 {
-		t.Fatalf("PopByID = %+v ok=%v", p, ok)
+	if p := q.PopAt(1, 1); p.ID != 2 || p.App != "a" {
+		t.Fatalf("PopAt(1, 1) = %+v", p)
 	}
-	if q.AppLen("a") != 2 {
-		t.Fatalf("AppLen after pop = %d", q.AppLen("a"))
-	}
-	if _, ok := q.PopByID("a", 2); ok {
-		t.Fatal("popped packet 2 twice")
-	}
-	if _, ok := q.PopByID("missing", 1); ok {
-		t.Fatal("popped from unknown app")
+	if q.Len() != 3 || q.AppLen("a") != 2 || q.AppLen("b") != 1 {
+		t.Fatalf("after pop: Len %d, AppLen a=%d b=%d", q.Len(), q.AppLen("a"), q.AppLen("b"))
 	}
 	// Remaining order preserved.
-	pkts := q.Packets("a")
-	if pkts[0].ID != 1 || pkts[1].ID != 3 {
+	if pkts := q.ViewAt(1); pkts[0].ID != 1 || pkts[1].ID != 3 {
 		t.Fatalf("remaining order = %v, %v", pkts[0].ID, pkts[1].ID)
 	}
 }
 
+// TestPopHead: within one app PopOldest takes the head of the queue, equal
+// arrivals in queue order, so draining an app yields its queue in order.
 func TestPopHead(t *testing.T) {
 	q := NewQueues()
-	if _, ok := q.PopHead("a"); ok {
-		t.Fatal("popped from empty queue")
-	}
 	q.Add(pkt(1, "a", 0))
-	q.Add(pkt(2, "a", time.Second))
-	p, ok := q.PopHead("a")
-	if !ok || p.ID != 1 {
-		t.Fatalf("PopHead = %+v", p)
+	q.Add(pkt(2, "a", 0))
+	q.Add(pkt(3, "a", time.Second))
+	for _, want := range []int{1, 2, 3} {
+		if p := q.PopOldest(); p.ID != want {
+			t.Fatalf("PopOldest = %+v, want packet %d", p, want)
+		}
 	}
-}
-
-func TestPacketsReturnsCopy(t *testing.T) {
-	q := NewQueues()
-	q.Add(pkt(1, "a", 0))
-	pkts := q.Packets("a")
-	pkts[0].ID = 999
-	if q.Packets("a")[0].ID == 999 {
-		t.Fatal("Packets leaked internal state")
+	if q.Len() != 0 {
+		t.Fatalf("Len after drain = %d", q.Len())
 	}
 }
 
@@ -134,17 +121,18 @@ func TestSpeculativeCost(t *testing.T) {
 	}
 }
 
+// TestOldest: PopOldest takes the earliest arrival across apps, and of
+// equal arrivals the one in the app registered first.
 func TestOldest(t *testing.T) {
 	q := NewQueues()
-	if _, ok := q.Oldest(); ok {
-		t.Fatal("Oldest on empty queues")
-	}
 	q.Add(pkt(1, "a", 5*time.Second))
 	q.Add(pkt(2, "b", 2*time.Second))
 	q.Add(pkt(3, "a", 9*time.Second))
-	p, ok := q.Oldest()
-	if !ok || p.ID != 2 {
-		t.Fatalf("Oldest = %+v", p)
+	q.Add(pkt(4, "c", 5*time.Second))
+	for _, want := range []int{2, 1, 4, 3} {
+		if p := q.PopOldest(); p.ID != want {
+			t.Fatalf("PopOldest = %+v, want packet %d", p, want)
+		}
 	}
 }
 
@@ -175,10 +163,8 @@ func TestConservationProperty(t *testing.T) {
 			added++
 		}
 		popped := 0
-		for {
-			if _, ok := q.PopHead("app"); !ok {
-				break
-			}
+		for q.Len() > 0 {
+			q.PopOldest()
 			popped++
 		}
 		return popped == added && q.Len() == 0

@@ -66,11 +66,6 @@ type Config struct {
 	// functions of their identity, which is what makes parallel sweeps
 	// bit-identical to sequential ones.
 	Seed int64
-	// CacheKey, when non-empty, names the non-strategy content of this
-	// config (trace, workload, power model, horizon, seed) for the
-	// Runner's result cache. Two configs sharing a CacheKey are asserted
-	// identical by the caller; leave it empty to opt out of caching.
-	CacheKey string
 }
 
 // model returns the radio model the run's energy is accounted under:
@@ -481,15 +476,8 @@ func (e *Engine) Finish() (*Result, error) {
 		e.nextPacket++
 	}
 	e.slotData = e.slotData[:0]
-	for {
-		oldest, ok := e.queues.Oldest()
-		if !ok {
-			break
-		}
-		p, ok := e.queues.PopByID(oldest.App, oldest.ID)
-		if !ok {
-			break
-		}
+	for e.queues.Len() > 0 {
+		p := e.queues.PopOldest()
 		start, err := e.transmit(e.cfg.Horizon, p.Size, radio.TxData, p.App)
 		if err != nil {
 			return nil, err

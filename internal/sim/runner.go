@@ -3,7 +3,6 @@ package sim
 import (
 	"fmt"
 	"math"
-	"sync"
 
 	"etrain/internal/parallel"
 	"etrain/internal/randx"
@@ -11,10 +10,8 @@ import (
 
 // KeyedFactory names a StrategyFactory for the runner. The key identifies
 // the strategy family together with its fixed parameters (e.g.
-// "etrain-k20", "peres") and serves two roles: it is mixed into every
-// run's derived seed, and it addresses the result cache. Factories that
-// build different strategies must carry different keys; an empty key opts
-// the factory out of caching.
+// "etrain-k20", "peres") and is mixed into every run's derived seed, so
+// factories that build different strategies must carry different keys.
 type KeyedFactory struct {
 	// Key names the strategy family; see the type comment.
 	Key string
@@ -22,72 +19,41 @@ type KeyedFactory struct {
 	New StrategyFactory
 }
 
-// Keyed pairs a strategy factory with its cache/seed key.
+// Keyed pairs a strategy factory with its seed key.
 func Keyed(key string, f StrategyFactory) KeyedFactory {
 	return KeyedFactory{Key: key, New: f}
 }
 
-// runKey addresses one evaluated point: a config identity, a strategy
-// family and a control value.
-type runKey struct {
-	cfg      string
-	strategy string
-	control  uint64
-}
-
 // Runner executes independent simulation runs — sweep points, calibration
-// probes — across a bounded worker pool, with an in-memory result cache.
+// probes — across a bounded worker pool.
 //
 // Determinism contract: a run's result is a pure function of
 // (Config, strategy key, control). The runner derives each run's estimator
 // noise stream from randx.Derive(cfg.Seed, hash(key), bits(control)), so
 // results never depend on worker count, scheduling order, or how many runs
-// executed before — parallel output is bit-identical to sequential output,
-// and a cached result is bit-identical to a recomputed one.
+// executed before — parallel output is bit-identical to sequential output.
 //
 // A Runner is safe for concurrent use; all methods may be called from
 // multiple goroutines and the worker budget bounds the total number of
 // simulations in flight across all of them.
 type Runner struct {
 	limit parallel.Limit
-
-	mu    sync.Mutex
-	cache map[runKey]EDPoint
 }
 
 // NewRunner returns a runner with the given worker budget: n > 0 bounds
 // the pool at n concurrent simulations, anything else means one per CPU
 // (GOMAXPROCS). NewRunner(1) is the sequential runner.
 func NewRunner(workers int) *Runner {
-	return &Runner{
-		limit: parallel.NewLimit(workers),
-		cache: make(map[runKey]EDPoint),
-	}
+	return &Runner{limit: parallel.NewLimit(workers)}
 }
 
 // Workers returns the runner's worker budget.
 func (r *Runner) Workers() int { return r.limit.Cap() }
 
-// cacheable reports whether a point's identity is fully named.
-func cacheable(cfg Config, factory KeyedFactory) bool {
-	return cfg.CacheKey != "" && factory.Key != ""
-}
-
-// Point evaluates one (config, strategy, control) triple: a cache hit when
-// the point was evaluated before, one simulation run on the pool
-// otherwise. The strategy field of cfg is ignored; the factory provides
-// it.
+// Point evaluates one (config, strategy, control) triple: one simulation
+// run on the pool. The strategy field of cfg is ignored; the factory
+// provides it.
 func (r *Runner) Point(cfg Config, factory KeyedFactory, control float64) (EDPoint, error) {
-	key := runKey{cfg: cfg.CacheKey, strategy: factory.Key, control: math.Float64bits(control)}
-	if cacheable(cfg, factory) {
-		r.mu.Lock()
-		pt, ok := r.cache[key]
-		r.mu.Unlock()
-		if ok {
-			return pt, nil
-		}
-	}
-
 	strategy, err := factory.New(control)
 	if err != nil {
 		return EDPoint{}, fmt.Errorf("control %v: %w", control, err)
@@ -110,19 +76,10 @@ func (r *Runner) Point(cfg Config, factory KeyedFactory, control float64) (EDPoi
 	if err != nil {
 		return EDPoint{}, fmt.Errorf("control %v: %w", control, err)
 	}
-	pt := EDPoint{
+	return EDPoint{
 		Control:        control,
 		EnergyJoules:   res.Energy.Total(),
 		Delay:          res.NormalizedDelay(),
 		ViolationRatio: res.DeadlineViolationRatio(),
-	}
-	if cacheable(cfg, factory) {
-		// Concurrent evaluations of one key compute identical values, so
-		// last-write-wins is benign; we accept the rare duplicated run
-		// rather than single-flight machinery.
-		r.mu.Lock()
-		r.cache[key] = pt
-		r.mu.Unlock()
-	}
-	return pt, nil
+	}, nil
 }

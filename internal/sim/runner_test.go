@@ -19,17 +19,9 @@ import (
 	"etrain/internal/workload"
 )
 
-// CacheSize returns how many evaluated points the runner currently holds.
-func (r *Runner) CacheSize() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return len(r.cache)
-}
-
 // runnerConfig builds a shortened paper setup with a noisy channel
 // estimator, so sweeps exercise the per-run reseeding path. The horizon is
-// cut to keep the determinism grid fast; CacheKey names everything the
-// config derives from.
+// cut to keep the determinism grid fast.
 func runnerConfig(t testing.TB, seed int64, horizon time.Duration) Config {
 	t.Helper()
 	src := randx.New(seed)
@@ -49,7 +41,6 @@ func runnerConfig(t testing.TB, seed int64, horizon time.Duration) Config {
 		Power:     radio.GalaxyS43G(),
 		Estimator: bandwidth.NewEstimator(bw, src.Split(), time.Second, 0.3),
 		Seed:      seed,
-		CacheKey:  fmt.Sprintf("runner-test/seed=%d/horizon=%s", seed, horizon),
 	}
 }
 
@@ -138,98 +129,6 @@ func TestSweepPreservesInputOrder(t *testing.T) {
 		if pt.Control != controls[i] {
 			t.Fatalf("point %d has control %v, want input-order %v", i, pt.Control, controls[i])
 		}
-	}
-}
-
-func TestRunnerCachesPoints(t *testing.T) {
-	cfg := runnerConfig(t, 11, 15*time.Minute)
-	r := NewRunner(2)
-	factory := etrainKeyed(20)
-
-	first, err := r.Point(cfg, factory, 1.0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.CacheSize() != 1 {
-		t.Fatalf("cache size %d after first point, want 1", r.CacheSize())
-	}
-	second, err := r.Point(cfg, factory, 1.0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.CacheSize() != 1 {
-		t.Fatalf("cache size %d after repeat point, want 1", r.CacheSize())
-	}
-	if !reflect.DeepEqual(first, second) {
-		t.Fatalf("cache hit differs from original: %+v vs %+v", first, second)
-	}
-
-	// Overlapping sweep grids reuse the shared points.
-	if _, err := r.Sweep(cfg, factory, []float64{0.5, 1.0, 2.0}); err != nil {
-		t.Fatal(err)
-	}
-	size := r.CacheSize()
-	if size != 3 {
-		t.Fatalf("cache size %d after overlapping sweep, want 3", size)
-	}
-	if _, err := r.Sweep(cfg, factory, []float64{1.0, 2.0, 3.0}); err != nil {
-		t.Fatal(err)
-	}
-	if got := r.CacheSize(); got != 4 {
-		t.Fatalf("cache size %d after second sweep, want 4 (two overlapping points reused)", got)
-	}
-
-	// Different strategy families must not collide even at equal controls.
-	if _, err := r.Point(cfg, etrainKeyed(core.KInfinite), 1.0); err != nil {
-		t.Fatal(err)
-	}
-	if got := r.CacheSize(); got != 5 {
-		t.Fatalf("cache size %d after distinct-family point, want 5", got)
-	}
-}
-
-func TestRunnerCacheRequiresBothKeys(t *testing.T) {
-	cfg := runnerConfig(t, 13, 15*time.Minute)
-	factory := etrainKeyed(20)
-
-	r := NewRunner(1)
-	anon := cfg
-	anon.CacheKey = ""
-	if _, err := r.Point(anon, factory, 1.0); err != nil {
-		t.Fatal(err)
-	}
-	if r.CacheSize() != 0 {
-		t.Fatal("point with empty config key was cached")
-	}
-	if _, err := r.Point(cfg, Keyed("", factory.New), 1.0); err != nil {
-		t.Fatal(err)
-	}
-	if r.CacheSize() != 0 {
-		t.Fatal("point with empty factory key was cached")
-	}
-}
-
-// TestCachedPointMatchesFreshRunner verifies cache hits are bit-identical
-// to recomputation: the derived seed depends on the run's identity, never
-// on how many runs the runner executed before.
-func TestCachedPointMatchesFreshRunner(t *testing.T) {
-	cfg := runnerConfig(t, 17, 15*time.Minute)
-	factory := etimeKeyed()
-
-	warm := NewRunner(2)
-	if _, err := warm.Sweep(cfg, factory, []float64{2, 4, 8}); err != nil {
-		t.Fatal(err)
-	}
-	viaCacheableRunner, err := warm.Point(cfg, factory, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fresh, err := NewRunner(1).Point(cfg, factory, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(viaCacheableRunner, fresh) {
-		t.Fatalf("cached point differs from fresh recompute:\ncached: %+v\nfresh:  %+v", viaCacheableRunner, fresh)
 	}
 }
 
@@ -376,36 +275,9 @@ func TestCalibratePrefersCheaperPointWhenDelayFlattens(t *testing.T) {
 	}
 }
 
-// TestCalibrateDelayHitsCache: calibration probes on a cacheable config
-// land in the runner cache, so re-calibrating the same target is free and
-// bit-identical.
-func TestCalibrateDelayHitsCache(t *testing.T) {
-	cfg := runnerConfig(t, 23, 15*time.Minute)
-	r := NewRunner(2)
-	factory := etrainKeyed(20)
-	first, err := r.CalibrateDelay(cfg, factory, 40*time.Second, 0, 4, 6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	size := r.CacheSize()
-	if size == 0 {
-		t.Fatal("calibration probes were not cached")
-	}
-	second, err := r.CalibrateDelay(cfg, factory, 40*time.Second, 0, 4, 6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.CacheSize() != size {
-		t.Fatalf("re-calibration recomputed points: cache grew %d -> %d", size, r.CacheSize())
-	}
-	if !reflect.DeepEqual(first, second) {
-		t.Fatalf("re-calibration diverged: %+v vs %+v", first, second)
-	}
-}
-
 func TestDeriveSeedDistinguishesControlBitPatterns(t *testing.T) {
-	// The cache keys controls by their float bit pattern; make sure the
-	// derived seeds do too (0.1+0.2 != 0.3 must be distinct identities).
+	// A run's identity holds its control's float bit pattern, so derived
+	// seeds must tell 0.1+0.2 and 0.3 apart.
 	x, y := 0.1, 0.2 // runtime addition: 0.30000000000000004, not the constant 0.3
 	a := randx.Derive(5, randx.DeriveString("etrain"), math.Float64bits(x+y))
 	b := randx.Derive(5, randx.DeriveString("etrain"), math.Float64bits(0.3))
@@ -425,8 +297,6 @@ func benchmarkSweep(b *testing.B, workers int) {
 	factory := etrainKeyed(core.KInfinite)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		// Fresh runner each iteration: the cache would otherwise turn every
-		// iteration after the first into 16 map lookups.
 		if _, err := NewRunner(workers).Sweep(cfg, factory, benchmarkControls); err != nil {
 			b.Fatal(err)
 		}

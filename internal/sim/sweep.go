@@ -198,8 +198,7 @@ func calibrate(evaluate func(float64) (EDPoint, error), target time.Duration, lo
 // the selection rule. This mirrors the paper's Fig. 8b methodology:
 // "picking the right value of Ω, V and Θ" so every strategy is compared
 // at the same delay. Probes are inherently sequential (each depends on
-// the last), but they hit the runner's cache, so repeated calibrations
-// over one config and overlapping sweep grids never recompute a point.
+// the last), so a calibration runs its probes one after another.
 func (r *Runner) CalibrateDelay(cfg Config, factory KeyedFactory, target time.Duration, lo, hi float64, iterations int) (EDPoint, error) {
 	return calibrate(func(ctrl float64) (EDPoint, error) {
 		return r.Point(cfg, factory, ctrl)

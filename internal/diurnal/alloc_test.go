@@ -14,8 +14,7 @@ import (
 // hash: once the week profile's curves have rendered their text, Hash
 // streams it into the digest and allocates only its 16-digit result, one
 // allocation per call, where building the 9.5 KB canonical string
-// allocated about 21.6 KB and printing each field into hash/fnv 12
-// allocations.
+// allocated about 21.6 KB.
 func TestWeekHashAllocatesUnder1KB(t *testing.T) {
 	p := Week()
 	want := p.Hash()
